@@ -7,7 +7,7 @@ finder, contraction), fock (ladder-operator and truncated-matrix layer),
 cli (verification suites).
 """
 
-from .ring import Coefficient, GaussianRational, coeff_eval, coeff_gamma_limit
+from .ring import Coefficient, GaussianRational
 from .weyl import (
     Monomial,
     Wavefunction,
@@ -30,8 +30,6 @@ __all__ = [
     "WeylOp",
     "anticommutator",
     "apply",
-    "coeff_eval",
-    "coeff_gamma_limit",
     "commutator",
     "multiply",
     "parse_op",

@@ -10,7 +10,7 @@ guaranteed to succeed at the points the algorithms use it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .ring import Coefficient, GaussianRational
@@ -253,9 +253,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
             cs = cs[1:]
             mults[Fraction(0)] = mults.get(Fraction(0), 0) + 1
             continue
-        den = 1
-        for c in cs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in cs))
         ints = [int(c * den) for c in cs]
         a0, an = ints[0], ints[-1]
         found = None
@@ -275,12 +273,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
             cs = _deflate(cs, found)
             mults[found] = mults.get(found, 0) + 1
     return sorted(mults.items(), key=lambda rm: rm[0])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> List[int]:

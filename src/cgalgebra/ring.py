@@ -6,6 +6,12 @@ formal deformation parameter ``g`` and ordinary polynomials in the formal
 frequency ``w``, with Gaussian-rational weights).  Every symbolic module in
 the package works over this ring; nothing here ever rounds.
 
+A :class:`Coefficient` does not hold ``Fraction`` objects: it stores each
+weight's real and imaginary numerators as Python ints over one positive
+denominator shared by all its terms, reduced so that the common gcd is 1
+(the integer-preserving idea of Bareiss elimination, applied to the ring).
+Its ``terms`` view converts to Gaussian rationals on demand.
+
 Canonical text form, used in golden files and reports::
 
     (3/2) + (-2+1i)*g^-1*w^2
@@ -16,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import SingularLimit, ZeroSubstitution
@@ -170,71 +176,117 @@ QONE = GaussianRational(Fraction(1))
 QI = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _canon_terms(d: Mapping[tuple, GaussianRational]) -> tuple:
-    items = [(k, v) for k, v in d.items() if not v.is_zero()]
-    items.sort(key=lambda kv: kv[0])
-    return tuple(items)
-
-
-@dataclass(frozen=True)
 class Coefficient:
     """Finite sum  sum_{(a,b)} q_{a,b} * g^a * w^b  with q in Q(i).
 
     ``a`` may be negative (the operator catalogs contain 1/g and 1/g^2);
-    ``b`` is never negative.  Zero-valued entries are never stored.
+    ``b`` is never negative.
+
+    Storage is integral: ``_num`` maps each exponent pair ``(a, b)`` to a
+    pair ``(re, im)`` of Python ints, never both zero, and ``_den`` is one
+    positive denominator shared by every term, so q_{a,b} = (re + i*im)/_den.
+    The gcd of ``_den`` and every ``re`` and ``im`` is 1, which makes the
+    form canonical: equal values have equal storage, hence equal hashes.
+    Ring operations work on the ints and divide out that gcd once per
+    result.  Instances are immutable.
     """
 
-    terms: tuple = ()
+    __slots__ = ("_num", "_den", "_terms", "_hash")
 
-    def __post_init__(self):
-        for (a, b), _ in self.terms:
+    def __init__(self, terms=()):
+        """Sum of ``((a, b), q)`` pairs (or a mapping), q Gaussian-like."""
+        if not terms:
+            self._num, self._den = {}, 1
+            return
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict = {}
+        for (a, b), q in items:
             if b < 0:
                 raise ValueError("negative w exponent is not part of the ring")
+            q = GaussianRational.of(q)
+            old = acc.get((a, b))
+            acc[(a, b)] = q if old is None else old + q
+        parts = [(k, q.re, q.im) for k, q in acc.items() if q]
+        # the lcm of the reduced denominators already leaves gcd 1
+        den = lcm(*(f.denominator for _, re, im in parts for f in (re, im)))
+        self._num = {k: (re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator)) for k, re, im in parts}
+        self._den = den
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def from_dict(d: Mapping[tuple, GaussianRational]) -> "Coefficient":
-        return Coefficient(_canon_terms(d))
+    def from_dict(d: Mapping[tuple, GaussianLike]) -> "Coefficient":
+        return Coefficient(d)
 
     @staticmethod
     def of(value: "CoefficientLike") -> "Coefficient":
         if isinstance(value, Coefficient):
             return value
-        q = GaussianRational.of(value)
-        return Coefficient.from_dict({(0, 0): q})
+        if type(value) is int:
+            return _new({(0, 0): (value, 0)}, 1) if value else ZERO
+        return Coefficient({(0, 0): GaussianRational.of(value)})
 
     @staticmethod
     def monomial(q: GaussianLike, g_exp: int = 0, w_exp: int = 0) -> "Coefficient":
-        return Coefficient.from_dict({(g_exp, w_exp): GaussianRational.of(q)})
+        return Coefficient({(g_exp, w_exp): q})
 
     # -- views ------------------------------------------------------------
+    def _value(self, key: tuple) -> GaussianRational:
+        re, im = self._num[key]
+        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
+
+    @property
+    def terms(self) -> tuple:
+        """``((a, b), GaussianRational)`` pairs sorted by key, zeros omitted."""
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = tuple((k, self._value(k)) for k in sorted(self._num))
+            return self._terms
+
     def as_dict(self) -> dict:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_scalar(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == (0, 0))
+        return not self._num or (len(self._num) == 1 and (0, 0) in self._num)
 
     def scalar_value(self) -> GaussianRational:
-        if self.is_zero():
+        if not self._num:
             return QZERO
         if not self.is_scalar():
             raise ValueError(f"not a scalar: {self}")
-        return self.terms[0][1]
+        return self._value((0, 0))
 
     def gamma_exponents(self) -> tuple:
-        if not self.terms:
+        if not self._num:
             return (0, 0)
-        exps = [a for (a, _), _ in self.terms]
+        exps = [a for a, _ in self._num]
         return (min(exps), max(exps))
 
     def omega_degree(self) -> int:
-        return max((b for (_, b), _ in self.terms), default=0)
+        return max((b for _, b in self._num), default=0)
+
+    # -- equality -----------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._den, frozenset(self._num.items())))
+            return self._hash
+
+    def __repr__(self) -> str:
+        return f"Coefficient({self})"
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other) -> "Coefficient":
@@ -242,43 +294,53 @@ class Coefficient:
             other = Coefficient.of(other)
         except TypeError:
             return NotImplemented
-        d = dict(self.terms)
-        for k, v in other.terms:
-            s = d.get(k, QZERO) + v
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
-        return Coefficient(_canon_terms(d))
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient(tuple((k, -v) for k, v in self.terms))
+        return _new({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Coefficient":
-        return self + (-Coefficient.of(other))
+        return _combine(self, Coefficient.of(other), -1)
 
     def __rsub__(self, other) -> "Coefficient":
-        return Coefficient.of(other) + (-self)
+        return _combine(Coefficient.of(other), self, -1)
 
     def __mul__(self, other) -> "Coefficient":
+        if type(other) is int:
+            return self._scaled(other)
         try:
             other = Coefficient.of(other)
         except TypeError:
             return NotImplemented
+        n1, n2 = self._num, other._num
         d: dict = {}
-        for (a1, b1), v1 in self.terms:
-            for (a2, b2), v2 in other.terms:
+        for (a1, b1), (r1, i1) in n1.items():
+            for (a2, b2), (r2, i2) in n2.items():
                 k = (a1 + a2, b1 + b2)
-                s = d.get(k, QZERO) + v1 * v2
-                if s.is_zero():
-                    d.pop(k, None)
-                else:
-                    d[k] = s
-        return Coefficient(_canon_terms(d))
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                old = d.get(k)
+                if old is not None:
+                    re += old[0]
+                    im += old[1]
+                d[k] = (re, im)
+        if len(n1) > 1 and len(n2) > 1:
+            # only sums can cancel: Z[i] has no zero divisors
+            d = {k: v for k, v in d.items() if v[0] or v[1]}
+        return _reduced(d, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: int) -> "Coefficient":
+        if not k or not self._num:
+            return ZERO
+        # the storage is reduced, so the new gcd is gcd(den, k)
+        g = gcd(self._den, k)
+        k //= g
+        return _new({key: (re * k, im * k) for key, (re, im) in self._num.items()},
+                    self._den // g)
 
     def __pow__(self, k: int) -> "Coefficient":
         if k < 0:
@@ -294,43 +356,64 @@ class Coefficient:
 
     def conj(self) -> "Coefficient":
         """i -> -i; the formal parameters g, w stay untouched."""
-        return Coefficient(tuple((k, v.conj()) for k, v in self.terms))
+        return _new({k: (re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     # -- division -----------------------------------------------------------
     def divide_exact(self, other: "Coefficient") -> "Coefficient":
         """Exact division; raises ``ValueError`` when not a ring multiple.
 
-        Laurent g-factors are normalized away first, then ordinary
-        leading-term division in (g, w) with lexicographic order.
+        Leading-term division in (g, w) with lexicographic order, on the
+        integer numerators: with S*N = Q*D + R kept invariant, each step
+        multiplies S, Q and R by the least m that makes the next quotient
+        term integral.  A quotient's g exponents are bounded below by
+        ``min_g(self) - min_g(other)`` (the lowest g terms of a product
+        multiply, since Q(i)[w] has no zero divisors), so division stops
+        with ``ValueError`` once the remainder would need a lower one.
         """
         other = Coefficient.of(other)
-        if other.is_zero():
+        dnum = other._num
+        if not dnum:
             raise ZeroDivisionError("division by zero coefficient")
-        if self.is_zero():
+        if not self._num:
             return ZERO
-        shift = min(self.gamma_exponents()[0], other.gamma_exponents()[0])
-        num = dict(((a - shift, b), v) for (a, b), v in self.terms)
-        den = dict(((a - shift, b), v) for (a, b), v in other.terms)
-        den_lead = max(den)
-        den_lv = den[den_lead]
+        lead_a, lead_b = lead = max(dnum)
+        lr, li = dnum[lead]
+        norm = lr * lr + li * li
+        a_floor = min(a for a, _ in self._num) - min(a for a, _ in dnum)
+        rem = dict(self._num)
         quo: dict = {}
-        while num:
-            lead = max(num)
-            lv = num[lead]
-            qa, qb = lead[0] - den_lead[0], lead[1] - den_lead[1]
-            if qb < 0:
+        scale = 1
+        while rem:
+            k = max(rem)
+            qa, qb = k[0] - lead_a, k[1] - lead_b
+            if qb < 0 or qa < a_floor:
                 raise ValueError(f"({self}) is not divisible by ({other})")
-            qv = lv / den_lv
-            quo_key = (qa, qb)
-            quo[quo_key] = quo.get(quo_key, QZERO) + qv
-            for k, v in den.items():
-                kk = (k[0] + qa, k[1] + qb)
-                s = num.get(kk, QZERO) - qv * v
-                if s.is_zero():
-                    num.pop(kk, None)
+            rr, ri = rem[k]
+            # (rr + i ri) / (lr + i li) = (rr + i ri)(lr - i li) / norm
+            tr, ti = rr * lr + ri * li, ri * lr - rr * li
+            m = norm // gcd(norm, tr, ti)
+            if m != 1:
+                scale *= m
+                tr *= m
+                ti *= m
+                rem = {kk: (r * m, i * m) for kk, (r, i) in rem.items()}
+                quo = {kk: (r * m, i * m) for kk, (r, i) in quo.items()}
+            qr, qi = tr // norm, ti // norm
+            quo[(qa, qb)] = (qr, qi)
+            for (a, b), (dr, di) in dnum.items():
+                kk = (a + qa, b + qb)
+                pr, pi = qr * dr - qi * di, qr * di + qi * dr
+                old = rem.get(kk)
+                if old is None:
+                    rem[kk] = (-pr, -pi)
+                elif old[0] != pr or old[1] != pi:
+                    rem[kk] = (old[0] - pr, old[1] - pi)
                 else:
-                    num[kk] = s
-        return Coefficient(_canon_terms(quo))
+                    del rem[kk]
+        # self/other = (N/n)/(D/d) = Q*d / (S*n)
+        dd = other._den
+        return _reduced({k: (r * dd, i * dd) for k, (r, i) in quo.items()},
+                        scale * self._den)
 
     # -- evaluation ----------------------------------------------------------
     def substitute(self, gamma: GaussianLike = None, omega: GaussianLike = None) -> "Coefficient":
@@ -339,69 +422,46 @@ class Coefficient:
             return self
         gq = None if gamma is None else GaussianRational.of(gamma)
         wq = None if omega is None else GaussianRational.of(omega)
+        if gq is not None and gq.is_zero() and any(a < 0 for a, _ in self._num):
+            raise ZeroSubstitution("gamma=0 hits a gamma pole")
         d: dict = {}
         for (a, b), v in self.terms:
-            key_a, key_b = a, b
             if gq is not None:
-                if gq.is_zero() and a < 0:
-                    raise ZeroSubstitution("gamma=0 hits a gamma pole")
                 v = v * gq ** a
-                key_a = 0
+                a = 0
             if wq is not None:
                 v = v * wq ** b
-                key_b = 0
-            if v.is_zero():
-                continue
-            k = (key_a, key_b)
-            s = d.get(k, QZERO) + v
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
-        return Coefficient(_canon_terms(d))
+                b = 0
+            d[(a, b)] = d.get((a, b), QZERO) + v
+        return Coefficient(d)
 
     def eval(self, gamma: GaussianLike, omega: GaussianLike) -> GaussianRational:
+        """Exact substitution of both parameters; errors on gamma=0 at a pole."""
         return self.substitute(gamma, omega).scalar_value()
 
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
-        d: dict = {}
-        for (a, b), v in self.terms:
-            if a < 0:
-                raise SingularLimit(f"gamma -> 0 limit of ({self}) does not exist")
-            if a == 0:
-                d[(0, b)] = v
-        return Coefficient(_canon_terms(d))
+        if any(a < 0 for a, _ in self._num):
+            raise SingularLimit(f"gamma -> 0 limit of ({self}) does not exist")
+        return _reduced({k: v for k, v in self._num.items() if k[0] == 0}, self._den)
 
     # -- normalization helpers -----------------------------------------------
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer parts."""
-        nums: list[int] = []
-        dens: list[int] = []
-        for _, v in self.terms:
-            for f in (v.re, v.im):
-                if f:
-                    nums.append(abs(f.numerator))
-                    dens.append(f.denominator)
-        if not nums:
+        if not self._num:
             return Fraction(1)
-        n = 0
-        for x in nums:
-            n = gcd(n, x)
-        d = 1
-        for x in dens:
-            d = d * x // gcd(d, x)
-        return Fraction(n, d)
+        return Fraction(gcd(*(x for v in self._num.values() for x in v)), self._den)
 
     def leading(self) -> tuple:
         """(key, value) of the lexicographically largest (g, w) term."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero coefficient has no leading term")
-        return self.terms[-1]
+        k = max(self._num)
+        return k, self._value(k)
 
     # -- text -------------------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         chunks = []
         for (a, b), v in reversed(self.terms):
@@ -422,7 +482,7 @@ class Coefficient:
         s = text.strip()
         if s == "0":
             return ZERO
-        d: dict = {}
+        pairs = []
         for chunk in s.split(" + "):
             m = Coefficient._TERM_RX.match(chunk.strip())
             if not m:
@@ -430,26 +490,73 @@ class Coefficient:
             q = GaussianRational.parse(m.group(1))
             a = int(m.group(2)) if m.group(2) else 0
             b = int(m.group(3)) if m.group(3) else 0
-            k = (a, b)
-            d[k] = d.get(k, QZERO) + q
-        return Coefficient(_canon_terms(d))
+            pairs.append(((a, b), q))
+        return Coefficient(pairs)
+
+
+def _new(num: dict, den: int) -> Coefficient:
+    """Coefficient with storage that is already canonical."""
+    c = object.__new__(Coefficient)
+    c._num = num
+    c._den = den
+    return c
+
+
+def _reduced(num: dict, den: int) -> Coefficient:
+    """num/den with the common gcd divided out; ``num`` holds no zeros."""
+    if not num:
+        return ZERO
+    if den != 1:
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+            den //= g
+    return _new(num, den)
+
+
+def _combine(x: Coefficient, y: Coefficient, sign: int) -> Coefficient:
+    """x + sign*y, for sign 1 or -1."""
+    ny = y._num
+    if not ny:
+        return x
+    nx = x._num
+    if not nx:
+        return y if sign > 0 else -y
+    dx, dy = x._den, y._den
+    if dx == dy:
+        den, my = dx, sign
+        d = dict(nx)
+    else:
+        g = gcd(dx, dy)
+        mx, my = dy // g, sign * (dx // g)
+        den = dx * mx
+        d = {k: (re * mx, im * mx) for k, (re, im) in nx.items()}
+    for k, (re, im) in ny.items():
+        if my != 1:
+            re *= my
+            im *= my
+        old = d.get(k)
+        if old is None:
+            d[k] = (re, im)
+        else:
+            re += old[0]
+            im += old[1]
+            if re or im:
+                d[k] = (re, im)
+            else:
+                del d[k]
+    return _reduced(d, den)
 
 
 CoefficientLike = Union[Coefficient, GaussianRational, int, Fraction, tuple]
 
-ZERO = Coefficient()
+ZERO = _new({}, 1)
 ONE = Coefficient.of(1)
 I = Coefficient.of(QI)
 GAMMA = Coefficient.monomial(QONE, 1, 0)
 GAMMA_INV = Coefficient.monomial(QONE, -1, 0)
 OMEGA = Coefficient.monomial(QONE, 0, 1)
-
-
-def coeff_eval(c: Coefficient, gamma_value: GaussianLike, omega_value: GaussianLike) -> GaussianRational:
-    """Exact substitution of both parameters; errors on gamma=0 at a pole."""
-    return c.eval(gamma_value, omega_value)
-
-
-def coeff_gamma_limit(c: Coefficient) -> Coefficient:
-    """gamma -> 0 limit; raises :class:`SingularLimit` on a pole."""
-    return c.gamma_limit()

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -337,71 +338,68 @@ _ZERO_OP._terms = {}
 # ---------------------------------------------------------------------------
 
 def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc: dict) -> None:
-    """Accumulate the normal-ordered expansion of (c1 m1) * (c2 m2) into acc."""
+    """Accumulate the normal-ordered expansion of (c1 m1) * (c2 m2) into acc.
+
+    Each output monomial carries an integer weight (binomials times falling
+    factorials) and one power of the phase derivative theta; the ring
+    coefficient c1*c2*theta^p is built once per p and scaled by the weight.
+    """
     n = max(m1.arity, m2.arity)
-    x1 = m1.x_pows + (0,) * (n - m1.arity)
-    d1 = m1.d_pows + (0,) * (n - m1.arity)
-    x2 = m2.x_pows + (0,) * (n - m2.arity)
-    d2 = m2.d_pows + (0,) * (n - m2.arity)
+    pad1 = (0,) * (n - m1.arity)
+    pad2 = (0,) * (n - m2.arity)
+    x1, d1 = m1.x_pows + pad1, m1.d_pows + pad1
+    x2, d2 = m2.x_pows + pad2, m2.d_pows + pad2
 
     base = c1 * c2
     if base.is_zero():
         return
 
     # spatial contractions: Dxi^p xi^q = sum_s C(p,s) falling(q,s) xi^{q-s} Dxi^{p-s}
-    choice_sets = []
-    for i in range(n):
-        p, q = d1[i], x2[i]
-        top = min(p, q)
-        choices = []
-        for s in range(top + 1):
-            choices.append((s, comb(p, s) * _falling(q, s)))
-        choice_sets.append(choices)
+    choice_sets = [[(s, comb(p, s) * _falling(q, s)) for s in range(min(p, q) + 1)]
+                   for p, q in zip(d1, x2)]
 
-    # time block: Dt^k across e^{i theta t} t^a
+    # time block: Dt^k across e^{i theta t} t^a, as (t shift r, Dt left, coefficient, weight)
     k = m1.dt_pow
     a = m2.t_pow
-    theta = _phase_theta(m2.phase_m, m2.phase_n)
-    theta_pows = [Coefficient.of(1)]
-    for _ in range(k):
-        theta_pows.append(theta_pows[-1] * theta)
-    time_choices = []  # (t_shift r, dt_left j, coefficient)
-    for j in range(k + 1):
-        ckj = comb(k, j)
-        for r in range(j + 1):
-            ff = _falling(a, r)
-            if ff == 0:
-                continue
-            cf = theta_pows[j - r] * (ckj * comb(j, r) * ff)
-            if cf.is_zero():
-                continue
-            time_choices.append((r, k - j, cf))
+    if k:
+        theta = _phase_theta(m2.phase_m, m2.phase_n)
+        theta_pows = [base]
+        for _ in range(k):
+            theta_pows.append(theta_pows[-1] * theta)
+        time_choices = []
+        for j in range(k + 1):
+            ckj = comb(k, j)
+            for r in range(j + 1):
+                ff = _falling(a, r)
+                if ff and not theta_pows[j - r].is_zero():
+                    time_choices.append((r, k - j, theta_pows[j - r], ckj * comb(j, r) * ff))
+    else:
+        time_choices = [(0, 0, base, 1)]
 
     phase_m = m1.phase_m + m2.phase_m
     phase_n = m1.phase_n + m2.phase_n
-
-    def rec(i: int, xs: list, ds: list, cf: Coefficient):
-        if i == n:
-            for r, dt_left, tc in time_choices:
-                total = cf * tc
-                if total.is_zero():
-                    continue
-                mono = Monomial.make(phase_m, phase_n, m1.t_pow + a - r,
-                                     tuple(xs), tuple(ds), dt_left + m2.dt_pow)
-                s = acc.get(mono, Coefficient()) + total
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
-            return
-        for s, w in choice_sets[i]:
-            xs.append(x1[i] + x2[i] - s)
-            ds.append(d1[i] + d2[i] - s)
-            rec(i + 1, xs, ds, cf * w if w != 1 else cf)
-            xs.pop()
-            ds.pop()
-
-    rec(0, [], [], base)
+    t_pow = m1.t_pow + a
+    x_sum = [p + q for p, q in zip(x1, x2)]
+    d_sum = [p + q for p, q in zip(d1, d2)]
+    for combo in product(*choice_sets):
+        weight = 1
+        for _, w in combo:
+            weight *= w
+        xs, ds = _trim(tuple(xo - s for xo, (s, _) in zip(x_sum, combo)),
+                       tuple(do - s for do, (s, _) in zip(d_sum, combo)))
+        for r, dt_left, tc, tw in time_choices:
+            w = weight * tw
+            total = tc * w if w != 1 else tc
+            mono = Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow)
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = total
+                continue
+            s = old + total
+            if s.is_zero():
+                del acc[mono]
+            else:
+                acc[mono] = s
 
 
 def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -411,7 +409,7 @@ def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
         for m2, c2 in b.terms():
             _mono_mul(m1, c1, m2, c2, acc)
     out = WeylOp.__new__(WeylOp)
-    out._terms = {m: c for m, c in acc.items() if not c.is_zero()}
+    out._terms = acc
     return out
 
 

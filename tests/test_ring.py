@@ -1,5 +1,8 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -10,8 +13,6 @@ from cgalgebra.ring import (
     GAMMA_INV,
     GaussianRational,
     OMEGA,
-    coeff_eval,
-    coeff_gamma_limit,
 )
 
 
@@ -89,32 +90,32 @@ class TestCoefficient:
         g, w = gr(2, 1), gr(F(1, 3))
         for _ in range(100):
             a, b = rand_coeff(rng), rand_coeff(rng)
-            assert coeff_eval(a * b, g, w) == coeff_eval(a, g, w) * coeff_eval(b, g, w)
-            assert coeff_eval(a + b, g, w) == coeff_eval(a, g, w) + coeff_eval(b, g, w)
+            assert (a * b).eval(g, w) == a.eval(g, w) * b.eval(g, w)
+            assert (a + b).eval(g, w) == a.eval(g, w) + b.eval(g, w)
 
     def test_eval_examples(self):
         # g^-1 at g=2
-        assert coeff_eval(GAMMA_INV, gr(2), gr(0)) == gr(F(1, 2))
+        assert GAMMA_INV.eval(gr(2), gr(0)) == gr(F(1, 2))
         # 3 - 2 g w at g=1, w=3
         c = Coefficient.of(3) - GAMMA * OMEGA * 2
-        assert coeff_eval(c, gr(1), gr(3)) == gr(-3)
+        assert c.eval(gr(1), gr(3)) == gr(-3)
         # the tower central charge coefficient (3 - 2|k|) * 16 at k=3
         k = 3
         assert (3 - 2 * abs(k)) * 16 == -48
-        assert coeff_eval(Coefficient.of((3 - 2 * abs(k)) * 16), gr(5), gr(7)) == gr(-48)
+        assert Coefficient.of((3 - 2 * abs(k)) * 16).eval(gr(5), gr(7)) == gr(-48)
 
     def test_zero_substitution_raises(self):
         with pytest.raises(ZeroSubstitution):
-            coeff_eval(GAMMA_INV, gr(0), gr(1))
+            GAMMA_INV.eval(gr(0), gr(1))
         # polynomial part survives g = 0
         c = Coefficient.of(5) + GAMMA * 2
-        assert coeff_eval(c, gr(0), gr(0)) == gr(5)
+        assert c.eval(gr(0), gr(0)) == gr(5)
 
     def test_gamma_limit(self):
-        assert coeff_gamma_limit(Coefficient.of(5) + GAMMA * 2) == Coefficient.of(5)
-        assert coeff_gamma_limit(OMEGA) == OMEGA
+        assert (Coefficient.of(5) + GAMMA * 2).gamma_limit() == Coefficient.of(5)
+        assert OMEGA.gamma_limit() == OMEGA
         with pytest.raises(SingularLimit):
-            coeff_gamma_limit(GAMMA_INV * GAMMA_INV)
+            (GAMMA_INV * GAMMA_INV).gamma_limit()
 
     def test_no_negative_omega_exponent(self):
         with pytest.raises(ValueError):
@@ -126,6 +127,20 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             (GAMMA + Coefficient.of(1)).divide_exact(OMEGA)
 
+    def test_divide_exact_non_multiple_terminates(self):
+        # the remainder's g exponent used to fall without bound
+        with deadline(5), pytest.raises(ValueError):
+            (GAMMA * GAMMA + 1).divide_exact(GAMMA + 1)
+        with deadline(5), pytest.raises(ValueError):
+            (OMEGA + 1).divide_exact(OMEGA + GAMMA)
+
+    def test_divide_exact_laurent_quotient(self):
+        # quotients that need the lowest admissible g exponent still divide
+        a = (GAMMA_INV * GAMMA_INV + 1) * (GAMMA + OMEGA)
+        with deadline(5):
+            assert a.divide_exact(GAMMA + OMEGA) == GAMMA_INV * GAMMA_INV + 1
+            assert a.divide_exact(GAMMA_INV * GAMMA_INV + 1) == GAMMA + OMEGA
+
     def test_text_round_trip(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -134,3 +149,135 @@ class TestCoefficient:
         assert Coefficient.parse("0") == Coefficient()
         canonical = "(3/2) + (-2+1i)*g^-1*w^2"
         assert str(Coefficient.parse(canonical)) == canonical
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- reference model: {(a, b): (re, im)} with Fraction parts, zeros dropped ----
+
+def m_clean(d):
+    return {k: v for k, v in d.items() if v[0] or v[1]}
+
+
+def m_add(x, y, sign=1):
+    d = dict(x)
+    for k, (re, im) in y.items():
+        r0, i0 = d.get(k, (F(0), F(0)))
+        d[k] = (r0 + sign * re, i0 + sign * im)
+    return m_clean(d)
+
+
+def q_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def q_pow(q, k):
+    if k < 0:
+        n = q[0] * q[0] + q[1] * q[1]
+        q, k = (q[0] / n, -q[1] / n), -k
+    out = (F(1), F(0))
+    for _ in range(k):
+        out = q_mul(out, q)
+    return out
+
+
+def m_mul(x, y):
+    d = {}
+    for (a1, b1), p in x.items():
+        for (a2, b2), q in y.items():
+            d = m_add(d, {(a1 + a2, b1 + b2): q_mul(p, q)})
+    return d
+
+
+def m_subst(x, gamma, omega):
+    d = {}
+    for (a, b), q in x.items():
+        if gamma is not None:
+            q, a = q_mul(q, q_pow(gamma, a)), 0
+        if omega is not None:
+            q, b = q_mul(q, q_pow(omega, b)), 0
+        d = m_add(d, {(a, b): q})
+    return d
+
+
+def model_of(c):
+    return {k: (v.re, v.im) for k, v in c.terms}
+
+
+def coeff_of(d):
+    return Coefficient.from_dict({k: GaussianRational(*v) for k, v in d.items()})
+
+
+def rand_part(rng):
+    return F(rng.randint(-20, 20), rng.randint(1, 12))
+
+
+def rand_model(rng):
+    if rng.random() < 0.1:
+        return {}
+    d = {}
+    for _ in range(rng.randint(1, 4)):
+        q = (rand_part(rng), rand_part(rng) if rng.random() < 0.6 else F(0))
+        d = m_add(d, {(rng.randint(-3, 3), rng.randint(0, 3)): q})
+    return d
+
+
+def check_canonical(c):
+    keys = [k for k, _ in c.terms]
+    assert keys == sorted(keys)
+    assert all(not v.is_zero() for _, v in c.terms)
+    assert c._den > 0
+    assert gcd(c._den, *(x for v in c._num.values() for x in v)) == 1
+    assert all(re or im for re, im in c._num.values())
+    assert Coefficient.parse(str(c)) == c
+    twin = coeff_of(model_of(c))
+    assert twin == c and hash(twin) == hash(c)
+
+
+class TestIntegerStorage:
+    """The integer-numerator Coefficient against a Fraction-pair model."""
+
+    def test_differential_random(self):
+        rng = random.Random(2015)
+        for _ in range(2000):
+            mx, my = rand_model(rng), rand_model(rng)
+            n = rng.randint(-6, 6)
+            x, y = coeff_of(mx), coeff_of(my)
+            assert model_of(x) == mx and model_of(y) == my
+            results = [
+                (x + y, m_add(mx, my)),
+                (x - y, m_add(mx, my, -1)),
+                (x * y, m_mul(mx, my)),
+                # the cross terms cancel: (x + y)(x - y) = x^2 - y^2
+                ((x + y) * (x - y), m_add(m_mul(mx, mx), m_mul(my, my), -1)),
+                (x.conj(), {k: (re, -im) for k, (re, im) in mx.items()}),
+                (x * n, m_clean({k: (re * n, im * n) for k, (re, im) in mx.items()})),
+                (-y, {k: (-re, -im) for k, (re, im) in my.items()}),
+            ]
+            for got, want in results:
+                assert model_of(got) == want
+                check_canonical(got)
+            assert hash(x + y) == hash(y + x)
+            assert hash(x * y) == hash(y * x)
+            if my:
+                assert (x * y).divide_exact(y) == x
+            gamma = (rand_part(rng) or F(1), rand_part(rng))
+            omega = (rand_part(rng), F(0))
+            for g, w in ((gamma, None), (None, omega), (gamma, omega)):
+                got = x.substitute(None if g is None else GaussianRational(*g),
+                                   None if w is None else GaussianRational(*w))
+                assert model_of(got) == m_subst(mx, g, w)
+                check_canonical(got)
