@@ -399,9 +399,11 @@ def suite_general_l(opts) -> Report:
         run.simple("osc-time-phase-family", len(res) == 2,
                    details=f"{len(res)} generators at lam = +-2")
         return rep
-    signs_list = [tuple(opts.signs)] if opts.signs else [(1, 1), (-1, 1)]
+    ones = realizations.gen_params(ell).eps_vec
+    gammas = [GAMMA * k for k in range(1, len(ones) + 1)]
+    signs_list = [tuple(opts.signs)] if opts.signs else [ones, (-1,) + ones[1:]]
     for signs in signs_list:
-        p = realizations.gen_params(ell, signs, gammas=(GAMMA, GAMMA * 2))
+        p = realizations.gen_params(ell, signs, gammas=gammas)
         om = realizations.gen_osc(p)
         res = invariance.find_symmetries(om, lam_set=[2, -2], coeff_degree_bound=opts.degree_bound)
         dt_fam = sum(1 for r in res if any(m.dt_pow for m, _ in r.generator.terms()))

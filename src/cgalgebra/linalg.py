@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .ring import Coefficient, GaussianRational
 
 Matrix = List[List[Coefficient]]
@@ -239,8 +241,15 @@ def eval_poly(coeffs: Sequence[Coefficient], x: Coefficient) -> Coefficient:
 def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     """All rational roots (with multiplicity) of a polynomial over Q.
 
-    ``coeffs[k]`` is the coefficient of x^k.  Uses the rational-root theorem
-    after clearing denominators, then deflates.
+    ``coeffs[k]`` is the coefficient of x^k.  Candidates come from the
+    floating-point roots of the square-free part, refined by exact Newton
+    steps (see :func:`_root_candidates`); each is accepted only where the
+    polynomial vanishes exactly, and deflated exactly as often as it does.
+    Rounds repeat on the deflated polynomial while they find a root.  The
+    cost is polynomial in the degree and the coefficients' bit length.  A
+    root is never reported falsely; one can be missed only if Newton's
+    method, started from its float value, does not converge to it (a
+    cluster of real roots too tight for float eigenvalues to separate).
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -248,42 +257,119 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     if not cs:
         raise ValueError("zero polynomial has every root")
     mults: dict = {}
-    while len(cs) > 1:
-        if cs[0] == 0:
-            cs = cs[1:]
-            mults[Fraction(0)] = mults.get(Fraction(0), 0) + 1
-            continue
-        den = lcm(*(c.denominator for c in cs))
-        ints = [int(c * den) for c in cs]
-        a0, an = ints[0], ints[-1]
-        found = None
-        for p in _divisors(abs(a0)):
-            for q in _divisors(abs(an)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval_frac(cs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        while len(cs) > 1 and _poly_eval_frac(cs, found) == 0:
-            cs = _deflate(cs, found)
-            mults[found] = mults.get(found, 0) + 1
+    while len(cs) > 1 and cs[0] == 0:
+        cs = cs[1:]
+        mults[Fraction(0)] = mults.get(Fraction(0), 0) + 1
+    found = True
+    while found and len(cs) > 1:
+        found = False
+        for cand in _root_candidates(cs):
+            while len(cs) > 1 and _poly_eval_frac(cs, cand) == 0:
+                cs = _deflate(cs, cand)
+                mults[cand] = mults.get(cand, 0) + 1
+                found = True
     return sorted(mults.items(), key=lambda rm: rm[0])
 
 
-def _divisors(n: int) -> List[int]:
-    if n == 0:
-        return [1]
+def _root_candidates(cs: List[Fraction]) -> List[Fraction]:
+    """Rational roots of the square-free part of cs, from one ``numpy.roots`` call.
+
+    The square-free part has only simple roots, which floating point finds
+    to near machine precision.  Its variable is scaled by a power of two so
+    that the monic float coefficients stay near 1 whatever the size of the
+    exact ones.  A rational root p/q has q dividing the leading coefficient
+    a_n of the primitive integer form, so each real part x becomes
+    ``x.limit_denominator(a_n)``.  Where that misses and the float root is
+    (nearly) real, x is first refined by :func:`_newton` to within
+    1/(2 a_n^2) of the root, the distance below which ``limit_denominator``
+    returns it.  Only candidates at which the square-free part vanishes
+    exactly are returned.
+    """
+    sf = _squarefree(cs)
+    d = len(sf) - 1
+    if d == 1:
+        return [-sf[0]]
+    a_n = lcm(*(c.denominator for c in sf))
+    shift = max((c.numerator.bit_length() - c.denominator.bit_length()) // (d - k)
+                for k, c in enumerate(sf[:-1]) if c)
+    scale = Fraction(2) ** shift
+    scaled = [float(c / scale ** (d - k)) for k, c in enumerate(sf)]
+    deriv = [k * c for k, c in enumerate(sf)][1:]
     out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
+    for y in np.roots(scaled[::-1]):
+        x = Fraction(float(y.real)) * scale
+        cand = x.limit_denominator(a_n)
+        if _poly_eval_frac(sf, cand):
+            if abs(y.imag) > _NEAR_REAL * abs(y):
+                continue
+            cand = _newton(sf, deriv, x, a_n).limit_denominator(a_n)
+            if _poly_eval_frac(sf, cand):
+                continue
+        out.add(cand)
     return sorted(out)
+
+
+# A float root with |Im| above this share of its modulus is taken for one of
+# a complex pair and not refined.  A real root comes out of the eigenvalue
+# solver real, or, in a cluster of k real roots, perturbed by up to about
+# eps^(1/k) of its modulus (1e-4 for k = 4).
+_NEAR_REAL = 1e-3
+# Next to a cluster Newton's method converges only linearly, by about
+# (k - 1)/k a step, until the iterate resolves a single root.
+_NEWTON_STEPS = 256
+
+
+def _newton(f: List[Fraction], df: List[Fraction], x: Fraction, a_n: int) -> Fraction:
+    """Newton's method on f (simple roots, derivative df) from x, in exact arithmetic.
+
+    Each iterate is rounded to a multiple of 2^-b, with 2^-b far below
+    1/(2 a_n^2), so the fractions stay small.  It stops once a step is under
+    1/(4 a_n^2), where quadratic convergence leaves x well within 1/(2 a_n^2)
+    of the root, or after a bounded number of steps.
+    """
+    tol = Fraction(1, 4 * a_n * a_n)
+    den = 1 << (2 * a_n.bit_length() + 4)
+    for _ in range(_NEWTON_STEPS):
+        slope = _poly_eval_frac(df, x)
+        if not slope:
+            break
+        step = _poly_eval_frac(f, x) / slope
+        x = Fraction(round((x - step) * den), den)
+        if abs(step) < tol:
+            break
+    return x
+
+
+def _squarefree(cs: List[Fraction]) -> List[Fraction]:
+    """Monic cs / gcd(cs, cs'): the same roots, each of multiplicity one."""
+    deriv = [k * c for k, c in enumerate(cs)][1:]
+    sf = _poly_divmod(cs, _poly_gcd(cs, deriv))[0]
+    return [c / sf[-1] for c in sf]
+
+
+def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder over Q; b has a nonzero leading coefficient."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [Fraction(0)] * max(len(rem) - db, 1)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] / b[-1]
+        quo[k] = c
+        if c:
+            for j in range(db + 1):
+                rem[k + j] -= c * b[j]
+    rem = rem[:db]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+    """Monic greatest common divisor over Q by Euclid's algorithm; a != 0."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def _poly_eval_frac(cs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -107,6 +107,26 @@ class TestReports:
         dim = [c for c in rep["checks"] if c["id"] == "dimension"][0]
         assert dim["details"] == "dim=12"
 
+    def test_symmetries_large_rational_omega_finishes(self, capsys, deadline):
+        # the characteristic polynomial's constant term used to be trial-divided
+        with deadline(10):
+            code, out, _ = run(["symmetries", "--omega", "355/113"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["summary"]["fail"] == 0
+        dim = [c for c in rep["checks"] if c["id"] == "dimension"][0]
+        assert dim["details"] == "dim=12"  # as at 7/5 or 2/7, where trial division ends
+        lams = {c["id"].split("lam=")[1] for c in rep["checks"] if "lam=" in c["id"]}
+        assert {"355/113", "-355/113", "-710/113"} <= lams
+
+    def test_general_l_any_rank(self, capsys):
+        code, out, _ = run(["general-l", "--ell", "7/2"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert [c["id"] for c in rep["checks"]] == ["signs=(1, 1, 1):time-phase-family",
+                                                    "signs=(-1, 1, 1):time-phase-family"]
+        assert all(c["status"] == "pass" for c in rep["checks"])
+
 
 class TestConfig:
     def test_config_merge_and_flag_precedence(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
-from cgalgebra.errors import CutoffTooSmall
+from cgalgebra import fock
+from cgalgebra.errors import CheckFailed, CutoffTooSmall
 from cgalgebra.ring import Coefficient, GaussianRational, GAMMA
 from cgalgebra.weyl import WeylOp, apply
 from cgalgebra.realizations import h0_op, realization_osc
@@ -232,6 +233,92 @@ class TestSpectra:
         interior = [i for i, (p, q) in enumerate(states) if p <= na - 2 and q <= nb - 2]
         assert np.abs(comm[interior, :]).max() < 1e-12
         assert np.abs(comm).max() > 1.0  # the boundary rows do leak
+
+
+class TestResidualBound:
+    """The all-ones n x n matrix: largest column norm sqrt(n), ||M||_2 = n."""
+
+    N = 16
+    ONES = np.ones((N, N))
+
+    def patch(self, monkeypatch, delta):
+        """Make eig return eigenpairs whose worst residual is delta * sqrt(n);
+        returns the list of shapes passed to the 2-norm."""
+        n = self.N
+        vals = np.zeros(n, dtype=complex)
+        vals[0] = n
+        vecs = np.zeros((n, n), dtype=complex)
+        vecs[:, 0] = 1 / sqrt(n)
+        for k in range(1, n):  # e_{k-1} - e_k, an exact null vector
+            vecs[k - 1, k], vecs[k, k] = 1, -1
+        vecs[0, 1] += delta  # residual delta * ||M e_0|| = delta * sqrt(n)
+        norm2_calls = []
+        norm = np.linalg.norm
+
+        def spy(x, ord=None, **kw):
+            if ord == 2:
+                norm2_calls.append(x.shape)
+            return norm(x, ord, **kw)
+
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (vals.copy(), vecs.copy()))
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        return norm2_calls
+
+    def test_column_bound_decides_a_pass(self, monkeypatch):
+        norm2_calls = self.patch(monkeypatch, 0.5e-9)  # residual 2e-9 <= 1e-9 * 4
+        assert spectrum(self.ONES).max_residual == pytest.approx(2e-9, rel=1e-6)
+        assert norm2_calls == []
+
+    def test_pass_that_needs_the_two_norm(self, monkeypatch):
+        norm2_calls = self.patch(monkeypatch, 2e-9)  # 8e-9: > 1e-9 * 4, <= 1e-9 * 16
+        assert spectrum(self.ONES).max_residual == pytest.approx(8e-9, rel=1e-6)
+        assert norm2_calls == [(self.N, self.N)]
+
+    def test_failure(self, monkeypatch):
+        norm2_calls = self.patch(monkeypatch, 8e-9)  # 3.2e-8 > 1e-9 * 16
+        with pytest.raises(CheckFailed):
+            spectrum(self.ONES)
+        assert norm2_calls == [(self.N, self.N)]
+
+
+def per_state_rows(gbar, na, nb, modes):
+    """eigenstate_matrix built the slow way: one eigenstate() call per row."""
+    index = FockBasis(na, nb, modes).index()
+    rows = []
+    for n in range(na + 1):
+        for m in range(nb + 1):
+            if n + abs(modes[1]) * m > na:
+                continue
+            row = np.zeros(len(index), dtype=complex)
+            for (n2, m2), amp in eigenstate(n, m, gbar, na, nb, modes).items():
+                row[index[(n2, m2)]] = complex(amp.scalar_value()) * sqrt(
+                    factorial(n2) * factorial(m2))
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestEigenstateMatrix:
+    def test_rows_equal_per_state_eigenstates(self):
+        for gbar in (F(1, 2), F(-4, 3), gr(3, F(2, 7)), 0.7 + 0.2j):
+            for na, nb, modes in ((6, 6, (1, 3)), (9, 2, (1, 3)), (5, 9, (1, 3)),
+                                  (7, 7, (1, -3)), (8, 1, (1, -3))):
+                got = eigenstate_matrix(gbar, na, nb, modes)
+                want = per_state_rows(gbar, na, nb, modes)
+                assert got.shape == want.shape and np.array_equal(got, want), (gbar, na, nb, modes)
+
+    def test_one_mode_solve_per_call(self, monkeypatch):
+        calls = []
+        solve = fock.mode_solver
+        monkeypatch.setattr(fock, "mode_solver", lambda *a: calls.append(a) or solve(*a))
+        eigenstate_matrix(F(1, 2), 12, 12)
+        assert len(calls) == 1
+
+    def test_leaking_state_raises(self, monkeypatch):
+        # a raising operator that moves the a-count by 4 > |m2| leaves the cutoff
+        leaky = LadderOp({(4, 0, 1, 0): Coefficient.of(1)})
+        monkeypatch.setattr(fock, "_raising_ops", lambda gbar, modes: (LadderOp.adag(), leaky))
+        with pytest.raises(CutoffTooSmall):
+            eigenstate_matrix(F(1, 2), 6, 6)
 
 
 class TestStatesAndOverlaps:

@@ -127,6 +127,14 @@ class TestLambdaCandidates:
         assert {m for m, _ in dec} == {F(0), F(1), F(-1), F(2), F(-2),
                                        F(3), F(-3), F(4), F(-4), F(6), F(-6)}
 
+    def test_large_denominator_frequency(self):
+        # the leading coefficient of the characteristic polynomial is near
+        # 113^8, past the float denominator, so float roots alone miss +-w
+        w = F(355, 113)
+        cands = {m for m, _ in lambda_candidates(theta_family(w, 0, 0))}
+        assert cands == {F(0), F(1), F(-1), F(2), F(-2), w, -w, 2 * w, -2 * w,
+                         1 + w, -1 - w, w - 1, 1 - w}
+
     def test_non_quadratic_rejected(self):
         with pytest.raises(NonQuadratic):
             lambda_candidates(parse_op("x^3 * (1)"))

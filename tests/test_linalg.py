@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -112,6 +114,78 @@ class TestUnivariate:
     def test_rational_roots_none(self):
         assert rational_roots([F(1), F(0), F(1)]) == []  # x^2 + 1
 
+    def test_rational_roots_match_divisor_enumeration(self):
+        # small coefficients, where trial division of a_0 and a_n is cheap
+        rng = random.Random(1729)
+        for _ in range(300):
+            cs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(2, 9))]
+            if cs[-1] == 0:
+                cs[-1] = F(1)
+            assert rational_roots(cs) == divisor_rational_roots(cs), cs
+
+    def test_rational_roots_of_linear_factor_products(self):
+        rng = random.Random(2015)
+        for _ in range(150):
+            cs, want = [F(rng.choice([1, -2, 3]))], {}
+            for _ in range(rng.randint(1, 4)):
+                p, q, k = rng.randint(-12, 12), rng.randint(1, 60), rng.randint(1, 6)
+                for _ in range(k):
+                    cs = poly_mul(cs, [F(-p), F(q)])
+                want[F(p, q)] = want.get(F(p, q), 0) + k
+            if rng.random() < 0.5:
+                cs = poly_mul(cs, [F(rng.randint(1, 5)), F(0), F(1)])  # x^2 + c
+            assert rational_roots(cs) == sorted(want.items()), cs
+
+    def test_rational_roots_large_leading_coefficient(self):
+        # a_n is about 1e12: the float root is too coarse for limit_denominator
+        cs = poly_mul([F(-999982), F(999983)], [F(1), F(0), F(999979)])
+        assert rational_roots(cs) == divisor_rational_roots(cs) == [(F(999982, 999983), 1)]
+
+    def test_rational_roots_beyond_float_precision(self, deadline):
+        near = F(1, 3) + F(1, 10 ** 9)
+        cases = [
+            ([F(-(10 ** 20 + 39)), F(1)], [F(-1), F(3)], [F(5), F(-7), F(11)]),
+            ([F(-1), F(3)], [-near, F(1)], [F(1), F(0), F(1)]),
+            ([F(-1), F(3)], [-F(1, 3) - F(1, 10 ** 14), F(1)], [F(-2), F(7)]),
+            ([F(-10 ** 400), F(1)], [F(-355), F(113)]),
+        ]
+        want = [
+            [(F(1, 3), 1), (F(10 ** 20 + 39), 1)],
+            [(F(1, 3), 1), (near, 1)],
+            [(F(2, 7), 1), (F(1, 3), 1), (F(1, 3) + F(1, 10 ** 14), 1)],
+            [(F(355, 113), 1), (F(10 ** 400), 1)],
+        ]
+        with deadline(5):
+            for factors, roots in zip(cases, want):
+                cs = [F(1)]
+                for f in factors:
+                    cs = poly_mul(cs, f)
+                assert rational_roots(cs) == roots, factors
+
+    def test_rational_roots_of_tight_clusters(self, deadline):
+        # up to 4 real roots within 1e-18 of each other: float roots cannot
+        # tell them apart, so they are resolved one Newton round at a time
+        rng = random.Random(5)
+        with deadline(10):
+            for e in (9, 12, 15, 18):
+                for trial in range(3):
+                    base = F(rng.randint(-50, 50), rng.randint(1, 50))
+                    roots = [base + F(k, 10 ** e * rng.randint(1, 9)) for k in range(rng.randint(2, 4))]
+                    cs = [F(1)]
+                    for r in roots:
+                        cs = poly_mul(cs, [-r, F(1)])
+                    if trial == 1:
+                        cs = poly_mul(cs, [F(1), F(0), F(1)])
+                    assert rational_roots(cs) == sorted(Counter(roots).items()), roots
+
+    def test_rational_roots_huge_coefficients_finish(self, deadline):
+        # a_0 is about 3e48: trial division up to its square root never ends
+        cs = poly_mul([F(-(10 ** 15 + 37)), F(1)], [F(3), F(0), F(1)])
+        for _ in range(2):
+            cs = poly_mul(cs, [F(10 ** 9 + 7), F(97)])
+        with deadline(5):
+            assert rational_roots(cs) == [(F(-(10 ** 9 + 7), 97), 2), (F(10 ** 15 + 37), 1)]
+
     def test_fraction_sqrt(self):
         assert fraction_sqrt(F(4)) == 2
         assert fraction_sqrt(F(4, 9)) == F(2, 3)
@@ -122,3 +196,46 @@ class TestUnivariate:
         # (x - 2)(x - i)
         cs = [GaussianRational(0, 2), GaussianRational(-2, -1), GaussianRational(1, 0)]
         assert gaussian_rational_roots(cs) == [F(2)]
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def divisor_rational_roots(coeffs):
+    """The rational-root theorem by trial division: p | a_0, q | a_n."""
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small) | {n // d for d in small})
+
+    def value(cs, x):
+        out = F(0)
+        for c in reversed(cs):
+            out = out * x + c
+        return out
+
+    cs = list(coeffs)
+    mults = {}
+    while len(cs) > 1:
+        if cs[0] == 0:
+            cs = cs[1:]
+            mults[F(0)] = mults.get(F(0), 0) + 1
+            continue
+        den = lcm(*(c.denominator for c in cs))
+        a0, an = int(cs[0] * den), int(cs[-1] * den)
+        found = next((x for p in divisors(abs(a0)) for q in divisors(abs(an))
+                      for x in (F(p, q), F(-p, q)) if value(cs, x) == 0), None)
+        if found is None:
+            break
+        while len(cs) > 1 and value(cs, found) == 0:
+            quo, acc = [F(0)] * (len(cs) - 1), F(0)
+            for k in range(len(cs) - 1, 0, -1):
+                acc = cs[k] + acc * found
+                quo[k - 1] = acc
+            cs = quo
+            mults[found] = mults.get(found, 0) + 1
+    return sorted(mults.items())

@@ -1,6 +1,4 @@
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction as F
 from math import gcd
 
@@ -127,14 +125,14 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             (GAMMA + Coefficient.of(1)).divide_exact(OMEGA)
 
-    def test_divide_exact_non_multiple_terminates(self):
+    def test_divide_exact_non_multiple_terminates(self, deadline):
         # the remainder's g exponent used to fall without bound
         with deadline(5), pytest.raises(ValueError):
             (GAMMA * GAMMA + 1).divide_exact(GAMMA + 1)
         with deadline(5), pytest.raises(ValueError):
             (OMEGA + 1).divide_exact(OMEGA + GAMMA)
 
-    def test_divide_exact_laurent_quotient(self):
+    def test_divide_exact_laurent_quotient(self, deadline):
         # quotients that need the lowest admissible g exponent still divide
         a = (GAMMA_INV * GAMMA_INV + 1) * (GAMMA + OMEGA)
         with deadline(5):
@@ -149,21 +147,6 @@ class TestCoefficient:
         assert Coefficient.parse("0") == Coefficient()
         canonical = "(3/2) + (-2+1i)*g^-1*w^2"
         assert str(Coefficient.parse(canonical)) == canonical
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail with TimeoutError instead of hanging past ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # -- reference model: {(a, b): (re, im)} with Fraction parts, zeros dropped ----
