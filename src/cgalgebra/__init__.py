@@ -18,7 +18,6 @@ from .weyl import (
     multiply,
     parse_op,
     print_op,
-    pt_transform,
     similarity,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "multiply",
     "parse_op",
     "print_op",
-    "pt_transform",
     "similarity",
 ]
 

@@ -23,16 +23,11 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    CheckFailed,
-    CutoffTooSmall,
-    DegenerateModes,
-    NonTerminatingSeries,
-)
+from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GaussianLike, GaussianRational, GAMMA
-from .weyl import Wavefunction, WeylOp, _falling, apply, commutator, multiply
+from .ring import Coefficient, GaussianLike, GaussianRational, GAMMA, accumulate
+from .weyl import Wavefunction, WeylOp, _falling, ad_series, apply, commutator, multiply
 
 F = Fraction
 
@@ -67,14 +62,7 @@ class LadderOp:
         d: Dict[Word, Coefficient] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for w, c in items:
-            c = Coefficient.of(c)
-            if c.is_zero():
-                continue
-            s = d.get(w, Coefficient()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
+            accumulate(d, w, Coefficient.of(c))
         self._terms = d
 
     # -- constructors --------------------------------------------------
@@ -128,11 +116,7 @@ class LadderOp:
     def __add__(self, other: "LadderOp") -> "LadderOp":
         d = dict(self._terms)
         for w, c in other._terms.items():
-            s = d.get(w, Coefficient()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
+            accumulate(d, w, c)
         out = LadderOp.__new__(LadderOp)
         out._terms = d
         return out
@@ -170,12 +154,7 @@ class LadderOp:
                         if cb == 0:
                             continue
                         w = (p1 + p2 - k, q1 + q2 - k, r1 + r2 - l, s1 + s2 - l)
-                        v = base * (ca * cb)
-                        s = acc.get(w, Coefficient()) + v
-                        if s.is_zero():
-                            acc.pop(w, None)
-                        else:
-                            acc[w] = s
+                        accumulate(acc, w, base * (ca * cb))
         out = LadderOp.__new__(LadderOp)
         out._terms = acc
         return out
@@ -184,15 +163,7 @@ class LadderOp:
         return self.scale(other)
 
     def substitute(self, gbar: GaussianLike) -> "LadderOp":
-        d = {}
-        for w, c in self._terms.items():
-            c2 = c.substitute(gamma=gbar)
-            if not c2.is_zero():
-                d[w] = c2
-        return LadderOp(d)
-
-    def conj_params(self) -> "LadderOp":
-        return LadderOp({w: c.conj() for w, c in self._terms.items()})
+        return LadderOp((w, c.substitute(gamma=gbar)) for w, c in self._terms.items())
 
     # -- actions ---------------------------------------------------------
     def apply_state(self, state: Mapping[Tuple[int, int], Coefficient]) -> Dict[Tuple[int, int], Coefficient]:
@@ -203,13 +174,7 @@ class LadderOp:
                 if q > n or s > m:
                     continue
                 factor = _falling(n, q) * _falling(m, s)
-                key = (n - q + p, m - s + r)
-                v = amp * c * factor
-                acc = out.get(key, Coefficient()) + v
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                accumulate(out, (n - q + p, m - s + r), amp * c * factor)
         return out
 
     def __str__(self) -> str:
@@ -232,23 +197,6 @@ class LadderOp:
         return " + ".join(chunks)
 
     __repr__ = __str__
-
-
-def ladder_commutator(x: LadderOp, y: LadderOp) -> LadderOp:
-    return x * y - y * x
-
-
-def ladder_similarity(s: LadderOp, x: LadderOp, max_depth: int = 64) -> LadderOp:
-    """e^s x e^{-s} via the terminating ad-series."""
-    out = x
-    term = x
-    for n in range(1, max_depth + 1):
-        term = ladder_commutator(s, term)
-        if term.is_zero():
-            return out
-        out = out + term.scale(Fraction(1, factorial(n)))
-    raise NonTerminatingSeries(f"ladder ad-series still alive after {max_depth} steps",
-                               residual=term)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +249,9 @@ def kgamma_decoupling_check(gbar: GbarLike = None, max_depth: int = 16) -> Kgamm
     exact expansion singles out; the series terminates because each ad step
     strictly lowers the b+ count.  Also checks [K(gbar), N(gbar)] = 0.
     """
-    e_op = decoupling_exponent(gbar)
-    k0 = k_ladder(0)
-    target = k_ladder(gbar)
-    out = k0
-    term = k0
-    depth = 0
-    for n in range(1, max_depth + 1):
-        term = ladder_commutator(-e_op, term)
-        if term.is_zero():
-            depth = n - 1
-            break
-        out = out + term.scale(Fraction(1, factorial(n)))
-    else:
-        raise NonTerminatingSeries("decoupling exponent did not terminate", residual=term)
-    matches = out == target
-    kn = ladder_commutator(k_ladder(gbar), n_ladder(gbar)).is_zero()
-    return KgammaReport(depth, matches, kn)
+    out, depth = ad_series(-decoupling_exponent(gbar), k_ladder(0), max_depth)
+    kn = commutator(k_ladder(gbar), n_ladder(gbar)).is_zero()
+    return KgammaReport(depth, out == k_ladder(gbar), kn)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +298,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
     basis_ops = [op() for op in (_MODE_OPS[n] for n in _MODE_BASIS)]
     mat = [[Coefficient() for _ in range(4)] for _ in range(4)]
     for j, bop in enumerate(basis_ops):
-        img = ladder_commutator(k, bop)
+        img = commutator(k, bop)
         for w, c in img.terms():
             key = {(0, 1, 0, 0): 0, (1, 0, 0, 0): 1, (0, 0, 0, 1): 2, (0, 0, 1, 0): 3}.get(w)
             if key is None:
@@ -469,9 +403,6 @@ def n_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
 class SpectrumResult:
     eigenvalues: np.ndarray
     max_residual: float
-
-    def sorted_real(self) -> np.ndarray:
-        return np.sort_complex(self.eigenvalues).real
 
 
 def spectrum(matrix: np.ndarray, residual_tol_scale: float = 1e-9) -> SpectrumResult:
@@ -737,9 +668,5 @@ def pt_check(op: Union[WeylOp, LadderOp]) -> bool:
     """
     if isinstance(op, WeylOp):
         return op.pt_transform() == op
-    flipped = {}
-    for (p, q, r, s), c in op.terms():
-        sign = -1 if (p + q) % 2 else 1
-        c2 = c.conj()
-        flipped[(p, q, r, s)] = -c2 if sign < 0 else c2
-    return LadderOp(flipped) == op
+    flipped = LadderOp((w, -c.conj() if (w[0] + w[1]) % 2 else c.conj()) for w, c in op.terms())
+    return flipped == op

@@ -28,7 +28,7 @@ from .linalg import (
     solve_in_span,
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
-from .ring import Coefficient, GaussianRational, I
+from .ring import Coefficient, GaussianRational, I, OMEGA
 from .weyl import Monomial, WeylOp, commutator, multiply
 
 F = Fraction
@@ -43,13 +43,7 @@ def _as_lambda(v) -> Lambda:
 
 
 def _lambda_coeff(lam: Lambda) -> Coefficient:
-    m, n = lam
-    d = {}
-    if m:
-        d[(0, 0)] = GaussianRational.of(m)
-    if n:
-        d[(0, 1)] = GaussianRational.of(n)
-    return Coefficient.from_dict(d)
+    return Coefficient({(0, 0): lam[0], (0, 1): lam[1]})
 
 
 def _lambda_str(lam: Lambda) -> str:
@@ -226,31 +220,6 @@ def crit_eq2(lam: Fraction, omega: Fraction) -> Fraction:
             + 4 * lam ** 3 * omega - lam ** 2 * omega ** 2 - 2 * lam * omega ** 3)
 
 
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    out = [F(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def _peval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = F(0)
-    for c in reversed(list(cs)):
-        out = out * x + c
-    return out
-
-
 def critical_frequencies() -> List[CriticalSolution]:
     """Exact elimination of the two-equation system for nonzero lam.
 
@@ -261,19 +230,18 @@ def critical_frequencies() -> List[CriticalSolution]:
     frequencies, and every (w, lam) pair is verified by exact
     back-substitution into both original equations before being returned.
     """
-    s = [F(2, 5), F(0), F(2, 5)]                      # (2/5)(1 + w^2)
-    # E = -3 s + 3 s^2 - s w^2 (even part with lam^2 -> s)
-    e_poly = _padd(_padd([F(-3) * c for c in s], [3 * c for c in _pmul(s, s)]),
-                   [-c for c in _pmul(s, [F(0), F(0), F(1)])])
-    # O = 2 w + 4 s w - 2 w^3 (odd part divided by lam)
-    o_poly = _padd(_padd([F(0), F(2)], _pmul([4 * c for c in s], [F(0), F(1)])),
-                   [F(0), F(0), F(0), F(-2)])
-    p_poly = _padd(_pmul(e_poly, e_poly), [-c for c in _pmul(s, _pmul(o_poly, o_poly))])
+    w = OMEGA
+    s = F(2, 5) * (1 + w * w)
+    e_poly = -3 * s + 3 * s * s - s * w * w    # E: the even part, lam^2 -> s
+    o_poly = 2 * w + 4 * s * w - 2 * w ** 3    # O: the odd part divided by lam
+    p_poly = e_poly * e_poly - s * o_poly * o_poly
+    p_coeffs = [F(0)] * (p_poly.omega_degree() + 1)
+    for (_, k), q in p_poly.terms:
+        p_coeffs[k] = q.re
     out: List[CriticalSolution] = []
-    for omega, _mult in rational_roots(p_poly):
-        s_val = _peval(s, omega)
-        o_val = _peval(o_poly, omega)
-        e_val = _peval(e_poly, omega)
+    for omega, _mult in rational_roots(p_coeffs):
+        s_val, o_val, e_val = (c.substitute(omega=omega).scalar_value().re
+                               for c in (s, o_poly, e_poly))
         cands: List[Fraction] = []
         if o_val != 0:
             cands.append(-e_val / o_val)

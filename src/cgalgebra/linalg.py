@@ -227,9 +227,10 @@ def _dot(row: Sequence[Coefficient], col: Sequence[Coefficient]) -> Coefficient:
     return out
 
 
-def eval_poly(coeffs: Sequence[Coefficient], x: Coefficient) -> Coefficient:
-    out = Coefficient()
-    for c in reversed(list(coeffs)):
+def eval_poly(coeffs: Sequence, x):
+    """Horner evaluation of sum_k coeffs[k] x^k, over Q or over the ring."""
+    out = 0
+    for c in reversed(coeffs):
         out = out * x + c
     return out
 
@@ -264,7 +265,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     while found and len(cs) > 1:
         found = False
         for cand in _root_candidates(cs):
-            while len(cs) > 1 and _poly_eval_frac(cs, cand) == 0:
+            while len(cs) > 1 and eval_poly(cs, cand) == 0:
                 cs = _deflate(cs, cand)
                 mults[cand] = mults.get(cand, 0) + 1
                 found = True
@@ -299,11 +300,11 @@ def _root_candidates(cs: List[Fraction]) -> List[Fraction]:
     for y in np.roots(scaled[::-1]):
         x = Fraction(float(y.real)) * scale
         cand = x.limit_denominator(a_n)
-        if _poly_eval_frac(sf, cand):
+        if eval_poly(sf, cand):
             if abs(y.imag) > _NEAR_REAL * abs(y):
                 continue
             cand = _newton(sf, deriv, x, a_n).limit_denominator(a_n)
-            if _poly_eval_frac(sf, cand):
+            if eval_poly(sf, cand):
                 continue
         out.add(cand)
     return sorted(out)
@@ -330,10 +331,10 @@ def _newton(f: List[Fraction], df: List[Fraction], x: Fraction, a_n: int) -> Fra
     tol = Fraction(1, 4 * a_n * a_n)
     den = 1 << (2 * a_n.bit_length() + 4)
     for _ in range(_NEWTON_STEPS):
-        slope = _poly_eval_frac(df, x)
+        slope = eval_poly(df, x)
         if not slope:
             break
-        step = _poly_eval_frac(f, x) / slope
+        step = eval_poly(f, x) / slope
         x = Fraction(round((x - step) * den), den)
         if abs(step) < tol:
             break
@@ -372,13 +373,6 @@ def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
     return [c / a[-1] for c in a]
 
 
-def _poly_eval_frac(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(list(cs)):
-        out = out * x + c
-    return out
-
-
 def _deflate(cs: List[Fraction], root: Fraction) -> List[Fraction]:
     """Synthetic division by (x - root); the remainder vanishes for exact roots."""
     n = len(cs) - 1
@@ -414,6 +408,6 @@ def gaussian_rational_roots(coeffs: Sequence[GaussianRational]) -> List[Fraction
         raise ValueError("zero polynomial")
     out = []
     for root, _ in rational_roots(base):
-        if _poly_eval_frac(res, root) == 0 and _poly_eval_frac(ims, root) == 0:
+        if eval_poly(res, root) == 0 and eval_poly(ims, root) == 0:
             out.append(root)
     return out

@@ -25,6 +25,7 @@ from .ring import (
     I,
     OMEGA,
     ONE,
+    accumulate,
 )
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
@@ -84,19 +85,10 @@ class GeneratorTable:
             for b in names:
                 for c in names:
                     acc: Dict[str, Coefficient] = {}
-
-                    def add_nested(x, y, z, acc=acc):
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         for k, f in self.bracket(y, z).items():
                             for m, g in self.bracket(x, k).items():
-                                s = acc.get(m, Coefficient()) + f * g
-                                if s.is_zero():
-                                    acc.pop(m, None)
-                                else:
-                                    acc[m] = s
-
-                    add_nested(a, b, c)
-                    add_nested(b, c, a)
-                    add_nested(c, a, b)
+                                accumulate(acc, m, f * g)
                     if acc:
                         raise ValueError(f"Jacobi fails on ({a},{b},{c}): {acc}")
 

@@ -10,7 +10,9 @@ A :class:`Coefficient` does not hold ``Fraction`` objects: it stores each
 weight's real and imaginary numerators as Python ints over one positive
 denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
-Its ``terms`` view converts to Gaussian rationals on demand.
+Its ``terms`` view converts to Gaussian rationals on demand.  The sparse
+term maps of the other layers (operators, states, wavefunctions) add into
+themselves through :func:`accumulate`, which keeps no zero value.
 
 Canonical text form, used in golden files and reports::
 
@@ -176,6 +178,17 @@ QONE = GaussianRational(Fraction(1))
 QI = GaussianRational(Fraction(0), Fraction(1))
 
 
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, keeping no zero: a key whose sum cancels is dropped."""
+    old = acc.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        acc[key] = value
+    elif old is not None:
+        del acc[key]
+
+
 class Coefficient:
     """Finite sum  sum_{(a,b)} q_{a,b} * g^a * w^b  with q in Q(i).
 
@@ -215,10 +228,6 @@ class Coefficient:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def from_dict(d: Mapping[tuple, GaussianLike]) -> "Coefficient":
-        return Coefficient(d)
-
-    @staticmethod
     def of(value: "CoefficientLike") -> "Coefficient":
         if isinstance(value, Coefficient):
             return value
@@ -243,9 +252,6 @@ class Coefficient:
         except AttributeError:
             self._terms = tuple((k, self._value(k)) for k in sorted(self._num))
             return self._terms
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -424,7 +430,7 @@ class Coefficient:
         wq = None if omega is None else GaussianRational.of(omega)
         if gq is not None and gq.is_zero() and any(a < 0 for a, _ in self._num):
             raise ZeroSubstitution("gamma=0 hits a gamma pole")
-        d: dict = {}
+        pairs = []
         for (a, b), v in self.terms:
             if gq is not None:
                 v = v * gq ** a
@@ -432,8 +438,8 @@ class Coefficient:
             if wq is not None:
                 v = v * wq ** b
                 b = 0
-            d[(a, b)] = d.get((a, b), QZERO) + v
-        return Coefficient(d)
+            pairs.append(((a, b), v))
+        return Coefficient(pairs)
 
     def eval(self, gamma: GaussianLike, omega: GaussianLike) -> GaussianRational:
         """Exact substitution of both parameters; errors on gamma=0 at a pole."""

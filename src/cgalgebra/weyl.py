@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .errors import NonTerminatingSeries, UnsupportedShape
 from .ring import (
@@ -34,6 +34,7 @@ from .ring import (
     CoefficientLike,
     GaussianLike,
     GaussianRational,
+    accumulate,
 )
 
 Phase = Tuple[Fraction, int]
@@ -99,16 +100,7 @@ _MONO_ONE = Monomial.make()
 
 def _phase_theta(m: Fraction, n: int) -> Coefficient:
     """Coefficient i*(m + n*w) from deriving the phase e^{i(m+nw)t}."""
-    d = {}
-    if m:
-        d[(0, 0)] = GaussianRational(Fraction(0), m)
-    if n:
-        d[(0, 1)] = GaussianRational(Fraction(0), Fraction(n))
-    return Coefficient.from_dict(d)
-
-
-def _coeff(value: CoefficientLike) -> Coefficient:
-    return Coefficient.of(value)
+    return Coefficient({(0, 0): GaussianRational(0, m), (0, 1): GaussianRational(0, n)})
 
 
 class WeylOp:
@@ -120,17 +112,7 @@ class WeylOp:
         d = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
-            c = _coeff(c)
-            if c.is_zero():
-                continue
-            if mono in d:
-                s = d[mono] + c
-                if s.is_zero():
-                    del d[mono]
-                else:
-                    d[mono] = s
-            else:
-                d[mono] = c
+            accumulate(d, mono, Coefficient.of(c))
         self._terms = d
 
     # -- constructors ---------------------------------------------------
@@ -140,7 +122,7 @@ class WeylOp:
 
     @staticmethod
     def scalar(c: CoefficientLike) -> "WeylOp":
-        return WeylOp({_MONO_ONE: _coeff(c)})
+        return WeylOp({_MONO_ONE: Coefficient.of(c)})
 
     @staticmethod
     def one() -> "WeylOp":
@@ -220,11 +202,7 @@ class WeylOp:
             return NotImplemented
         d = dict(self._terms)
         for mono, c in other._terms.items():
-            s = d.get(mono, Coefficient()) + c
-            if s.is_zero():
-                d.pop(mono, None)
-            else:
-                d[mono] = s
+            accumulate(d, mono, c)
         out = WeylOp.__new__(WeylOp)
         out._terms = d
         return out
@@ -238,7 +216,7 @@ class WeylOp:
         return self + (-other)
 
     def scale(self, c: CoefficientLike) -> "WeylOp":
-        c = _coeff(c)
+        c = Coefficient.of(c)
         if c.is_zero():
             return _ZERO_OP
         out = WeylOp.__new__(WeylOp)
@@ -270,56 +248,31 @@ class WeylOp:
         ``omega`` must be an exact rational when any term carries a nonzero
         w-phase index, because the phase lattice stays real.
         """
-        d: dict = {}
+        pairs = []
         for mono, c in self._terms.items():
             c2 = c.substitute(gamma=gamma, omega=omega)
-            m2 = mono
             if omega is not None and mono.phase_n:
-                wq = Fraction(omega) if not isinstance(omega, GaussianRational) else None
-                if wq is None:
-                    if not GaussianRational.of(omega).is_real():
-                        raise ValueError("cannot fold a complex frequency into a phase")
-                    wq = GaussianRational.of(omega).re
-                m2 = Monomial.make(mono.phase_m + mono.phase_n * wq, 0, mono.t_pow,
-                                   mono.x_pows, mono.d_pows, mono.dt_pow)
-            if c2.is_zero():
-                continue
-            s = d.get(m2, Coefficient()) + c2
-            if s.is_zero():
-                d.pop(m2, None)
-            else:
-                d[m2] = s
-        return WeylOp(d)
+                wq = GaussianRational.of(omega)
+                if not wq.is_real():
+                    raise ValueError("cannot fold a complex frequency into a phase")
+                mono = Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
+                                     mono.x_pows, mono.d_pows, mono.dt_pow)
+            pairs.append((mono, c2))
+        return WeylOp(pairs)
 
     def gamma_limit(self) -> "WeylOp":
-        d = {}
-        for mono, c in self._terms.items():
-            c2 = c.gamma_limit()
-            if not c2.is_zero():
-                d[mono] = c2
-        return WeylOp(d)
-
-    def conj_coefficients(self) -> "WeylOp":
-        return WeylOp({m: c.conj() for m, c in self._terms.items()})
+        return WeylOp((mono, c.gamma_limit()) for mono, c in self._terms.items())
 
     def pt_transform(self) -> "WeylOp":
         """x1 -> -x1, i -> -i: flip sign by (x1+Dx1) parity, conjugate, negate phases."""
-        d = {}
+        pairs = []
         for mono, c in self._terms.items():
             x1 = mono.x_pows[0] if mono.x_pows else 0
             d1 = mono.d_pows[0] if mono.d_pows else 0
-            sign = -1 if (x1 + d1) % 2 else 1
-            c2 = c.conj()
-            if sign < 0:
-                c2 = -c2
             m2 = Monomial.make(-mono.phase_m, -mono.phase_n, mono.t_pow,
                                mono.x_pows, mono.d_pows, mono.dt_pow)
-            s = d.get(m2, Coefficient()) + c2
-            if s.is_zero():
-                d.pop(m2, None)
-            else:
-                d[m2] = s
-        return WeylOp(d)
+            pairs.append((m2, -c.conj() if (x1 + d1) % 2 else c.conj()))
+        return WeylOp(pairs)
 
     # -- text -------------------------------------------------------------
     def __str__(self) -> str:
@@ -390,16 +343,8 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
         for r, dt_left, tc, tw in time_choices:
             w = weight * tw
             total = tc * w if w != 1 else tc
-            mono = Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow)
-            old = acc.get(mono)
-            if old is None:
-                acc[mono] = total
-                continue
-            s = old + total
-            if s.is_zero():
-                del acc[mono]
-            else:
-                acc[mono] = s
+            accumulate(acc, Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow),
+                       total)
 
 
 def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -413,42 +358,32 @@ def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
     return out
 
 
-def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return multiply(a, b) - multiply(b, a)
+def commutator(a, b):
+    """[a, b] = ab - ba; serves :class:`WeylOp` and ``fock.LadderOp`` alike."""
+    return a * b - b * a
 
 
 def anticommutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return multiply(a, b) + multiply(b, a)
 
 
-def scale(a: WeylOp, c: CoefficientLike) -> WeylOp:
-    return a.scale(c)
-
-
-def substitute(a: WeylOp, gamma=None, omega=None) -> WeylOp:
-    return a.substitute(gamma=gamma, omega=omega)
-
-
-def gamma_limit(a: WeylOp) -> WeylOp:
-    return a.gamma_limit()
-
-
-def pt_transform(a: WeylOp) -> WeylOp:
-    return a.pt_transform()
-
-
-def similarity(s: WeylOp, a: WeylOp, max_depth: int = 64) -> WeylOp:
+def similarity(s, a, max_depth: int = 64):
     """e^s a e^{-s} through the terminating ad-series sum ad_s^n(a)/n!.
 
+    Works on any operator class with ``*``, ``+``, ``-`` and ``scale``.
     Raises :class:`NonTerminatingSeries` when ad_s^{max_depth}(a) != 0;
     callers must fall back to finite identities in that case.
     """
-    out = a
-    term = a
+    return ad_series(s, a, max_depth)[0]
+
+
+def ad_series(s, a, max_depth: int = 64) -> tuple:
+    """(e^s a e^{-s}, depth): the summed series and its number of nonzero ad terms."""
+    out = term = a
     for n in range(1, max_depth + 1):
         term = commutator(s, term)
         if term.is_zero():
-            return out
+            return out, n - 1
         out = out + term.scale(Fraction(1, factorial(n)))
     raise NonTerminatingSeries(
         f"ad-series did not terminate within {max_depth} steps", residual=term)
@@ -472,18 +407,10 @@ class Wavefunction:
 
     def __init__(self, poly: Mapping[tuple, Coefficient] = (), gaussian: bool = True,
                  phase_m=0, phase_n: int = 0):
-        d = {}
+        d: dict = {}
         items = poly.items() if isinstance(poly, Mapping) else poly
         for k, c in items:
-            c = _coeff(c)
-            if c.is_zero():
-                continue
-            k = _trim_tuple(tuple(k))
-            s = d.get(k, Coefficient()) + c
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
+            accumulate(d, _trim_tuple(tuple(k)), Coefficient.of(c))
         self.poly = d
         self.gaussian = bool(gaussian)
         self.phase_m = Fraction(phase_m)
@@ -509,7 +436,7 @@ class Wavefunction:
         return hash((frozenset(self.poly.items()), self.gaussian, self.phase_m, self.phase_n))
 
     def scale(self, c: CoefficientLike) -> "Wavefunction":
-        c = _coeff(c)
+        c = Coefficient.of(c)
         return Wavefunction({k: v * c for k, v in self.poly.items()},
                             self.gaussian, self.phase_m, self.phase_n)
 
@@ -520,14 +447,8 @@ class Wavefunction:
             return self
         if (self.gaussian, self.phase_m, self.phase_n) != (other.gaussian, other.phase_m, other.phase_n):
             raise UnsupportedShape("cannot add wavefunctions with different phase or gaussian factor")
-        d = dict(self.poly)
-        for k, v in other.poly.items():
-            s = d.get(k, Coefficient()) + v
-            if s.is_zero():
-                d.pop(k, None)
-            else:
-                d[k] = s
-        return Wavefunction(d, self.gaussian, self.phase_m, self.phase_n)
+        return Wavefunction([*self.poly.items(), *other.poly.items()],
+                            self.gaussian, self.phase_m, self.phase_n)
 
     def __sub__(self, other: "Wavefunction") -> "Wavefunction":
         return self + other.scale(-1)
@@ -618,23 +539,12 @@ def _bump(key: tuple, i: int, by: int) -> tuple:
 def _poly_derive(poly: dict, i: int, gaussian: bool) -> dict:
     """d/dxi of P (times exp(-x1^2/2) when gaussian and i == 0)."""
     out: dict = {}
-
-    def add(k: tuple, v: Coefficient):
-        k = _trim_tuple(k)
-        s = out.get(k, Coefficient()) + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-
     for k, v in poly.items():
         p = k[i] if i < len(k) else 0
         if p:
-            kk = list(k)
-            kk[i] = p - 1
-            add(tuple(kk), v * p)
+            accumulate(out, _trim_tuple(k[:i] + (p - 1,) + k[i + 1:]), v * p)
         if gaussian and i == 0:
-            add(_bump(k, 0, 1), -v)
+            accumulate(out, _bump(k, 0, 1), -v)
     return out
 
 
@@ -731,7 +641,7 @@ def parse_op(text: str) -> WeylOp:
     s = text.strip()
     if s == "0":
         return WeylOp.zero()
-    terms = {}
+    terms = []
     for chunk in _split_terms(s):
         chunk = chunk.strip()
         head, sep, coeff_txt = chunk.rpartition(" * ")
@@ -760,11 +670,7 @@ def parse_op(text: str) -> WeylOp:
             elif m.group("dt") is not None:
                 dt = int(m.group("dt"))
         n = max([i + 1 for i in xs] + [i + 1 for i in ds] + [0])
-        mono = Monomial.make(pm, pn, tp,
-                             tuple(xs.get(i, 0) for i in range(n)),
-                             tuple(ds.get(i, 0) for i in range(n)), dt)
-        if mono in terms:
-            terms[mono] = terms[mono] + c
-        else:
-            terms[mono] = c
+        terms.append((Monomial.make(pm, pn, tp,
+                                    tuple(xs.get(i, 0) for i in range(n)),
+                                    tuple(ds.get(i, 0) for i in range(n)), dt), c))
     return WeylOp(terms)

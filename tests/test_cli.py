@@ -1,9 +1,13 @@
 import json
+import re
 from pathlib import Path
 
+from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# LAPACK-dependent float tokens (residuals, condition numbers)
+FLOAT = re.compile(r"\d\.\d+e[+-]\d+")
 
 
 def run(argv, capsys):
@@ -119,6 +123,28 @@ class TestReports:
         lams = {c["id"].split("lam=")[1] for c in rep["checks"] if "lam=" in c["id"]}
         assert {"355/113", "-355/113", "-710/113"} <= lams
 
+    def test_symmetries_dimension_pinned_at_any_rational_omega(self, capsys, monkeypatch):
+        code, out, _ = run(["symmetries", "--omega", "7/5"], capsys)
+        assert code == 0
+        assert dimension_check(out) == ("pass", "dim=12")
+        find = cli.invariance.find_symmetries
+        monkeypatch.setattr(cli.invariance, "find_symmetries", lambda *a, **k: find(*a, **k)[1:])
+        code, out, _ = run(["symmetries", "--omega", "7/5"], capsys)
+        assert code == 1
+        assert dimension_check(out) == ("fail", "dim=11")
+
+    def test_symmetries_generic_dimension_per_bound(self, capsys):
+        for bound, dim in (("1", 6), ("3", 10)):
+            code, out, _ = run(["symmetries", "--omega", "generic", "--degree-bound", bound], capsys)
+            assert code == 0
+            assert dimension_check(out, "generic-dimension") == ("pass", f"dim={dim}")
+
+    def test_symmetries_unpinned_dimension_is_skipped(self, capsys):
+        for argv, dim in ((["--omega", "0"], 6), (["--omega", "7/5", "--degree-bound", "3"], 13)):
+            code, out, _ = run(["symmetries"] + argv, capsys)
+            assert code == 0
+            assert dimension_check(out) == ("skip", f"dim={dim}")
+
     def test_general_l_any_rank(self, capsys):
         code, out, _ = run(["general-l", "--ell", "7/2"], capsys)
         assert code == 0
@@ -126,6 +152,11 @@ class TestReports:
         assert [c["id"] for c in rep["checks"]] == ["signs=(1, 1, 1):time-phase-family",
                                                     "signs=(-1, 1, 1):time-phase-family"]
         assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def dimension_check(out, cid="dimension"):
+    check = [c for c in json.loads(out)["checks"] if c["id"] == cid][0]
+    return check["status"], check["details"]
 
 
 class TestConfig:
@@ -154,3 +185,15 @@ class TestGolden:
         (tmp_path / "catalog.json").write_text(json.dumps(entries))
         code, _, _ = run(["catalog", "--golden", str(tmp_path)], capsys)
         assert code == 1
+
+    def test_all_report_matches_fixture(self, capsys):
+        """Every suite's timing-free report, as fixed in tests/golden/all_report.json."""
+        code, out, _ = run(["all"], capsys)
+        assert code == 0
+        reports = json.loads(out)
+        for rep in reports:
+            for check in rep["checks"]:
+                del check["seconds"]
+                if rep["suite"] == "spectrum" or (rep["suite"], check["id"]) == ("modes", "eigenstates-span"):
+                    check["details"] = FLOAT.sub("<float>", check["details"])
+        assert reports == json.loads((GOLDEN_DIR / "all_report.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 from cgalgebra import fock
 from cgalgebra.errors import CheckFailed, CutoffTooSmall
 from cgalgebra.ring import Coefficient, GaussianRational, GAMMA
-from cgalgebra.weyl import WeylOp, apply
+from cgalgebra.weyl import WeylOp, apply, commutator, similarity
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
     FockBasis,
@@ -20,8 +20,6 @@ from cgalgebra.fock import (
     k_ladder,
     k_matrix,
     kgamma_decoupling_check,
-    ladder_commutator,
-    ladder_similarity,
     mode_solver,
     n_ladder,
     n_matrix,
@@ -65,11 +63,16 @@ class TestLadderAlgebra:
     def test_canonical_relations(self):
         a, ad = LadderOp.a(), LadderOp.adag()
         b, bd = LadderOp.b(), LadderOp.bdag()
-        assert ladder_commutator(a, ad) == LadderOp.one()
-        assert ladder_commutator(b, bd) == LadderOp.one()
+        assert commutator(a, ad) == LadderOp.one()
+        assert commutator(b, bd) == LadderOp.one()
         for x in (a, ad):
             for y in (b, bd):
-                assert ladder_commutator(x, y).is_zero()
+                assert commutator(x, y).is_zero()
+
+    def test_sum_with_negative_is_empty(self):
+        k = k_ladder()
+        assert len(k + (-k)) == 0 and (k - k).is_zero()
+        assert LadderOp([*k.terms(), *(-k).terms()]) == LadderOp.zero()
 
     def test_number_operator_action(self):
         num = LadderOp.adag() * LadderOp.a()
@@ -98,11 +101,11 @@ class TestDecoupling:
 
     def test_wrong_orientation_fails(self):
         e_op = decoupling_exponent(F(1, 2))
-        got = ladder_similarity(e_op, k_ladder(0), 16)
+        got = similarity(e_op, k_ladder(0), 16)
         assert got != k_ladder(F(1, 2))
 
     def test_k_n_commute_symbolically(self):
-        assert ladder_commutator(k_ladder(), n_ladder()).is_zero()
+        assert commutator(k_ladder(), n_ladder()).is_zero()
 
 
 class TestModes:

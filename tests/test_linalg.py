@@ -96,6 +96,13 @@ class TestDetCharpoly:
             rhs = np.linalg.det(2 * np.eye(n) - a)
             assert abs(lhs - rhs) < 1e-9
 
+    def test_eval_poly_over_q_and_over_the_ring(self):
+        got = eval_poly([F(1, 2), F(0), F(3)], F(2, 3))
+        assert type(got) is F and got == F(1, 2) + 3 * F(4, 9)
+        got = eval_poly([C(1), GAMMA], OMEGA)
+        assert isinstance(got, Coefficient) and got == 1 + GAMMA * OMEGA
+        assert eval_poly([C(5)], C(7)) == C(5)
+
     def test_polynomial_charpoly(self):
         m = [[OMEGA, C(0)], [C(1), -OMEGA]]
         cp = charpoly(m)  # x^2 - w^2

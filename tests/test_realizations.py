@@ -168,7 +168,7 @@ def _gamma_negate(op: WeylOp) -> WeylOp:
         d = {}
         for (a, b), v in c.terms:
             d[(a, b)] = v * ((-1) ** a)
-        out[mono] = Coefficient.from_dict(d)
+        out[mono] = Coefficient(d)
     return WeylOp(out)
 
 

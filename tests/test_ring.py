@@ -11,6 +11,7 @@ from cgalgebra.ring import (
     GAMMA_INV,
     GaussianRational,
     OMEGA,
+    accumulate,
 )
 
 
@@ -28,7 +29,7 @@ def rand_coeff(rng, n_terms=3):
     for _ in range(rng.randint(1, n_terms)):
         key = (rng.randint(-2, 2), rng.randint(0, 2))
         d[key] = d.get(key, gr()) + rand_gaussian(rng)
-    return Coefficient.from_dict(d)
+    return Coefficient(d)
 
 
 class TestGaussianRational:
@@ -65,6 +66,24 @@ class TestGaussianRational:
                    gr(F(1, 2), -3), gr(-2, 1)] + [rand_gaussian(rng) for _ in range(30)]
         for q in samples:
             assert GaussianRational.parse(str(q)) == q
+
+
+class TestAccumulate:
+    def test_keeps_no_zero_and_drops_cancelled_keys(self):
+        acc = {}
+        accumulate(acc, "a", Coefficient.of(2))
+        accumulate(acc, "z", Coefficient())
+        accumulate(acc, "z", gr())
+        assert acc == {"a": Coefficient.of(2)}
+        accumulate(acc, "a", GAMMA)
+        assert acc == {"a": GAMMA + 2}
+        accumulate(acc, "a", -(GAMMA + 2))
+        assert acc == {}
+
+    def test_constructor_accumulates(self):
+        assert Coefficient([((1, 0), gr(1)), ((1, 0), gr(-1)), ((0, 0), gr(0, 1))]) \
+            == Coefficient.of(gr(0, 1))
+        assert Coefficient({(0, 2): 0, (1, 1): gr()}).is_zero()
 
 
 class TestCoefficient:
@@ -201,7 +220,7 @@ def model_of(c):
 
 
 def coeff_of(d):
-    return Coefficient.from_dict({k: GaussianRational(*v) for k, v in d.items()})
+    return Coefficient({k: GaussianRational(*v) for k, v in d.items()})
 
 
 def rand_part(rng):

@@ -110,6 +110,18 @@ class TestSimilarity:
             assert similarity(s, commutator(a, b), 32) == commutator(sa, sb)
 
 
+class TestCancellation:
+    def test_sum_with_negative_is_empty(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            op = rand_op(rng)
+            assert len(op + (-op)) == 0 and (op - op).is_zero()
+            assert WeylOp([*op.terms(), *(-op).terms()]) == WeylOp.zero()
+        f = Wavefunction({(1, 0): GAMMA, (0, 2): Coefficient.of(3), (): OMEGA}, phase_m=-1)
+        assert (f + f.scale(-1)).poly == {}
+        assert (f - f).is_zero()
+
+
 class TestParameterMaps:
     def test_substitute_gamma(self):
         op = X.scale(GAMMA) + DX.scale(Coefficient.monomial(GaussianRational.of(1), -1, 0))
