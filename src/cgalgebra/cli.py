@@ -8,6 +8,7 @@ internal errors.  Reports are deterministic apart from the timing fields.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -20,8 +21,10 @@ import numpy as np
 
 from . import fock, invariance, realizations
 from .errors import AlgebraError
+from .fock import _pairing
+from .linalg import det
 from .ring import Coefficient, GaussianRational, GAMMA, I
-from .weyl import WeylOp, commutator, multiply, parse_op, print_op, similarity
+from .weyl import WeylOp, apply, commutator, multiply, parse_op, print_op, similarity
 
 SCHEMA_VERSION = "cgalgebra-report/1"
 
@@ -95,10 +98,6 @@ class _Runner:
         """Record a check; ``ok`` of None records a skip (nothing to compare with)."""
         status = "skip" if ok is None else "pass" if ok else "fail"
         self.report.checks.append(CheckRecord(cid, status, details, residual))
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_complex_rational(text: str) -> GaussianRational:
@@ -231,7 +230,7 @@ def _symmetry_dimension(omega: Optional[Fraction], bound: int) -> Optional[int]:
 def suite_symmetries(opts) -> Report:
     rep = Report("symmetries", {"omega": str(opts.omega), "degree_bound": str(opts.degree_bound)})
     run = _Runner(rep)
-    w = None if opts.omega == "generic" else _parse_rational(opts.omega)
+    w = None if opts.omega == "generic" else Fraction(opts.omega)
     om = WeylOp.dt().scale(I) - realizations.theta_family(w, 0, 0)
     res = invariance.find_symmetries(om, coeff_degree_bound=opts.degree_bound)
     expect = _symmetry_dimension(w, opts.degree_bound)
@@ -304,9 +303,8 @@ def suite_spectrum(opts) -> Report:
         else:
             run.simple(f"gamma-independence:g={g}", bool(np.allclose(vals, base, atol=1e-9)))
     if opts.csv:
-        import csv as _csv
         with open(opts.csv, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["gamma_bar", "index", "eigenvalue", "max_residual"])
             for g, k, v, r in csv_rows:
                 writer.writerow([g, k, repr(float(v)), f"{r:.3e}"])
@@ -321,7 +319,6 @@ def suite_modes(opts) -> Report:
     lams = [s.lam for s in sols]
     run.simple("eigenvalue-multiset", lams == [F(-3), F(-1), F(1), F(3)], details=str(lams))
     by = {s.lam: s for s in sols}
-    from .fock import _pairing
     ok = True
     for i in (1, 3):
         for j in (1, 3):
@@ -332,7 +329,7 @@ def suite_modes(opts) -> Report:
     k_op = fock.k_ladder(opts.gamma_bar)
     a3, am3 = by[F(3)].operator(), by[F(-3)].operator()
     a1, am1 = by[F(1)].operator(), by[F(-1)].operator()
-    combo = (a3 * am3).scale(3) + (a1 * am1) + fock.LadderOp.scalar(F(1, 2))
+    combo = (a3 * am3).scale(3) + (a1 * am1) + WeylOp.scalar(F(1, 2))
     run.simple("K-in-mode-basis", combo == k_op)
     n_op = fock.n_ladder(opts.gamma_bar)
     run.simple("N-in-mode-basis", (a3 * am3) + (a1 * am1) == n_op)
@@ -342,7 +339,6 @@ def suite_modes(opts) -> Report:
     # invertibility of the mode change of basis
     mat = [[by[lam].coeffs.get(nm, Coefficient()) for lam in (F(-3), F(-1), F(1), F(3))]
            for nm in ("a", "a+", "b", "b+")]
-    from .linalg import det
     d = det(mat)
     run.simple("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
     gbar = opts.gamma_bar if opts.gamma_bar is not None else GaussianRational(F(1))
@@ -387,12 +383,11 @@ def suite_eigencheck(opts) -> Report:
         run.simple(e.label, e.ok, residual=e.detail)
     # the commonly quoted (1,1) closed form carries a misprint: it fails the
     # eigenvalue identity, while the computed eigenfunction satisfies it
-    from .weyl import apply as _apply
     h0_formal = realizations.h0_op()
     bad = fock.quoted_psi("psi11")
     good = fock.expected_psi("psi11")
-    demonstrated = (not (_apply(h0_formal, bad) - bad.scale(6)).is_zero()
-                    and (_apply(h0_formal, good) - good.scale(6)).is_zero()
+    demonstrated = (not (apply(h0_formal, bad) - bad.scale(6)).is_zero()
+                    and (apply(h0_formal, good) - good.scale(6)).is_zero()
                     and bad.proportionality(good) is None)
     run.simple("quoted-(1,1)-misprint-demonstrated", demonstrated,
                details="xy coefficient must be 8i/g, not 4i/g")
@@ -527,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--realization", choices=("free", "osc", "both"), default="both")
-    p.add_argument("--gamma", type=_parse_rational, default=None,
+    p.add_argument("--gamma", type=Fraction, default=None,
                    help="rational value for the deformation parameter (default: formal)")
     p.add_argument("--gamma-bar", dest="gamma_bar", type=_parse_complex_rational, default=None,
                    help='oscillator coupling as "re,im" rationals (default: formal/sweep)')
@@ -558,7 +553,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if attr in explicit or not hasattr(args, attr):
             continue
         if attr == "gamma" and value is not None:
-            value = _parse_rational(str(value))
+            value = Fraction(str(value))
         elif attr == "gamma_bar" and value is not None:
             value = _parse_complex_rational(str(value))
         setattr(args, attr, value)
@@ -571,9 +566,13 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
                            for s in args.signs.split(",") if s.strip())
     if isinstance(args.modes, str):
         args.modes = tuple(int(x) for x in args.modes.split(","))
+    if len(args.modes) != 2:
+        raise ValueError(f"--modes needs two integers like 1,3, got {len(args.modes)}")
+    if args.degree_bound < 0:
+        raise ValueError(f"--degree-bound must be >= 0, got {args.degree_bound}")
     if args.omega != "generic":
-        _parse_rational(args.omega)  # fail fast on malformed frequencies
-    _parse_rational(args.ell)
+        Fraction(args.omega)  # fail fast on malformed frequencies
+    Fraction(args.ell)
     return args
 
 
@@ -586,7 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _normalize(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,11 +1,16 @@
 """Cryptohermitian oscillator layer: ladder algebra, truncated matrices,
 modes, overlaps, and exact eigenfunction checks.
 
-Symbolic work happens in :class:`LadderOp`, the normal-ordered algebra on
-two independent ladder pairs (daggers to the left, [a, a+] = [b, b+] = 1);
-the formal deformation slot of the scalar ring carries the coupling
-``gbar`` when it is kept symbolic.  Numerical work uses dense complex
-matrices on the truncated basis |n, m> ordered by energy.
+Symbolic work happens in :class:`LadderOp`, the two-coordinate Weyl
+algebra of :mod:`cgalgebra.weyl` read through the Bargmann map
+a+ -> x, a -> Dx, b+ -> y, b -> Dy: the normal-ordered word
+(a+)^p a^q (b+)^r b^s (daggers to the left) is the monomial
+x^p y^r Dx^q Dy^s, and [a, a+] = [b, b+] = 1 are the Weyl relations, so
+sums, products, equality, text form and PT are WeylOp's.  Only the action
+on kets, :meth:`LadderOp.apply_state`, is the ladder layer's own.  The
+formal deformation slot of the scalar ring carries the coupling ``gbar``
+when it is kept symbolic.  Numerical work uses dense complex matrices on
+the truncated basis |n, m> ordered by energy.
 
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import factorial, sqrt
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -26,8 +31,8 @@ import numpy as np
 from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GaussianLike, GaussianRational, GAMMA, accumulate
-from .weyl import Wavefunction, WeylOp, _falling, ad_series, apply, commutator, multiply
+from .ring import Coefficient, GaussianRational, GAMMA, accumulate
+from .weyl import Monomial, Wavefunction, WeylOp, _falling, ad_series, apply, commutator, multiply
 
 F = Fraction
 
@@ -47,156 +52,63 @@ def _gbar_coeff(gbar: GbarLike) -> Coefficient:
 
 
 # ---------------------------------------------------------------------------
-# normal-ordered ladder algebra
+# ladder algebra: the Weyl algebra under the Bargmann map
 # ---------------------------------------------------------------------------
 
-Word = Tuple[int, int, int, int]  # (a+ power, a power, b+ power, b power)
+def _word(p: int, q: int, r: int, s: int) -> Monomial:
+    """(a+)^p a^q (b+)^r b^s as its Bargmann image x^p y^r Dx^q Dy^s."""
+    return Monomial.make(x_pows=(p, r), d_pows=(q, s))
 
 
-class LadderOp:
-    """Finite sum of normal-ordered words (a+)^p a^q (b+)^r b^s."""
+_MODE_WORDS = {"a": _word(0, 1, 0, 0), "a+": _word(1, 0, 0, 0),
+               "b": _word(0, 0, 0, 1), "b+": _word(0, 0, 1, 0)}
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Coefficient] = ()):
-        d: Dict[Word, Coefficient] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for w, c in items:
-            accumulate(d, w, Coefficient.of(c))
-        self._terms = d
+class LadderOp(WeylOp):
+    """A two-coordinate WeylOp read as ladder words (a+)^p a^q (b+)^r b^s."""
 
-    # -- constructors --------------------------------------------------
-    @staticmethod
-    def zero() -> "LadderOp":
-        return LadderOp({})
-
-    @staticmethod
-    def scalar(c) -> "LadderOp":
-        return LadderOp({(0, 0, 0, 0): Coefficient.of(c)})
-
-    @staticmethod
-    def one() -> "LadderOp":
-        return LadderOp.scalar(1)
+    __slots__ = ()
 
     @staticmethod
     def a() -> "LadderOp":
-        return LadderOp({(0, 1, 0, 0): Coefficient.of(1)})
+        return LadderOp({_MODE_WORDS["a"]: 1})
 
     @staticmethod
     def adag() -> "LadderOp":
-        return LadderOp({(1, 0, 0, 0): Coefficient.of(1)})
+        return LadderOp({_MODE_WORDS["a+"]: 1})
 
     @staticmethod
     def b() -> "LadderOp":
-        return LadderOp({(0, 0, 0, 1): Coefficient.of(1)})
+        return LadderOp({_MODE_WORDS["b"]: 1})
 
     @staticmethod
     def bdag() -> "LadderOp":
-        return LadderOp({(0, 0, 1, 0): Coefficient.of(1)})
-
-    # -- views -----------------------------------------------------------
-    def terms(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LadderOp):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __len__(self):
-        return len(self._terms)
-
-    # -- linear structure ---------------------------------------------------
-    def __add__(self, other: "LadderOp") -> "LadderOp":
-        d = dict(self._terms)
-        for w, c in other._terms.items():
-            accumulate(d, w, c)
-        out = LadderOp.__new__(LadderOp)
-        out._terms = d
-        return out
-
-    def __neg__(self) -> "LadderOp":
-        out = LadderOp.__new__(LadderOp)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "LadderOp") -> "LadderOp":
-        return self + (-other)
-
-    def scale(self, c) -> "LadderOp":
-        c = Coefficient.of(c)
-        if c.is_zero():
-            return LadderOp.zero()
-        out = LadderOp.__new__(LadderOp)
-        out._terms = {w: v * c for w, v in self._terms.items()}
-        return out
+        return LadderOp({_MODE_WORDS["b+"]: 1})
 
     def __mul__(self, other) -> "LadderOp":
-        if not isinstance(other, LadderOp):
-            return self.scale(other)
-        acc: Dict[Word, Coefficient] = {}
-        for (p1, q1, r1, s1), c1 in self._terms.items():
-            for (p2, q2, r2, s2), c2 in other._terms.items():
-                base = c1 * c2
-                # a^q1 (a+)^p2 = sum_k C(q1,k) falling(p2,k) (a+)^{p2-k} a^{q1-k}
-                for k in range(min(q1, p2) + 1):
-                    ca = comb(q1, k) * _falling(p2, k)
-                    if ca == 0:
-                        continue
-                    for l in range(min(s1, r2) + 1):
-                        cb = comb(s1, l) * _falling(r2, l)
-                        if cb == 0:
-                            continue
-                        w = (p1 + p2 - k, q1 + q2 - k, r1 + r2 - l, s1 + s2 - l)
-                        accumulate(acc, w, base * (ca * cb))
-        out = LadderOp.__new__(LadderOp)
-        out._terms = acc
-        return out
-
-    def __rmul__(self, other) -> "LadderOp":
+        """The Weyl product, kept a LadderOp: a function of its own, not inherited,
+        so that the ladder product can be wrapped or timed apart from ``WeylOp.__mul__``."""
+        if isinstance(other, WeylOp):
+            return multiply(self, other)
         return self.scale(other)
 
-    def substitute(self, gbar: GaussianLike) -> "LadderOp":
-        return LadderOp((w, c.substitute(gamma=gbar)) for w, c in self._terms.items())
-
-    # -- actions ---------------------------------------------------------
     def apply_state(self, state: Mapping[Tuple[int, int], Coefficient]) -> Dict[Tuple[int, int], Coefficient]:
-        """Act on a ket expanded over unnormalized |n, m>."""
+        """Act on a ket expanded over unnormalized |n, m>.
+
+        This is the action of x^p y^r Dx^q Dy^s on x^n y^m, written as a
+        direct loop over the words: :func:`weyl.apply` on a Wavefunction
+        does the same work at a much higher cost per ket.
+        """
+        words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
+                 for mono, c in self._terms.items()]
         out: Dict[Tuple[int, int], Coefficient] = {}
         for (n, m), amp in state.items():
-            for (p, q, r, s), c in self._terms.items():
+            for (p, r), (q, s), c in words:
                 if q > n or s > m:
                     continue
                 factor = _falling(n, q) * _falling(m, s)
                 accumulate(out, (n - q + p, m - s + r), amp * c * factor)
         return out
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for w in sorted(self._terms):
-            p, q, r, s = w
-            facs = []
-            if p:
-                facs.append(f"ad^{p}")
-            if q:
-                facs.append(f"a^{q}")
-            if r:
-                facs.append(f"bd^{r}")
-            if s:
-                facs.append(f"b^{s}")
-            head = "*".join(facs) if facs else "1"
-            chunks.append(f"{head} * ({self._terms[w]})")
-        return " + ".join(chunks)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +119,8 @@ def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp
     """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
     g = _gbar_coeff(gbar)
     m1, m2 = modes
-    out = LadderOp({(1, 1, 0, 0): Coefficient.of(m1), (0, 0, 1, 1): Coefficient.of(m2),
-                    (0, 0, 0, 0): Coefficient.of(F(1, 2))})
-    coupling = LadderOp({(0, 1, 0, 1): g, (1, 0, 0, 1): g})
+    out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): F(1, 2)})
+    coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
     return out + coupling
 
 
@@ -220,15 +131,15 @@ def n_ladder(gbar: GbarLike = None) -> LadderOp:
     coupling.  (With the modes written in the eigenbasis, N = A3 A-3 + A1 A-1.)
     """
     g = _gbar_coeff(gbar)
-    return LadderOp({(1, 1, 0, 0): Coefficient.of(1), (0, 0, 1, 1): Coefficient.of(1),
-                     (0, 1, 0, 1): g * F(1, 2), (0, 0, 0, 2): -(g * g) * F(1, 12)})
+    return LadderOp({_word(1, 1, 0, 0): 1, _word(0, 0, 1, 1): 1,
+                     _word(0, 1, 0, 1): g * F(1, 2), _word(0, 0, 0, 2): -(g * g) * F(1, 12)})
 
 
 def decoupling_exponent(gbar: GbarLike = None) -> LadderOp:
     """The printed map exponent E = -(gbar/2 a+b + gbar/4 ab + gbar^2/48 b^2)."""
     g = _gbar_coeff(gbar)
-    return LadderOp({(1, 0, 0, 1): -(g * F(1, 2)), (0, 1, 0, 1): -(g * F(1, 4)),
-                     (0, 0, 0, 2): -(g * g) * F(1, 48)})
+    return LadderOp({_word(1, 0, 0, 1): -(g * F(1, 2)), _word(0, 1, 0, 1): -(g * F(1, 4)),
+                     _word(0, 0, 0, 2): -(g * g) * F(1, 48)})
 
 
 @dataclass
@@ -258,22 +169,13 @@ def kgamma_decoupling_check(gbar: GbarLike = None, max_depth: int = 16) -> Kgamm
 # modes of the adjoint action
 # ---------------------------------------------------------------------------
 
-_MODE_BASIS = ("a", "a+", "b", "b+")
-_MODE_OPS = {
-    "a": LadderOp.a, "a+": LadderOp.adag, "b": LadderOp.b, "b+": LadderOp.bdag,
-}
-
-
 @dataclass
 class ModeSolution:
     lam: Fraction
     coeffs: Dict[str, Coefficient]
 
     def operator(self) -> LadderOp:
-        out = LadderOp.zero()
-        for name, c in self.coeffs.items():
-            out = out + _MODE_OPS[name]().scale(c)
-        return out
+        return LadderOp((_MODE_WORDS[name], c) for name, c in self.coeffs.items())
 
 
 def _pairing(u: Dict[str, Coefficient], v: Dict[str, Coefficient]) -> Coefficient:
@@ -295,12 +197,12 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
     collide (they cannot for the coupled number-like operator).
     """
     k = k_ladder(gbar, modes)
-    basis_ops = [op() for op in (_MODE_OPS[n] for n in _MODE_BASIS)]
+    rows = {w: i for i, w in enumerate(_MODE_WORDS.values())}
     mat = [[Coefficient() for _ in range(4)] for _ in range(4)]
-    for j, bop in enumerate(basis_ops):
-        img = commutator(k, bop)
+    for j, word in enumerate(_MODE_WORDS.values()):
+        img = commutator(k, LadderOp({word: 1}))
         for w, c in img.terms():
-            key = {(0, 1, 0, 0): 0, (1, 0, 0, 0): 1, (0, 0, 0, 1): 2, (0, 0, 1, 0): 3}.get(w)
+            key = rows.get(w)
             if key is None:
                 raise DegenerateModes("adjoint action leaves the linear span")
             mat[key][j] = c
@@ -317,7 +219,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
         vecs = nullspace(shifted)
         if len(vecs) != 1:
             raise DegenerateModes(f"eigenvalue {lam} has multiplicity {len(vecs)}")
-        coeffs = {name: v for name, v in zip(_MODE_BASIS, vecs[0]) if not v.is_zero()}
+        coeffs = {name: v for name, v in zip(_MODE_WORDS, vecs[0]) if not v.is_zero()}
         sols.append(ModeSolution(lam, coeffs))
     sols.sort(key=lambda s: s.lam)
     # normalize: scale A_{+|lam|} so that [A_{-|lam|}, A_{+|lam|}] = 1
@@ -658,15 +560,12 @@ def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
 # PT symmetry
 # ---------------------------------------------------------------------------
 
-def pt_check(op: Union[WeylOp, LadderOp]) -> bool:
-    """Invariance under x -> -x, i -> -i.
+def pt_check(op: WeylOp) -> bool:
+    """Invariance under x -> -x, i -> -i, through :meth:`WeylOp.pt_transform`.
 
-    For differential operators this is the engine transform; for ladder
-    words it maps (a, a+) -> (-a, -a+), leaves (b, b+), and conjugates
-    coefficients (the coupling must be substituted so conjugation sees it:
-    the differential coupling is real, its ladder image imaginary).
+    On a :class:`LadderOp` the Bargmann map makes this (a, a+) -> -(a, a+)
+    with (b, b+) left alone and coefficients conjugated (the coupling must be
+    substituted so conjugation sees it: the differential coupling is real,
+    its ladder image imaginary).
     """
-    if isinstance(op, WeylOp):
-        return op.pt_transform() == op
-    flipped = LadderOp((w, -c.conj() if (w[0] + w[1]) % 2 else c.conj()) for w, c in op.terms())
-    return flipped == op
+    return op.pt_transform() == op

@@ -10,9 +10,10 @@ derivatives, then Dt.  Products reorder exactly via the Weyl relations
 [Dxi, xi] = 1, [Dt, t] = 1 and the phase derivation
 Dt e^{i(m+nw)t} = e^{i(m+nw)t} (Dt + i(m+nw)).
 
-The phase label m is an exact rational (the lattice is Q + Z*w, which covers
-substitution of rational frequencies into phases); t powers may be negative,
-which is what lets on-shell multipliers such as 1/t live in the same class.
+The phase label m is an exact rational, an int when integral (the lattice
+is Q + Z*w, which covers substitution of rational frequencies into phases);
+t powers may be negative, which is what lets on-shell multipliers such as
+1/t live in the same class.
 Coordinate and derivative powers are never negative.
 
 A :class:`Wavefunction` is the closed class polynomial(x) * exp(-x1^2/2)
@@ -22,11 +23,10 @@ A :class:`Wavefunction` is the closed class polynomial(x) * exp(-x1^2/2)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
-from typing import Iterable, Mapping, Optional, Tuple
+from operator import add
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import NonTerminatingSeries, UnsupportedShape
 from .ring import (
@@ -55,9 +55,14 @@ def _trim(x_pows: tuple, d_pows: tuple) -> tuple:
     return x_pows[:k], d_pows[:k]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    phase_m: Fraction = Fraction(0)
+def _phase(m):
+    """An exact phase label, as an int when integral: ints hash without
+    ``Fraction.__hash__``, and compare, hash and print like the equal Fraction."""
+    return m.numerator if m.denominator == 1 else m
+
+
+class Monomial(NamedTuple):
+    phase_m: Fraction = 0
     phase_n: int = 0
     t_pow: int = 0
     x_pows: tuple = ()
@@ -77,7 +82,7 @@ class Monomial:
         if dt_pow < 0:
             raise ValueError("Dt power must be >= 0")
         x_pows, d_pows = _trim(x_pows, d_pows)
-        return Monomial(Fraction(phase_m), int(phase_n), int(t_pow), x_pows, d_pows, int(dt_pow))
+        return Monomial(_phase(Fraction(phase_m)), int(phase_n), int(t_pow), x_pows, d_pows, int(dt_pow))
 
     @property
     def arity(self) -> int:
@@ -103,8 +108,19 @@ def _phase_theta(m: Fraction, n: int) -> Coefficient:
     return Coefficient({(0, 0): GaussianRational(0, m), (0, 1): GaussianRational(0, n)})
 
 
+def _op(cls, terms: dict):
+    """An operator of class ``cls`` that takes ownership of a finished term map."""
+    out = object.__new__(cls)
+    out._terms = terms
+    return out
+
+
 class WeylOp:
-    """Immutable normal-ordered operator: map Monomial -> Coefficient."""
+    """Immutable normal-ordered operator: map Monomial -> Coefficient.
+
+    Sums, scalings, products and parameter maps of a subclass instance stay
+    in its class (``fock.LadderOp``); the static constructors build WeylOps.
+    """
 
     __slots__ = ("_terms",)
 
@@ -203,14 +219,10 @@ class WeylOp:
         d = dict(self._terms)
         for mono, c in other._terms.items():
             accumulate(d, mono, c)
-        out = WeylOp.__new__(WeylOp)
-        out._terms = d
-        return out
+        return _op(type(self), d)
 
     def __neg__(self) -> "WeylOp":
-        out = WeylOp.__new__(WeylOp)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _op(type(self), {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "WeylOp":
         return self + (-other)
@@ -218,10 +230,8 @@ class WeylOp:
     def scale(self, c: CoefficientLike) -> "WeylOp":
         c = Coefficient.of(c)
         if c.is_zero():
-            return _ZERO_OP
-        out = WeylOp.__new__(WeylOp)
-        out._terms = {m: v * c for m, v in self._terms.items()}
-        return out
+            return _op(type(self), {})
+        return _op(type(self), {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other) -> "WeylOp":
         if isinstance(other, WeylOp):
@@ -258,10 +268,10 @@ class WeylOp:
                 mono = Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
                                      mono.x_pows, mono.d_pows, mono.dt_pow)
             pairs.append((mono, c2))
-        return WeylOp(pairs)
+        return type(self)(pairs)
 
     def gamma_limit(self) -> "WeylOp":
-        return WeylOp((mono, c.gamma_limit()) for mono, c in self._terms.items())
+        return type(self)((mono, c.gamma_limit()) for mono, c in self._terms.items())
 
     def pt_transform(self) -> "WeylOp":
         """x1 -> -x1, i -> -i: flip sign by (x1+Dx1) parity, conjugate, negate phases."""
@@ -272,18 +282,17 @@ class WeylOp:
             m2 = Monomial.make(-mono.phase_m, -mono.phase_n, mono.t_pow,
                                mono.x_pows, mono.d_pows, mono.dt_pow)
             pairs.append((m2, -c.conj() if (x1 + d1) % 2 else c.conj()))
-        return WeylOp(pairs)
+        return type(self)(pairs)
 
     # -- text -------------------------------------------------------------
     def __str__(self) -> str:
         return print_op(self)
 
     def __repr__(self) -> str:
-        return f"WeylOp({print_op(self)})"
+        return f"{type(self).__name__}({print_op(self)})"
 
 
-_ZERO_OP = WeylOp.__new__(WeylOp)
-_ZERO_OP._terms = {}
+_ZERO_OP = _op(WeylOp, {})
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +306,25 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     factorials) and one power of the phase derivative theta; the ring
     coefficient c1*c2*theta^p is built once per p and scaled by the weight.
     """
-    n = max(m1.arity, m2.arity)
-    pad1 = (0,) * (n - m1.arity)
-    pad2 = (0,) * (n - m2.arity)
-    x1, d1 = m1.x_pows + pad1, m1.d_pows + pad1
-    x2, d2 = m2.x_pows + pad2, m2.d_pows + pad2
-
     base = c1 * c2
     if base.is_zero():
         return
 
-    # spatial contractions: Dxi^p xi^q = sum_s C(p,s) falling(q,s) xi^{q-s} Dxi^{p-s}
-    choice_sets = [[(s, comb(p, s) * _falling(q, s)) for s in range(min(p, q) + 1)]
-                   for p, q in zip(d1, x2)]
+    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
+    pad = len(x1) - len(x2)
+    if pad > 0:
+        x2, d2 = x2 + (0,) * pad, d2 + (0,) * pad
+    elif pad < 0:
+        x1, d1 = x1 + (0,) * -pad, d1 + (0,) * -pad
+
+    # spatial contractions: Dxi^p xi^q = sum_s C(p,s) falling(q,s) xi^{q-s} Dxi^{p-s},
+    # as (x powers, D powers, weight); the uncontracted term needs no trim
+    spatial = [(tuple(map(add, x1, x2)), tuple(map(add, d1, d2)), 1)]
+    for i, (p, q) in enumerate(zip(d1, x2)):
+        if p and q:
+            spatial = [_trim(xs[:i] + (xs[i] - s,) + xs[i + 1:], ds[:i] + (ds[i] - s,) + ds[i + 1:])
+                       + (w * comb(p, s) * _falling(q, s),)
+                       for xs, ds, w in spatial for s in range(min(p, q) + 1)]
 
     # time block: Dt^k across e^{i theta t} t^a, as (t shift r, Dt left, coefficient, weight)
     k = m1.dt_pow
@@ -329,37 +344,27 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     else:
         time_choices = [(0, 0, base, 1)]
 
-    phase_m = m1.phase_m + m2.phase_m
+    phase_m = _phase(m1.phase_m + m2.phase_m)
     phase_n = m1.phase_n + m2.phase_n
     t_pow = m1.t_pow + a
-    x_sum = [p + q for p, q in zip(x1, x2)]
-    d_sum = [p + q for p, q in zip(d1, d2)]
-    for combo in product(*choice_sets):
-        weight = 1
-        for _, w in combo:
-            weight *= w
-        xs, ds = _trim(tuple(xo - s for xo, (s, _) in zip(x_sum, combo)),
-                       tuple(do - s for do, (s, _) in zip(d_sum, combo)))
+    for xs, ds, weight in spatial:
         for r, dt_left, tc, tw in time_choices:
             w = weight * tw
-            total = tc * w if w != 1 else tc
             accumulate(acc, Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow),
-                       total)
+                       tc * w if w != 1 else tc)
 
 
 def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Normal-ordered associative product a*b."""
+    """Normal-ordered associative product a*b, of the class of a."""
     acc: dict = {}
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
             _mono_mul(m1, c1, m2, c2, acc)
-    out = WeylOp.__new__(WeylOp)
-    out._terms = acc
-    return out
+    return _op(type(a), acc)
 
 
 def commutator(a, b):
-    """[a, b] = ab - ba; serves :class:`WeylOp` and ``fock.LadderOp`` alike."""
+    """[a, b] = ab - ba through the operands' own ``*``: ``fock.LadderOp``'s for ladder pairs."""
     return a * b - b * a
 
 

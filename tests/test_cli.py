@@ -2,6 +2,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
 
@@ -32,6 +34,18 @@ class TestExitCodes:
     def test_bad_flag_is_usage_error(self, capsys):
         code, _, _ = run(["critical", "--omega", "not/rational"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--modes", "1"],
+        ["spectrum", "--modes", "1,3,5"],
+        ["symmetries", "--degree-bound", "-1"],
+        ["omega", "--gamma", "1/0"],
+        ["symmetries", "--omega", "1/0"],
+    ])
+    def test_out_of_range_value_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
 
 
 class TestReports:

@@ -1,13 +1,15 @@
+import inspect
+import random
 from fractions import Fraction as F
-from math import factorial, sqrt
+from math import comb, factorial, perm, sqrt
 
 import numpy as np
 import pytest
 
 from cgalgebra import fock
 from cgalgebra.errors import CheckFailed, CutoffTooSmall
-from cgalgebra.ring import Coefficient, GaussianRational, GAMMA
-from cgalgebra.weyl import WeylOp, apply, commutator, similarity
+from cgalgebra.ring import Coefficient, GaussianRational, GAMMA, accumulate
+from cgalgebra.weyl import Monomial, WeylOp, apply, commutator, similarity
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
     FockBasis,
@@ -59,7 +61,81 @@ def oracle_matrices(na, nb, modes=(1, 3)):
     return p @ a @ p.T, p @ b @ p.T
 
 
+def ref_word_product(x, y):
+    """Reference: the product of word maps {(p, q, r, s): c} for
+    (a+)^p a^q (b+)^r b^s, by the ladder normal-ordering rule
+    a^q (a+)^p = sum_k C(q, k) p!/(p-k)! (a+)^(p-k) a^(q-k), and alike for b."""
+    acc = {}
+    for (p1, q1, r1, s1), c1 in x.items():
+        for (p2, q2, r2, s2), c2 in y.items():
+            base = c1 * c2
+            for k in range(min(q1, p2) + 1):
+                ca = comb(q1, k) * perm(p2, k)
+                for l in range(min(s1, r2) + 1):
+                    cb = comb(s1, l) * perm(r2, l)
+                    w = (p1 + p2 - k, q1 + q2 - k, r1 + r2 - l, s1 + s2 - l)
+                    accumulate(acc, w, base * (ca * cb))
+    return acc
+
+
+def ref_apply_state(x, state):
+    """Reference: a word map acting on a ket over unnormalized |n, m>."""
+    out = {}
+    for (n, m), amp in state.items():
+        for (p, q, r, s), c in x.items():
+            if q <= n and s <= m:
+                accumulate(out, (n - q + p, m - s + r), amp * c * (perm(n, q) * perm(m, s)))
+    return out
+
+
+def words(op):
+    """The word map of a LadderOp, read back through the Bargmann map."""
+    out = {}
+    for mono, c in op.terms():
+        (p, r), (q, s) = (mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2]
+        out[(p, q, r, s)] = c
+    return out
+
+
+def rand_words(rng, formal):
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        w = tuple(rng.randint(0, 2) for _ in range(4))
+        c = Coefficient.monomial(gr(rng.randint(-3, 3), rng.randint(-3, 3)),
+                                 rng.randint(0, 2) if formal else 0, 0)
+        accumulate(out, w, c)
+    return out
+
+
+def ladder(word_map):
+    return LadderOp({Monomial.make(x_pows=(p, r), d_pows=(q, s)): c
+                     for (p, q, r, s), c in word_map.items()})
+
+
 class TestLadderAlgebra:
+    def test_product_matches_word_reference(self):
+        rng = random.Random(7)
+        for k in range(200):
+            x, y = rand_words(rng, formal=k % 2 == 0), rand_words(rng, formal=k % 2 == 0)
+            got = ladder(x) * ladder(y)
+            assert type(got) is LadderOp
+            assert words(got) == ref_word_product(x, y), (x, y)
+
+    def test_apply_state_matches_word_reference(self):
+        rng = random.Random(11)
+        for k in range(100):
+            x = rand_words(rng, formal=k % 2 == 0)
+            state = {(rng.randint(0, 4), rng.randint(0, 4)): Coefficient.of(gr(rng.randint(-3, 3), 1))
+                     for _ in range(rng.randint(1, 3))}
+            assert ladder(x).apply_state(state) == ref_apply_state(x, state), (x, state)
+
+    def test_traced_methods_are_the_ladder_layers_own(self):
+        """Benchmark tracing wraps LadderOp.__mul__ and apply_state by name;
+        inherited or aliased WeylOp methods would make it rebind WeylOp's too."""
+        for name in ("__mul__", "apply_state"):
+            fn = vars(LadderOp).get(name)
+            assert inspect.isfunction(fn) and fn is not vars(WeylOp).get(name), name
+
     def test_canonical_relations(self):
         a, ad = LadderOp.a(), LadderOp.adag()
         b, bd = LadderOp.b(), LadderOp.bdag()
@@ -318,7 +394,7 @@ class TestEigenstateMatrix:
 
     def test_leaking_state_raises(self, monkeypatch):
         # a raising operator that moves the a-count by 4 > |m2| leaves the cutoff
-        leaky = LadderOp({(4, 0, 1, 0): Coefficient.of(1)})
+        leaky = LadderOp({Monomial.make(x_pows=(4, 1)): Coefficient.of(1)})  # (a+)^4 b+
         monkeypatch.setattr(fock, "_raising_ops", lambda gbar, modes: (LadderOp.adag(), leaky))
         with pytest.raises(CutoffTooSmall):
             eigenstate_matrix(F(1, 2), 6, 6)

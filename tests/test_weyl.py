@@ -149,6 +149,16 @@ class TestParameterMaps:
         assert X.pt_transform() == -X
         assert Y.pt_transform() == Y
 
+    def test_integral_phase_is_one_key(self):
+        half = WeylOp.phase(F(1, 2))
+        (prod_mono, _), = multiply(half, half).terms()
+        keys = [Monomial.make(1), Monomial.make(F(2, 2)), prod_mono]
+        assert len(set(keys)) == 1 and all(type(m.phase_m) is int for m in keys)
+        op = WeylOp.phase(1) + WeylOp.phase(F(2, 2)) + multiply(half, half)
+        assert len(op) == 1 and op == WeylOp.phase(1).scale(3)
+        for text in ("e[3/2,0] * (1)", "e[2,0] * (1)"):
+            assert print_op(parse_op(text)) == text
+
     def test_normal_ordering_idempotent_via_text(self):
         rng = random.Random(31)
         for _ in range(40):
