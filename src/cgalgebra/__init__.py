@@ -7,7 +7,7 @@ finder, contraction), fock (ladder-operator and truncated-matrix layer),
 cli (verification suites).
 """
 
-from .ring import Coefficient, GaussianRational
+from .ring import Coefficient
 from .weyl import (
     Monomial,
     Wavefunction,
@@ -23,7 +23,6 @@ from .weyl import (
 
 __all__ = [
     "Coefficient",
-    "GaussianRational",
     "Monomial",
     "Wavefunction",
     "WeylOp",

@@ -23,7 +23,7 @@ from . import fock, invariance, realizations
 from .errors import AlgebraError
 from .fock import _pairing
 from .linalg import det
-from .ring import Coefficient, GaussianRational, GAMMA, I
+from .ring import Coefficient, GAMMA, I
 from .weyl import WeylOp, apply, commutator, multiply, parse_op, print_op, similarity
 
 SCHEMA_VERSION = "cgalgebra-report/1"
@@ -100,11 +100,11 @@ class _Runner:
         self.report.checks.append(CheckRecord(cid, status, details, residual))
 
 
-def _parse_complex_rational(text: str) -> GaussianRational:
+def _parse_complex_rational(text: str) -> Coefficient:
     if "," in text:
         re, im = text.split(",", 1)
-        return GaussianRational(Fraction(re), Fraction(im))
-    return GaussianRational(Fraction(text))
+        return Coefficient.of((Fraction(re), Fraction(im)))
+    return Coefficient.of(Fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def suite_omega(opts) -> Report:
     x_p = realizations.x_plus_op()
     h0 = realizations.h0_op(opts.gamma)
     k_p = realizations.k_plus_op(opts.gamma)
-    two_i = Coefficient.monomial(GaussianRational(0, 2), 0, 0)
+    two_i = Coefficient.of((0, 2))
     run.simple("[X+,H0]=2iK+", commutator(x_p, h0) == k_p.scale(two_i))
     run.simple("[X+,K+]=-2iK+", commutator(x_p, k_p) == k_p.scale(-two_i))
     run.simple("iX+ + H0 + K+ = 0", (x_p.scale(I) + h0 + k_p).is_zero())
@@ -341,7 +341,7 @@ def suite_modes(opts) -> Report:
            for nm in ("a", "a+", "b", "b+")]
     d = det(mat)
     run.simple("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
-    gbar = opts.gamma_bar if opts.gamma_bar is not None else GaussianRational(F(1))
+    gbar = opts.gamma_bar if opts.gamma_bar is not None else 1
     emat = fock.eigenstate_matrix(gbar, opts.cutoff_a, opts.cutoff_b)
     rk = int(np.linalg.matrix_rank(emat))
     cond = float(np.linalg.cond(emat))
@@ -358,10 +358,10 @@ def suite_overlap(opts) -> Report:
     for g in values:
         st = fock.eigenstate(1, 1, g)
         p = fock.overlap_probability(st, vac)
-        gq = GaussianRational.of(g) if not isinstance(g, GaussianRational) else g
-        a2 = gq.abs2()
+        a2 = Coefficient.of(g).abs2()
         want = a2 / (16 + 9 * a2)
-        run.simple(f"decay-probability:g={g}", p == want and p < F(1, 9),
+        # a scalar Coefficient prints in parentheses; the check id keeps the bare value
+        run.simple(f"decay-probability:g={str(g).strip('()')}", p == want and p < F(1, 9),
                    details=f"p = {p}")
     big = fock.overlap_probability(fock.eigenstate(1, 1, 1000), vac)
     run.simple("large-coupling-limit", abs(float(big) - 1 / 9) < 1e-4, details=f"p = {float(big):.6f}")
@@ -542,28 +542,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: Sequence[str]) -> argparse.Namespace:
-    if not args.config:
-        return args
-    data = json.loads(Path(args.config).read_text())
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
-            continue
-        if attr == "gamma" and value is not None:
-            value = Fraction(str(value))
-        elif attr == "gamma_bar" and value is not None:
-            value = _parse_complex_rational(str(value))
-        setattr(args, attr, value)
-    return args
+def _config_flags(path: str) -> List[str]:
+    """The entries of a JSON config object as ``--key=value`` flags; null keeps a default.
+
+    The ``=`` form keeps a value such as ``-1/3`` from reading as a flag.
+    """
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(data).__name__}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in data.items() if value is not None]
+
+
+def _usage_error(message: str):
+    raise ValueError(message)
+
+
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
 def _normalize(args: argparse.Namespace) -> argparse.Namespace:
     if isinstance(args.signs, str):
-        args.signs = tuple(1 if s.strip() in ("+", "+1", "1") else -1
-                           for s in args.signs.split(",") if s.strip())
+        tokens = [s.strip() for s in args.signs.split(",")]
+        bad = [s for s in tokens if s not in _SIGNS]
+        if bad:
+            raise ValueError(f"--signs takes +, -, +1, -1 or 1 separated by commas, got {bad[0]!r}")
+        args.signs = tuple(_SIGNS[s] for s in tokens)
     if isinstance(args.modes, str):
         args.modes = tuple(int(x) for x in args.modes.split(","))
     if len(args.modes) != 2:
@@ -581,7 +584,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, parser, argv)
+        if args.config:
+            # parse again with the config's flags first: each goes through its
+            # flag's type and choices, and an explicit flag, coming later, wins
+            parser.error = _usage_error
+            args = parser.parse_args(_config_flags(args.config) + argv)
         args = _normalize(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

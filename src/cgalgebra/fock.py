@@ -31,24 +31,22 @@ import numpy as np
 from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GaussianRational, GAMMA, accumulate
+from .ring import Coefficient, GAMMA, accumulate
 from .weyl import Monomial, Wavefunction, WeylOp, _falling, ad_series, apply, commutator, multiply
 
 F = Fraction
 
-GbarLike = Union[Coefficient, GaussianRational, int, Fraction, complex, None]
+GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
 
 
 def _gbar_coeff(gbar: GbarLike) -> Coefficient:
     """Interpret gbar: None keeps it formal (the ring's g slot)."""
     if gbar is None:
         return GAMMA
-    if isinstance(gbar, Coefficient):
-        return gbar
     if isinstance(gbar, (float, complex)):
         z = complex(gbar)
-        return Coefficient.of(GaussianRational(Fraction(z.real), Fraction(z.imag)))
-    return Coefficient.of(GaussianRational.of(gbar))
+        return Coefficient.of((Fraction(z.real), Fraction(z.imag)))
+    return Coefficient.of(gbar)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,8 @@ class LadderOp(WeylOp):
 
         This is the action of x^p y^r Dx^q Dy^s on x^n y^m, written as a
         direct loop over the words: :func:`weyl.apply` on a Wavefunction
-        does the same work at a much higher cost per ket.
+        reaches through the product (conjugate, multiply, keep the
+        derivative-free terms) at a much higher cost per ket.
         """
         words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
                  for mono, c in self._terms.items()]
@@ -209,7 +208,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
     cp = charpoly(mat)
     if not all(c.is_scalar() for c in cp):
         raise DegenerateModes("adjoint eigenvalues are not scalars")
-    roots = gaussian_rational_roots([c.scalar_value() for c in cp])
+    roots = gaussian_rational_roots(cp)
     if len(roots) != 4:
         raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {roots}")
     sols: List[ModeSolution] = []
@@ -278,7 +277,7 @@ def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
             if j is None:
                 continue
             # unnormalized amplitude -> orthonormal conversion
-            scalar = complex(amp.scalar_value())
+            scalar = complex(amp)
             factor = sqrt(factorial(n2) * factorial(m2)) / sqrt(factorial(n) * factorial(m))
             out[i, j] = scalar * factor
     return out
@@ -366,16 +365,16 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
 
 def state_inner(s1: Mapping[Tuple[int, int], Coefficient],
                 s2: Mapping[Tuple[int, int], Coefficient],
-                gbar_value: Optional[GaussianRational] = None) -> GaussianRational:
-    """<s1 | s2> with the unnormalized metric <n,m|n,m> = n! m!."""
-    out = GaussianRational.of(0)
+                gbar_value: GbarLike = None) -> Coefficient:
+    """<s1 | s2> with the unnormalized metric <n,m|n,m> = n! m!, a scalar."""
+    out = Coefficient()
     for key, a1 in s1.items():
         a2 = s2.get(key)
         if a2 is None:
             continue
         v1 = a1 if a1.is_scalar() else a1.substitute(gamma=gbar_value)
         v2 = a2 if a2.is_scalar() else a2.substitute(gamma=gbar_value)
-        w = v1.scalar_value().conj() * v2.scalar_value()
+        w = v1.conj() * v2
         out = out + w * (factorial(key[0]) * factorial(key[1]))
     return out
 
@@ -421,7 +420,7 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
                 j = index.get((n2, m2))
                 if j is None:
                     raise CutoffTooSmall("eigenstate leaks outside the cutoff")
-                row[j] = complex(amp.scalar_value()) * sqrt(factorial(n2) * factorial(m2))
+                row[j] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
     return np.array([rows[nm] for nm in sorted(rows)])
 
 
@@ -458,17 +457,14 @@ def quoted_psi(name: str) -> Wavefunction:
     """
     c = Coefficient.monomial
     if name == "psi10":
-        return Wavefunction({(1, 0): c(GaussianRational(0, -8), -1, 0)}, True, -1, 0)
+        return Wavefunction({(1, 0): c((0, -8), -1, 0)}, True, -1, 0)
     if name == "psi20":
-        return Wavefunction({(0, 0): c(GaussianRational(F(32)), -2, 0),
-                             (2, 0): c(GaussianRational(F(-64)), -2, 0)}, True, -2, 0)
+        return Wavefunction({(0, 0): c(32, -2, 0), (2, 0): c(-64, -2, 0)}, True, -2, 0)
     if name == "psi01":
-        return Wavefunction({(1, 0): c(GaussianRational(0, -24), -1, 0),
-                             (0, 1): c(GaussianRational(F(-48)), -2, 0)}, True, -3, 0)
+        return Wavefunction({(1, 0): c((0, -24), -1, 0), (0, 1): c(-48, -2, 0)}, True, -3, 0)
     if name == "psi11":
-        return Wavefunction({(0, 0): c(GaussianRational(F(48)), -2, 0),
-                             (2, 0): c(GaussianRational(F(-192)), -2, 0),
-                             (1, 1): c(GaussianRational(0, 192), -3, 0)}, True, -4, 0)
+        return Wavefunction({(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0),
+                             (1, 1): c((0, 192), -3, 0)}, True, -4, 0)
     raise KeyError(name)
 
 
@@ -482,9 +478,8 @@ def expected_psi(name: str) -> Wavefunction:
     if name != "psi11":
         return quoted_psi(name)
     c = Coefficient.monomial
-    return Wavefunction({(0, 0): c(GaussianRational(F(48)), -2, 0),
-                         (2, 0): c(GaussianRational(F(-192)), -2, 0),
-                         (1, 1): c(GaussianRational(0, 384), -3, 0)}, True, -4, 0)
+    return Wavefunction({(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0),
+                         (1, 1): c((0, 384), -3, 0)}, True, -4, 0)
 
 
 def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
@@ -511,21 +506,26 @@ def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
         entries.append(EigencheckEntry(f"[H0, {name}] = {mult} {name}", diff.is_zero(),
                                        "" if diff.is_zero() else str(diff)))
 
-    g2_16 = Coefficient.monomial(GaussianRational(F(1, 16)), 2, 0)
+    g2_16 = Coefficient.monomial(F(1, 16), 2, 0)
     quad = (multiply(r["w-1"], r["w+1"]) - multiply(r["w-3"], r["w+3"])).scale(g2_16) \
         + WeylOp.scalar(2)
     entries.append(EigencheckEntry("H0 equals its quadratic ladder combination",
                                    quad == h0, "" if quad == h0 else str(quad - h0)))
 
-    # explicit low eigenfunctions, built by repeated application
+    # psi_(n,m) = (w-1)^n (w-3)^m ground, each state built once from its
+    # predecessor: psi_(0,m) from psi_(0,m-1), psi_(n,m) from psi_(n-1,m)
     psis: Dict[Tuple[int, int], Wavefunction] = {(0, 0): ground}
+
+    def psi(n: int, m: int) -> Wavefunction:
+        if (n, m) not in psis:
+            psis[(n, m)] = (apply(r["w-1"], psi(n - 1, m)) if n
+                            else apply(r["w-3"], psi(0, m - 1)))
+        return psis[(n, m)]
+
+    # explicit low eigenfunctions
     for name, (n, m) in (("psi10", (1, 0)), ("psi20", (2, 0)),
                          ("psi01", (0, 1)), ("psi11", (1, 1))):
-        f = ground
-        for _ in range(m):
-            f = apply(r["w-3"], f)
-        for _ in range(n):
-            f = apply(r["w-1"], f)
+        f = psi(n, m)
         want = expected_psi(name)
         entries.append(EigencheckEntry(f"{name} closed form", f == want,
                                        "" if f == want else str(f)))
@@ -542,13 +542,7 @@ def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
     for total in range(0, max_level + 1):
         for m in range(total // 3 + 1):
             n = total - 3 * m
-            if n < 0:
-                continue
-            f = ground
-            for _ in range(m):
-                f = apply(r["w-3"], f)
-            for _ in range(n):
-                f = apply(r["w-1"], f)
+            f = psi(n, m)
             img = apply(h0, f)
             diff = img - f.scale(n + 3 * m + 2)
             entries.append(EigencheckEntry(f"H0 psi_({n},{m}) = {n + 3 * m + 2} psi", diff.is_zero(),

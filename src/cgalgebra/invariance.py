@@ -28,7 +28,7 @@ from .linalg import (
     solve_in_span,
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
-from .ring import Coefficient, GaussianRational, I, OMEGA
+from .ring import Coefficient, I, OMEGA
 from .weyl import Monomial, WeylOp, commutator, multiply
 
 F = Fraction
@@ -236,11 +236,11 @@ def critical_frequencies() -> List[CriticalSolution]:
     o_poly = 2 * w + 4 * s * w - 2 * w ** 3    # O: the odd part divided by lam
     p_poly = e_poly * e_poly - s * o_poly * o_poly
     p_coeffs = [F(0)] * (p_poly.omega_degree() + 1)
-    for (_, k), q in p_poly.terms:
-        p_coeffs[k] = q.re
+    for (_, k), (re, _) in p_poly.terms:
+        p_coeffs[k] = re
     out: List[CriticalSolution] = []
     for omega, _mult in rational_roots(p_coeffs):
-        s_val, o_val, e_val = (c.substitute(omega=omega).scalar_value().re
+        s_val, o_val, e_val = (c.substitute(omega=omega).re
                                for c in (s, o_poly, e_poly))
         cands: List[Fraction] = []
         if o_val != 0:
@@ -324,7 +324,7 @@ def lambda_candidates(h: WeylOp, window: int = 4) -> List[Lambda]:
     cp = charpoly(mat)
     cands: set = {(F(0), 0)}
     if all(c.is_scalar() for c in cp):
-        for root in gaussian_rational_roots([c.scalar_value() for c in cp]):
+        for root in gaussian_rational_roots(cp):
             cands.add((root, 0))
             cands.add((-root, 0))
     else:
@@ -571,6 +571,6 @@ def contract(r: Realization, powers: Optional[Mapping[str, int]] = None) -> Real
     gens = {}
     for name, op in r.gens.items():
         s = powers[name]
-        scaled = op.scale(Coefficient.monomial(GaussianRational.of(1), s, 0))
+        scaled = op.scale(Coefficient.monomial(1, s, 0))
         gens[name] = scaled.gamma_limit()
     return Realization(f"{r.name}-contracted", gens, gamma=0)

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ring import Coefficient, GaussianRational
+from .ring import Coefficient
 
 Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
@@ -119,15 +119,14 @@ def _normalize_vector(v: Vector) -> Vector:
     gmin = min(c.gamma_exponents()[0] for c in support)
     wmin = min(min(b for (_, b), _ in c.terms) for c in support)
     if wmin:
-        wshift = Coefficient.monomial(GaussianRational.of(1), 0, wmin)
+        wshift = Coefficient.monomial(1, 0, wmin)
         v = [c.divide_exact(wshift) if c else c for c in v]
     if gmin:
-        gshift = Coefficient.monomial(GaussianRational.of(1), -gmin, 0)
+        gshift = Coefficient.monomial(1, -gmin, 0)
         v = [c * gshift if c else c for c in v]
     first = next(c for c in v if not c.is_zero())
     if len(first.terms) == 1:
-        lead = first.terms[0][1]
-        inv = Coefficient.of(GaussianRational.of(1) / lead)
+        inv = _ONE.divide_exact(Coefficient.of(first.terms[0][1]))
         v = [c * inv if c else c for c in v]
     else:
         cont = first.rational_content()
@@ -396,8 +395,8 @@ def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def gaussian_rational_roots(coeffs: Sequence[GaussianRational]) -> List[Fraction]:
-    """Rational roots of a polynomial with Gaussian-rational coefficients.
+def gaussian_rational_roots(coeffs: Sequence[Coefficient]) -> List[Fraction]:
+    """Rational roots of a polynomial whose coefficients are scalar Coefficients.
 
     A rational root must kill both the real and the imaginary part.
     """

@@ -17,23 +17,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import BadArity
-from .ring import (
-    Coefficient,
-    GaussianLike,
-    GaussianRational,
-    GAMMA,
-    I,
-    OMEGA,
-    ONE,
-    accumulate,
-)
+from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, accumulate
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
 F = Fraction
 
 
 def _c(re=0, im=0, g=0, w=0) -> Coefficient:
-    return Coefficient.monomial(GaussianRational(F(re), F(im)), g, w)
+    return Coefficient.monomial((re, im), g, w)
 
 
 def _op(*terms) -> WeylOp:
@@ -99,7 +90,7 @@ class Realization:
 
     name: str
     gens: Mapping[str, WeylOp]
-    gamma: Optional[GaussianLike] = None  # None = formal
+    gamma: Optional[CoefficientLike] = None  # None = formal
 
     def __getitem__(self, key: str) -> WeylOp:
         return self.gens[key]
@@ -109,7 +100,7 @@ class Realization:
 
     def gamma_squared_over(self, denom: int) -> Coefficient:
         """The scalar g^2/denom with the realization's gamma in place."""
-        c = Coefficient.monomial(GaussianRational(F(1, denom)), 2, 0)
+        c = Coefficient.monomial(F(1, denom), 2, 0)
         if self.gamma is not None:
             c = c.substitute(gamma=self.gamma)
         return c
@@ -149,7 +140,7 @@ def cga32_table() -> GeneratorTable:
 # the two differential realizations (rank 3/2)
 # ---------------------------------------------------------------------------
 
-def realization_free(gamma: Optional[GaussianLike] = None) -> Realization:
+def realization_free(gamma: Optional[CoefficientLike] = None) -> Realization:
     """Polynomial-time realization acting on functions of (t, x, y)."""
     gens = {
         "z0": _op((_c(0, -2), _m(t=1, dt=1)), (_c(0, -1), _m(x=1, dx=1)),
@@ -171,7 +162,7 @@ def realization_free(gamma: Optional[GaussianLike] = None) -> Realization:
     return Realization("free", gens, gamma)
 
 
-def realization_osc(gamma: Optional[GaussianLike] = None) -> Realization:
+def realization_osc(gamma: Optional[CoefficientLike] = None) -> Realization:
     """Phase-time realization acting on functions of (t, x, y)."""
     gens = {
         "z0": _op((_c(1), _m(dt=1))),
@@ -223,14 +214,14 @@ def x_plus_op() -> WeylOp:
                (_c(0, 1), _m(x=2)), (_c(0, 2), _m()))
 
 
-def k_plus_op(gamma: Optional[GaussianLike] = None) -> WeylOp:
+def k_plus_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     """K+ = (Dx + x)^2 / 2 - i g x Dy."""
     dxx = WeylOp.deriv(0) + WeylOp.coord(0)
     op = multiply(dxx, dxx).scale(F(1, 2)) + _op((_c(0, -1, 1), _m(x=1, dy=1)))
     return op.substitute(gamma=gamma) if gamma is not None else op
 
 
-def h0_op(gamma: Optional[GaussianLike] = None) -> WeylOp:
+def h0_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     """Non-hermitian oscillator H0 = -Dx^2/2 + x^2/2 + 3 y Dy + i g x Dy + 3/2."""
     op = _op((_c(F(-1, 2)), _m(dx=2)), (_c(F(1, 2)), _m(x=2)),
              (_c(3), _m(y=1, dy=1)), (_c(0, 1, 1), _m(x=1, dy=1)),
@@ -255,7 +246,7 @@ def s_tilde_exponent() -> WeylOp:
     return _op((_c(0, F(-3, 2)), _m(t=1)))
 
 
-def r2_exponent(gamma: Optional[GaussianLike] = None) -> WeylOp:
+def r2_exponent(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     """Exponent D with e^D Theta(3, g, C) e^{-D} = Theta(3, 0, C).
 
     D = (3i/8) g x Dy - (i/8) g Dx Dy + (1/96) g^2 Dy^2.  The decoupling is
@@ -272,10 +263,10 @@ def r2_exponent(gamma: Optional[GaussianLike] = None) -> WeylOp:
 # ---------------------------------------------------------------------------
 
 def _omega_coeff(omega) -> Coefficient:
-    return OMEGA if omega is None else Coefficient.of(GaussianRational.of(omega))
+    return OMEGA if omega is None else Coefficient.of(omega)
 
 
-def decoupled_generic(omega: Optional[GaussianLike] = None) -> Realization:
+def decoupled_generic(omega: Optional[CoefficientLike] = None) -> Realization:
     """Nine-generator symmetry catalog of the decoupled oscillator pair.
 
     ``omega`` is the second frequency; ``None`` keeps it formal (phases then
@@ -286,11 +277,11 @@ def decoupled_generic(omega: Optional[GaussianLike] = None) -> Realization:
         wm, wn = 0, 1
         iw = _c(0, 1, 0, 1)  # the scalar i*w
     else:
-        q = GaussianRational.of(omega)
-        if not q.is_real():
+        q = Coefficient.of(omega)
+        if q.im:
             raise ValueError("frequency must be real rational for phases")
         wm, wn = q.re, 0
-        iw = Coefficient.of(GaussianRational(F(0), q.re))
+        iw = q * I
     gens = {
         "z+": _op((_c(1), _m(2, 0, dt=1)), (_c(0, 1), _m(2, 0, x=1, dx=1)),
                   (_c(0, 1), _m(2, 0, x=2)), (_c(0, F(1, 2)), _m(2, 0)))
@@ -309,7 +300,7 @@ def decoupled_generic(omega: Optional[GaussianLike] = None) -> Realization:
     return Realization("decoupled-generic", gens, gamma=0)
 
 
-def generic_table(omega: Optional[GaussianLike] = None) -> GeneratorTable:
+def generic_table(omega: Optional[CoefficientLike] = None) -> GeneratorTable:
     """Structure constants closed by the nine decoupled generators."""
     w2 = _omega_coeff(omega) * F(1, 2)
     br: Dict[Tuple[str, str], Dict[str, Coefficient]] = {
@@ -350,14 +341,14 @@ def enhanced_extras(omega: int) -> Dict[str, WeylOp]:
     raise ValueError("enhanced generators exist at frequency 1 or 3 only")
 
 
-def theta_family(omega: Optional[GaussianLike] = None,
-                 gamma: Optional[GaussianLike] = None,
-                 constant: GaussianLike = 0) -> WeylOp:
+def theta_family(omega: Optional[CoefficientLike] = None,
+                 gamma: Optional[CoefficientLike] = None,
+                 constant: CoefficientLike = 0) -> WeylOp:
     """Theta = -Dx^2/2 + x^2/2 + w y Dy - i g x Dy + C (formal where None)."""
     op = _op((_c(F(-1, 2)), _m(dx=2)), (_c(F(1, 2)), _m(x=2)),
              (_c(0, -1, 1), _m(x=1, dy=1)))
     op = op + WeylOp({_m(y=1, dy=1): _omega_coeff(omega)})
-    cq = Coefficient.of(GaussianRational.of(constant))
+    cq = Coefficient.of(constant)
     if not cq.is_zero():
         op = op + WeylOp.scalar(cq)
     return op.substitute(gamma=gamma) if gamma is not None else op

@@ -1,18 +1,20 @@
 """Exact scalar arithmetic.
 
-Two layers: :class:`GaussianRational` (elements of Q(i), stored as a pair of
-``fractions.Fraction``) and :class:`Coefficient` (Laurent polynomials in the
-formal deformation parameter ``g`` and ordinary polynomials in the formal
-frequency ``w``, with Gaussian-rational weights).  Every symbolic module in
-the package works over this ring; nothing here ever rounds.
+One type, :class:`Coefficient`: Laurent polynomials in the formal
+deformation parameter ``g`` and ordinary polynomials in the formal frequency
+``w``, with weights in Q(i).  Its scalars (no ``g``, no ``w``) are the
+package's Gaussian rationals, the couplings and values substituted for the
+parameters.  Every symbolic module in the package works over this ring;
+nothing here ever rounds.
 
 A :class:`Coefficient` does not hold ``Fraction`` objects: it stores each
 weight's real and imaginary numerators as Python ints over one positive
 denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
-Its ``terms`` view converts to Gaussian rationals on demand.  The sparse
-term maps of the other layers (operators, states, wavefunctions) add into
-themselves through :func:`accumulate`, which keeps no zero value.
+Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
+Fractions on demand.  The sparse term maps of the other layers (operators,
+states, wavefunctions) add into themselves through :func:`accumulate`,
+which keeps no zero value.
 
 Canonical text form, used in golden files and reports::
 
@@ -22,160 +24,48 @@ Canonical text form, used in golden files and reports::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import SingularLimit, ZeroSubstitution
 
-RationalLike = Union[int, Fraction]
+
+def _parts(q) -> tuple:
+    """(re, im) Fractions of an exact scalar: an int, a Fraction, an (re, im)
+    pair of those, or a scalar :class:`Coefficient`."""
+    if isinstance(q, Coefficient):
+        return q.re, q.im
+    x, y = q if isinstance(q, tuple) and len(q) == 2 else (q, 0)
+    if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+        raise TypeError(f"cannot interpret {q!r} as an exact scalar")
+    return Fraction(x), Fraction(y)
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+# one term of the canonical text form: (weight)*g^a*w^b
+_TERM_RX = re.compile(r"^\(([^()]*)\)(?:\*g\^(-?\d+))?(?:\*w\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element re + i*im of Q(i); all arithmetic is exact."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def of(value: "GaussianLike") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(_frac(value))
-        if isinstance(value, tuple) and len(value) == 2:
-            return GaussianRational(_frac(value[0]), _frac(value[1]))
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
-    # -- predicates ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "GaussianRational":
-        try:
-            other = GaussianRational.of(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
-
-    def __mul__(self, other) -> "GaussianRational":
-        try:
-            other = GaussianRational.of(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussianRational":
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) / self
-
-    def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            return (QONE / self) ** (-k)
-        out = QONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    # -- text ------------------------------------------------------------
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            sign = "-" if self.im < 0 else ("+" if parts else "")
-            mag = -self.im if self.im < 0 else self.im
-            parts.append(f"{sign}{mag}i")
-        return "".join(parts)
-
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        s = text.strip()
-        if not s:
-            raise ValueError("empty Gaussian rational")
-        if s == "0":
-            return QZERO
-        if s.endswith("i"):
-            body = s[:-1]
-            # split a trailing rational off the real part, e.g. "1/2-3i"
-            m = re.match(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)$", body)
-            if m:
-                return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
-            if body in ("", "+"):
-                return GaussianRational(0, 1)
-            if body == "-":
-                return GaussianRational(0, -1)
-            return GaussianRational(0, Fraction(body))
-        return GaussianRational(Fraction(s))
+def _scalar_text(x: Fraction, y: Fraction) -> str:
+    """x + i*y as in ``3/2``, ``-2+1i`` or ``1i``; not both zero."""
+    parts = [str(x)] if x else []
+    if y:
+        sign = "-" if y < 0 else ("+" if parts else "")
+        parts.append(f"{sign}{abs(y)}i")
+    return "".join(parts)
 
 
-GaussianLike = Union[GaussianRational, int, Fraction, tuple]
-
-QZERO = GaussianRational()
-QONE = GaussianRational(Fraction(1))
-QI = GaussianRational(Fraction(0), Fraction(1))
+def _parse_scalar(text: str) -> tuple:
+    """Inverse of :func:`_scalar_text`, as an (re, im) pair of Fractions."""
+    s = text.strip()
+    if not s.endswith("i"):
+        return Fraction(s), Fraction(0)
+    body = s[:-1]
+    # split a trailing rational off the real part, e.g. "1/2-3i"
+    m = re.match(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)$", body)
+    if m:
+        return Fraction(m.group(1)), Fraction(m.group(2))
+    return Fraction(0), Fraction({"": "1", "+": "1", "-": "-1"}.get(body, body))
 
 
 def accumulate(acc: dict, key, value) -> None:
@@ -207,7 +97,8 @@ class Coefficient:
     __slots__ = ("_num", "_den", "_terms", "_hash")
 
     def __init__(self, terms=()):
-        """Sum of ``((a, b), q)`` pairs (or a mapping), q Gaussian-like."""
+        """Sum of ``((a, b), q)`` pairs (or a mapping), q an exact scalar:
+        an int, a Fraction, an ``(re, im)`` pair or a scalar Coefficient."""
         if not terms:
             self._num, self._den = {}, 1
             return
@@ -216,10 +107,10 @@ class Coefficient:
         for (a, b), q in items:
             if b < 0:
                 raise ValueError("negative w exponent is not part of the ring")
-            q = GaussianRational.of(q)
+            x, y = _parts(q)
             old = acc.get((a, b))
-            acc[(a, b)] = q if old is None else old + q
-        parts = [(k, q.re, q.im) for k, q in acc.items() if q]
+            acc[(a, b)] = (x, y) if old is None else (old[0] + x, old[1] + y)
+        parts = [(k, re, im) for k, (re, im) in acc.items() if re or im]
         # the lcm of the reduced denominators already leaves gcd 1
         den = lcm(*(f.denominator for _, re, im in parts for f in (re, im)))
         self._num = {k: (re.numerator * (den // re.denominator),
@@ -229,28 +120,27 @@ class Coefficient:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def of(value: "CoefficientLike") -> "Coefficient":
+        """An int, a Fraction or an ``(re, im)`` pair as a scalar; a Coefficient as is."""
         if isinstance(value, Coefficient):
             return value
         if type(value) is int:
             return _new({(0, 0): (value, 0)}, 1) if value else ZERO
-        return Coefficient({(0, 0): GaussianRational.of(value)})
+        return Coefficient({(0, 0): value})
 
     @staticmethod
-    def monomial(q: GaussianLike, g_exp: int = 0, w_exp: int = 0) -> "Coefficient":
+    def monomial(q, g_exp: int = 0, w_exp: int = 0) -> "Coefficient":
         return Coefficient({(g_exp, w_exp): q})
 
     # -- views ------------------------------------------------------------
-    def _value(self, key: tuple) -> GaussianRational:
-        re, im = self._num[key]
-        return GaussianRational(Fraction(re, self._den), Fraction(im, self._den))
-
     @property
     def terms(self) -> tuple:
-        """``((a, b), GaussianRational)`` pairs sorted by key, zeros omitted."""
+        """``((a, b), (re, im))`` pairs, parts as Fractions, sorted by key, zeros omitted."""
         try:
             return self._terms
         except AttributeError:
-            self._terms = tuple((k, self._value(k)) for k in sorted(self._num))
+            d = self._den
+            self._terms = tuple((k, (Fraction(re, d), Fraction(im, d)))
+                                for k, (re, im) in sorted(self._num.items()))
             return self._terms
 
     def is_zero(self) -> bool:
@@ -262,12 +152,30 @@ class Coefficient:
     def is_scalar(self) -> bool:
         return not self._num or (len(self._num) == 1 and (0, 0) in self._num)
 
-    def scalar_value(self) -> GaussianRational:
-        if not self._num:
-            return QZERO
+    def _scalar(self) -> tuple:
+        """The (re, im) numerators over ``_den`` of a scalar; ValueError otherwise."""
         if not self.is_scalar():
             raise ValueError(f"not a scalar: {self}")
-        return self._value((0, 0))
+        return self._num.get((0, 0), (0, 0))
+
+    @property
+    def re(self) -> Fraction:
+        """Real part of a scalar."""
+        return Fraction(self._scalar()[0], self._den)
+
+    @property
+    def im(self) -> Fraction:
+        """Imaginary part of a scalar."""
+        return Fraction(self._scalar()[1], self._den)
+
+    def abs2(self) -> Fraction:
+        """|q|^2 of a scalar q."""
+        re, im = self._scalar()
+        return Fraction(re * re + im * im, self._den * self._den)
+
+    def __complex__(self) -> complex:
+        re, im = self._scalar()
+        return complex(re / self._den, im / self._den)
 
     def gamma_exponents(self) -> tuple:
         if not self._num:
@@ -349,8 +257,11 @@ class Coefficient:
                     self._den // g)
 
     def __pow__(self, k: int) -> "Coefficient":
+        """Power by squaring; a negative k divides 1 exactly by self^-k, which
+        raises ``ValueError`` unless self is a unit (a nonzero scalar times a
+        power of g)."""
         if k < 0:
-            raise ValueError("negative Coefficient power; invert explicitly")
+            return ONE.divide_exact(self ** -k)
         out = ONE
         base = self
         while k:
@@ -422,28 +333,30 @@ class Coefficient:
                         scale * self._den)
 
     # -- evaluation ----------------------------------------------------------
-    def substitute(self, gamma: GaussianLike = None, omega: GaussianLike = None) -> "Coefficient":
-        """Partial substitution; ``None`` leaves a parameter formal."""
+    def substitute(self, gamma=None, omega=None) -> "Coefficient":
+        """Partial substitution of exact scalars; ``None`` leaves a parameter formal.
+
+        A negative power of g becomes an exact division (see ``__pow__``).
+        """
         if gamma is None and omega is None:
             return self
-        gq = None if gamma is None else GaussianRational.of(gamma)
-        wq = None if omega is None else GaussianRational.of(omega)
-        if gq is not None and gq.is_zero() and any(a < 0 for a, _ in self._num):
+        gq = None if gamma is None else Coefficient.of(gamma)
+        wq = None if omega is None else Coefficient.of(omega)
+        if gq is not None and not gq and any(a < 0 for a, _ in self._num):
             raise ZeroSubstitution("gamma=0 hits a gamma pole")
-        pairs = []
-        for (a, b), v in self.terms:
+        out = ZERO
+        for (a, b), v in self._num.items():
+            term = _new({(a if gq is None else 0, b if wq is None else 0): v}, 1)
             if gq is not None:
-                v = v * gq ** a
-                a = 0
+                term = term * gq ** a
             if wq is not None:
-                v = v * wq ** b
-                b = 0
-            pairs.append(((a, b), v))
-        return Coefficient(pairs)
+                term = term * wq ** b
+            out = out + term
+        return _reduced(out._num, out._den * self._den)
 
-    def eval(self, gamma: GaussianLike, omega: GaussianLike) -> GaussianRational:
-        """Exact substitution of both parameters; errors on gamma=0 at a pole."""
-        return self.substitute(gamma, omega).scalar_value()
+    def eval(self, gamma, omega) -> "Coefficient":
+        """Exact substitution of both parameters, a scalar; errors on gamma=0 at a pole."""
+        return self.substitute(gamma, omega)
 
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
@@ -458,30 +371,19 @@ class Coefficient:
             return Fraction(1)
         return Fraction(gcd(*(x for v in self._num.values() for x in v)), self._den)
 
-    def leading(self) -> tuple:
-        """(key, value) of the lexicographically largest (g, w) term."""
-        if not self._num:
-            raise ValueError("zero coefficient has no leading term")
-        k = max(self._num)
-        return k, self._value(k)
-
     # -- text -------------------------------------------------------------
     def __str__(self) -> str:
         if not self._num:
             return "0"
         chunks = []
         for (a, b), v in reversed(self.terms):
-            s = f"({v})"
+            s = f"({_scalar_text(*v)})"
             if a:
                 s += f"*g^{a}"
             if b:
                 s += f"*w^{b}"
             chunks.append(s)
         return " + ".join(chunks)
-
-    _TERM_RX = re.compile(
-        r"^\(([^()]*)\)(?:\*g\^(-?\d+))?(?:\*w\^(\d+))?$"
-    )
 
     @staticmethod
     def parse(text: str) -> "Coefficient":
@@ -490,10 +392,10 @@ class Coefficient:
             return ZERO
         pairs = []
         for chunk in s.split(" + "):
-            m = Coefficient._TERM_RX.match(chunk.strip())
+            m = _TERM_RX.match(chunk.strip())
             if not m:
                 raise ValueError(f"bad coefficient term: {chunk!r}")
-            q = GaussianRational.parse(m.group(1))
+            q = _parse_scalar(m.group(1))
             a = int(m.group(2)) if m.group(2) else 0
             b = int(m.group(3)) if m.group(3) else 0
             pairs.append(((a, b), q))
@@ -558,11 +460,20 @@ def _combine(x: Coefficient, y: Coefficient, sign: int) -> Coefficient:
     return _reduced(d, den)
 
 
-CoefficientLike = Union[Coefficient, GaussianRational, int, Fraction, tuple]
+CoefficientLike = Union[Coefficient, int, Fraction, tuple]
 
 ZERO = _new({}, 1)
 ONE = Coefficient.of(1)
-I = Coefficient.of(QI)
-GAMMA = Coefficient.monomial(QONE, 1, 0)
-GAMMA_INV = Coefficient.monomial(QONE, -1, 0)
-OMEGA = Coefficient.monomial(QONE, 0, 1)
+I = Coefficient.of((0, 1))
+GAMMA = Coefficient.monomial(1, 1, 0)
+GAMMA_INV = Coefficient.monomial(1, -1, 0)
+OMEGA = Coefficient.monomial(1, 0, 1)
+
+
+def GaussianRational(re=0, im=0) -> Coefficient:
+    """The scalar re + i*im, as ``Coefficient.of((re, im))``.
+
+    Kept only because ``benchmarks/workloads.py`` builds its couplings and
+    weights with this name; it goes with the benchmark's next change.
+    """
+    return Coefficient.of((re, im))

@@ -17,7 +17,9 @@ t powers may be negative, which is what lets on-shell multipliers such as
 Coordinate and derivative powers are never negative.
 
 A :class:`Wavefunction` is the closed class polynomial(x) * exp(-x1^2/2)
-* phase used for exact eigenfunction work.
+* phase used for exact eigenfunction work.  An operator acts on it through
+the product: :func:`apply` conjugates by the Gaussian, multiplies by the
+phase and polynomial, and keeps the derivative-free terms.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import NonTerminatingSeries, UnsupportedShape
-from .ring import (
-    Coefficient,
-    CoefficientLike,
-    GaussianLike,
-    GaussianRational,
-    accumulate,
-)
+from .ring import Coefficient, CoefficientLike, accumulate
 
 Phase = Tuple[Fraction, int]
 
@@ -105,7 +101,7 @@ _MONO_ONE = Monomial.make()
 
 def _phase_theta(m: Fraction, n: int) -> Coefficient:
     """Coefficient i*(m + n*w) from deriving the phase e^{i(m+nw)t}."""
-    return Coefficient({(0, 0): GaussianRational(0, m), (0, 1): GaussianRational(0, n)})
+    return Coefficient({(0, 0): (0, m), (0, 1): (0, n)})
 
 
 def _op(cls, terms: dict):
@@ -252,7 +248,7 @@ class WeylOp:
         return out
 
     # -- parameter maps ---------------------------------------------------
-    def substitute(self, gamma: GaussianLike = None, omega=None) -> "WeylOp":
+    def substitute(self, gamma: CoefficientLike = None, omega: CoefficientLike = None) -> "WeylOp":
         """Substitute parameter values; omega folds phases (m,n) -> (m+n*omega, 0).
 
         ``omega`` must be an exact rational when any term carries a nonzero
@@ -262,8 +258,8 @@ class WeylOp:
         for mono, c in self._terms.items():
             c2 = c.substitute(gamma=gamma, omega=omega)
             if omega is not None and mono.phase_n:
-                wq = GaussianRational.of(omega)
-                if not wq.is_real():
+                wq = Coefficient.of(omega)
+                if wq.im:
                     raise ValueError("cannot fold a complex frequency into a phase")
                 mono = Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
                                      mono.x_pows, mono.d_pows, mono.dt_pow)
@@ -398,13 +394,6 @@ def ad_series(s, a, max_depth: int = 64) -> tuple:
 # wavefunctions
 # ---------------------------------------------------------------------------
 
-def _trim_tuple(t: tuple) -> tuple:
-    k = len(t)
-    while k and t[k - 1] == 0:
-        k -= 1
-    return t[:k]
-
-
 class Wavefunction:
     """polynomial(x1..xk) * exp(-x1^2/2) * e^{i(m+nw)t}, Coefficient weights."""
 
@@ -415,7 +404,8 @@ class Wavefunction:
         d: dict = {}
         items = poly.items() if isinstance(poly, Mapping) else poly
         for k, c in items:
-            accumulate(d, _trim_tuple(tuple(k)), Coefficient.of(c))
+            k = tuple(k)
+            accumulate(d, _trim(k, (0,) * len(k))[0], Coefficient.of(c))
         self.poly = d
         self.gaussian = bool(gaussian)
         self.phase_m = Fraction(phase_m)
@@ -499,58 +489,34 @@ class Wavefunction:
 
 
 def apply(op: WeylOp, f: Wavefunction) -> Wavefunction:
-    """Exact action of a WeylOp on the closed wavefunction class.
+    """Exact action of a WeylOp on the closed wavefunction class, through the product.
 
-    Raises :class:`UnsupportedShape` for operators with explicit t powers
-    (the class carries phases only) or when terms would produce mixed phases.
+    With f = P e^{-x1^2/2} (P carrying f's phase), op f = e^{-x1^2/2} Q where Q
+    is the derivative-free part of ``similarity(x1^2/2, op) * P``: the terms
+    that end in a derivative vanish on the constant function.  Without the
+    Gaussian factor the conjugation is the identity.  Raises
+    :class:`UnsupportedShape` for operators with explicit t powers (the class
+    carries phases only) or when terms would produce mixed phases.
     """
     if f.is_zero():
         return Wavefunction({}, f.gaussian, f.phase_m, f.phase_n)
-    out: Optional[Wavefunction] = None
-    theta = _phase_theta(f.phase_m, f.phase_n)
-    for mono, c in op.terms():
-        if mono.t_pow:
-            raise UnsupportedShape("explicit t powers fall outside the closed class")
-        # Dt acts on the phase only
-        w = c * theta ** mono.dt_pow if mono.dt_pow else c
-        poly = {k: v * w for k, v in f.poly.items()}
-        # spatial derivatives, innermost first
-        for i, dp in enumerate(mono.d_pows):
-            for _ in range(dp):
-                poly = _poly_derive(poly, i, f.gaussian)
-        # coordinate multiplications
-        for i, xp in enumerate(mono.x_pows):
-            if xp:
-                poly = {_bump(k, i, xp): v for k, v in poly.items()}
-        piece = Wavefunction(poly, f.gaussian,
-                             f.phase_m + mono.phase_m, f.phase_n + mono.phase_n)
-        if piece.is_zero():
-            continue
-        if out is None:
-            out = piece
-        else:
-            out = out + piece  # raises UnsupportedShape on mixed phases
-    if out is None:
+    if any(mono.t_pow for mono, _ in op.terms()):
+        raise UnsupportedShape("explicit t powers fall outside the closed class")
+    p = WeylOp({Monomial.make(f.phase_m, f.phase_n, 0, k): c for k, c in f.poly.items()})
+    image = multiply(similarity(_GAUSSIAN_EXPONENT, op) if f.gaussian else op, p)
+    phases: dict = {}
+    for mono, c in image.terms():
+        if mono.is_function():
+            phases.setdefault((mono.phase_m, mono.phase_n), {})[mono.x_pows] = c
+    if not phases:
         return Wavefunction({}, f.gaussian, f.phase_m, f.phase_n)
-    return out
+    if len(phases) > 1:
+        raise UnsupportedShape("terms produce mixed phases")
+    ((pm, pn), poly), = phases.items()
+    return Wavefunction(poly, f.gaussian, pm, pn)
 
 
-def _bump(key: tuple, i: int, by: int) -> tuple:
-    k = list(key) + [0] * (i + 1 - len(key))
-    k[i] += by
-    return tuple(k)
-
-
-def _poly_derive(poly: dict, i: int, gaussian: bool) -> dict:
-    """d/dxi of P (times exp(-x1^2/2) when gaussian and i == 0)."""
-    out: dict = {}
-    for k, v in poly.items():
-        p = k[i] if i < len(k) else 0
-        if p:
-            accumulate(out, _trim_tuple(k[:i] + (p - 1,) + k[i + 1:]), v * p)
-        if gaussian and i == 0:
-            accumulate(out, _bump(k, 0, 1), -v)
-    return out
+_GAUSSIAN_EXPONENT = WeylOp({Monomial.make(x_pows=(2,)): Fraction(1, 2)})
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,49 @@ class TestConfig:
         assert rep["options"]["cutoff_a"] == "4"
 
 
+    def test_config_values_take_the_flag_types(self, tmp_path, capsys):
+        for suite, entry, option in (("symmetries", {"degree_bound": "2"}, "degree_bound"),
+                                     ("spectrum", {"cutoff_a": "4"}, "cutoff_a")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(entry))
+            code, out, _ = run([suite, "--config", str(cfg)], capsys)
+            assert code == 0
+            assert json.loads(out)["options"][option] == next(iter(entry.values()))
+
+    @pytest.mark.parametrize("content", [
+        '{"degree_bound": "x"}',
+        '{"realization": "bogus"}',
+        '{"no_such_option": 1}',
+        '[1, 2]',
+    ])
+    def test_bad_config_is_usage_error(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run(["verify-algebra", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
+
+    def test_null_entry_keeps_the_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff_a": None, "cutoff_b": 3, "gamma_bar": "1,0"}))
+        code, out, _ = run(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["options"] == {"cutoff_a": "12", "cutoff_b": "3"}
+
+
+class TestSigns:
+    def test_unknown_sign_token_is_usage_error(self, capsys):
+        for signs in ("+,x", "+,", "+,2"):
+            code, out, err = run(["general-l", "--ell", "5/2", "--signs", signs], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("usage error:")
+
+    def test_sign_spellings(self, capsys):
+        code, out, _ = run(["general-l", "--ell", "7/2", "--signs", "+1,-,1"], capsys)
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)["checks"]] == ["signs=(1, -1, 1):time-phase-family"]
+
+
 class TestGolden:
     def test_catalog_matches_fixtures(self, capsys):
         code, _, err = run(["catalog", "--golden", str(GOLDEN_DIR)], capsys)

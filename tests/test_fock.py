@@ -8,7 +8,7 @@ import pytest
 
 from cgalgebra import fock
 from cgalgebra.errors import CheckFailed, CutoffTooSmall
-from cgalgebra.ring import Coefficient, GaussianRational, GAMMA, accumulate
+from cgalgebra.ring import Coefficient, GAMMA, accumulate
 from cgalgebra.weyl import Monomial, WeylOp, apply, commutator, similarity
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
@@ -35,7 +35,7 @@ from cgalgebra.fock import _pairing
 
 
 def gr(re=0, im=0):
-    return GaussianRational(F(re), F(im))
+    return Coefficient.of((F(re), F(im)))
 
 
 def oracle_matrices(na, nb, modes=(1, 3)):
@@ -370,7 +370,7 @@ def per_state_rows(gbar, na, nb, modes):
                 continue
             row = np.zeros(len(index), dtype=complex)
             for (n2, m2), amp in eigenstate(n, m, gbar, na, nb, modes).items():
-                row[index[(n2, m2)]] = complex(amp.scalar_value()) * sqrt(
+                row[index[(n2, m2)]] = complex(amp) * sqrt(
                     factorial(n2) * factorial(m2))
             rows.append(row)
     return np.array(rows)
@@ -426,7 +426,7 @@ class TestStatesAndOverlaps:
             from math import factorial
             vec = np.zeros(len(idx), dtype=complex)
             for (n2, m2), amp in st.items():
-                vec[idx[(n2, m2)]] = complex(amp.scalar_value()) * sqrt(
+                vec[idx[(n2, m2)]] = complex(amp) * sqrt(
                     factorial(n2) * factorial(m2))
             # row-as-input convention: v K = lam v
             assert np.abs(vec @ m - (n + 3 * q + 0.5) * vec).max() < 1e-10
@@ -436,7 +436,7 @@ class TestStatesAndOverlaps:
         for g in (F(1, 2), F(1), F(4), gr(0, 1), gr(3, F(2, 7))):
             st = eigenstate(1, 1, g)
             p = overlap_probability(st, vac)
-            a2 = GaussianRational.of(g).abs2()
+            a2 = Coefficient.of(g).abs2()
             assert p == a2 / (16 + 9 * a2)
             assert p < F(1, 9)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cgalgebra.errors import BadArity
-from cgalgebra.ring import Coefficient, GaussianRational, I
+from cgalgebra.ring import Coefficient, I
 from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
     CGA_NAMES,
@@ -34,7 +34,7 @@ GOLDEN = Path(__file__).parent / "golden" / "catalog.json"
 
 
 def scalar(re=0, im=0):
-    return Coefficient.monomial(GaussianRational(F(re), F(im)), 0, 0)
+    return Coefficient.monomial((F(re), F(im)), 0, 0)
 
 
 class TestTables:
@@ -68,7 +68,7 @@ class TestRealizations:
         assert print_op(r["w+3"]) == "e[3,0]*Dy^1 * (1)"
         assert print_op(r["c"]) == "1 * (1)*g^-2"
         assert commutator(r["w+3"], r["w-3"]) == WeylOp.scalar(
-            Coefficient.monomial(GaussianRational(F(-48)), -2, 0))
+            Coefficient.monomial(F(-48), -2, 0))
 
     def test_specific_free_generators(self):
         r = realization_free()
@@ -167,7 +167,7 @@ def _gamma_negate(op: WeylOp) -> WeylOp:
     for mono, c in op.terms():
         d = {}
         for (a, b), v in c.terms:
-            d[(a, b)] = v * ((-1) ** a)
+            d[(a, b)] = Coefficient.of(v) * ((-1) ** a)
         out[mono] = Coefficient(d)
     return WeylOp(out)
 

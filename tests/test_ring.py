@@ -9,19 +9,18 @@ from cgalgebra.ring import (
     Coefficient,
     GAMMA,
     GAMMA_INV,
-    GaussianRational,
     OMEGA,
     accumulate,
 )
 
 
 def gr(re=0, im=0):
-    return GaussianRational(F(re), F(im))
+    return Coefficient.of((F(re), F(im)))
 
 
 def rand_gaussian(rng):
-    return GaussianRational(F(rng.randint(-9, 9), rng.randint(1, 5)),
-                            F(rng.randint(-9, 9), rng.randint(1, 5)))
+    return Coefficient.of((F(rng.randint(-9, 9), rng.randint(1, 5)),
+                           F(rng.randint(-9, 9), rng.randint(1, 5))))
 
 
 def rand_coeff(rng, n_terms=3):
@@ -33,6 +32,8 @@ def rand_coeff(rng, n_terms=3):
 
 
 class TestGaussianRational:
+    """Gaussian rationals, the scalar Coefficients."""
+
     def test_field_axioms_random(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -41,11 +42,11 @@ class TestGaussianRational:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             if not b.is_zero():
-                assert (a / b) * b == a
+                assert a.divide_exact(b) * b == a
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            gr(1) / gr(0)
+            gr(1).divide_exact(gr(0))
 
     def test_conj_involution(self):
         rng = random.Random(5)
@@ -65,7 +66,62 @@ class TestGaussianRational:
         samples = [gr(), gr(1), gr(-2), gr(0, 1), gr(0, -1), gr(F(3, 2)),
                    gr(F(1, 2), -3), gr(-2, 1)] + [rand_gaussian(rng) for _ in range(30)]
         for q in samples:
-            assert GaussianRational.parse(str(q)) == q
+            assert Coefficient.parse(str(q)) == q
+
+
+class TestScalars:
+    def test_of_accepts_exact_scalars_only(self):
+        q = Coefficient.of((F(1, 2), -3))
+        assert (q.re, q.im) == (F(1, 2), F(-3))
+        assert Coefficient.of(F(3, 4)) == Coefficient.of((F(3, 4), 0)) == gr(F(3, 4))
+        assert Coefficient.of(q) is q
+        for bad in (0.5, 1j, "1", (1, 2, 3), (0.5, 0)):
+            with pytest.raises(TypeError):
+                Coefficient.of(bad)
+
+    def test_parts_abs2_and_complex(self):
+        q = gr(F(3, 2), -2)
+        assert q.abs2() == F(25, 4) and type(q.abs2()) is F
+        assert complex(q) == complex(1.5, -2.0)
+        assert (gr().re, gr().im, gr().abs2(), complex(gr())) == (0, 0, 0, 0j)
+        assert q.terms == (((0, 0), (F(3, 2), F(-2))),)
+        with pytest.raises(ValueError):
+            (GAMMA + 1).re
+        with pytest.raises(ValueError):
+            OMEGA.abs2()
+
+    def test_text(self):
+        assert [str(gr(*p)) for p in ((3, 1), (0, 1), (0, -1), (F(-1, 2), 0), (0, 0))] \
+            == ["(3+1i)", "(1i)", "(-1i)", "(-1/2)", "0"]
+
+    def test_negative_powers_divide_exactly(self):
+        assert GAMMA ** -2 == GAMMA_INV * GAMMA_INV
+        assert gr(1, 1) ** -1 == gr(F(1, 2), F(-1, 2))
+        with pytest.raises(ValueError):
+            (GAMMA + 1) ** -1
+        with pytest.raises(ZeroDivisionError):
+            gr() ** -1
+
+    def test_gaussian_rational_factory_contract(self):
+        """What ``benchmarks/workloads.py`` uses of the factory it imports."""
+        import numpy as np
+
+        from cgalgebra import fock
+        from cgalgebra.ring import GaussianRational
+        g = GaussianRational(F(3, 5), F(-2, 7))
+        assert g == Coefficient.of((F(3, 5), F(-2, 7)))
+        assert Coefficient.monomial(GaussianRational(F(2), F(-1)), 1, 1) == \
+            Coefficient.monomial((2, -1), 1, 1)
+        a2 = g.abs2()
+        assert type(a2) is F and a2 == F(9, 25) + F(4, 49)
+        formal = fock.eigenstate(1, 1)
+        numeric = fock.eigenstate(1, 1, g)
+        assert {k: c.substitute(gamma=g) for k, c in formal.items()} == numeric
+        assert fock.k_matrix(g, 2, 2).shape == (9, 9)
+        emat = fock.eigenstate_matrix(g, 3, 1)
+        assert emat.shape == (5, 8) and np.linalg.matrix_rank(emat) == 5
+        p = fock.overlap_probability(numeric, {(0, 0): Coefficient.of(1)})
+        assert type(p) is F and p == a2 / (16 + 9 * a2)
 
 
 class TestAccumulate:
@@ -216,11 +272,11 @@ def m_subst(x, gamma, omega):
 
 
 def model_of(c):
-    return {k: (v.re, v.im) for k, v in c.terms}
+    return dict(c.terms)
 
 
 def coeff_of(d):
-    return Coefficient({k: GaussianRational(*v) for k, v in d.items()})
+    return Coefficient(d)
 
 
 def rand_part(rng):
@@ -240,7 +296,7 @@ def rand_model(rng):
 def check_canonical(c):
     keys = [k for k, _ in c.terms]
     assert keys == sorted(keys)
-    assert all(not v.is_zero() for _, v in c.terms)
+    assert all(re or im for _, (re, im) in c.terms)
     assert c._den > 0
     assert gcd(c._den, *(x for v in c._num.values() for x in v)) == 1
     assert all(re or im for re, im in c._num.values())
@@ -279,7 +335,7 @@ class TestIntegerStorage:
             gamma = (rand_part(rng) or F(1), rand_part(rng))
             omega = (rand_part(rng), F(0))
             for g, w in ((gamma, None), (None, omega), (gamma, omega)):
-                got = x.substitute(None if g is None else GaussianRational(*g),
-                                   None if w is None else GaussianRational(*w))
+                got = x.substitute(None if g is None else Coefficient.of(g),
+                                   None if w is None else Coefficient.of(w))
                 assert model_of(got) == m_subst(mx, g, w)
                 check_canonical(got)
