@@ -81,23 +81,30 @@ class Report:
 
 
 class _Runner:
+    """Appends check records to a report.  A record's ``seconds`` is the time
+    since the previous record (or since the runner was created), the times
+    since the start rounded first, so that they add up to the total."""
+
     def __init__(self, report: Report):
         self.report = report
+        self._start = time.perf_counter()
+        self._last = 0.0
 
-    def check(self, cid: str, fn: Callable[[], Tuple[bool, str, str]]):
-        t0 = time.perf_counter()
-        try:
-            ok, details, residual = fn()
-        except AlgebraError as exc:
-            ok, details, residual = False, f"{type(exc).__name__}: {exc}", ""
-        rec = CheckRecord(cid, "pass" if ok else "fail", details, residual,
-                          round(time.perf_counter() - t0, 4))
-        self.report.checks.append(rec)
-
-    def simple(self, cid: str, ok: Optional[bool], details: str = "", residual: str = ""):
+    def check(self, cid: str, ok: Optional[bool], details: str = "", residual: str = ""):
         """Record a check; ``ok`` of None records a skip (nothing to compare with)."""
+        now = round(time.perf_counter() - self._start, 4)
         status = "skip" if ok is None else "pass" if ok else "fail"
-        self.report.checks.append(CheckRecord(cid, status, details, residual))
+        self.report.checks.append(CheckRecord(cid, status, details, residual,
+                                              round(now - self._last, 4)))
+        self._last = now
+
+
+def _outcome(fn: Callable[[], Tuple[bool, str]]) -> Tuple[bool, str]:
+    """fn()'s (ok, details), or a failure naming the AlgebraError that fn raises."""
+    try:
+        return fn()
+    except AlgebraError as exc:
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _parse_complex_rational(text: str) -> Coefficient:
@@ -115,7 +122,8 @@ def suite_verify_algebra(opts) -> Report:
     rep = Report("verify-algebra", {"realization": opts.realization})
     run = _Runner(rep)
     table = realizations.cga32_table()
-    run.check("table-consistency", lambda: (_validate_table(table), "antisymmetry + Jacobi", ""))
+    run.check("table-consistency",
+              *_outcome(lambda: (_validate_table(table), "antisymmetry + Jacobi")))
     which = {"free": [realizations.realization_free],
              "osc": [realizations.realization_osc],
              "both": [realizations.realization_free, realizations.realization_osc]}[opts.realization]
@@ -124,7 +132,7 @@ def suite_verify_algebra(opts) -> Report:
         r = builder(gamma)
         tc = invariance.verify_table(r, table)
         for e in tc.entries:
-            run.simple(f"{r.name}:[{e.pair[0]},{e.pair[1]}]", e.ok, residual=e.residual)
+            run.check(f"{r.name}:[{e.pair[0]},{e.pair[1]}]", e.ok, residual=e.residual)
     return rep
 
 
@@ -133,27 +141,35 @@ def _validate_table(table) -> bool:
     return True
 
 
+def _closure(gens, names) -> Tuple[bool, str]:
+    """Close the generators into a table, validate it, and print its brackets."""
+    tbl = invariance.close_algebra(gens, names)
+    table_txt = {f"[{a},{b}]": {k: str(v) for k, v in combo.items()}
+                 for (a, b), combo in sorted(tbl.brackets.items())}
+    return _validate_table(tbl), json.dumps(table_txt, sort_keys=True)
+
+
 def suite_omega(opts) -> Report:
     rep = Report("omega", {})
     run = _Runner(rep)
     for builder in (realizations.realization_free, realizations.realization_osc):
         r = builder(opts.gamma)
         om_p, om_0, om_m = realizations.omega_ops(r)
-        run.simple(f"{r.name}:sl2:[O0,O+]", commutator(om_0, om_p) == om_p.scale(-2))
-        run.simple(f"{r.name}:sl2:[O0,O-]", commutator(om_0, om_m) == om_m.scale(2))
-        run.simple(f"{r.name}:sl2:[O+,O-]", commutator(om_p, om_m) == om_0.scale(4))
+        run.check(f"{r.name}:sl2:[O0,O+]", commutator(om_0, om_p) == om_p.scale(-2))
+        run.check(f"{r.name}:sl2:[O0,O-]", commutator(om_0, om_m) == om_m.scale(2))
+        run.check(f"{r.name}:sl2:[O+,O-]", commutator(om_p, om_m) == om_0.scale(4))
     x_p = realizations.x_plus_op()
     h0 = realizations.h0_op(opts.gamma)
     k_p = realizations.k_plus_op(opts.gamma)
     two_i = Coefficient.of((0, 2))
-    run.simple("[X+,H0]=2iK+", commutator(x_p, h0) == k_p.scale(two_i))
-    run.simple("[X+,K+]=-2iK+", commutator(x_p, k_p) == k_p.scale(-two_i))
-    run.simple("iX+ + H0 + K+ = 0", (x_p.scale(I) + h0 + k_p).is_zero())
+    run.check("[X+,H0]=2iK+", commutator(x_p, h0) == k_p.scale(two_i))
+    run.check("[X+,K+]=-2iK+", commutator(x_p, k_p) == k_p.scale(-two_i))
+    run.check("iX+ + H0 + K+ = 0", (x_p.scale(I) + h0 + k_p).is_zero())
     th_c = realizations.theta_family(3, opts.gamma, F(3, 2))
     th_d = realizations.theta_family(3, 0, F(3, 2))
     run.check("coupling-similarity-decouples",
-              lambda: (similarity(realizations.r2_exponent(opts.gamma), th_c, 64) == th_d,
-                       "terminating series", ""))
+              *_outcome(lambda: (similarity(realizations.r2_exponent(opts.gamma), th_c, 64) == th_d,
+                                 "terminating series")))
     return rep
 
 
@@ -176,8 +192,8 @@ def suite_onshell(opts) -> Report:
             report = invariance.onshell_report(r, om)
             got = {g: print_op(m) for g, m in report.nonzero().items()}
             want = expected[(r.name, k)]
-            run.simple(f"{r.name}:{name}", report.ok and got == want,
-                       details=json.dumps(got, sort_keys=True))
+            run.check(f"{r.name}:{name}", report.ok and got == want,
+                      details=json.dumps(got, sort_keys=True))
     dg = realizations.decoupled_generic(None)
     om = WeylOp.dt().scale(I) - realizations.theta_family(None, 0, 0)
     report = invariance.onshell_report(dg, om)
@@ -185,8 +201,8 @@ def suite_onshell(opts) -> Report:
     # the time-phase pair carries the forced multiplier -i*lam*e^{i lam t};
     # every purely spatial generator commutes on shell with zero multiplier
     want = {"z+": "e[2,0] * (-2i)", "z-": "e[-2,0] * (2i)"}
-    run.simple("decoupled-generic", report.ok and got == want,
-               details=json.dumps(got, sort_keys=True))
+    run.check("decoupled-generic", report.ok and got == want,
+              details=json.dumps(got, sort_keys=True))
     return rep
 
 
@@ -195,18 +211,18 @@ def suite_critical(opts) -> Report:
     run = _Runner(rep)
     sols = invariance.critical_frequencies()
     omegas = sorted({s.omega for s in sols})
-    run.simple("omega-set", omegas == [F(-3), F(-1, 3), F(1, 3), F(3)],
-               details=str([str(w) for w in omegas]))
+    run.check("omega-set", omegas == [F(-3), F(-1, 3), F(1, 3), F(3)],
+              details=str([str(w) for w in omegas]))
     by_omega: Dict[Fraction, List[Fraction]] = {}
     for s in sols:
         by_omega.setdefault(s.omega, []).append(s.lam)
-    run.simple("lambda-at-3", sorted(by_omega.get(F(3), [])) == [F(-2), F(2)])
-    run.simple("lambda-at-minus-3", sorted(by_omega.get(F(-3), [])) == [F(-2), F(2)])
-    run.simple("lambda-at-third", by_omega.get(F(1, 3)) == [F(2, 3)])
-    run.simple("lambda-at-minus-third", by_omega.get(F(-1, 3)) == [F(-2, 3)])
+    run.check("lambda-at-3", sorted(by_omega.get(F(3), [])) == [F(-2), F(2)])
+    run.check("lambda-at-minus-3", sorted(by_omega.get(F(-3), [])) == [F(-2), F(2)])
+    run.check("lambda-at-third", by_omega.get(F(1, 3)) == [F(2, 3)])
+    run.check("lambda-at-minus-third", by_omega.get(F(-1, 3)) == [F(-2, 3)])
     back = all(invariance.crit_eq1(s.lam, s.omega) == 0 and invariance.crit_eq2(s.lam, s.omega) == 0
                for s in sols)
-    run.simple("back-substitution", back)
+    run.check("back-substitution", back)
     return rep
 
 
@@ -234,24 +250,20 @@ def suite_symmetries(opts) -> Report:
     om = WeylOp.dt().scale(I) - realizations.theta_family(w, 0, 0)
     res = invariance.find_symmetries(om, coeff_degree_bound=opts.degree_bound)
     expect = _symmetry_dimension(w, opts.degree_bound)
-    run.simple("generic-dimension" if w is None else "dimension",
-               None if expect is None else len(res) == expect, details=f"dim={len(res)}")
+    run.check("generic-dimension" if w is None else "dimension",
+              None if expect is None else len(res) == expect, details=f"dim={len(res)}")
     for k, r in enumerate(res):
         ok = (commutator(r.generator, om) - multiply(r.multiplier, om)).is_zero()
-        run.simple(f"reverify:{k}:lam={r.lam_text()}", ok,
-                   details=json.dumps({"generator": print_op(r.generator),
-                                       "multiplier": print_op(r.multiplier)}))
+        run.check(f"reverify:{k}:lam={r.lam_text()}", ok,
+                  details=json.dumps({"generator": print_op(r.generator),
+                                      "multiplier": print_op(r.multiplier)}))
     if opts.omega in ("1", "3"):
         w = int(opts.omega)
         dg = realizations.decoupled_generic(w)
         ex = realizations.enhanced_extras(w)
         names = list(dg.names()) + list(ex)
         gens = [dg[n] for n in dg.names()] + list(ex.values())
-        tbl = invariance.close_algebra(gens, names)
-        table_txt = {f"[{a},{b}]": {k2: str(v) for k2, v in combo.items()}
-                     for (a, b), combo in sorted(tbl.brackets.items())}
-        run.check("catalog-closure",
-                  lambda: (_validate_table(tbl), json.dumps(table_txt, sort_keys=True), ""))
+        run.check("catalog-closure", *_outcome(lambda: _closure(gens, names)))
     return rep
 
 
@@ -261,21 +273,21 @@ def suite_contract(opts) -> Report:
     r = realizations.realization_osc()
     contracted = invariance.contract(r)
     table = realizations.contraction_table()
-    run.check("table-consistency", lambda: (_validate_table(table), "", ""))
+    run.check("table-consistency", *_outcome(lambda: (_validate_table(table), "")))
     tc = invariance.verify_table(contracted, table)
-    run.simple("contracted-closure", tc.ok, details=f"{tc.n_pairs} pairs")
+    run.check("contracted-closure", tc.ok, details=f"{tc.n_pairs} pairs")
     st = realizations.s_tilde_exponent()
     for name, (combo, expected, combined) in realizations.contraction_identification().items():
         got = similarity(st, combined, 8)
         ok = got == expected and contracted[name] == expected
-        run.simple(f"identification:{name}", ok,
-                   residual="" if ok else print_op(got - expected))
+        run.check(f"identification:{name}", ok,
+                  residual="" if ok else print_op(got - expected))
     cga = realizations.cga32_table()
     z_bracket_contracted = table.bracket("z+", "z-")
     z_bracket_cga = cga.bracket("z+", "z-")
-    run.simple("not-a-subalgebra",
-               z_bracket_contracted == {} and bool(z_bracket_cga),
-               details="[z+,z-] vanishes after contraction but not before")
+    run.check("not-a-subalgebra",
+              z_bracket_contracted == {} and bool(z_bracket_cga),
+              details="[z+,z-] vanishes after contraction but not before")
     return rep
 
 
@@ -292,23 +304,23 @@ def suite_spectrum(opts) -> Report:
     for g in couplings:
         m = fock.k_matrix(g, na, nb, modes)
         tri = float(np.abs(np.triu(m, 1)).max()) if modes[1] > 0 else float(np.abs(np.tril(m, -1)).max())
-        run.simple(f"triangular:g={g}", tri == 0.0, details=f"off-triangle max {tri:.1e}")
+        run.check(f"triangular:g={g}", tri == 0.0, details=f"off-triangle max {tri:.1e}")
         res = fock.spectrum(m)
         vals = np.sort(res.eigenvalues.real)
         ok = bool(np.allclose(vals, expect, atol=1e-9)) and float(np.abs(res.eigenvalues.imag).max()) < 1e-9
-        run.simple(f"eigenvalues:g={g}", ok, details=f"max residual {res.max_residual:.1e}")
+        run.check(f"eigenvalues:g={g}", ok, details=f"max residual {res.max_residual:.1e}")
         csv_rows.extend((g, k, v, res.max_residual) for k, v in enumerate(vals))
         if base is None:
             base = vals
         else:
-            run.simple(f"gamma-independence:g={g}", bool(np.allclose(vals, base, atol=1e-9)))
+            run.check(f"gamma-independence:g={g}", bool(np.allclose(vals, base, atol=1e-9)))
     if opts.csv:
         with open(opts.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma_bar", "index", "eigenvalue", "max_residual"])
             for g, k, v, r in csv_rows:
                 writer.writerow([g, k, repr(float(v)), f"{r:.3e}"])
-        run.simple("csv-written", True, details=opts.csv)
+        run.check("csv-written", True, details=opts.csv)
     return rep
 
 
@@ -317,7 +329,7 @@ def suite_modes(opts) -> Report:
     run = _Runner(rep)
     sols = fock.mode_solver(opts.gamma_bar)  # None = formal
     lams = [s.lam for s in sols]
-    run.simple("eigenvalue-multiset", lams == [F(-3), F(-1), F(1), F(3)], details=str(lams))
+    run.check("eigenvalue-multiset", lams == [F(-3), F(-1), F(1), F(3)], details=str(lams))
     by = {s.lam: s for s in sols}
     ok = True
     for i in (1, 3):
@@ -325,28 +337,28 @@ def suite_modes(opts) -> Report:
             p = _pairing(by[F(-i)].coeffs, by[F(j)].coeffs)
             want = Coefficient.of(1) if i == j else Coefficient()
             ok = ok and p == want
-    run.simple("canonical-pairing", ok)
+    run.check("canonical-pairing", ok)
     k_op = fock.k_ladder(opts.gamma_bar)
     a3, am3 = by[F(3)].operator(), by[F(-3)].operator()
     a1, am1 = by[F(1)].operator(), by[F(-1)].operator()
     combo = (a3 * am3).scale(3) + (a1 * am1) + WeylOp.scalar(F(1, 2))
-    run.simple("K-in-mode-basis", combo == k_op)
+    run.check("K-in-mode-basis", combo == k_op)
     n_op = fock.n_ladder(opts.gamma_bar)
-    run.simple("N-in-mode-basis", (a3 * am3) + (a1 * am1) == n_op)
-    run.simple("K-N-commute", commutator(k_op, n_op).is_zero())
+    run.check("N-in-mode-basis", (a3 * am3) + (a1 * am1) == n_op)
+    run.check("K-N-commute", commutator(k_op, n_op).is_zero())
     dec = fock.kgamma_decoupling_check(opts.gamma_bar)
-    run.simple("decoupling-similarity", dec.ok, details=f"ad-depth {dec.depth}")
+    run.check("decoupling-similarity", dec.ok, details=f"ad-depth {dec.depth}")
     # invertibility of the mode change of basis
     mat = [[by[lam].coeffs.get(nm, Coefficient()) for lam in (F(-3), F(-1), F(1), F(3))]
            for nm in ("a", "a+", "b", "b+")]
     d = det(mat)
-    run.simple("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
+    run.check("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
     gbar = opts.gamma_bar if opts.gamma_bar is not None else 1
     emat = fock.eigenstate_matrix(gbar, opts.cutoff_a, opts.cutoff_b)
     rk = int(np.linalg.matrix_rank(emat))
     cond = float(np.linalg.cond(emat))
-    run.simple("eigenstates-span", rk == emat.shape[0],
-               details=f"rank {rk}/{emat.shape[0]}, condition number {cond:.3e}")
+    run.check("eigenstates-span", rk == emat.shape[0],
+              details=f"rank {rk}/{emat.shape[0]}, condition number {cond:.3e}")
     return rep
 
 
@@ -361,17 +373,17 @@ def suite_overlap(opts) -> Report:
         a2 = Coefficient.of(g).abs2()
         want = a2 / (16 + 9 * a2)
         # a scalar Coefficient prints in parentheses; the check id keeps the bare value
-        run.simple(f"decay-probability:g={str(g).strip('()')}", p == want and p < F(1, 9),
-                   details=f"p = {p}")
+        run.check(f"decay-probability:g={str(g).strip('()')}", p == want and p < F(1, 9),
+                  details=f"p = {p}")
     big = fock.overlap_probability(fock.eigenstate(1, 1, 1000), vac)
-    run.simple("large-coupling-limit", abs(float(big) - 1 / 9) < 1e-4, details=f"p = {float(big):.6f}")
+    run.check("large-coupling-limit", abs(float(big) - 1 / 9) < 1e-4, details=f"p = {float(big):.6f}")
     st = fock.eigenstate(1, 1, F(1, 2))
-    run.simple("self-overlap", fock.overlap_probability(st, st) == 1)
+    run.check("self-overlap", fock.overlap_probability(st, st) == 1)
     exp = fock.eigenstate(1, 1)  # formal
     got = {k: str(v) for k, v in sorted(exp.items())}
-    run.simple("state-11-expansion",
-               got == {(0, 0): "(1/4)*g^1", (1, 1): "(1)", (2, 0): "(1/2)*g^1"},
-               details=json.dumps({str(k): v for k, v in got.items()}, sort_keys=True))
+    run.check("state-11-expansion",
+              got == {(0, 0): "(1/4)*g^1", (1, 1): "(1)", (2, 0): "(1/2)*g^1"},
+              details=json.dumps({str(k): v for k, v in got.items()}, sort_keys=True))
     return rep
 
 
@@ -380,7 +392,7 @@ def suite_eigencheck(opts) -> Report:
     run = _Runner(rep)
     report = fock.h0_eigencheck(6)
     for e in report:
-        run.simple(e.label, e.ok, residual=e.detail)
+        run.check(e.label, e.ok, residual=e.detail)
     # the commonly quoted (1,1) closed form carries a misprint: it fails the
     # eigenvalue identity, while the computed eigenfunction satisfies it
     h0_formal = realizations.h0_op()
@@ -389,11 +401,11 @@ def suite_eigencheck(opts) -> Report:
     demonstrated = (not (apply(h0_formal, bad) - bad.scale(6)).is_zero()
                     and (apply(h0_formal, good) - good.scale(6)).is_zero()
                     and bad.proportionality(good) is None)
-    run.simple("quoted-(1,1)-misprint-demonstrated", demonstrated,
-               details="xy coefficient must be 8i/g, not 4i/g")
+    run.check("quoted-(1,1)-misprint-demonstrated", demonstrated,
+              details="xy coefficient must be 8i/g, not 4i/g")
     h0 = realizations.h0_op(opts.gamma if opts.gamma is not None else F(3, 7))
-    run.simple("PT:H0", fock.pt_check(h0))
-    run.simple("PT:odd-perturbation", not fock.pt_check(h0 + WeylOp.coord(0)))
+    run.check("PT:H0", fock.pt_check(h0))
+    run.check("PT:odd-perturbation", not fock.pt_check(h0 + WeylOp.coord(0)))
     return rep
 
 
@@ -403,11 +415,11 @@ def suite_general_l(opts) -> Report:
     ell = F(opts.ell)
     if ell == F(3, 2):
         p = realizations.gen_params(ell, opts.signs or (1,))
-        run.simple("free-matches-quadratic-invariant",
-                   realizations.gen_free(p) == realizations.omega_ops(realizations.realization_free())[0])
+        run.check("free-matches-quadratic-invariant",
+                  realizations.gen_free(p) == realizations.omega_ops(realizations.realization_free())[0])
         res = invariance.find_symmetries(realizations.gen_osc(p), lam_set=[2, -2])
-        run.simple("osc-time-phase-family", len(res) == 2,
-                   details=f"{len(res)} generators at lam = +-2")
+        run.check("osc-time-phase-family", len(res) == 2,
+                  details=f"{len(res)} generators at lam = +-2")
         return rep
     ones = realizations.gen_params(ell).eps_vec
     gammas = [GAMMA * k for k in range(1, len(ones) + 1)]
@@ -418,8 +430,8 @@ def suite_general_l(opts) -> Report:
         res = invariance.find_symmetries(om, lam_set=[2, -2], coeff_degree_bound=opts.degree_bound)
         dt_fam = sum(1 for r in res if any(m.dt_pow for m, _ in r.generator.terms()))
         ok = len(res) >= 2 and dt_fam >= 2 and {r.lam for r in res} == {(F(2), 0), (F(-2), 0)}
-        run.simple(f"signs={signs}:time-phase-family", ok,
-                   details=f"{len(res)} generators, {dt_fam} with Dt")
+        run.check(f"signs={signs}:time-phase-family", ok,
+                  details=f"{len(res)} generators, {dt_fam} with Dt")
     return rep
 
 
@@ -475,15 +487,15 @@ def suite_catalog(opts) -> Report:
         path = Path(opts.golden) / "catalog.json"
         stored = json.loads(path.read_text())
         for key in sorted(set(entries) | set(stored)):
-            run.simple(f"golden:{key}", entries.get(key) == stored.get(key),
-                       details="" if entries.get(key) == stored.get(key)
-                       else f"got {entries.get(key)!r} want {stored.get(key)!r}")
+            run.check(f"golden:{key}", entries.get(key) == stored.get(key),
+                      details="" if entries.get(key) == stored.get(key)
+                      else f"got {entries.get(key)!r} want {stored.get(key)!r}")
         # round-trip: parse every stored line back
         for key, text in sorted(stored.items()):
-            run.simple(f"roundtrip:{key}", print_op(parse_op(text)) == text)
+            run.check(f"roundtrip:{key}", print_op(parse_op(text)) == text)
     else:
         for key in sorted(entries):
-            run.simple(key, True, details=entries[key])
+            run.check(key, True, details=entries[key])
     return rep
 
 
@@ -496,19 +508,10 @@ def run_all(opts) -> List[Report]:
                  "eigencheck", "modes", "overlap", "spectrum"):
         reports.append(SUITES[name](opts))
     for w in ("generic", "1", "3"):
-        o = _clone_opts(opts, omega=w)
-        reports.append(SUITES["symmetries"](o))
+        reports.append(SUITES["symmetries"](argparse.Namespace(**{**vars(opts), "omega": w})))
     for ell in ("3/2", "5/2"):
-        o = _clone_opts(opts, ell=ell)
-        reports.append(SUITES["general-l"](o))
+        reports.append(SUITES["general-l"](argparse.Namespace(**{**vars(opts), "ell": ell})))
     return reports
-
-
-def _clone_opts(opts, **kw):
-    ns = argparse.Namespace(**vars(opts))
-    for k, v in kw.items():
-        setattr(ns, k, v)
-    return ns
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import CheckFailed, NonQuadratic, NotClosed, NotInIdeal
+from .errors import CheckFailed, NonQuadratic, NotClosed, NotInIdeal, UnsupportedShape
 from .linalg import (
     charpoly,
     eval_poly,
     fraction_sqrt,
     gaussian_rational_roots,
     nullspace,
-    rank,
     rational_roots,
-    solve_in_span,
+    rref_fraction_free,
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
@@ -136,11 +136,9 @@ class OnShellReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def multipliers(self) -> Dict[str, WeylOp]:
-        return {e.generator: e.multiplier for e in self.entries if e.multiplier is not None}
-
     def nonzero(self) -> Dict[str, WeylOp]:
-        return {k: v for k, v in self.multipliers().items() if not v.is_zero()}
+        return {e.generator: e.multiplier for e in self.entries
+                if e.multiplier is not None and not e.multiplier.is_zero()}
 
 
 def onshell_report(r: Realization, omega_op: WeylOp) -> OnShellReport:
@@ -235,9 +233,7 @@ def critical_frequencies() -> List[CriticalSolution]:
     e_poly = -3 * s + 3 * s * s - s * w * w    # E: the even part, lam^2 -> s
     o_poly = 2 * w + 4 * s * w - 2 * w ** 3    # O: the odd part divided by lam
     p_poly = e_poly * e_poly - s * o_poly * o_poly
-    p_coeffs = [F(0)] * (p_poly.omega_degree() + 1)
-    for (_, k), (re, _) in p_poly.terms:
-        p_coeffs[k] = re
+    p_coeffs = [_weight(p_poly, 0, k).re for k in range(p_poly.omega_degree() + 1)]
     out: List[CriticalSolution] = []
     for omega, _mult in rational_roots(p_coeffs):
         s_val, o_val, e_val = (c.substitute(omega=omega).re
@@ -311,30 +307,49 @@ def adjoint_matrix(h: WeylOp) -> Tuple[List[Monomial], List[List[Coefficient]]]:
     return basis, mat
 
 
-def lambda_candidates(h: WeylOp, window: int = 4) -> List[Lambda]:
-    """Exact eigenvalues of ad_H on the quadratic filtration, as m + n*w.
+def lambda_candidates(h: WeylOp) -> List[Lambda]:
+    """Exact eigenvalues m + n*w of ad_H on the degree <= 2 space, zero included.
 
-    For a Hamiltonian with purely scalar entries the rational spectrum comes
-    from the characteristic polynomial; with formal parameters present the
-    lattice points (m, n), |m|, |n| <= window, are tested against the exact
-    characteristic polynomial.  Zero is always included; the returned set is
-    symmetric under negation.
+    Where the characteristic polynomial p vanishes at m + n*w, m is a root
+    of its g^0 w^0 slice (nonzero, as p is monic) and n a root of every g
+    slice of the top-w-degree coefficient of q(n*w), q(x) = p(x + m).  So
+    the rational roots of those slices give every candidate, scalar or
+    formal, and a pair is kept, with its negative, where p vanishes
+    exactly.  A root with non-integer n raises :class:`UnsupportedShape`,
+    since a phase carries an integer multiple of w.
     """
     _, mat = adjoint_matrix(h)
     cp = charpoly(mat)
     cands: set = {(F(0), 0)}
-    if all(c.is_scalar() for c in cp):
-        for root in gaussian_rational_roots(cp):
-            cands.add((root, 0))
-            cands.add((-root, 0))
-    else:
-        for m in range(-window, window + 1):
-            for n in range(-window, window + 1):
-                lam = _lambda_coeff((F(m), n))
-                if eval_poly(cp, lam).is_zero():
-                    cands.add((F(m), n))
-                    cands.add((F(-m), -n))
+    for m in gaussian_rational_roots([_weight(c, 0, 0) for c in cp]):
+        if m < 0:
+            continue  # the spectrum is symmetric: each pair below comes with its negative
+        q = _taylor_shift(cp, m)  # p(m + n*w) = sum_j q_j w^j n^j
+        top = max(c.omega_degree() + j for j, c in enumerate(q) if c)
+        a = min(ga for j, c in enumerate(q) for (ga, b), _ in c.terms if b == top - j)
+        for n in gaussian_rational_roots([_weight(c, a, top - j) for j, c in enumerate(q)]):
+            if eval_poly(cp, _lambda_coeff((m, n))):
+                continue
+            if n.denominator != 1:
+                raise UnsupportedShape(f"ad_H has the eigenvalue {_lambda_str((m, n))}, "
+                                       "but a phase carries an integer multiple of w")
+            cands.update({(m, int(n)), (-m, -int(n))})
     return sorted(cands)
+
+
+def _weight(c: Coefficient, a: int, b: int) -> Coefficient:
+    """The scalar weight of g^a w^b in c."""
+    return Coefficient.of(dict(c.terms).get((a, b), (0, 0)))
+
+
+def _taylor_shift(cp: Sequence[Coefficient], m: Fraction) -> List[Coefficient]:
+    """Coefficients of p(x + m), by repeated synthetic division."""
+    q, mc = list(cp), Coefficient.of(m)
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            if q[k + 1]:
+                q[k] = q[k] + q[k + 1] * mc
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +383,9 @@ def _split_i_dt_minus_h(omega_op: WeylOp) -> WeylOp:
 
 
 def _monomials_up_to(arity: int, bound: int) -> List[tuple]:
-    out = [()]
-    for _ in range(bound):
-        nxt = []
-        for mu in out:
-            for i in range(arity):
-                nxt.append(tuple(sorted(mu + (i,))))
-        out = sorted(set(out) | set(nxt))
-    # convert index multisets to exponent tuples
-    exps = set()
-    for mu in out:
-        e = [0] * arity
-        for i in mu:
-            e[i] += 1
-        exps.add(tuple(e))
-    return sorted(exps)
+    """Exponent tuples of total degree <= bound (the constant one alone for bound < 0)."""
+    bound = max(bound, 0)
+    return sorted(e for e in product(range(bound + 1), repeat=arity) if sum(e) <= bound)
 
 
 def _singleton_sweep(rows: List[Dict[int, Coefficient]]) -> Tuple[List[Dict[int, Coefficient]], set]:
@@ -418,16 +421,16 @@ def find_symmetries(omega_op: WeylOp,
     Omega = i Dt - H with time-independent H the multiplier is forced to
     f = -i lam c e^{i lam t}, so the determining system reduces to the
     spatial identity [W, H] - lam W + i lam c H = 0, solved by exact
-    fraction-free elimination (lam may sit on the (m, n) lattice when the
-    frequency is formal).
+    fraction-free elimination (lam = m + n*w with rational m and integer n
+    when the frequency is formal).
 
-    When ``lam_set`` is None it defaults to :func:`lambda_candidates`; if
-    the frequency is formal, that default is filtered to the rational
-    lattice directions plus the fundamental +-w phases (the degrees carried
-    by the generic catalog).  Pass the full candidate list explicitly to
-    scan formal multiples and mixed phases such as 2w or 1+w; the solution
-    space then also contains the uniform deformation families that
-    specialize to the critical-frequency extras.
+    When ``lam_set`` is None it defaults to :func:`lambda_candidates`, every
+    eigenvalue of ad_H found exactly; if the frequency is formal, that
+    default is filtered to the rational directions plus the fundamental +-w
+    phases (the degrees carried by the generic catalog).  Pass the full
+    candidate list explicitly to scan formal multiples and mixed phases such
+    as 2w or 1+w; the solution space then also contains the uniform
+    deformation families that specialize to the critical-frequency extras.
 
     Every returned generator is re-verified against the full operator
     product before being reported.
@@ -477,10 +480,7 @@ def find_symmetries(omega_op: WeylOp,
         live_cols = sorted(set(range(n_unknowns)) - forced)
         col_pos = {j: p for p, j in enumerate(live_cols)}
         dense = [[row.get(j, Coefficient()) for j in live_cols] for row in kept]
-        if live_cols:
-            vectors = nullspace(dense, ncols=len(live_cols))
-        else:
-            vectors = []
+        vectors = nullspace(dense, ncols=len(live_cols)) if live_cols else []
         for vec in vectors:
             full = [Coefficient() for _ in range(n_unknowns)]
             for j, p in col_pos.items():
@@ -511,47 +511,41 @@ def close_algebra(gens: Sequence[WeylOp],
                   names: Optional[Sequence[str]] = None) -> GeneratorTable:
     """Compute all pairwise commutators and express them in the span.
 
-    Raises :class:`NotClosed` (with the offending pair and residual) when a
-    commutator falls outside the linear span, and ``ValueError`` when the
-    generators are linearly dependent.
+    One fraction-free elimination over [generator columns | every nonzero
+    bracket column]: a generator column without a pivot raises
+    ``ValueError`` (dependent generators), and the first bracket column
+    with one raises :class:`NotClosed` for that pair, the first outside the
+    span in (i, j) order, with its commutator as residual.  Otherwise the
+    generator pivots, all equal to d, fill rows 0..k-1, and a bracket's
+    coefficients are its column's entries there, divided by d.
     """
     gens = list(gens)
-    if names is None:
-        names = [f"g{i}" for i in range(len(gens))]
-    names = list(names)
-    arity = max([g.arity for g in gens] + [1])
-    row_keys = sorted({m for g in gens for m, _ in g.terms()},
-                      key=lambda m: m.sort_key(arity))
-    row_index = {m: i for i, m in enumerate(row_keys)}
-    span_cols = []
-    for g in gens:
-        col = [Coefficient() for _ in row_keys]
-        for m, c in g.terms():
-            col[row_index[m]] = c
-        span_cols.append(col)
-    span_matrix = [[span_cols[j][i] for j in range(len(gens))] for i in range(len(row_keys))]
-    if rank(span_matrix) != len(gens):
-        raise ValueError("generators are linearly dependent")
-
-    brackets: Dict[Tuple[str, str], Dict[str, Coefficient]] = {}
+    names = list(names) if names is not None else [f"g{i}" for i in range(len(gens))]
+    pairs = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             c_op = commutator(gens[i], gens[j])
-            if c_op.is_zero():
-                continue
-            target = [Coefficient() for _ in row_keys]
-            outside = False
-            for m, c in c_op.terms():
-                if m not in row_index:
-                    outside = True
-                    break
-                target[row_index[m]] = c
-            sol = None if outside else solve_in_span(span_cols, target)
-            if sol is None:
-                raise NotClosed(f"[{names[i]}, {names[j]}] is outside the span",
-                                pair=(names[i], names[j]), residual=c_op)
-            combo = {names[k]: v for k, v in enumerate(sol) if not v.is_zero()}
-            brackets[(names[i], names[j])] = combo
+            if not c_op.is_zero():
+                pairs.append(((names[i], names[j]), c_op))
+    cols = gens + [c_op for _, c_op in pairs]
+    arity = max([g.arity for g in gens] + [1])
+    row_keys = sorted({m for op in cols for m, _ in op.terms()}, key=lambda m: m.sort_key(arity))
+    row_index = {m: i for i, m in enumerate(row_keys)}
+    matrix = [[Coefficient() for _ in cols] for _ in row_keys]
+    for j, op in enumerate(cols):
+        for m, c in op.terms():
+            matrix[row_index[m]][j] = c
+    red, pivots, d = rref_fraction_free(matrix)
+    k = len(gens)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("generators are linearly dependent")
+    if len(pivots) > k:
+        pair, c_op = pairs[pivots[k] - k]
+        raise NotClosed(f"[{pair[0]}, {pair[1]}] is outside the span", pair=pair, residual=c_op)
+    brackets: Dict[Tuple[str, str], Dict[str, Coefficient]] = {}
+    for p, (pair, _) in enumerate(pairs):
+        brackets[pair] = {names[r]: red[r][k + p].divide_exact(d)
+                          for r in range(k) if red[r][k + p]}
     central = frozenset(n for n in names if not any(n in pair for pair in brackets))
     return GeneratorTable(tuple(names), brackets, central=central)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import BadArity
+from .errors import BadArity, CheckFailed
 from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, accumulate
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
@@ -56,21 +56,24 @@ class GeneratorTable:
         return {}
 
     def validate(self) -> None:
-        """Antisymmetry of storage and the Jacobi identity on all triples."""
+        """Antisymmetry of storage and the Jacobi identity on all triples.
+
+        Raises :class:`CheckFailed` naming the first violation.
+        """
         for (a, b) in self.brackets:
             if a == b and self.brackets[(a, b)]:
-                raise ValueError(f"[{a},{a}] must vanish")
+                raise CheckFailed(f"[{a},{a}] must vanish")
             if (b, a) in self.brackets and (a, b) != (b, a):
                 fwd = self.brackets[(a, b)]
                 bwd = self.brackets[(b, a)]
                 for k in set(fwd) | set(bwd):
                     s = fwd.get(k, Coefficient()) + bwd.get(k, Coefficient())
                     if not s.is_zero():
-                        raise ValueError(f"brackets ({a},{b}) and ({b},{a}) not antisymmetric")
+                        raise CheckFailed(f"brackets ({a},{b}) and ({b},{a}) not antisymmetric")
         for c in self.central:
             for other in self.names:
                 if self.bracket(c, other):
-                    raise ValueError(f"central element {c} has a nonzero bracket with {other}")
+                    raise CheckFailed(f"central element {c} has a nonzero bracket with {other}")
         names = self.names
         for a in names:
             for b in names:
@@ -81,7 +84,7 @@ class GeneratorTable:
                             for m, g in self.bracket(x, k).items():
                                 accumulate(acc, m, f * g)
                     if acc:
-                        raise ValueError(f"Jacobi fails on ({a},{b},{c}): {acc}")
+                        raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {acc}")
 
 
 @dataclass(frozen=True)

@@ -354,10 +354,6 @@ class Coefficient:
             out = out + term
         return _reduced(out._num, out._den * self._den)
 
-    def eval(self, gamma, omega) -> "Coefficient":
-        """Exact substitution of both parameters, a scalar; errors on gamma=0 at a pole."""
-        return self.substitute(gamma, omega)
-
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
         if any(a < 0 for a, _ in self._num):

@@ -428,6 +428,8 @@ class Wavefunction:
                 and self.phase_m == other.phase_m and self.phase_n == other.phase_n)
 
     def __hash__(self):
+        if self.is_zero():
+            return 0  # every zero is equal, whatever its shape
         return hash((frozenset(self.poly.items()), self.gaussian, self.phase_m, self.phase_n))
 
     def scale(self, c: CoefficientLike) -> "Wavefunction":

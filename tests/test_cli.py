@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,19 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def timing_free(rep):
+    """A report without its check times, LAPACK-dependent floats masked."""
+    for check in rep["checks"]:
+        del check["seconds"]
+        if rep["suite"] == "spectrum" or (rep["suite"], check["id"]) == ("modes", "eigenstates-span"):
+            check["details"] = FLOAT.sub("<float>", check["details"])
+    return rep
+
+
+# runs at non-default options, keyed by argv, in tests/golden/option_reports.json
+OPTION_REPORTS = json.loads((GOLDEN_DIR / "option_reports.json").read_text())
 
 
 class TestExitCodes:
@@ -69,6 +84,36 @@ class TestReports:
         _, out1, _ = run(["symmetries", "--omega", "3"], capsys)
         _, out2, _ = run(["symmetries", "--omega", "3"], capsys)
         assert strip(json.loads(out1)) == strip(json.loads(out2))
+
+    def test_check_seconds_add_up_to_the_suite_time(self, capsys, monkeypatch):
+        timed = []
+
+        def timer(suite):
+            def call(opts):
+                t0 = time.perf_counter()
+                rep = suite(opts)
+                timed.append((rep, time.perf_counter() - t0))
+                return rep
+            return call
+
+        for name, suite in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, timer(suite))
+        code, _, _ = run(["all"], capsys)
+        assert code == 0
+        assert len(timed) == 14
+        for rep, wall in timed:
+            assert sum(c.seconds for c in rep.checks) >= 0.9 * wall, rep.suite
+
+    def test_broken_table_records_fail(self, capsys, monkeypatch):
+        table = cli.realizations.cga32_table()
+        (a, b), combo = next(iter(table.brackets.items()))
+        broken = dataclasses.replace(table, brackets={**table.brackets, (b, a): combo})
+        monkeypatch.setattr(cli.realizations, "cga32_table", lambda: broken)
+        code, out, _ = run(["verify-algebra"], capsys)
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert (check["id"], check["status"]) == ("table-consistency", "fail")
+        assert check["details"] == f"CheckFailed: brackets ({a},{b}) and ({b},{a}) not antisymmetric"
 
     def test_markdown_format(self, capsys):
         code, out, _ = run(["critical", "--format", "md"], capsys)
@@ -247,10 +292,12 @@ class TestGolden:
         """Every suite's timing-free report, as fixed in tests/golden/all_report.json."""
         code, out, _ = run(["all"], capsys)
         assert code == 0
-        reports = json.loads(out)
-        for rep in reports:
-            for check in rep["checks"]:
-                del check["seconds"]
-                if rep["suite"] == "spectrum" or (rep["suite"], check["id"]) == ("modes", "eigenstates-span"):
-                    check["details"] = FLOAT.sub("<float>", check["details"])
+        reports = [timing_free(rep) for rep in json.loads(out)]
         assert reports == json.loads((GOLDEN_DIR / "all_report.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(OPTION_REPORTS))
+    def test_option_report_matches_fixture(self, argv, capsys):
+        code, out, _ = run(argv.split(), capsys)
+        want = OPTION_REPORTS[argv]
+        assert code == want["exit"]
+        assert timing_free(json.loads(out)) == want["report"]

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cgalgebra.errors import NotClosed, NotInIdeal, NonQuadratic, SingularLimit
+from cgalgebra import invariance, linalg
+from cgalgebra.errors import NotClosed, NotInIdeal, NonQuadratic, SingularLimit, UnsupportedShape
 from cgalgebra.ring import Coefficient, GAMMA, I
 from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op
 from cgalgebra.realizations import (
@@ -135,6 +136,20 @@ class TestLambdaCandidates:
         assert cands == {F(0), F(1), F(-1), F(2), F(-2), w, -w, 2 * w, -2 * w,
                          1 + w, -1 - w, w - 1, 1 - w}
 
+    def test_formal_frequency_multiples_past_four(self):
+        h = theta_family(None, 0, 0).substitute(gamma=0)
+        got = set(lambda_candidates(h.scale(5)))
+        want = {(F(5 * m), 5 * n) for m, n in
+                [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, -1)]}
+        assert got == want | {(-m, -n) for m, n in want}
+        assert len(got) == 13
+
+    def test_fractional_multiple_of_w_rejected(self):
+        # ad_H has the eigenvalues +-1/2 and +-w/2; a phase needs an integer multiple of w
+        h = theta_family(None, 0, 0).substitute(gamma=0)
+        with pytest.raises(UnsupportedShape):
+            lambda_candidates(h.scale(F(1, 2)))
+
     def test_non_quadratic_rejected(self):
         with pytest.raises(NonQuadratic):
             lambda_candidates(parse_op("x^3 * (1)"))
@@ -239,6 +254,28 @@ class TestCloseAlgebra:
             close_algebra([WeylOp.coord(0), WeylOp.deriv(0)], ["x", "dx"])
         assert err.value.pair == ("x", "dx")
         assert err.value.residual == WeylOp.one().scale(-1)  # [x, Dx] = -1
+
+    def test_not_closed_names_the_first_pair_outside_the_span(self):
+        # [x, Dx] = -1 lies in the span; [Dx, x^3] = 3x^2 is the first that does not
+        gens = [WeylOp.coord(0), WeylOp.deriv(0), WeylOp.one(), parse_op("x^3 * (1)")]
+        with pytest.raises(NotClosed) as err:
+            close_algebra(gens, ["x", "dx", "one", "x3"])
+        assert err.value.pair == ("dx", "x3")
+        assert err.value.residual == parse_op("x^2 * (3)")
+
+    def test_one_elimination_per_closure(self, monkeypatch):
+        calls = []
+        rref = invariance.rref_fraction_free
+        monkeypatch.setattr(invariance, "rref_fraction_free", lambda m: calls.append(m) or rref(m))
+
+        def forbidden(*args):
+            raise AssertionError("close_algebra must not call rank or solve_in_span")
+
+        monkeypatch.setattr(linalg, "rank", forbidden)
+        monkeypatch.setattr(linalg, "solve_in_span", forbidden)
+        tbl = self._full_table(3)
+        assert len(calls) == 1
+        assert len(calls[0][0]) == 12 + len(tbl.brackets)
 
     def test_dependent_generators_rejected(self):
         with pytest.raises(ValueError):

@@ -163,26 +163,26 @@ class TestCoefficient:
         g, w = gr(2, 1), gr(F(1, 3))
         for _ in range(100):
             a, b = rand_coeff(rng), rand_coeff(rng)
-            assert (a * b).eval(g, w) == a.eval(g, w) * b.eval(g, w)
-            assert (a + b).eval(g, w) == a.eval(g, w) + b.eval(g, w)
+            assert (a * b).substitute(g, w) == a.substitute(g, w) * b.substitute(g, w)
+            assert (a + b).substitute(g, w) == a.substitute(g, w) + b.substitute(g, w)
 
     def test_eval_examples(self):
         # g^-1 at g=2
-        assert GAMMA_INV.eval(gr(2), gr(0)) == gr(F(1, 2))
+        assert GAMMA_INV.substitute(gr(2), gr(0)) == gr(F(1, 2))
         # 3 - 2 g w at g=1, w=3
         c = Coefficient.of(3) - GAMMA * OMEGA * 2
-        assert c.eval(gr(1), gr(3)) == gr(-3)
+        assert c.substitute(gr(1), gr(3)) == gr(-3)
         # the tower central charge coefficient (3 - 2|k|) * 16 at k=3
         k = 3
         assert (3 - 2 * abs(k)) * 16 == -48
-        assert Coefficient.of((3 - 2 * abs(k)) * 16).eval(gr(5), gr(7)) == gr(-48)
+        assert Coefficient.of((3 - 2 * abs(k)) * 16).substitute(gr(5), gr(7)) == gr(-48)
 
     def test_zero_substitution_raises(self):
         with pytest.raises(ZeroSubstitution):
-            GAMMA_INV.eval(gr(0), gr(1))
+            GAMMA_INV.substitute(gr(0), gr(1))
         # polynomial part survives g = 0
         c = Coefficient.of(5) + GAMMA * 2
-        assert c.eval(gr(0), gr(0)) == gr(5)
+        assert c.substitute(gr(0), gr(0)) == gr(5)
 
     def test_gamma_limit(self):
         assert (Coefficient.of(5) + GAMMA * 2).gamma_limit() == Coefficient.of(5)

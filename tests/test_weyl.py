@@ -209,6 +209,12 @@ class TestWavefunctions:
         h = Wavefunction({(0, 1): Coefficient.of(1)}, gaussian=True, phase_m=-1)
         assert h.proportionality(f) is None
 
+    def test_equal_zeros_hash_equally(self):
+        a, b = Wavefunction({}, True, 0, 0), Wavefunction({}, False, -1, 0)
+        assert a == b and hash(a) == hash(b)
+        f = Wavefunction({(1, 0): Coefficient.of(2)}, gaussian=False, phase_m=3)
+        assert len({a, b, f - f}) == 1
+
 
 def rand_spatial(rng):
     terms = {}
