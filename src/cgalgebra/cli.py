@@ -556,6 +556,18 @@ def _config_flags(path: str) -> List[str]:
     return [f"--{key.replace('_', '-')}={value}" for key, value in data.items() if value is not None]
 
 
+def _joined(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
+    """argv with each value flag and a next token that is no option as ``--flag=value``,
+    since argparse takes ``-1/3``, ``-1,3`` or ``-,+`` for an option, not a value."""
+    options, out = parser._option_string_actions, []
+    for tok in argv:
+        if out and out[-1] in options and options[out[-1]].nargs is None and tok not in options:
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _usage_error(message: str):
     raise ValueError(message)
 
@@ -583,8 +595,8 @@ def _normalize(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    argv = _joined(parser, list(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv)
         if args.config:

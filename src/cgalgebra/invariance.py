@@ -317,9 +317,11 @@ def lambda_candidates(h: WeylOp) -> List[Lambda]:
     formal, and a pair is kept, with its negative, where p vanishes
     exactly.  A root with non-integer n raises :class:`UnsupportedShape`,
     since a phase carries an integer multiple of w.
+    p is the product over all degree blocks (:func:`_adjoint_charpoly`), the
+    degree-2 block included, so a rational lam_i + lam_j with irrational
+    parts is found; the degree-1 block alone would lose it.
     """
-    _, mat = adjoint_matrix(h)
-    cp = charpoly(mat)
+    cp = _adjoint_charpoly(h)
     cands: set = {(F(0), 0)}
     for m in gaussian_rational_roots([_weight(c, 0, 0) for c in cp]):
         if m < 0:
@@ -335,6 +337,26 @@ def lambda_candidates(h: WeylOp) -> List[Lambda]:
                                        "but a phase carries an integer multiple of w")
             cands.update({(m, int(n)), (-m, -int(n))})
     return sorted(cands)
+
+
+def _adjoint_charpoly(h: WeylOp) -> List[Coefficient]:
+    """det(xI - ad_H) on the degree <= 2 space, as a product over degree blocks.
+
+    For H of spatial degree <= 2, [H, m] never has a higher degree than m,
+    so ordered by degree the matrix is block upper triangular, and det(xI - M)
+    is exactly the product of its diagonal blocks' characteristic polynomials.
+    """
+    basis, mat = adjoint_matrix(h)
+    cp = [Coefficient.of(1)]
+    for deg in sorted({m.spatial_degree() for m in basis}):
+        idx = [j for j, m in enumerate(basis) if m.spatial_degree() == deg]
+        block = charpoly([[mat[i][j] for j in idx] for i in idx])
+        prod = [Coefficient() for _ in range(len(cp) + len(block) - 1)]
+        for (i, a), (j, b) in product(enumerate(cp), enumerate(block)):
+            if a and b:
+                prod[i + j] = prod[i + j] + a * b
+        cp = prod
+    return cp
 
 
 def _weight(c: Coefficient, a: int, b: int) -> Coefficient:
@@ -432,8 +454,9 @@ def find_symmetries(omega_op: WeylOp,
     as 2w or 1+w; the solution space then also contains the uniform
     deformation families that specialize to the critical-frequency extras.
 
-    Every returned generator is re-verified against the full operator
-    product before being reported.
+    The brackets [b, H] of the basis operators do not depend on lam and are
+    computed once.  Every returned generator is re-verified against the full
+    operator product before being reported.
     """
     if ansatz not in (ANSATZ_FIRST_ORDER, ANSATZ_TIME_TRANSLATION):
         raise ValueError(f"unknown ansatz {ansatz!r}")
@@ -457,17 +480,14 @@ def find_symmetries(omega_op: WeylOp,
     for mu in func_exps:
         basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=(0,) * arity): Coefficient.of(1)}))
 
+    brackets = [commutator(b, h) for b in basis_ops]  # independent of lam
     results: List[SymmetryResult] = []
     for lam in lams:
         lam_c = _lambda_coeff(lam)
-        columns: List[Dict[Monomial, Coefficient]] = []
-        for b in basis_ops:
-            d_op = commutator(b, h) - b.scale(lam_c)
-            columns.append(dict(d_op.terms()))
+        columns = [dict((bh - b.scale(lam_c)).terms()) for b, bh in zip(basis_ops, brackets)]
         include_c = ansatz == ANSATZ_TIME_TRANSLATION
         if include_c:
-            d_op = h.scale(I * lam_c)
-            columns.append(dict(d_op.terms()))
+            columns.append(dict(h.scale(I * lam_c).terms()))
         row_keys = sorted({m for col in columns for m in col},
                           key=lambda m: m.sort_key(arity))
         row_index = {m: i for i, m in enumerate(row_keys)}

@@ -66,10 +66,12 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
                     if not a[i][j].is_zero():
                         a[i][j] = (a[i][j] * piv).divide_exact(prev)
                 continue
-            fac = a[i][c]
+            fac, row, prow = a[i][c], a[i], a[r]
             for j in range(cols):
-                num = a[i][j] * piv - fac * a[r][j]
-                a[i][j] = num.divide_exact(prev) if num else Coefficient()
+                x, y = row[j], prow[j]
+                if x or y:  # x*piv - fac*y, with no product of a zero
+                    num = (x * piv if x else x) - (fac * y if y else y)
+                    row[j] = num.divide_exact(prev) if num else Coefficient()
         pivots.append(c)
         pivot_rows.append(r)
         prev = piv
@@ -198,32 +200,22 @@ def charpoly(m: Matrix) -> List[Coefficient]:
     """Characteristic polynomial det(xI - m) by Faddeev-LeVerrier.
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, exact over the ring
-    (the algorithm divides by integers only).
+    (the algorithm divides by integers only).  M_k is kept as a list of
+    columns, and c_{n-k} is added to the diagonal of m M_{k-1} in place.
     """
     n = len(m)
     coeffs = [Coefficient() for _ in range(n + 1)]
     coeffs[n] = _ONE
-    a = [[Coefficient() for _ in range(n)] for _ in range(n)]
-    ident = [[_ONE if i == j else Coefficient() for j in range(n)] for i in range(n)]
-    mk = ident
+    mk = [[_ONE if i == j else Coefficient() for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
-        # a = m @ mk
-        a = [[_dot(m[i], [mk[r][j] for r in range(n)]) for j in range(n)] for i in range(n)]
-        tr = Coefficient()
-        for i in range(n):
-            tr = tr + a[i][i]
-        ck = tr * Fraction(-1, k)
+        # m @ M_{k-1}, by columns
+        mk = [[sum((a * b for a, b in zip(row, col) if a and b), Coefficient()) for row in m]
+              for col in mk]
+        ck = sum((mk[i][i] for i in range(n)), Coefficient()) * Fraction(-1, k)
         coeffs[n - k] = ck
-        mk = [[a[i][j] + (ck if i == j else Coefficient()) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            mk[i][i] = mk[i][i] + ck
     return coeffs
-
-
-def _dot(row: Sequence[Coefficient], col: Sequence[Coefficient]) -> Coefficient:
-    out = Coefficient()
-    for a, b in zip(row, col):
-        if a and b:
-            out = out + a * b
-    return out
 
 
 def eval_poly(coeffs: Sequence, x):

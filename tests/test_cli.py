@@ -275,6 +275,36 @@ class TestSigns:
         assert [c["id"] for c in json.loads(out)["checks"]] == ["signs=(1, -1, 1):time-phase-family"]
 
 
+class TestNegativeValues:
+    """A value that starts with "-" and is not a number follows its flag."""
+
+    def test_omega_minus_one_third(self, capsys):
+        code, out, _ = run(["symmetries", "--omega", "-1/3"], capsys)
+        assert code == 0
+        assert dimension_check(out) == ("pass", "dim=12")
+        code, joined, _ = run(["symmetries", "--omega=-1/3"], capsys)
+        assert code == 0
+        assert timing_free(json.loads(out)) == timing_free(json.loads(joined))
+
+    def test_negative_mode(self, capsys):
+        tail = ["--cutoff-a", "4", "--cutoff-b", "4"]
+        code, out, _ = run(["spectrum", "--modes", "-1,3"] + tail, capsys)
+        assert code == 0
+        code, joined, _ = run(["spectrum", "--modes=-1,3"] + tail, capsys)
+        assert code == 0
+        assert timing_free(json.loads(out)) == timing_free(json.loads(joined))
+
+    def test_leading_minus_sign(self, capsys):
+        code, out, _ = run(["general-l", "--ell", "5/2", "--signs", "-,+"], capsys)
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)["checks"]] == ["signs=(-1, 1):time-phase-family"]
+
+    def test_flag_before_a_flag_still_lacks_its_value(self, capsys):
+        code, out, err = run(["symmetries", "--omega", "--format", "md"], capsys)
+        assert code == 2 and out == ""
+        assert "expected one argument" in err
+
+
 class TestGolden:
     def test_catalog_matches_fixtures(self, capsys):
         code, _, err = run(["catalog", "--golden", str(GOLDEN_DIR)], capsys)

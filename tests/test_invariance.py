@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from cgalgebra import invariance, linalg
 from cgalgebra.errors import NotClosed, NotInIdeal, NonQuadratic, SingularLimit, UnsupportedShape
 from cgalgebra.ring import Coefficient, GAMMA, I
-from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op
+from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op
 from cgalgebra.realizations import (
     cga32_table,
     contraction_table,
@@ -20,6 +21,7 @@ from cgalgebra.realizations import (
     theta_family,
 )
 from cgalgebra.invariance import (
+    adjoint_matrix,
     close_algebra,
     contract,
     crit_eq1,
@@ -157,7 +159,80 @@ class TestLambdaCandidates:
             lambda_candidates(parse_op("t^1*x^1 * (1)"))
 
 
+def rand_quadratic(rng, arity):
+    """A random time-independent H with constant, linear and quadratic terms,
+    weighted by Q(i) scalars times g^-1, g^0 or g^1 and w^0 or w^1."""
+    def weight():
+        return Coefficient.monomial((F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-2, 2))),
+                                    rng.randint(-1, 1), rng.randint(0, 1))
+
+    def pows(degree):
+        slots = [0] * (2 * arity)
+        for _ in range(degree):
+            slots[rng.randrange(2 * arity)] += 1
+        return tuple(slots[:arity]), tuple(slots[arity:])
+
+    terms = {}
+    for degree in [0, 1, 2] + [rng.randint(1, 2) for _ in range(rng.randint(0, 3))]:
+        x, d = pows(degree)
+        mono = Monomial.make(x_pows=x, d_pows=d)
+        terms[mono] = terms.get(mono, Coefficient()) + weight()
+    return WeylOp(terms)
+
+
+def catalog_hamiltonians():
+    return [theta_family(w, g, 0) for w in (None, 1, 3, F(355, 113)) for g in (0, None)]
+
+
+def random_hamiltonians():
+    rng = random.Random(8)
+    return [rand_quadratic(rng, arity) for arity in (1, 1, 2, 2, 2, 2, 3, 3)
+            for _ in range(3)]
+
+
+class TestAdjointCharpoly:
+    @pytest.mark.parametrize("h", catalog_hamiltonians() + random_hamiltonians())
+    def test_block_product_is_the_full_polynomial(self, h):
+        basis, mat = adjoint_matrix(h)
+        for i, row in enumerate(mat):
+            for j, c in enumerate(row):
+                assert not c or basis[i].spatial_degree() <= basis[j].spatial_degree()
+        assert invariance._adjoint_charpoly(h) == linalg.charpoly(mat)
+
+    def test_charpoly_runs_once_per_degree_block(self, monkeypatch):
+        orders = []
+        charpoly = invariance.charpoly
+        monkeypatch.setattr(invariance, "charpoly", lambda m: orders.append(len(m)) or charpoly(m))
+        lambda_candidates(theta_family(3, 0, 0))
+        assert orders == [1, 4, 10]
+
+    @pytest.mark.parametrize("omega,gamma", [(None, 0), (None, None), (3, 0), (3, None)])
+    def test_sympy_oracle(self, omega, gamma):
+        sympy = pytest.importorskip("sympy")
+        g, w, x = sympy.symbols("g w x")
+
+        def expr(c):
+            return sum((sympy.Rational(re.numerator, re.denominator)
+                        + sympy.I * sympy.Rational(im.numerator, im.denominator)) * g ** a * w ** b
+                       for (a, b), (re, im) in c.terms)
+
+        h = theta_family(omega, gamma, 0)
+        _, mat = adjoint_matrix(h)
+        want = sympy.Matrix([[expr(c) for c in row] for row in mat]).charpoly(x).all_coeffs()[::-1]
+        for got in (linalg.charpoly(mat), invariance._adjoint_charpoly(h)):
+            assert len(got) == len(want)
+            assert all(sympy.expand(expr(c) - e) == 0 for c, e in zip(got, want))
+
+
 class TestFindSymmetries:
+    def test_one_bracket_per_basis_operator(self, monkeypatch):
+        # 15 for the adjoint matrix, 12 [b, H] and 12 re-verifications
+        calls = []
+        commutator = invariance.commutator
+        monkeypatch.setattr(invariance, "commutator", lambda a, b: calls.append(a) or commutator(a, b))
+        assert len(find_symmetries(inv_op(3))) == 12
+        assert len(calls) == 15 + 12 + 12
+
     def test_generic_dimension_is_9(self):
         res = find_symmetries(inv_op(None))
         assert len(res) == 9
