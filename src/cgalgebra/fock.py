@@ -32,7 +32,8 @@ from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
-from .weyl import Monomial, Wavefunction, WeylOp, _falling, ad_series, apply, commutator, multiply
+from .weyl import (Monomial, Wavefunction, WeylOp, _falling, ad_series, apply, coefficient_matrix,
+                   commutator, multiply)
 
 F = Fraction
 
@@ -141,27 +142,17 @@ def decoupling_exponent(gbar: GbarLike = None) -> LadderOp:
                      _word(0, 0, 0, 2): -(g * g) * F(1, 48)})
 
 
-@dataclass
-class KgammaReport:
-    depth: int
-    conjugated_matches: bool
-    kn_commute: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.conjugated_matches and self.kn_commute
-
-
-def kgamma_decoupling_check(gbar: GbarLike = None, max_depth: int = 16) -> KgammaReport:
-    """Verify e^{-E} K(0) e^{E} = K(gbar) exactly, E the printed exponent.
+def kgamma_decoupling_check(gbar: GbarLike = None, max_depth: int = 16) -> Tuple[bool, int]:
+    """Verify e^{-E} K(0) e^{E} = K(gbar) and [K(gbar), N(gbar)] = 0 exactly,
+    E the printed exponent; returns (both hold, ad-series depth).
 
     The orientation (conjugation by e^{-E} rather than e^{E}) is the one the
     exact expansion singles out; the series terminates because each ad step
-    strictly lowers the b+ count.  Also checks [K(gbar), N(gbar)] = 0.
+    strictly lowers the b+ count.
     """
     out, depth = ad_series(-decoupling_exponent(gbar), k_ladder(0), max_depth)
-    kn = commutator(k_ladder(gbar), n_ladder(gbar)).is_zero()
-    return KgammaReport(depth, out == k_ladder(gbar), kn)
+    k = k_ladder(gbar)
+    return out == k and commutator(k, n_ladder(gbar)).is_zero(), depth
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,6 @@ class ModeSolution:
 
 def _pairing(u: Dict[str, Coefficient], v: Dict[str, Coefficient]) -> Coefficient:
     """Commutator pairing of two linear ladder combinations."""
-    out = Coefficient()
     z = Coefficient()
     ua, uad = u.get("a", z), u.get("a+", z)
     ub, ubd = u.get("b", z), u.get("b+", z)
@@ -196,15 +186,8 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
     collide (they cannot for the coupled number-like operator).
     """
     k = k_ladder(gbar, modes)
-    rows = {w: i for i, w in enumerate(_MODE_WORDS.values())}
-    mat = [[Coefficient() for _ in range(4)] for _ in range(4)]
-    for j, word in enumerate(_MODE_WORDS.values()):
-        img = commutator(k, LadderOp({word: 1}))
-        for w, c in img.terms():
-            key = rows.get(w)
-            if key is None:
-                raise DegenerateModes("adjoint action leaves the linear span")
-            mat[key][j] = c
+    words = list(_MODE_WORDS.values())  # K is quadratic, so [K, linear] is linear
+    _, mat = coefficient_matrix([commutator(k, LadderOp({w: 1})) for w in words], rows=words)
     cp = charpoly(mat)
     if not all(c.is_scalar() for c in cp):
         raise DegenerateModes("adjoint eigenvalues are not scalars")
@@ -428,25 +411,6 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
 # symbolic eigenfunction checks for the differential picture
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EigencheckEntry:
-    label: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class EigencheckReport:
-    entries: List[EigencheckEntry]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def quoted_psi(name: str) -> Wavefunction:
     """Commonly quoted closed forms of the four lowest eigenfunctions.
 
@@ -482,35 +446,36 @@ def expected_psi(name: str) -> Wavefunction:
                          (1, 1): c((0, 384), -3, 0)}, True, -4, 0)
 
 
-def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
+def h0_eigencheck(max_level: int = 6) -> Dict[str, str]:
     """Exact lowest-weight verification of the deformed oscillator.
 
     Checks, all with formal coupling: the ground state is annihilated by
     both raising generators; the commutators [H0, w-1] = w-1 and
     [H0, w-3] = 3 w-3; the quadratic-combination identity for H0; the
     explicit low eigenfunctions; and H0 psi_{n,m} = (n + 3m + 2) psi_{n,m}
-    for every n + 3m <= max_level.
+    for every n + 3m <= max_level.  Maps each check's label to its residual
+    text, empty where the identity holds.
     """
     r = realization_osc()
     h0 = h0_op()
-    entries: List[EigencheckEntry] = []
+    out: Dict[str, str] = {}
     ground = Wavefunction.ground()
+
+    def record(label: str, ok: bool, shown) -> None:
+        out[label] = "" if ok else str(shown)
 
     for name in ("w+1", "w+3"):
         img = apply(r[name], ground)
-        entries.append(EigencheckEntry(f"{name} annihilates ground state", img.is_zero(),
-                                       "" if img.is_zero() else str(img)))
+        record(f"{name} annihilates ground state", img.is_zero(), img)
 
     for name, mult in (("w-1", 1), ("w-3", 3)):
         diff = commutator(h0, r[name]) - r[name].scale(mult)
-        entries.append(EigencheckEntry(f"[H0, {name}] = {mult} {name}", diff.is_zero(),
-                                       "" if diff.is_zero() else str(diff)))
+        record(f"[H0, {name}] = {mult} {name}", diff.is_zero(), diff)
 
     g2_16 = Coefficient.monomial(F(1, 16), 2, 0)
     quad = (multiply(r["w-1"], r["w+1"]) - multiply(r["w-3"], r["w+3"])).scale(g2_16) \
         + WeylOp.scalar(2)
-    entries.append(EigencheckEntry("H0 equals its quadratic ladder combination",
-                                   quad == h0, "" if quad == h0 else str(quad - h0)))
+    record("H0 equals its quadratic ladder combination", quad == h0, quad - h0)
 
     # psi_(n,m) = (w-1)^n (w-3)^m ground, each state built once from its
     # predecessor: psi_(0,m) from psi_(0,m-1), psi_(n,m) from psi_(n-1,m)
@@ -526,28 +491,18 @@ def h0_eigencheck(max_level: int = 6) -> EigencheckReport:
     for name, (n, m) in (("psi10", (1, 0)), ("psi20", (2, 0)),
                          ("psi01", (0, 1)), ("psi11", (1, 1))):
         f = psi(n, m)
-        want = expected_psi(name)
-        entries.append(EigencheckEntry(f"{name} closed form", f == want,
-                                       "" if f == want else str(f)))
+        record(f"{name} closed form", f == expected_psi(name), f)
         # cross-check through the operator-product route
-        word = WeylOp.one()
-        for _ in range(m):
-            word = multiply(r["w-3"], word)
-        for _ in range(n):
-            word = multiply(r["w-1"], word)
-        f2 = apply(word, ground)
-        entries.append(EigencheckEntry(f"{name} product route agrees", f2 == f,
-                                       "" if f2 == f else str(f2)))
+        f2 = apply(r["w-1"] ** n * r["w-3"] ** m, ground)
+        record(f"{name} product route agrees", f2 == f, f2)
 
     for total in range(0, max_level + 1):
         for m in range(total // 3 + 1):
             n = total - 3 * m
             f = psi(n, m)
-            img = apply(h0, f)
-            diff = img - f.scale(n + 3 * m + 2)
-            entries.append(EigencheckEntry(f"H0 psi_({n},{m}) = {n + 3 * m + 2} psi", diff.is_zero(),
-                                           "" if diff.is_zero() else str(diff)))
-    return EigencheckReport(entries)
+            diff = apply(h0, f) - f.scale(n + 3 * m + 2)
+            record(f"H0 psi_({n},{m}) = {n + 3 * m + 2} psi", diff.is_zero(), diff)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CheckFailed, NonQuadratic, NotClosed, NotInIdeal, UnsupportedShape
 from .linalg import (
+    Matrix,
     charpoly,
     eval_poly,
     fraction_sqrt,
@@ -29,7 +30,7 @@ from .linalg import (
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
-from .weyl import Monomial, WeylOp, commutator, multiply
+from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply
 
 F = Fraction
 
@@ -120,81 +121,35 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
     return f
 
 
-@dataclass
-class OnShellEntry:
-    generator: str
-    multiplier: Optional[WeylOp]
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class OnShellReport:
-    entries: List[OnShellEntry]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def nonzero(self) -> Dict[str, WeylOp]:
-        return {e.generator: e.multiplier for e in self.entries
-                if e.multiplier is not None and not e.multiplier.is_zero()}
-
-
-def onshell_report(r: Realization, omega_op: WeylOp) -> OnShellReport:
-    """Check [g, Omega] = f_g * Omega for every generator of the realization."""
-    entries = []
+def onshell_report(r: Realization, omega_op: WeylOp) -> Dict[str, Optional[WeylOp]]:
+    """The multiplier f_g of [g, Omega] = f_g * Omega for every generator of the
+    realization: zero where g commutes with Omega, None where no f_g exists."""
+    out: Dict[str, Optional[WeylOp]] = {}
     for name in r.names():
         c = commutator(r[name], omega_op)
-        if c.is_zero():
-            entries.append(OnShellEntry(name, WeylOp.zero(), True))
-            continue
         try:
-            f = multiplier_division(c, omega_op)
-            entries.append(OnShellEntry(name, f, True))
-        except NotInIdeal as exc:
-            entries.append(OnShellEntry(name, None, False, str(exc)))
-    return OnShellReport(entries)
+            out[name] = multiplier_division(c, omega_op) if c else WeylOp.zero()
+        except NotInIdeal:
+            out[name] = None
+    return out
 
 
 # ---------------------------------------------------------------------------
 # table verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TableCheckEntry:
-    pair: Tuple[str, str]
-    ok: bool
-    residual: str = ""
-
-
-@dataclass
-class TableCheck:
-    entries: List[TableCheckEntry]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.entries)
-
-
-def verify_table(r: Realization, table: GeneratorTable) -> TableCheck:
-    """Exact commutator check of a realization against structure constants."""
-    entries = []
+def verify_table(r: Realization, table: GeneratorTable) -> Dict[Tuple[str, str], WeylOp]:
+    """Exact commutator check of a realization against structure constants: the
+    residual [a, b] - sum_k c_ab^k k of every pair, zero where the table holds."""
+    out: Dict[Tuple[str, str], WeylOp] = {}
     names = table.names
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            got = commutator(r[a], r[b])
             want = WeylOp.zero()
             for k, cf in table.bracket(a, b).items():
                 want = want + r[k].scale(cf)
-            diff = got - want
-            entries.append(TableCheckEntry((a, b), diff.is_zero(),
-                                           "" if diff.is_zero() else str(diff)))
-    return TableCheck(entries)
+            out[(a, b)] = commutator(r[a], r[b]) - want
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +214,9 @@ def critical_frequencies() -> List[CriticalSolution]:
 # ---------------------------------------------------------------------------
 
 def _quadratic_basis(arity: int) -> List[Monomial]:
-    """Monomials of total degree <= 2 in coordinates and derivatives."""
-    gens = []
-    for i in range(arity):
-        x = [0] * arity
-        x[i] = 1
-        gens.append((tuple(x), (0,) * arity))
-        d = [0] * arity
-        d[i] = 1
-        gens.append(((0,) * arity, tuple(d)))
-    basis = [Monomial.make(x_pows=(0,) * arity, d_pows=(0,) * arity)]
-    basis += [Monomial.make(x_pows=x, d_pows=d) for x, d in gens]
-    seen = set(basis)
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            xa, da = gens[a]
-            xb, db = gens[b]
-            mono = Monomial.make(x_pows=tuple(p + q for p, q in zip(xa, xb)),
-                                 d_pows=tuple(p + q for p, q in zip(da, db)))
-            if mono not in seen:
-                seen.add(mono)
-                basis.append(mono)
-    return basis
+    """Monomials of total degree <= 2 in coordinates and derivatives, lowest degree first."""
+    exps = sorted(_monomials_up_to(2 * arity, 2), key=sum)
+    return [Monomial.make(x_pows=e[:arity], d_pows=e[arity:]) for e in exps]
 
 
 def _check_time_independent_quadratic(h: WeylOp) -> None:
@@ -290,21 +226,12 @@ def _check_time_independent_quadratic(h: WeylOp) -> None:
         raise NonQuadratic("Hamiltonian exceeds total degree 2 in coordinates/derivatives")
 
 
-def adjoint_matrix(h: WeylOp) -> Tuple[List[Monomial], List[List[Coefficient]]]:
-    """Matrix of ad_H = [H, .] on the degree <= 2 operator space."""
+def adjoint_matrix(h: WeylOp) -> Tuple[List[Monomial], Matrix]:
+    """Matrix of ad_H = [H, .] on the degree <= 2 operator space, which it maps
+    into itself: [H, m] never has a higher degree than m."""
     _check_time_independent_quadratic(h)
-    arity = max(h.arity, 1)
-    basis = _quadratic_basis(arity)
-    index = {m: j for j, m in enumerate(basis)}
-    n = len(basis)
-    mat = [[Coefficient() for _ in range(n)] for _ in range(n)]
-    for j, mono in enumerate(basis):
-        image = commutator(h, WeylOp({mono: Coefficient.of(1)}))
-        for m2, c in image.terms():
-            if m2 not in index:
-                raise NonQuadratic("adjoint action leaves the degree <= 2 space")
-            mat[index[m2]][j] = c
-    return basis, mat
+    basis = _quadratic_basis(max(h.arity, 1))
+    return coefficient_matrix([commutator(h, WeylOp({m: 1})) for m in basis], rows=basis)
 
 
 def lambda_candidates(h: WeylOp) -> List[Lambda]:
@@ -388,10 +315,6 @@ class SymmetryResult:
         return _lambda_str(self.lam)
 
 
-ANSATZ_FIRST_ORDER = "first-order"
-ANSATZ_TIME_TRANSLATION = "time-translation"
-
-
 def _split_i_dt_minus_h(omega_op: WeylOp) -> WeylOp:
     """Return H from Omega = i Dt - H; validates the shape."""
     dt_mono = Monomial.make(dt_pow=1)
@@ -410,36 +333,35 @@ def _monomials_up_to(arity: int, bound: int) -> List[tuple]:
     return sorted(e for e in product(range(bound + 1), repeat=arity) if sum(e) <= bound)
 
 
-def _singleton_sweep(rows: List[Dict[int, Coefficient]]) -> Tuple[List[Dict[int, Coefficient]], set]:
-    """Iteratively force unknowns appearing alone in a homogeneous row to zero."""
+def _singleton_sweep(rows: Matrix, ncols: int) -> Tuple[Matrix, List[int]]:
+    """Iteratively force unknowns appearing alone in a homogeneous row to zero.
+
+    Returns the rows restricted to the live columns, those rows that keep a
+    nonzero entry, and the live column indices.
+    """
     forced: set = set()
     changed = True
     while changed:
         changed = False
         for row in rows:
-            live = [j for j in row if j not in forced]
+            live = [j for j, c in enumerate(row) if c and j not in forced]
             if len(live) == 1:
                 forced.add(live[0])
                 changed = True
-    kept_rows = []
-    for row in rows:
-        live = {j: c for j, c in row.items() if j not in forced}
-        if live:
-            kept_rows.append(live)
-    return kept_rows, forced
+    live_cols = [j for j in range(ncols) if j not in forced]
+    kept = [[row[j] for j in live_cols] for row in rows if any(row[j] for j in live_cols)]
+    return kept, live_cols
 
 
 def find_symmetries(omega_op: WeylOp,
                     lam_set: Optional[Iterable] = None,
-                    ansatz: str = ANSATZ_TIME_TRANSLATION,
                     coeff_degree_bound: int = 2) -> List[SymmetryResult]:
     """Solve [Z, Omega] = f Omega exactly for first-order candidates.
 
     Candidates have the form Z = e^{i lam t} (c Dt + sum_i a_i(x) D_i + a_0(x))
     of total spatial degree <= coeff_degree_bound (so the derivative
     coefficients a_i have degree <= coeff_degree_bound - 1 and the function
-    part a_0 degree <= coeff_degree_bound); the "first-order" ansatz forces
-    c = 0, the "time-translation" ansatz leaves c as an unknown scalar.  For
+    part a_0 degree <= coeff_degree_bound), c an unknown scalar.  For
     Omega = i Dt - H with time-independent H the multiplier is forced to
     f = -i lam c e^{i lam t}, so the determining system reduces to the
     spatial identity [W, H] - lam W + i lam c H = 0, solved by exact
@@ -458,8 +380,6 @@ def find_symmetries(omega_op: WeylOp,
     computed once.  Every returned generator is re-verified against the full
     operator product before being reported.
     """
-    if ansatz not in (ANSATZ_FIRST_ORDER, ANSATZ_TIME_TRANSLATION):
-        raise ValueError(f"unknown ansatz {ansatz!r}")
     h = _split_i_dt_minus_h(omega_op)
     arity = max(h.arity, 1)
     if lam_set is None:
@@ -476,46 +396,26 @@ def find_symmetries(omega_op: WeylOp,
         d = [0] * arity
         d[i] = 1
         for mu in deriv_exps:
-            basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=tuple(d)): Coefficient.of(1)}))
+            basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=tuple(d)): 1}))
     for mu in func_exps:
-        basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=(0,) * arity): Coefficient.of(1)}))
+        basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=(0,) * arity): 1}))
 
     brackets = [commutator(b, h) for b in basis_ops]  # independent of lam
     results: List[SymmetryResult] = []
     for lam in lams:
         lam_c = _lambda_coeff(lam)
-        columns = [dict((bh - b.scale(lam_c)).terms()) for b, bh in zip(basis_ops, brackets)]
-        include_c = ansatz == ANSATZ_TIME_TRANSLATION
-        if include_c:
-            columns.append(dict(h.scale(I * lam_c).terms()))
-        row_keys = sorted({m for col in columns for m in col},
-                          key=lambda m: m.sort_key(arity))
-        row_index = {m: i for i, m in enumerate(row_keys)}
-        sparse_rows: List[Dict[int, Coefficient]] = [dict() for _ in row_keys]
-        for j, col in enumerate(columns):
-            for m, c in col.items():
-                sparse_rows[row_index[m]][j] = c
-        n_unknowns = len(columns)
-        kept, forced = _singleton_sweep(sparse_rows)
-        live_cols = sorted(set(range(n_unknowns)) - forced)
-        col_pos = {j: p for p, j in enumerate(live_cols)}
-        dense = [[row.get(j, Coefficient()) for j in live_cols] for row in kept]
-        vectors = nullspace(dense, ncols=len(live_cols)) if live_cols else []
-        for vec in vectors:
-            full = [Coefficient() for _ in range(n_unknowns)]
-            for j, p in col_pos.items():
-                full[j] = vec[p]
-            w_op = WeylOp.zero()
-            for j, b in enumerate(basis_ops):
-                if not full[j].is_zero():
-                    w_op = w_op + b.scale(full[j])
-            c_coeff = full[-1] if include_c else Coefficient()
-            inner = w_op
-            if not c_coeff.is_zero():
-                inner = inner + WeylOp.dt().scale(c_coeff)
+        columns = [bh - b.scale(lam_c) for b, bh in zip(basis_ops, brackets)]
+        columns.append(h.scale(I * lam_c))
+        kept, live = _singleton_sweep(coefficient_matrix(columns)[1], len(columns))
+        for vec in nullspace(kept, ncols=len(live)) if live else []:
+            coeffs = dict(zip(live, vec))
+            c_coeff = coeffs.pop(len(basis_ops), Coefficient())
+            inner = WeylOp.dt().scale(c_coeff)
+            for j, c in coeffs.items():
+                inner = inner + basis_ops[j].scale(c)
             phase = WeylOp.phase(lam[0], lam[1])
             gen = multiply(phase, inner)
-            mult = phase.scale(-(I * lam_c * c_coeff)) if not c_coeff.is_zero() else WeylOp.zero()
+            mult = phase.scale(-(I * lam_c * c_coeff))
             check = commutator(gen, omega_op) - multiply(mult, omega_op)
             if not check.is_zero():
                 raise CheckFailed("solver produced a non-symmetry", residual=check)
@@ -547,14 +447,7 @@ def close_algebra(gens: Sequence[WeylOp],
             c_op = commutator(gens[i], gens[j])
             if not c_op.is_zero():
                 pairs.append(((names[i], names[j]), c_op))
-    cols = gens + [c_op for _, c_op in pairs]
-    arity = max([g.arity for g in gens] + [1])
-    row_keys = sorted({m for op in cols for m, _ in op.terms()}, key=lambda m: m.sort_key(arity))
-    row_index = {m: i for i, m in enumerate(row_keys)}
-    matrix = [[Coefficient() for _ in cols] for _ in row_keys]
-    for j, op in enumerate(cols):
-        for m, c in op.terms():
-            matrix[row_index[m]][j] = c
+    _, matrix = coefficient_matrix(gens + [c_op for _, c_op in pairs])
     red, pivots, d = rref_fraction_free(matrix)
     k = len(gens)
     if pivots[:k] != list(range(k)):

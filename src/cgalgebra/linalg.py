@@ -1,10 +1,11 @@
 """Exact linear algebra over the coefficient ring.
 
 Fraction-free (Montante/Bareiss style) elimination keeps every intermediate
-entry inside the ring, so nullspaces, determinants and characteristic
-polynomials of matrices with polynomial entries come out exact.  Division
-only ever happens through :meth:`Coefficient.divide_exact`, which is
-guaranteed to succeed at the points the algorithms use it.
+entry inside the ring, so nullspaces of matrices with polynomial entries
+come out exact; characteristic polynomials, and determinants as their
+constant terms, divide by integers only.  Division of ring elements only
+ever happens through :meth:`Coefficient.divide_exact`, which is guaranteed
+to succeed at the points the algorithms use it.
 """
 
 from __future__ import annotations
@@ -146,30 +147,9 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Coefficient:
-    """Bareiss determinant; exact over the ring."""
-    n = len(m)
-    if n == 0:
-        return _ONE
-    a = [row[:] for row in m]
-    prev = _ONE
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Coefficient()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divide_exact(prev) if num else Coefficient()
-            a[i][k] = Coefficient()
-        prev = a[k][k]
-    out = a[n - 1][n - 1]
-    return -out if sign < 0 else out
+    """det(m) = (-1)^n c_0, read off the characteristic polynomial; exact over the ring."""
+    c0 = charpoly(m)[0]
+    return -c0 if len(m) % 2 else c0
 
 
 def solve_in_span(columns: List[Vector], target: Vector) -> Optional[Vector]:

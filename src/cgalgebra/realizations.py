@@ -101,13 +101,6 @@ class Realization:
     def names(self) -> Tuple[str, ...]:
         return tuple(self.gens.keys())
 
-    def gamma_squared_over(self, denom: int) -> Coefficient:
-        """The scalar g^2/denom with the realization's gamma in place."""
-        c = Coefficient.monomial(F(1, denom), 2, 0)
-        if self.gamma is not None:
-            c = c.substitute(gamma=self.gamma)
-        return c
-
 
 CGA_NAMES = ("z0", "z+", "z-", "w+3", "w+1", "w-1", "w-3", "c")
 
@@ -160,9 +153,7 @@ def realization_free(gamma: Optional[CoefficientLike] = None) -> Realization:
                    (_c(-48, 0, -1), _m(t=1, x=1)), (_c(-48, 0, -2), _m(y=1))),
         "c": _op((_c(1, 0, -2), _m())),
     }
-    if gamma is not None:
-        gens = {k: v.substitute(gamma=gamma) for k, v in gens.items()}
-    return Realization("free", gens, gamma)
+    return Realization("free", {k: v.substitute(gamma=gamma) for k, v in gens.items()}, gamma)
 
 
 def realization_osc(gamma: Optional[CoefficientLike] = None) -> Realization:
@@ -185,9 +176,7 @@ def realization_osc(gamma: Optional[CoefficientLike] = None) -> Realization:
                    (_c(0, -18, -1), _m(-3, 0, x=1)), (_c(-48, 0, -2), _m(-3, 0, y=1))),
         "c": _op((_c(1, 0, -2), _m())),
     }
-    if gamma is not None:
-        gens = {k: v.substitute(gamma=gamma) for k, v in gens.items()}
-    return Realization("osc", gens, gamma)
+    return Realization("osc", {k: v.substitute(gamma=gamma) for k, v in gens.items()}, gamma)
 
 
 def omega_ops(r: Realization) -> Tuple[WeylOp, WeylOp, WeylOp]:
@@ -197,8 +186,7 @@ def omega_ops(r: Realization) -> Tuple[WeylOp, WeylOp, WeylOp]:
     Omega_0  = i z0 + (g^2/32)({w+3, w-3} - {w+1, w-1})
     Omega_-1 = i z- + (g^2/16)({w+1, w-3} - {w-1, w-1})
     """
-    g16 = r.gamma_squared_over(16)
-    g32 = r.gamma_squared_over(32)
+    g16, g32 = (Coefficient.monomial(F(1, d), 2, 0).substitute(gamma=r.gamma) for d in (16, 32))
     w = {k: r[k] for k in ("w+3", "w+1", "w-1", "w-3")}
     om_p = r["z+"].scale(I) + (anticommutator(w["w+3"], w["w-1"])
                                - anticommutator(w["w+1"], w["w+1"])).scale(g16)
@@ -221,7 +209,7 @@ def k_plus_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     """K+ = (Dx + x)^2 / 2 - i g x Dy."""
     dxx = WeylOp.deriv(0) + WeylOp.coord(0)
     op = multiply(dxx, dxx).scale(F(1, 2)) + _op((_c(0, -1, 1), _m(x=1, dy=1)))
-    return op.substitute(gamma=gamma) if gamma is not None else op
+    return op.substitute(gamma=gamma)
 
 
 def h0_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
@@ -229,14 +217,7 @@ def h0_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     op = _op((_c(F(-1, 2)), _m(dx=2)), (_c(F(1, 2)), _m(x=2)),
              (_c(3), _m(y=1, dy=1)), (_c(0, 1, 1), _m(x=1, dy=1)),
              (_c(F(3, 2)), _m()))
-    return op.substitute(gamma=gamma) if gamma is not None else op
-
-
-def s1_exponent() -> WeylOp:
-    """t*X+; its ad-series on the oscillator Hamiltonian does not terminate
-    (each step raises the t power), so the connection it realizes is checked
-    through finite identities instead of being summed."""
-    return multiply(WeylOp.t(), x_plus_op())
+    return op.substitute(gamma=gamma)
 
 
 def s2_exponent() -> WeylOp:
@@ -258,7 +239,7 @@ def r2_exponent(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     op = _op((_c(0, F(3, 8), 1), _m(x=1, dy=1)),
              (_c(0, F(-1, 8), 1), _m(dx=1, dy=1)),
              (_c(F(1, 96), 0, 2), _m(dy=2)))
-    return op.substitute(gamma=gamma) if gamma is not None else op
+    return op.substitute(gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +335,7 @@ def theta_family(omega: Optional[CoefficientLike] = None,
     cq = Coefficient.of(constant)
     if not cq.is_zero():
         op = op + WeylOp.scalar(cq)
-    return op.substitute(gamma=gamma) if gamma is not None else op
+    return op.substitute(gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +367,6 @@ class GenParams:
         if any(e not in (1, -1) for e in self.eps_vec):
             raise BadArity("signs must be +1 or -1")
 
-    @property
-    def n_coords(self) -> int:
-        return int(self.ell + F(1, 2))
-
     def omega_vec(self) -> Tuple[int, ...]:
         """omega_i = eps_i (2i - 1), i = 2 .. ell + 1/2; |omega_i| = 2i - 1."""
         return tuple(e * (2 * i - 1) for i, e in enumerate(self.eps_vec, start=2))
@@ -408,44 +385,22 @@ def gen_params(ell, signs: Iterable[int] = (), gammas: Optional[Iterable] = None
 
 def _coupling_terms(p: GenParams) -> WeylOp:
     """-i sum_j g_j x_j D_{j+1} (the i Dt - H convention carries the minus)."""
-    n = p.n_coords
     out = WeylOp.zero()
     for j, g in enumerate(p.gamma_vec):
-        xp = [0] * n
-        dp = [0] * n
-        xp[j] = 1
-        dp[j + 1] = 1
-        out = out + WeylOp({Monomial.make(0, 0, 0, tuple(xp), tuple(dp), 0): -I * g})
+        out = out + multiply(WeylOp.coord(j), WeylOp.deriv(j + 1)).scale(-I * g)
     return out
 
 
 def gen_free(p: GenParams) -> WeylOp:
     """i Dt + Dx1^2/2 - i sum g_j x_j D_{j+1}: the continuous-spectrum operator."""
-    n = p.n_coords
-    d1 = [0] * n
-    d1[0] = 2
-    out = WeylOp({Monomial.make(dt_pow=1): I,
-                  Monomial.make(0, 0, 0, (0,) * n, tuple(d1), 0): Coefficient.of(F(1, 2))})
-    return out + _coupling_terms(p)
+    return WeylOp.dt().scale(I) + (WeylOp.deriv(0) ** 2).scale(F(1, 2)) + _coupling_terms(p)
 
 
 def gen_osc(p: GenParams) -> WeylOp:
     """i Dt + Dx1^2/2 - x1^2/2 - sum omega_i x_i D_i - i sum g_j x_j D_{j+1}."""
-    n = p.n_coords
-    d1 = [0] * n
-    d1[0] = 2
-    x1 = [0] * n
-    x1[0] = 2
-    terms = {Monomial.make(dt_pow=1): I,
-             Monomial.make(0, 0, 0, (0,) * n, tuple(d1), 0): Coefficient.of(F(1, 2)),
-             Monomial.make(0, 0, 0, tuple(x1), (0,) * n, 0): Coefficient.of(F(-1, 2))}
-    out = WeylOp(terms)
+    out = WeylOp.dt().scale(I) + (WeylOp.deriv(0) ** 2 - WeylOp.coord(0) ** 2).scale(F(1, 2))
     for i, w in enumerate(p.omega_vec(), start=1):
-        xp = [0] * n
-        dp = [0] * n
-        xp[i] = 1
-        dp[i] = 1
-        out = out + WeylOp({Monomial.make(0, 0, 0, tuple(xp), tuple(dp), 0): Coefficient.of(-w)})
+        out = out - multiply(WeylOp.coord(i), WeylOp.deriv(i)).scale(w)
     return out + _coupling_terms(p)
 
 

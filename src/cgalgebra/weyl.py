@@ -195,10 +195,6 @@ class WeylOp:
         return all(m.phase_m == 0 and m.phase_n == 0 and m.t_pow == 0 and m.dt_pow == 0
                    for m in self._terms)
 
-    def sorted_terms(self) -> list:
-        n = self.arity
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(n))
-
     # -- equality -----------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylOp):
@@ -254,6 +250,8 @@ class WeylOp:
         ``omega`` must be an exact rational when any term carries a nonzero
         w-phase index, because the phase lattice stays real.
         """
+        if gamma is None and omega is None:
+            return self
         pairs = []
         for mono, c in self._terms.items():
             c2 = c.substitute(gamma=gamma, omega=omega)
@@ -388,6 +386,21 @@ def ad_series(s, a, max_depth: int = 64) -> tuple:
         out = out + term.scale(Fraction(1, factorial(n)))
     raise NonTerminatingSeries(
         f"ad-series did not terminate within {max_depth} steps", residual=term)
+
+
+def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tuple:
+    """(rows, matrix) with column j the coefficients of ops[j] on the row monomials.
+
+    By default the rows are the union of the operators' monomials, ordered by
+    :meth:`Monomial.sort_key` at the largest arity; given rows, a monomial
+    outside them is left out.
+    """
+    ops = list(ops)
+    if rows is None:
+        arity = max((op.arity for op in ops), default=0)
+        rows = sorted({m for op in ops for m in op._terms}, key=lambda m: m.sort_key(arity))
+    zero = Coefficient()
+    return rows, [[op._terms.get(m, zero) for op in ops] for m in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +551,7 @@ def print_op(op: WeylOp) -> str:
     arity = op.arity
     names = _coord_names(arity) if arity else []
     chunks = []
-    for mono, c in op.sorted_terms():
+    for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)):
         facs = []
         if mono.phase_m or mono.phase_n:
             facs.append(f"e[{mono.phase_m},{mono.phase_n}]")

@@ -42,7 +42,7 @@ def test_criterion_01_algebra_tables():
     ok = True
     for builder in (R.realization_free, R.realization_osc):
         check = inv.verify_table(builder(), table)
-        ok = ok and check.ok and check.n_pairs == 28
+        ok = ok and not any(check.values()) and len(check) == 28
     _report(1, ok, "both realizations satisfy all 28 bracket pairs exactly", t0, 5)
 
 
@@ -65,8 +65,8 @@ def test_criterion_02_sl2_and_onshell():
         ok = ok and commutator(om_p, om_m) == om_0.scale(4)
         for k, om in enumerate((om_p, om_0, om_m)):
             rep = inv.onshell_report(r, om)
-            got = {g: print_op(m) for g, m in rep.nonzero().items()}
-            ok = ok and rep.ok and got == expected[(r.name, k)]
+            got = {g: print_op(m) for g, m in rep.items() if m}
+            ok = ok and None not in rep.values() and got == expected[(r.name, k)]
     _report(2, ok, "sl(2) closes; both on-shell lists match the exact multipliers", t0, 5)
 
 
@@ -135,7 +135,7 @@ def test_criterion_06_contraction():
     contracted = inv.contract(R.realization_osc())
     table = R.contraction_table()
     table.validate()
-    ok = inv.verify_table(contracted, table).ok
+    ok = not any(inv.verify_table(contracted, table).values())
     st = R.s_tilde_exponent()
     for name, (combo, expected, combined) in R.contraction_identification().items():
         ok = ok and similarity(st, combined, 8) == expected

@@ -62,6 +62,29 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("value", ["3", "-1/3"])
+    def test_abbreviated_flag_is_usage_error(self, value, capsys):
+        code, out, err = run(["symmetries", "--om", value], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --om" in err
+
+    @pytest.mark.parametrize("argv, path", [
+        (["critical", "--out"], "x.json"),
+        (["spectrum", "--cutoff-a", "2", "--cutoff-b", "2", "--csv"], "x.csv"),
+        (["catalog", "--golden"], "golden"),
+    ])
+    def test_missing_directory_is_usage_error(self, argv, path, tmp_path, capsys):
+        target = str(tmp_path / "missing" / path)
+        code, out, err = run(argv + [target], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "missing" in err
+
+    def test_golden_catalog_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text("{not json")
+        code, out, err = run(["catalog", "--golden", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
+
 
 class TestReports:
     def test_json_round_trip(self, capsys):
@@ -114,6 +137,21 @@ class TestReports:
         check = json.loads(out)["checks"][0]
         assert (check["id"], check["status"]) == ("table-consistency", "fail")
         assert check["details"] == f"CheckFailed: brackets ({a},{b}) and ({b},{a}) not antisymmetric"
+
+    def test_wrong_bracket_records_fail(self, capsys, monkeypatch):
+        build = cli.realizations.realization_osc
+
+        def doubled(gamma=None):
+            r = build(gamma)
+            return dataclasses.replace(r, gens={**r.gens, "w+1": r["w+1"].scale(2)})
+
+        monkeypatch.setattr(cli.realizations, "realization_osc", doubled)
+        code, out, _ = run(["verify-algebra", "--realization", "osc"], capsys)
+        assert code == 1
+        failed = {c["id"]: c["residual"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+        assert set(failed) == {"osc:[z+,w+1]", "osc:[z+,w-1]", "osc:[z-,w+3]",
+                               "osc:[z-,w+1]", "osc:[w+1,w-1]"}
+        assert all(failed.values())
 
     def test_markdown_format(self, capsys):
         code, out, _ = run(["critical", "--format", "md"], capsys)

@@ -161,7 +161,59 @@ class TestSolveAndRank:
         assert rank([[C(1), C(0)], [C(0), C(1)]]) == 2
 
 
+def bareiss_det(m):
+    """Fraction-free Bareiss elimination: a determinant by a second route."""
+    n = len(m)
+    if n == 0:
+        return C(1)
+    a = [row[:] for row in m]
+    prev, sign = C(1), 1
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Coefficient()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num.divide_exact(prev) if num else Coefficient()
+            a[i][k] = Coefficient()
+        prev = a[k][k]
+    return -a[n - 1][n - 1] if sign < 0 else a[n - 1][n - 1]
+
+
+def rand_ring_entry(rng):
+    """A sparse sum of Q(i) multiples of g^-1, g^0, g^1 times w^0 or w^1."""
+    out = Coefficient()
+    for _ in range(rng.randint(0, 2)):
+        q = (F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-2, 2)))
+        out = out + Coefficient.monomial(q, rng.randint(-1, 1), rng.randint(0, 1))
+    return out
+
+
 class TestDetCharpoly:
+    def test_det_matches_bareiss_over_the_ring(self):
+        rng = random.Random(20)
+        singular = 0
+        for n in range(7):
+            for k in range(12):
+                m = [[rand_ring_entry(rng) for _ in range(n)] for _ in range(n)]
+                if n >= 2 and k % 3 == 0:
+                    # one row a multiple of another makes m singular
+                    i, j = rng.sample(range(n), 2)
+                    factor = rand_ring_entry(rng)
+                    m[i] = [c * factor for c in m[j]]
+                    singular += 1
+                d = det(m)
+                assert d == bareiss_det(m), (n, k)
+                if n >= 2 and k % 3 == 0:
+                    assert d.is_zero()
+        assert singular == 20
+
     def test_against_numpy(self):
         rng = random.Random(8)
         for _ in range(25):
