@@ -376,7 +376,7 @@ def suite_overlap(opts) -> Report:
 
 def suite_eigencheck(opts) -> Report:
     rep = Report("eigencheck", {})
-    for label, residual in fock.h0_eigencheck(6).items():
+    for label, residual in fock.h0_eigencheck().items():
         rep.check(label, not residual, residual=residual)
     # the commonly quoted (1,1) closed form carries a misprint: it fails the
     # eigenvalue identity, while the computed eigenfunction satisfies it
@@ -463,19 +463,29 @@ def catalog_entries() -> Dict[str, str]:
     return out
 
 
+class FixtureError(ValueError):
+    """A --golden fixture that parses but does not have the expected shape."""
+
+
 def suite_catalog(opts) -> Report:
     rep = Report("catalog", {})
     entries = catalog_entries()
     if opts.golden:
         path = Path(opts.golden) / "catalog.json"
         stored = json.loads(path.read_text())
+        if not isinstance(stored, dict) or not all(isinstance(v, str) for v in stored.values()):
+            raise FixtureError(f"{path} is not a JSON object of strings")
         for key in sorted(set(entries) | set(stored)):
             rep.check(f"golden:{key}", entries.get(key) == stored.get(key),
                       details="" if entries.get(key) == stored.get(key)
                       else f"got {entries.get(key)!r} want {stored.get(key)!r}")
         # round-trip: parse every stored line back
         for key, text in sorted(stored.items()):
-            rep.check(f"roundtrip:{key}", print_op(parse_op(text)) == text)
+            try:
+                ok, details = print_op(parse_op(text)) == text, ""
+            except ValueError as exc:
+                ok, details = False, f"ValueError: {exc}"
+            rep.check(f"roundtrip:{key}", ok, details=details)
     else:
         for key in sorted(entries):
             rep.check(key, True, details=entries[key])
@@ -606,7 +616,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:  # --golden, --csv or --out
+    except (OSError, json.JSONDecodeError, FixtureError) as exc:  # --golden, --csv or --out
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

@@ -142,15 +142,15 @@ def decoupling_exponent(gbar: GbarLike = None) -> LadderOp:
                      _word(0, 0, 0, 2): -(g * g) * F(1, 48)})
 
 
-def kgamma_decoupling_check(gbar: GbarLike = None, max_depth: int = 16) -> Tuple[bool, int]:
+def kgamma_decoupling_check(gbar: GbarLike = None) -> Tuple[bool, int]:
     """Verify e^{-E} K(0) e^{E} = K(gbar) and [K(gbar), N(gbar)] = 0 exactly,
     E the printed exponent; returns (both hold, ad-series depth).
 
     The orientation (conjugation by e^{-E} rather than e^{E}) is the one the
     exact expansion singles out; the series terminates because each ad step
-    strictly lowers the b+ count.
+    strictly lowers the b+ count, well within 16 steps.
     """
-    out, depth = ad_series(-decoupling_exponent(gbar), k_ladder(0), max_depth)
+    out, depth = ad_series(-decoupling_exponent(gbar), k_ladder(0), 16)
     k = k_ladder(gbar)
     return out == k and commutator(k, n_ladder(gbar)).is_zero(), depth
 
@@ -289,10 +289,10 @@ class SpectrumResult:
     max_residual: float
 
 
-def spectrum(matrix: np.ndarray, residual_tol_scale: float = 1e-9) -> SpectrumResult:
+def spectrum(matrix: np.ndarray) -> SpectrumResult:
     """Numerical eigenvalues with residual reporting.
 
-    Residual ||M v - lam v|| <= tol * max(||M||_2, 1) is checked per
+    Residual ||M v - lam v|| <= 1e-9 max(||M||_2, 1) is checked per
     eigenpair; a failure raises :class:`CheckFailed` with the worst offender.
     The largest column norm of M is a lower bound on ||M||_2, so when the
     worst residual already passes against that bound the SVD behind the
@@ -307,8 +307,7 @@ def spectrum(matrix: np.ndarray, residual_tol_scale: float = 1e-9) -> SpectrumRe
     # column norms from views of M, with no complex temporary of M's size
     re, im = matrix.real, matrix.imag
     colmax = float(np.sqrt((np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)).max()))
-    if (worst > residual_tol_scale * max(colmax, 1.0)
-            and worst > residual_tol_scale * max(np.linalg.norm(matrix, 2), 1.0)):
+    if worst > 1e-9 * max(colmax, 1.0) and worst > 1e-9 * max(np.linalg.norm(matrix, 2), 1.0):
         raise CheckFailed(f"eigen residual {worst:.2e} exceeds tolerance")
     order = np.lexsort((vals.imag, vals.real))
     return SpectrumResult(vals[order], worst)
@@ -347,18 +346,14 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
 
 
 def state_inner(s1: Mapping[Tuple[int, int], Coefficient],
-                s2: Mapping[Tuple[int, int], Coefficient],
-                gbar_value: GbarLike = None) -> Coefficient:
+                s2: Mapping[Tuple[int, int], Coefficient]) -> Coefficient:
     """<s1 | s2> with the unnormalized metric <n,m|n,m> = n! m!, a scalar."""
     out = Coefficient()
     for key, a1 in s1.items():
         a2 = s2.get(key)
         if a2 is None:
             continue
-        v1 = a1 if a1.is_scalar() else a1.substitute(gamma=gbar_value)
-        v2 = a2 if a2.is_scalar() else a2.substitute(gamma=gbar_value)
-        w = v1.conj() * v2
-        out = out + w * (factorial(key[0]) * factorial(key[1]))
+        out = out + a1.conj() * a2 * (factorial(key[0]) * factorial(key[1]))
     return out
 
 
@@ -446,14 +441,14 @@ def expected_psi(name: str) -> Wavefunction:
                          (1, 1): c((0, 384), -3, 0)}, True, -4, 0)
 
 
-def h0_eigencheck(max_level: int = 6) -> Dict[str, str]:
+def h0_eigencheck() -> Dict[str, str]:
     """Exact lowest-weight verification of the deformed oscillator.
 
     Checks, all with formal coupling: the ground state is annihilated by
     both raising generators; the commutators [H0, w-1] = w-1 and
     [H0, w-3] = 3 w-3; the quadratic-combination identity for H0; the
     explicit low eigenfunctions; and H0 psi_{n,m} = (n + 3m + 2) psi_{n,m}
-    for every n + 3m <= max_level.  Maps each check's label to its residual
+    for every n + 3m <= 6.  Maps each check's label to its residual
     text, empty where the identity holds.
     """
     r = realization_osc()
@@ -496,7 +491,7 @@ def h0_eigencheck(max_level: int = 6) -> Dict[str, str]:
         f2 = apply(r["w-1"] ** n * r["w-3"] ** m, ground)
         record(f"{name} product route agrees", f2 == f, f2)
 
-    for total in range(0, max_level + 1):
+    for total in range(7):
         for m in range(total // 3 + 1):
             n = total - 3 * m
             f = psi(n, m)

@@ -22,7 +22,6 @@ from .linalg import (
     Matrix,
     charpoly,
     eval_poly,
-    fraction_sqrt,
     gaussian_rational_roots,
     nullspace,
     rational_roots,
@@ -197,9 +196,7 @@ def critical_frequencies() -> List[CriticalSolution]:
         if o_val != 0:
             cands.append(-e_val / o_val)
         elif e_val == 0:
-            root = fraction_sqrt(s_val)
-            if root is not None:
-                cands.extend([root, -root])
+            cands.extend(lam for lam, _ in rational_roots([-s_val, 0, 1]))
         for lam in cands:
             if lam == 0:
                 continue

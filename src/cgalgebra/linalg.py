@@ -11,10 +11,9 @@ to succeed at the points the algorithms use it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .ring import Coefficient
 
@@ -213,15 +212,11 @@ def eval_poly(coeffs: Sequence, x):
 def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     """All rational roots (with multiplicity) of a polynomial over Q.
 
-    ``coeffs[k]`` is the coefficient of x^k.  Candidates come from the
-    floating-point roots of the square-free part, refined by exact Newton
-    steps (see :func:`_root_candidates`); each is accepted only where the
-    polynomial vanishes exactly, and deflated exactly as often as it does.
-    Rounds repeat on the deflated polynomial while they find a root.  The
-    cost is polynomial in the degree and the coefficients' bit length.  A
-    root is never reported falsely; one can be missed only if Newton's
-    method, started from its float value, does not converge to it (a
-    cluster of real roots too tight for float eigenvalues to separate).
+    ``coeffs[k]`` is the coefficient of x^k.  The roots of the square-free
+    part come from p-adic lifting (:func:`_hensel_roots`); each is deflated
+    exactly as often as the polynomial vanishes there.  It never misses a
+    root and never reports a false one, and the cost is polynomial in the
+    degree and the coefficients' bit length.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -232,84 +227,50 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     while len(cs) > 1 and cs[0] == 0:
         cs = cs[1:]
         mults[Fraction(0)] = mults.get(Fraction(0), 0) + 1
-    found = True
-    while found and len(cs) > 1:
-        found = False
-        for cand in _root_candidates(cs):
-            while len(cs) > 1 and eval_poly(cs, cand) == 0:
-                cs = _deflate(cs, cand)
-                mults[cand] = mults.get(cand, 0) + 1
-                found = True
+    roots = _hensel_roots(_squarefree(cs)) if len(cs) > 1 else []
+    for root in roots:
+        while len(cs) > 1 and eval_poly(cs, root) == 0:
+            cs = _poly_divmod(cs, [-root, 1])[0]
+            mults[root] = mults.get(root, 0) + 1
     return sorted(mults.items(), key=lambda rm: rm[0])
 
 
-def _root_candidates(cs: List[Fraction]) -> List[Fraction]:
-    """Rational roots of the square-free part of cs, from one ``numpy.roots`` call.
+def _hensel_roots(sf: List[Fraction]) -> List[Fraction]:
+    """Rational roots of a square-free polynomial, by p-adic (Hensel) lifting.
 
-    The square-free part has only simple roots, which floating point finds
-    to near machine precision.  Its variable is scaled by a power of two so
-    that the monic float coefficients stay near 1 whatever the size of the
-    exact ones.  A rational root p/q has q dividing the leading coefficient
-    a_n of the primitive integer form, so each real part x becomes
-    ``x.limit_denominator(a_n)``.  Where that misses and the float root is
-    (nearly) real, x is first refined by :func:`_newton` to within
-    1/(2 a_n^2) of the root, the distance below which ``limit_denominator``
-    returns it.  Only candidates at which the square-free part vanishes
-    exactly are returned.
+    f is the primitive integer form of the monic sf, a_n its leading
+    coefficient, and p the first prime not dividing a_n at which every root
+    of f mod p is simple; f is square-free, so only primes dividing
+    a_n res(f, f') fail.  A rational root P/Q has Q | a_n, so it is a root
+    mod p, and quadratic Newton steps lift each root mod p to one mod m, m a
+    power of p.  N = a_n P/Q is an integer with |N| <= |a_n| + max |a_i|
+    (Cauchy's bound), so once m exceeds twice that, the residue of a_n r
+    mod m in (-m/2, m/2] is N.  N/a_n is kept where f vanishes exactly
+    (R. Loos, "Computing rational zeros of integral polynomials by p-adic
+    expansion", SIAM J. Comput. 12, 1983).
     """
-    sf = _squarefree(cs)
-    d = len(sf) - 1
-    if d == 1:
-        return [-sf[0]]
-    a_n = lcm(*(c.denominator for c in sf))
-    shift = max((c.numerator.bit_length() - c.denominator.bit_length()) // (d - k)
-                for k, c in enumerate(sf[:-1]) if c)
-    scale = Fraction(2) ** shift
-    scaled = [float(c / scale ** (d - k)) for k, c in enumerate(sf)]
-    deriv = [k * c for k, c in enumerate(sf)][1:]
-    out = set()
-    for y in np.roots(scaled[::-1]):
-        x = Fraction(float(y.real)) * scale
-        cand = x.limit_denominator(a_n)
-        if eval_poly(sf, cand):
-            if abs(y.imag) > _NEAR_REAL * abs(y):
-                continue
-            cand = _newton(sf, deriv, x, a_n).limit_denominator(a_n)
-            if eval_poly(sf, cand):
-                continue
-        out.add(cand)
-    return sorted(out)
-
-
-# A float root with |Im| above this share of its modulus is taken for one of
-# a complex pair and not refined.  A real root comes out of the eigenvalue
-# solver real, or, in a cluster of k real roots, perturbed by up to about
-# eps^(1/k) of its modulus (1e-4 for k = 4).
-_NEAR_REAL = 1e-3
-# Next to a cluster Newton's method converges only linearly, by about
-# (k - 1)/k a step, until the iterate resolves a single root.
-_NEWTON_STEPS = 256
-
-
-def _newton(f: List[Fraction], df: List[Fraction], x: Fraction, a_n: int) -> Fraction:
-    """Newton's method on f (simple roots, derivative df) from x, in exact arithmetic.
-
-    Each iterate is rounded to a multiple of 2^-b, with 2^-b far below
-    1/(2 a_n^2), so the fractions stay small.  It stops once a step is under
-    1/(4 a_n^2), where quadratic convergence leaves x well within 1/(2 a_n^2)
-    of the root, or after a bounded number of steps.
-    """
-    tol = Fraction(1, 4 * a_n * a_n)
-    den = 1 << (2 * a_n.bit_length() + 4)
-    for _ in range(_NEWTON_STEPS):
-        slope = eval_poly(df, x)
-        if not slope:
+    den = lcm(*(c.denominator for c in sf))
+    f = [int(c * den) for c in sf]  # primitive, as sf is monic
+    df = [k * c for k, c in enumerate(f)][1:]
+    a_n, bound = f[-1], abs(f[-1]) + max(abs(c) for c in f[:-1])
+    for p in count(2):
+        if a_n % p == 0 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        fp = [c % p for c in f]
+        roots = [r for r in range(p) if eval_poly(fp, r) % p == 0]
+        if all(eval_poly(df, r) % p for r in roots):
             break
-        step = eval_poly(f, x) / slope
-        x = Fraction(round((x - step) * den), den)
-        if abs(step) < tol:
-            break
-    return x
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - eval_poly(f, r) * pow(eval_poly(df, r), -1, m)) % m
+        n = a_n * r % m
+        cand = Fraction(n - m if 2 * n > m else n, a_n)
+        if eval_poly(f, cand) == 0:
+            out.append(cand)
+    return out
 
 
 def _squarefree(cs: List[Fraction]) -> List[Fraction]:
@@ -342,29 +303,6 @@ def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     return [c / a[-1] for c in a]
-
-
-def _deflate(cs: List[Fraction], root: Fraction) -> List[Fraction]:
-    """Synthetic division by (x - root); the remainder vanishes for exact roots."""
-    n = len(cs) - 1
-    out = [Fraction(0)] * n
-    acc = cs[n]
-    out[n - 1] = acc
-    for k in range(n - 1, 0, -1):
-        acc = cs[k] + acc * root
-        out[k - 1] = acc
-    return out
-
-
-def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def gaussian_rational_roots(coeffs: Sequence[Coefficient]) -> List[Fraction]:

@@ -85,6 +85,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("catalog", [[1, 2], {"osc:c": 5}])
+    def test_golden_catalog_of_the_wrong_shape_is_usage_error(self, catalog, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        code, out, err = run(["catalog", "--golden", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "JSON object of strings" in err
+
+    def test_golden_line_that_does_not_parse_fails_its_roundtrip(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(json.dumps({"osc:c": "1 * ((1)*g^-2"}))
+        code, out, _ = run(["catalog", "--golden", str(tmp_path), "--format", "json"], capsys)
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"] if c["id"] == "roundtrip:osc:c")
+        assert check["status"] == "fail" and check["details"].startswith("ValueError: ")
+
 
 class TestReports:
     def test_json_round_trip(self, capsys):

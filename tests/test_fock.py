@@ -467,7 +467,7 @@ class TestStatesAndOverlaps:
 
 class TestEigencheck:
     def test_report_all_green(self):
-        rep = h0_eigencheck(6)
+        rep = h0_eigencheck()
         assert not any(rep.values()), [label for label, residual in rep.items() if residual]
         labels = list(rep)
         assert "H0 psi_(2,0) = 4 psi" in labels

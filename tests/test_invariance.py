@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,16 @@ from cgalgebra.invariance import (
     multiplier_division,
     onshell_report,
 )
+
+
+def test_exact_layers_import_no_numpy():
+    # ring, weyl, linalg, realizations and invariance are numpy-free; only
+    # the fock spectra and the cli need it
+    src = str(Path(invariance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cgalgebra.invariance; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def inv_op(omega=None, gamma=0):

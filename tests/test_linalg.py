@@ -10,7 +10,6 @@ from cgalgebra.linalg import (
     charpoly,
     det,
     eval_poly,
-    fraction_sqrt,
     gaussian_rational_roots,
     nullspace,
     rank,
@@ -302,8 +301,7 @@ class TestUnivariate:
                 assert rational_roots(cs) == roots, factors
 
     def test_rational_roots_of_tight_clusters(self, deadline):
-        # up to 4 real roots within 1e-18 of each other: float roots cannot
-        # tell them apart, so they are resolved one Newton round at a time
+        # up to 4 real roots within 1e-18 of each other, each found exactly
         rng = random.Random(5)
         with deadline(10):
             for e in (9, 12, 15, 18):
@@ -326,10 +324,37 @@ class TestUnivariate:
             assert rational_roots(cs) == [(F(-(10 ** 9 + 7), 97), 2), (F(10 ** 15 + 37), 1)]
 
     def test_fraction_sqrt(self):
-        assert fraction_sqrt(F(4)) == 2
-        assert fraction_sqrt(F(4, 9)) == F(2, 3)
-        assert fraction_sqrt(F(2)) is None
-        assert fraction_sqrt(F(-1)) is None
+        # the square roots of q are the rational roots of x^2 - q
+        assert rational_roots([F(-4), F(0), F(1)]) == [(F(-2), 1), (F(2), 1)]
+        assert rational_roots([F(-4, 9), F(0), F(1)]) == [(F(-2, 3), 1), (F(2, 3), 1)]
+        assert rational_roots([F(-2), F(0), F(1)]) == []
+        assert rational_roots([F(1), F(0), F(1)]) == []
+
+    def test_rational_roots_of_a_cluster_within_1e_20(self, deadline):
+        roots = [F(1, 3) + F(j, 10 ** 20) for j in range(8)]
+        cs = [F(1)]
+        for r in roots:
+            cs = poly_mul(cs, [-r, F(1)])
+        with deadline(5):
+            assert rational_roots(cs) == [(r, 1) for r in roots]
+
+    def test_rational_roots_no_small_prime_separates(self, deadline):
+        # mod every prime p < 41 the roots 1..40 collide
+        cs = [F(1)]
+        for j in range(1, 41):
+            cs = poly_mul(cs, [F(-j), F(1)])
+        with deadline(5):
+            assert rational_roots(cs) == [(F(j), 1) for j in range(1, 41)]
+
+    def test_rational_roots_leading_coefficient_has_many_primes(self, deadline):
+        primes = [p for p in range(2, 180) if all(p % q for q in range(2, p))]
+        assert len(primes) == 41
+        a_n = 1
+        for p in primes[:40]:
+            a_n *= p
+        cs = poly_mul(poly_mul([F(-1), F(a_n)], [F(-5), F(7)]), [F(3), F(0), F(1)])
+        with deadline(5):
+            assert rational_roots(cs) == [(F(1, a_n), 1), (F(5, 7), 1)]
 
     def test_gaussian_rational_roots(self):
         # (x - 2)(x - i)
