@@ -10,7 +10,6 @@ cli (verification suites).
 from .ring import Coefficient
 from .weyl import (
     Monomial,
-    Wavefunction,
     WeylOp,
     anticommutator,
     apply,
@@ -24,7 +23,6 @@ from .weyl import (
 __all__ = [
     "Coefficient",
     "Monomial",
-    "Wavefunction",
     "WeylOp",
     "anticommutator",
     "apply",

@@ -24,7 +24,8 @@ class NonTerminatingSeries(AlgebraError):
 
 
 class UnsupportedShape(AlgebraError):
-    """An operator action would leave the closed wavefunction class."""
+    """An input lies outside the shapes the operator class can express
+    (an ad_H eigenvalue with a non-integer multiple of w cannot be a phase)."""
 
 
 class BadArity(AlgebraError):

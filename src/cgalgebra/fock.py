@@ -32,8 +32,8 @@ from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
-from .weyl import (Monomial, Wavefunction, WeylOp, _falling, ad_series, apply, coefficient_matrix,
-                   commutator, multiply)
+from .weyl import (Monomial, WeylOp, _falling, ad_series, apply, coefficient_matrix, commutator,
+                   multiply)
 
 F = Fraction
 
@@ -95,9 +95,9 @@ class LadderOp(WeylOp):
         """Act on a ket expanded over unnormalized |n, m>.
 
         This is the action of x^p y^r Dx^q Dy^s on x^n y^m, written as a
-        direct loop over the words: :func:`weyl.apply` on a Wavefunction
-        reaches through the product (conjugate, multiply, keep the
-        derivative-free terms) at a much higher cost per ket.
+        direct loop over the words: the product route (multiply by the ket
+        read as a function, keep the derivative-free terms) costs much more
+        per ket.
         """
         words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
                  for mono, c in self._terms.items()]
@@ -406,7 +406,12 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
 # symbolic eigenfunction checks for the differential picture
 # ---------------------------------------------------------------------------
 
-def quoted_psi(name: str) -> Wavefunction:
+def _psi(phase: int, poly: Dict[Tuple[int, int], Coefficient]) -> WeylOp:
+    """The function e^{i phase t} sum c x^p y^q over poly's (p, q): c, read times exp(-x^2/2)."""
+    return WeylOp({Monomial.make(phase, x_pows=xy): c for xy, c in poly.items()})
+
+
+def quoted_psi(name: str) -> WeylOp:
     """Commonly quoted closed forms of the four lowest eigenfunctions.
 
     Three of them are exact; the xy coefficient of the (1, 1) entry is
@@ -416,18 +421,17 @@ def quoted_psi(name: str) -> Wavefunction:
     """
     c = Coefficient.monomial
     if name == "psi10":
-        return Wavefunction({(1, 0): c((0, -8), -1, 0)}, True, -1, 0)
+        return _psi(-1, {(1, 0): c((0, -8), -1, 0)})
     if name == "psi20":
-        return Wavefunction({(0, 0): c(32, -2, 0), (2, 0): c(-64, -2, 0)}, True, -2, 0)
+        return _psi(-2, {(0, 0): c(32, -2, 0), (2, 0): c(-64, -2, 0)})
     if name == "psi01":
-        return Wavefunction({(1, 0): c((0, -24), -1, 0), (0, 1): c(-48, -2, 0)}, True, -3, 0)
+        return _psi(-3, {(1, 0): c((0, -24), -1, 0), (0, 1): c(-48, -2, 0)})
     if name == "psi11":
-        return Wavefunction({(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0),
-                             (1, 1): c((0, 192), -3, 0)}, True, -4, 0)
+        return _psi(-4, {(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0), (1, 1): c((0, 192), -3, 0)})
     raise KeyError(name)
 
 
-def expected_psi(name: str) -> Wavefunction:
+def expected_psi(name: str) -> WeylOp:
     """Frozen closed forms verified by two independent engine routes.
 
     Identical to :func:`quoted_psi` except the (1, 1) polynomial, whose xy
@@ -437,8 +441,7 @@ def expected_psi(name: str) -> Wavefunction:
     if name != "psi11":
         return quoted_psi(name)
     c = Coefficient.monomial
-    return Wavefunction({(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0),
-                         (1, 1): c((0, 384), -3, 0)}, True, -4, 0)
+    return _psi(-4, {(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0), (1, 1): c((0, 384), -3, 0)})
 
 
 def h0_eigencheck() -> Dict[str, str]:
@@ -454,7 +457,7 @@ def h0_eigencheck() -> Dict[str, str]:
     r = realization_osc()
     h0 = h0_op()
     out: Dict[str, str] = {}
-    ground = Wavefunction.ground()
+    ground = WeylOp.one()  # exp(-x^2/2)
 
     def record(label: str, ok: bool, shown) -> None:
         out[label] = "" if ok else str(shown)
@@ -474,9 +477,9 @@ def h0_eigencheck() -> Dict[str, str]:
 
     # psi_(n,m) = (w-1)^n (w-3)^m ground, each state built once from its
     # predecessor: psi_(0,m) from psi_(0,m-1), psi_(n,m) from psi_(n-1,m)
-    psis: Dict[Tuple[int, int], Wavefunction] = {(0, 0): ground}
+    psis: Dict[Tuple[int, int], WeylOp] = {(0, 0): ground}
 
-    def psi(n: int, m: int) -> Wavefunction:
+    def psi(n: int, m: int) -> WeylOp:
         if (n, m) not in psis:
             psis[(n, m)] = (apply(r["w-1"], psi(n - 1, m)) if n
                             else apply(r["w-3"], psi(0, m - 1)))

@@ -13,8 +13,8 @@ denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
 Fractions on demand.  The sparse term maps of the other layers (operators,
-states, wavefunctions) add into themselves through :func:`accumulate`,
-which keeps no zero value.
+functions, which are derivative-free operators, and ladder states) add into
+themselves through :func:`accumulate`, which keeps no zero value.
 
 Canonical text form, used in golden files and reports::
 

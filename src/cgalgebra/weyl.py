@@ -16,10 +16,10 @@ t powers may be negative, which is what lets on-shell multipliers such as
 1/t live in the same class.
 Coordinate and derivative powers are never negative.
 
-A :class:`Wavefunction` is the closed class polynomial(x) * exp(-x1^2/2)
-* phase used for exact eigenfunction work.  An operator acts on it through
-the product: :func:`apply` conjugates by the Gaussian, multiplies by the
-phase and polynomial, and keeps the derivative-free terms.
+A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
+phases, t powers and coordinate powers are its monomials.  An operator acts
+on it through the product: :func:`apply` conjugates by the Gaussian,
+multiplies by f, and keeps the derivative-free terms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import NonTerminatingSeries, UnsupportedShape
+from .errors import NonTerminatingSeries
 from .ring import Coefficient, CoefficientLike, accumulate
 
 Phase = Tuple[Fraction, int]
@@ -404,131 +404,20 @@ def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tu
 
 
 # ---------------------------------------------------------------------------
-# wavefunctions
+# action on functions
 # ---------------------------------------------------------------------------
 
-class Wavefunction:
-    """polynomial(x1..xk) * exp(-x1^2/2) * e^{i(m+nw)t}, Coefficient weights."""
+def apply(op: WeylOp, f: WeylOp) -> WeylOp:
+    """op acting on the function f exp(-x1^2/2), f a derivative-free WeylOp.
 
-    __slots__ = ("poly", "gaussian", "phase_m", "phase_n")
-
-    def __init__(self, poly: Mapping[tuple, Coefficient] = (), gaussian: bool = True,
-                 phase_m=0, phase_n: int = 0):
-        d: dict = {}
-        items = poly.items() if isinstance(poly, Mapping) else poly
-        for k, c in items:
-            k = tuple(k)
-            accumulate(d, _trim(k, (0,) * len(k))[0], Coefficient.of(c))
-        self.poly = d
-        self.gaussian = bool(gaussian)
-        self.phase_m = Fraction(phase_m)
-        self.phase_n = int(phase_n)
-
-    @staticmethod
-    def ground() -> "Wavefunction":
-        """exp(-x1^2/2), no phase."""
-        return Wavefunction({(): Coefficient.of(1)})
-
-    def is_zero(self) -> bool:
-        return not self.poly
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Wavefunction):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.poly == other.poly and self.gaussian == other.gaussian
-                and self.phase_m == other.phase_m and self.phase_n == other.phase_n)
-
-    def __hash__(self):
-        if self.is_zero():
-            return 0  # every zero is equal, whatever its shape
-        return hash((frozenset(self.poly.items()), self.gaussian, self.phase_m, self.phase_n))
-
-    def scale(self, c: CoefficientLike) -> "Wavefunction":
-        c = Coefficient.of(c)
-        return Wavefunction({k: v * c for k, v in self.poly.items()},
-                            self.gaussian, self.phase_m, self.phase_n)
-
-    def __add__(self, other: "Wavefunction") -> "Wavefunction":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.gaussian, self.phase_m, self.phase_n) != (other.gaussian, other.phase_m, other.phase_n):
-            raise UnsupportedShape("cannot add wavefunctions with different phase or gaussian factor")
-        return Wavefunction([*self.poly.items(), *other.poly.items()],
-                            self.gaussian, self.phase_m, self.phase_n)
-
-    def __sub__(self, other: "Wavefunction") -> "Wavefunction":
-        return self + other.scale(-1)
-
-    def proportionality(self, other: "Wavefunction") -> Optional[Coefficient]:
-        """Return c with self = c*other, or None when not proportional."""
-        if other.is_zero():
-            return Coefficient() if self.is_zero() else None
-        if self.is_zero():
-            return Coefficient()
-        if (self.gaussian, self.phase_m, self.phase_n) != (other.gaussian, other.phase_m, other.phase_n):
-            return None
-        if set(self.poly) != set(other.poly):
-            return None
-        key = next(iter(sorted(self.poly)))
-        try:
-            ratio = self.poly[key].divide_exact(other.poly[key])
-        except ValueError:
-            return None
-        if all((self.poly[k] - ratio * other.poly[k]).is_zero() for k in self.poly):
-            return ratio
-        return None
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        arity = max((len(k) for k in self.poly), default=0)
-        names = _coord_names(max(arity, 1))
-        chunks = []
-        for k in sorted(self.poly, key=lambda kk: kk + (0,) * (arity - len(kk))):
-            facs = [f"{names[i]}^{p}" for i, p in enumerate(k) if p]
-            head = "*".join(facs) if facs else "1"
-            chunks.append(f"{head} * ({self.poly[k]})")
-        body = " + ".join(chunks)
-        tags = []
-        if self.gaussian:
-            tags.append("exp(-x^2/2)")
-        if self.phase_m or self.phase_n:
-            tags.append(f"e[{self.phase_m},{self.phase_n}]")
-        return " ".join([body] + tags)
-
-    __repr__ = __str__
-
-
-def apply(op: WeylOp, f: Wavefunction) -> Wavefunction:
-    """Exact action of a WeylOp on the closed wavefunction class, through the product.
-
-    With f = P e^{-x1^2/2} (P carrying f's phase), op f = e^{-x1^2/2} Q where Q
-    is the derivative-free part of ``similarity(x1^2/2, op) * P``: the terms
-    that end in a derivative vanish on the constant function.  Without the
-    Gaussian factor the conjugation is the identity.  Raises
-    :class:`UnsupportedShape` for operators with explicit t powers (the class
-    carries phases only) or when terms would produce mixed phases.
+    With s = x1^2/2, op (f e^{-s}) = e^{-s} (e^s op e^{-s}) f applied to 1,
+    and a normal-ordered term that ends in a derivative vanishes on 1, so the
+    image is the derivative-free part of ``similarity(s, op) * f``.  Phases and
+    t powers are monomials like any other: Dt derives those of f, and those of
+    op multiply.
     """
-    if f.is_zero():
-        return Wavefunction({}, f.gaussian, f.phase_m, f.phase_n)
-    if any(mono.t_pow for mono, _ in op.terms()):
-        raise UnsupportedShape("explicit t powers fall outside the closed class")
-    p = WeylOp({Monomial.make(f.phase_m, f.phase_n, 0, k): c for k, c in f.poly.items()})
-    image = multiply(similarity(_GAUSSIAN_EXPONENT, op) if f.gaussian else op, p)
-    phases: dict = {}
-    for mono, c in image.terms():
-        if mono.is_function():
-            phases.setdefault((mono.phase_m, mono.phase_n), {})[mono.x_pows] = c
-    if not phases:
-        return Wavefunction({}, f.gaussian, f.phase_m, f.phase_n)
-    if len(phases) > 1:
-        raise UnsupportedShape("terms produce mixed phases")
-    ((pm, pn), poly), = phases.items()
-    return Wavefunction(poly, f.gaussian, pm, pn)
+    image = multiply(similarity(_GAUSSIAN_EXPONENT, op), f)
+    return _op(WeylOp, {mono: c for mono, c in image.terms() if mono.is_function()})
 
 
 _GAUSSIAN_EXPONENT = WeylOp({Monomial.make(x_pows=(2,)): Fraction(1, 2)})
@@ -539,9 +428,7 @@ _GAUSSIAN_EXPONENT = WeylOp({Monomial.make(x_pows=(2,)): Fraction(1, 2)})
 # ---------------------------------------------------------------------------
 
 def _coord_names(arity: int) -> list:
-    if arity <= 2:
-        return ["x", "y"][:max(arity, 0)] or ["x"]
-    return [f"x{i+1}" for i in range(arity)]
+    return ["x", "y"][:arity] if arity <= 2 else [f"x{i+1}" for i in range(arity)]
 
 
 def print_op(op: WeylOp) -> str:
@@ -549,7 +436,7 @@ def print_op(op: WeylOp) -> str:
     if op.is_zero():
         return "0"
     arity = op.arity
-    names = _coord_names(arity) if arity else []
+    names = _coord_names(arity)
     chunks = []
     for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)):
         facs = []

@@ -54,6 +54,8 @@ class TestExitCodes:
         ["spectrum", "--modes", "1"],
         ["spectrum", "--modes", "1,3,5"],
         ["symmetries", "--degree-bound", "-1"],
+        ["modes", "--cutoff-a", "-2"],
+        ["spectrum", "--cutoff-b", "-1"],
         ["omega", "--gamma", "1/0"],
         ["symmetries", "--omega", "1/0"],
     ])
@@ -263,6 +265,14 @@ class TestReports:
         assert [c["id"] for c in rep["checks"]] == ["signs=(1, 1, 1):time-phase-family",
                                                     "signs=(-1, 1, 1):time-phase-family"]
         assert all(c["status"] == "pass" for c in rep["checks"])
+
+    @pytest.mark.parametrize("ell, skips", [("5/2", 2), ("3/2", 1)])
+    def test_general_l_family_below_degree_two_is_skipped(self, ell, skips, capsys):
+        code, out, _ = run(["general-l", "--ell", ell, "--degree-bound", "1"], capsys)
+        assert code == 0
+        family = [c for c in json.loads(out)["checks"] if c["id"].endswith("time-phase-family")]
+        assert [c["status"] for c in family] == ["skip"] * skips
+        assert all(c["details"].startswith("0 generators") for c in family)
 
 
 def dimension_check(out, cid="dimension"):

@@ -260,6 +260,11 @@ class TestMatrices:
             m = k_matrix(g, 12, 12)
             assert np.abs(np.triu(m, 1)).max() == 0.0
 
+    def test_basis_order_at_equal_energy(self):
+        # energy n + 3m, then the first quantum number: (0, 1) before (3, 0)
+        assert FockBasis(3, 1).states() == [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0),
+                                            (1, 1), (2, 1), (3, 1)]
+
     def test_diagonal(self):
         m = k_matrix(0.9, 6, 6)
         states = FockBasis(6, 6).states()
@@ -475,7 +480,7 @@ class TestEigencheck:
 
     def test_quoted_forms(self):
         r = realization_osc()
-        ground_ok = apply(r["w+1"], expected_psi("psi10").scale(0) + _ground()).is_zero()
+        ground_ok = apply(r["w+1"], expected_psi("psi10").scale(0) + WeylOp.one()).is_zero()
         assert ground_ok
         for name in ("psi10", "psi20", "psi01"):
             assert quoted_psi(name) == expected_psi(name)
@@ -487,11 +492,6 @@ class TestEigencheck:
         assert not (apply(h0, bad) - bad.scale(6)).is_zero()
         good = expected_psi("psi11")
         assert (apply(h0, good) - good.scale(6)).is_zero()
-
-
-def _ground():
-    from cgalgebra.weyl import Wavefunction
-    return Wavefunction.ground()
 
 
 class TestPT:

@@ -78,6 +78,18 @@ class TestMultiplierDivision:
         with pytest.raises(NotInIdeal):
             multiplier_division(WeylOp.coord(0), op_0)
 
+    def test_second_time_derivative_is_not_in_ideal(self):
+        _, op_0, _ = omega_ops(realization_osc())
+        with pytest.raises(NotInIdeal, match="second-order time derivative"):
+            multiplier_division(WeylOp.dt() ** 2, op_0)
+
+    def test_divisor_coordinate_missing_from_a_lower_arity_candidate(self):
+        # y Dt does not divide x Dt: the candidate's missing y power counts as 0
+        divisor = multiply(WeylOp.coord(1), WeylOp.dt())
+        with pytest.raises(NotInIdeal, match="negative coordinate power"):
+            multiplier_division(multiply(WeylOp.coord(0), WeylOp.dt()), divisor)
+        assert multiplier_division(multiply(WeylOp.coord(0), divisor), divisor) == WeylOp.coord(0)
+
     def test_reports(self):
         r = realization_free()
         op_p, _, _ = omega_ops(r)
