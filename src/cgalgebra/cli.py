@@ -21,10 +21,10 @@ import numpy as np
 
 from . import fock, invariance, realizations
 from .errors import AlgebraError
-from .fock import _pairing
 from .linalg import det
 from .ring import Coefficient, GAMMA, I
-from .weyl import Monomial, WeylOp, apply, commutator, multiply, parse_op, print_op, similarity
+from .weyl import (Monomial, WeylOp, apply, coefficient_matrix, commutator, multiply, parse_op,
+                   print_op, similarity)
 
 SCHEMA_VERSION = "cgalgebra-report/1"
 
@@ -288,11 +288,14 @@ def suite_spectrum(opts) -> Report:
     expect = np.sort([modes[0] * n + modes[1] * m + 0.5
                       for n in range(na + 1) for m in range(nb + 1)])
     couplings = [complex(opts.gamma_bar)] if opts.gamma_bar is not None else [0.0, 0.3, 0.7 + 0.2j, 2.0]
+    # every coupling term of K contains b, so K is strictly lower triangular
+    # once the basis is ordered by the b-number m (stably, keeping energy order)
+    by_b = np.argsort([m for _, m in fock.FockBasis(na, nb, modes).states()], kind="stable")
     base = None
     csv_rows = []
     for g in couplings:
         m = fock.k_matrix(g, na, nb, modes)
-        tri = float(np.abs(np.triu(m, 1)).max()) if modes[1] > 0 else float(np.abs(np.tril(m, -1)).max())
+        tri = float(np.abs(np.triu(m[np.ix_(by_b, by_b)], 1)).max())
         rep.check(f"triangular:g={g}", tri == 0.0, details=f"off-triangle max {tri:.1e}")
         res = fock.spectrum(m)
         vals = np.sort(res.eigenvalues.real)
@@ -315,20 +318,13 @@ def suite_spectrum(opts) -> Report:
 
 def suite_modes(opts) -> Report:
     rep = Report("modes", {})
-    sols = fock.mode_solver(opts.gamma_bar)  # None = formal
-    lams = [s.lam for s in sols]
+    ops = fock.mode_solver(opts.gamma_bar)  # None = formal
+    lams = list(ops)
     rep.check("eigenvalue-multiset", lams == [F(-3), F(-1), F(1), F(3)], details=str(lams))
-    by = {s.lam: s for s in sols}
-    ok = True
-    for i in (1, 3):
-        for j in (1, 3):
-            p = _pairing(by[F(-i)].coeffs, by[F(j)].coeffs)
-            want = Coefficient.of(1) if i == j else Coefficient()
-            ok = ok and p == want
-    rep.check("canonical-pairing", ok)
+    rep.check("canonical-pairing", all(commutator(ops[F(-i)], ops[F(j)]) == WeylOp.scalar(int(i == j))
+                                       for i in (1, 3) for j in (1, 3)))
     k_op = fock.k_ladder(opts.gamma_bar)
-    a3, am3 = by[F(3)].operator(), by[F(-3)].operator()
-    a1, am1 = by[F(1)].operator(), by[F(-1)].operator()
+    a3, am3, a1, am1 = ops[F(3)], ops[F(-3)], ops[F(1)], ops[F(-1)]
     combo = (a3 * am3).scale(3) + (a1 * am1) + WeylOp.scalar(F(1, 2))
     rep.check("K-in-mode-basis", combo == k_op)
     n_op = fock.n_ladder(opts.gamma_bar)
@@ -337,8 +333,7 @@ def suite_modes(opts) -> Report:
     ok, depth = fock.kgamma_decoupling_check(opts.gamma_bar)
     rep.check("decoupling-similarity", ok, details=f"ad-depth {depth}")
     # invertibility of the mode change of basis
-    mat = [[by[lam].coeffs.get(nm, Coefficient()) for lam in (F(-3), F(-1), F(1), F(3))]
-           for nm in ("a", "a+", "b", "b+")]
+    _, mat = coefficient_matrix(ops.values(), rows=list(fock.MODE_WORDS.values()))
     d = det(mat)
     rep.check("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
     gbar = opts.gamma_bar if opts.gamma_bar is not None else 1

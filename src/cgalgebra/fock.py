@@ -15,15 +15,17 @@ the truncated basis |n, m> ordered by energy.
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
 orthonormal.  Matrix entry [i, j] of an operator is the amplitude of basis
-state j in Op|basis_i> (rows index input states), which makes the coupled
-number-like operator exactly lower triangular in the energy order.
+state j in Op|basis_i> (rows index input states).  Every coupling term of
+the number-like operator K contains b, so K is exactly lower triangular once
+the basis is ordered by the b-number m; in the energy order that holds only
+when |m2| > |m1|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, perm, sqrt
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -32,8 +34,7 @@ from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .linalg import gaussian_rational_roots, charpoly, nullspace
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
-from .weyl import (Monomial, WeylOp, _falling, ad_series, apply, coefficient_matrix, commutator,
-                   multiply)
+from .weyl import Monomial, WeylOp, ad_series, apply, coefficient_matrix, commutator, multiply
 
 F = Fraction
 
@@ -59,30 +60,15 @@ def _word(p: int, q: int, r: int, s: int) -> Monomial:
     return Monomial.make(x_pows=(p, r), d_pows=(q, s))
 
 
-_MODE_WORDS = {"a": _word(0, 1, 0, 0), "a+": _word(1, 0, 0, 0),
-               "b": _word(0, 0, 0, 1), "b+": _word(0, 0, 1, 0)}
+# the linear words, in the row order of the modes' coefficient matrix
+MODE_WORDS = {"a": _word(0, 1, 0, 0), "a+": _word(1, 0, 0, 0),
+              "b": _word(0, 0, 0, 1), "b+": _word(0, 0, 1, 0)}
 
 
 class LadderOp(WeylOp):
     """A two-coordinate WeylOp read as ladder words (a+)^p a^q (b+)^r b^s."""
 
     __slots__ = ()
-
-    @staticmethod
-    def a() -> "LadderOp":
-        return LadderOp({_MODE_WORDS["a"]: 1})
-
-    @staticmethod
-    def adag() -> "LadderOp":
-        return LadderOp({_MODE_WORDS["a+"]: 1})
-
-    @staticmethod
-    def b() -> "LadderOp":
-        return LadderOp({_MODE_WORDS["b"]: 1})
-
-    @staticmethod
-    def bdag() -> "LadderOp":
-        return LadderOp({_MODE_WORDS["b+"]: 1})
 
     def __mul__(self, other) -> "LadderOp":
         """The Weyl product, kept a LadderOp: a function of its own, not inherited,
@@ -106,7 +92,7 @@ class LadderOp(WeylOp):
             for (p, r), (q, s), c in words:
                 if q > n or s > m:
                     continue
-                factor = _falling(n, q) * _falling(m, s)
+                factor = perm(n, q) * perm(m, s)
                 accumulate(out, (n - q + p, m - s + r), amp * c * factor)
         return out
 
@@ -159,34 +145,15 @@ def kgamma_decoupling_check(gbar: GbarLike = None) -> Tuple[bool, int]:
 # modes of the adjoint action
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModeSolution:
-    lam: Fraction
-    coeffs: Dict[str, Coefficient]
-
-    def operator(self) -> LadderOp:
-        return LadderOp((_MODE_WORDS[name], c) for name, c in self.coeffs.items())
-
-
-def _pairing(u: Dict[str, Coefficient], v: Dict[str, Coefficient]) -> Coefficient:
-    """Commutator pairing of two linear ladder combinations."""
-    z = Coefficient()
-    ua, uad = u.get("a", z), u.get("a+", z)
-    ub, ubd = u.get("b", z), u.get("b+", z)
-    va, vad = v.get("a", z), v.get("a+", z)
-    vb, vbd = v.get("b", z), v.get("b+", z)
-    return ua * vad - uad * va + ub * vbd - ubd * vb
-
-
-def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[ModeSolution]:
+def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[Fraction, LadderOp]:
     """Eigen-decomposition of ad_K on span{a, a+, b, b+}, exactly.
 
-    Returns the four modes normalized so the canonical pairing gives
-    [A_{-i}, A_j] = delta_ij; raises :class:`DegenerateModes` if eigenvalues
-    collide (they cannot for the coupled number-like operator).
+    Returns {lam: A_lam} in ascending order of lam, each A_{+|lam|} scaled so
+    that [A_{-i}, A_j] = delta_ij; raises :class:`DegenerateModes` if
+    eigenvalues collide (they cannot for the coupled number-like operator).
     """
     k = k_ladder(gbar, modes)
-    words = list(_MODE_WORDS.values())  # K is quadratic, so [K, linear] is linear
+    words = list(MODE_WORDS.values())  # K is quadratic, so [K, linear] is linear
     _, mat = coefficient_matrix([commutator(k, LadderOp({w: 1})) for w in words], rows=words)
     cp = charpoly(mat)
     if not all(c.is_scalar() for c in cp):
@@ -194,28 +161,19 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> List[
     roots = gaussian_rational_roots(cp)
     if len(roots) != 4:
         raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {roots}")
-    sols: List[ModeSolution] = []
-    for lam in roots:
+    out: Dict[Fraction, LadderOp] = {}
+    for lam in sorted(roots):
         shifted = [[mat[i][j] - (Coefficient.of(lam) if i == j else Coefficient())
                     for j in range(4)] for i in range(4)]
         vecs = nullspace(shifted)
         if len(vecs) != 1:
             raise DegenerateModes(f"eigenvalue {lam} has multiplicity {len(vecs)}")
-        coeffs = {name: v for name, v in zip(_MODE_WORDS, vecs[0]) if not v.is_zero()}
-        sols.append(ModeSolution(lam, coeffs))
-    sols.sort(key=lambda s: s.lam)
-    # normalize: scale A_{+|lam|} so that [A_{-|lam|}, A_{+|lam|}] = 1
-    by_lam = {s.lam: s for s in sols}
-    for lam in sorted(by_lam):
-        if lam <= 0:
-            continue
-        neg = by_lam.get(-lam)
-        if neg is None:
-            continue
-        p = _pairing(neg.coeffs, by_lam[lam].coeffs)
-        inv = Coefficient.of(1).divide_exact(p)
-        by_lam[lam].coeffs = {k2: v * inv for k2, v in by_lam[lam].coeffs.items()}
-    return [by_lam[lam] for lam in sorted(by_lam)]
+        out[lam] = LadderOp(zip(words, vecs[0]))
+    for lam, op in out.items():
+        if lam > 0 and -lam in out:
+            pairing = commutator(out[-lam], op).coefficient(_word(0, 0, 0, 0))
+            out[lam] = op.scale(Coefficient.of(1).divide_exact(pairing))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +203,7 @@ def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
 
     Amplitudes that would leave the truncation are dropped, exactly as a
     finite truncation demands; triangularity statements are exact because
-    the coupled operator only moves states down in energy.
+    every coupling term of K lowers the b-number.
     """
     states = basis.states()
     index = basis.index()
@@ -267,20 +225,14 @@ def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
 
 
 def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
-    """Truncated matrix of K; exactly block-lower-triangular in energy order."""
+    """Truncated matrix of K: exactly lower triangular in the b-number order,
+    and in the basis's energy order only when |m2| > |m1|."""
     if na < 1 or nb < 1:
         raise CutoffTooSmall("cutoffs must be at least 1")
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
         raise ValueError("numerical matrix needs a numeric coupling")
     return ladder_matrix(k_ladder(g, modes), FockBasis(na, nb, modes))
-
-
-def n_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
-    g = _gbar_coeff(gbar)
-    if not g.is_scalar():
-        raise ValueError("numerical matrix needs a numeric coupling")
-    return ladder_matrix(n_ladder(g), FockBasis(na, nb, modes))
 
 
 @dataclass
@@ -319,9 +271,9 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
 
 def _raising_ops(gbar: GbarLike, modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
     """(A_{+|m1|}, A_{+|m2|}) from one :func:`mode_solver` call."""
-    by_lam = {s.lam: s for s in mode_solver(gbar, modes)}
+    by_lam = mode_solver(gbar, modes)
     m1, m2 = modes
-    return by_lam[F(abs(m1))].operator(), by_lam[F(abs(m2))].operator()
+    return by_lam[F(abs(m1))], by_lam[F(abs(m2))]
 
 
 def eigenstate(n: int, m: int, gbar: GbarLike = None,

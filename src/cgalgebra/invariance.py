@@ -325,9 +325,12 @@ def _split_i_dt_minus_h(omega_op: WeylOp) -> WeylOp:
 
 
 def _monomials_up_to(arity: int, bound: int) -> List[tuple]:
-    """Exponent tuples of total degree <= bound (the constant one alone for bound < 0)."""
-    bound = max(bound, 0)
-    return sorted(e for e in product(range(bound + 1), repeat=arity) if sum(e) <= bound)
+    """Exponent tuples of total degree <= bound, ascending (the constant one alone
+    for bound < 0), built a coordinate at a time so none is made and dropped."""
+    if arity == 0:
+        return [()]
+    return [(e,) + rest for e in range(max(bound, 0) + 1)
+            for rest in _monomials_up_to(arity - 1, bound - e)]
 
 
 def _singleton_sweep(rows: Matrix, ncols: int) -> Tuple[Matrix, List[int]]:

@@ -192,6 +192,16 @@ class TestReports:
         # 4 couplings x 25 states
         assert len(lines) == 1 + 4 * 25
 
+    @pytest.mark.parametrize("modes, cutoff", [("1,0", "2"), ("2,-2", "1"), ("0,0", "1")])
+    def test_spectrum_triangular_at_any_modes(self, modes, cutoff, capsys):
+        """Every coupling term of K lowers the b-number, so K is triangular in
+        that order even where it is not in the energy order (|m2| <= |m1|)."""
+        code, out, _ = run(["spectrum", "--modes", modes, "--cutoff-a", cutoff,
+                            "--cutoff-b", cutoff], capsys)
+        assert code == 0
+        tri = [c for c in json.loads(out)["checks"] if c["id"].startswith("triangular:")]
+        assert len(tri) == 4 and all(c["status"] == "pass" for c in tri)
+
     def test_symmetries_report_carries_generators(self, capsys):
         code, out, _ = run(["symmetries", "--omega", "1"], capsys)
         assert code == 0

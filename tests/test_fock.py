@@ -12,6 +12,7 @@ from cgalgebra.ring import Coefficient, GAMMA, accumulate
 from cgalgebra.weyl import Monomial, WeylOp, apply, commutator, similarity
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
+    MODE_WORDS,
     FockBasis,
     LadderOp,
     decoupling_exponent,
@@ -22,20 +23,27 @@ from cgalgebra.fock import (
     k_ladder,
     k_matrix,
     kgamma_decoupling_check,
+    ladder_matrix,
     mode_solver,
     n_ladder,
-    n_matrix,
     overlap_probability,
     pt_check,
     quoted_psi,
     spectrum,
     state_inner,
 )
-from cgalgebra.fock import _pairing
 
 
 def gr(re=0, im=0):
     return Coefficient.of((F(re), F(im)))
+
+
+def linear(coeffs):
+    """The linear ladder combination sum c w over {name of w in MODE_WORDS: c}."""
+    return LadderOp((MODE_WORDS[name], c) for name, c in coeffs.items())
+
+
+A, ADAG, B, BDAG = (linear({name: 1}) for name in MODE_WORDS)
 
 
 def oracle_matrices(na, nb, modes=(1, 3)):
@@ -137,12 +145,10 @@ class TestLadderAlgebra:
             assert inspect.isfunction(fn) and fn is not vars(WeylOp).get(name), name
 
     def test_canonical_relations(self):
-        a, ad = LadderOp.a(), LadderOp.adag()
-        b, bd = LadderOp.b(), LadderOp.bdag()
-        assert commutator(a, ad) == LadderOp.one()
-        assert commutator(b, bd) == LadderOp.one()
-        for x in (a, ad):
-            for y in (b, bd):
+        assert commutator(A, ADAG) == LadderOp.one()
+        assert commutator(B, BDAG) == LadderOp.one()
+        for x in (A, ADAG):
+            for y in (B, BDAG):
                 assert commutator(x, y).is_zero()
 
     def test_sum_with_negative_is_empty(self):
@@ -151,15 +157,15 @@ class TestLadderAlgebra:
         assert LadderOp([*k.terms(), *(-k).terms()]) == LadderOp.zero()
 
     def test_number_operator_action(self):
-        num = LadderOp.adag() * LadderOp.a()
+        num = ADAG * A
         state = {(3, 0): Coefficient.of(1)}
         assert num.apply_state(state) == {(3, 0): Coefficient.of(3)}
 
     def test_apply_state_unnormalized(self):
         # a |n> = n |n-1> on unnormalized states
-        out = LadderOp.a().apply_state({(4, 2): Coefficient.of(1)})
+        out = A.apply_state({(4, 2): Coefficient.of(1)})
         assert out == {(3, 2): Coefficient.of(4)}
-        out = LadderOp.bdag().apply_state({(0, 1): Coefficient.of(1)})
+        out = BDAG.apply_state({(0, 1): Coefficient.of(1)})
         assert out == {(0, 2): Coefficient.of(1)}
 
 
@@ -187,27 +193,37 @@ class TestDecoupling:
 class TestModes:
     def test_eigenvalues(self):
         sols = mode_solver()  # formal coupling
-        assert [s.lam for s in sols] == [F(-3), F(-1), F(1), F(3)]
+        assert list(sols) == [F(-3), F(-1), F(1), F(3)]
 
     def test_mode_coefficients(self):
-        sols = {s.lam: s.coeffs for s in mode_solver()}
+        sols = mode_solver()
         half_g = GAMMA * F(1, 2)
         quarter_g = GAMMA * F(1, 4)
-        assert sols[F(-3)] == {"b": Coefficient.of(1)}
-        assert sols[F(-1)] == {"a": Coefficient.of(1), "b": -half_g}
-        assert sols[F(1)] == {"a+": Coefficient.of(1), "b": quarter_g}
-        assert sols[F(3)] == {"b+": Coefficient.of(1), "a": quarter_g,
-                              "a+": half_g, "b": GAMMA * GAMMA * F(1, 24)}
+        assert sols[F(-3)] == linear({"b": Coefficient.of(1)})
+        assert sols[F(-1)] == linear({"a": Coefficient.of(1), "b": -half_g})
+        assert sols[F(1)] == linear({"a+": Coefficient.of(1), "b": quarter_g})
+        assert sols[F(3)] == linear({"b+": Coefficient.of(1), "a": quarter_g,
+                                     "a+": half_g, "b": GAMMA * GAMMA * F(1, 24)})
 
     def test_canonical_pairing(self):
-        by = {s.lam: s.coeffs for s in mode_solver()}
+        by = mode_solver()
         for i in (1, 3):
             for j in (1, 3):
-                want = Coefficient.of(1) if i == j else Coefficient()
-                assert _pairing(by[F(-i)], by[F(j)]) == want
+                want = WeylOp.scalar(int(i == j))
+                assert commutator(by[F(-i)], by[F(j)]) == want
+
+    @pytest.mark.parametrize("gbar", [None, gr(F(2, 3), F(-1, 5))])
+    def test_unbounded_variant_modes(self, gbar):
+        """At modes (1, -3) ad_K still has eigenvalues -3, -1, 1, 3, with the
+        same canonical pairing."""
+        by = mode_solver(gbar, (1, -3))
+        assert list(by) == [F(-3), F(-1), F(1), F(3)]
+        for i in (1, 3):
+            for j in (1, 3):
+                assert commutator(by[F(-i)], by[F(j)]) == WeylOp.scalar(int(i == j)), (i, j)
 
     def test_k_and_n_in_mode_basis(self):
-        by = {s.lam: s.operator() for s in mode_solver()}
+        by = mode_solver()
         k_combo = (by[F(3)] * by[F(-3)]).scale(3) + by[F(1)] * by[F(-1)] \
             + LadderOp.scalar(F(1, 2))
         assert k_combo == k_ladder()
@@ -216,11 +232,8 @@ class TestModes:
     def test_bogoliubov_inverts(self):
         """Expressing the ladder basis through the modes and back is exact."""
         sols = mode_solver(F(2, 3))
-        names = ("a", "a+", "b", "b+")
         from cgalgebra.linalg import solve_in_span
-        cols = [[s.coeffs.get(n, Coefficient()) for n in names] for s in sols]
-        cols = [list(col) for col in cols]
-        matrix_cols = [[cols[j][i] for i in range(4)] for j in range(4)]
+        matrix_cols = [[s.coefficient(w) for w in MODE_WORDS.values()] for s in sols.values()]
         for k in range(4):
             target = [Coefficient.of(1) if i == k else Coefficient() for i in range(4)]
             sol = solve_in_span(matrix_cols, target)
@@ -311,7 +324,7 @@ class TestSpectra:
         over the boundary; interior input states commute exactly."""
         na = nb = 10
         k = k_matrix(0.7, na, nb)
-        n = n_matrix(0.7, na, nb)
+        n = ladder_matrix(n_ladder(0.7), FockBasis(na, nb))
         comm = k @ n - n @ k
         states = FockBasis(na, nb).states()
         interior = [i for i, (p, q) in enumerate(states) if p <= na - 2 and q <= nb - 2]
@@ -400,7 +413,7 @@ class TestEigenstateMatrix:
     def test_leaking_state_raises(self, monkeypatch):
         # a raising operator that moves the a-count by 4 > |m2| leaves the cutoff
         leaky = LadderOp({Monomial.make(x_pows=(4, 1)): Coefficient.of(1)})  # (a+)^4 b+
-        monkeypatch.setattr(fock, "_raising_ops", lambda gbar, modes: (LadderOp.adag(), leaky))
+        monkeypatch.setattr(fock, "_raising_ops", lambda gbar, modes: (ADAG, leaky))
         with pytest.raises(CutoffTooSmall):
             eigenstate_matrix(F(1, 2), 6, 6)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,20 @@ def test_exact_layers_import_no_numpy():
     code = "import sys, cgalgebra.invariance; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+class TestMonomialsUpTo:
+    def test_matches_the_product_filter(self):
+        for arity in range(7):
+            for bound in range(-1, 4):
+                top = max(bound, 0)
+                want = sorted(e for e in product(range(top + 1), repeat=arity) if sum(e) <= top)
+                assert invariance._monomials_up_to(arity, bound) == want, (arity, bound)
+
+    def test_many_coordinates_finish(self, deadline):
+        # the product filter would visit 3^24 tuples to keep 325
+        with deadline(5):
+            assert len(invariance._monomials_up_to(24, 2)) == 325
 
 
 def inv_op(omega=None, gamma=0):
