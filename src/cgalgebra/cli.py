@@ -316,28 +316,42 @@ def suite_spectrum(opts) -> Report:
     return rep
 
 
+def _unpinned(modes: Tuple[int, int]) -> str:
+    """Why a check whose expectation is derived for the modes (1, 3) skips at ``modes``;
+    empty at (1, 3)."""
+    return "" if tuple(modes) == (1, 3) else f"expectation derived for modes (1, 3) only, not {modes}"
+
+
 def suite_modes(opts) -> Report:
     rep = Report("modes", {})
-    ops = fock.mode_solver(opts.gamma_bar)  # None = formal
+    modes = opts.modes
+    ops = fock.mode_solver(opts.gamma_bar, modes)  # None = formal
     lams = list(ops)
-    rep.check("eigenvalue-multiset", lams == [F(-3), F(-1), F(1), F(3)], details=str(lams))
-    rep.check("canonical-pairing", all(commutator(ops[F(-i)], ops[F(j)]) == WeylOp.scalar(int(i == j))
-                                       for i in (1, 3) for j in (1, 3)))
-    k_op = fock.k_ladder(opts.gamma_bar)
-    a3, am3, a1, am1 = ops[F(3)], ops[F(-3)], ops[F(1)], ops[F(-1)]
-    combo = (a3 * am3).scale(3) + (a1 * am1) + WeylOp.scalar(F(1, 2))
+    freqs = [F(abs(m)) for m in modes]
+    rep.check("eigenvalue-multiset", lams == sorted(s * f for f in freqs for s in (-1, 1)), details=str(lams))
+    rep.check("canonical-pairing", all(commutator(ops[-i], ops[j]) == WeylOp.scalar(int(i == j))
+                                       for i in freqs for j in freqs))
+    # K = sum_{lam>0} lam A_lam A_-lam + 1/2 + sum_{m_i<0} |m_i|: at m_i < 0 the
+    # pair's product is ordered like b b+ = b+ b + 1, which leaves a constant
+    k_op = fock.k_ladder(opts.gamma_bar, modes)
+    combo = WeylOp.scalar(F(1, 2) + sum(-m for m in modes if m < 0))
+    for f in freqs:
+        combo = combo + (ops[f] * ops[-f]).scale(f)
     rep.check("K-in-mode-basis", combo == k_op)
+    # N and the decoupling exponent are printed for the modes (1, 3) only
+    skip = _unpinned(modes)
     n_op = fock.n_ladder(opts.gamma_bar)
-    rep.check("N-in-mode-basis", (a3 * am3) + (a1 * am1) == n_op)
-    rep.check("K-N-commute", commutator(k_op, n_op).is_zero())
-    ok, depth = fock.kgamma_decoupling_check(opts.gamma_bar)
-    rep.check("decoupling-similarity", ok, details=f"ad-depth {depth}")
+    rep.check("N-in-mode-basis", None if skip else
+              (ops[F(3)] * ops[F(-3)]) + (ops[F(1)] * ops[F(-1)]) == n_op, details=skip)
+    rep.check("K-N-commute", None if skip else commutator(k_op, n_op).is_zero(), details=skip)
+    ok, depth = (None, 0) if skip else fock.kgamma_decoupling_check(opts.gamma_bar)
+    rep.check("decoupling-similarity", ok, details=skip or f"ad-depth {depth}")
     # invertibility of the mode change of basis
     _, mat = coefficient_matrix(ops.values(), rows=list(fock.MODE_WORDS.values()))
     d = det(mat)
     rep.check("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
     gbar = opts.gamma_bar if opts.gamma_bar is not None else 1
-    emat = fock.eigenstate_matrix(gbar, opts.cutoff_a, opts.cutoff_b)
+    emat = fock.eigenstate_matrix(gbar, opts.cutoff_a, opts.cutoff_b, modes)
     rk = int(np.linalg.matrix_rank(emat))
     cond = float(np.linalg.cond(emat))
     rep.check("eigenstates-span", rk == emat.shape[0],
@@ -347,25 +361,24 @@ def suite_modes(opts) -> Report:
 
 def suite_overlap(opts) -> Report:
     rep = Report("overlap", {})
+    skip = _unpinned(opts.modes)  # the closed forms below are those of the modes (1, 3)
     vac = {(0, 0): Coefficient.of(1)}
     values = [opts.gamma_bar] if opts.gamma_bar is not None else [F(1, 2), F(1), F(4)]
     for g in values:
-        st = fock.eigenstate(1, 1, g)
-        p = fock.overlap_probability(st, vac)
+        p = None if skip else fock.overlap_probability(fock.eigenstate(1, 1, g), vac)
         a2 = Coefficient.of(g).abs2()
-        want = a2 / (16 + 9 * a2)
         # a scalar Coefficient prints in parentheses; the check id keeps the bare value
-        rep.check(f"decay-probability:g={str(g).strip('()')}", p == want and p < F(1, 9),
-                  details=f"p = {p}")
-    big = fock.overlap_probability(fock.eigenstate(1, 1, 1000), vac)
-    rep.check("large-coupling-limit", abs(float(big) - 1 / 9) < 1e-4, details=f"p = {float(big):.6f}")
-    st = fock.eigenstate(1, 1, F(1, 2))
+        rep.check(f"decay-probability:g={str(g).strip('()')}",
+                  None if skip else p == a2 / (16 + 9 * a2) and p < F(1, 9), details=skip or f"p = {p}")
+    big = None if skip else float(fock.overlap_probability(fock.eigenstate(1, 1, 1000), vac))
+    rep.check("large-coupling-limit", None if skip else abs(big - 1 / 9) < 1e-4,
+              details=skip or f"p = {big:.6f}")
+    st = fock.eigenstate(1, 1, F(1, 2), modes=opts.modes)
     rep.check("self-overlap", fock.overlap_probability(st, st) == 1)
-    exp = fock.eigenstate(1, 1)  # formal
-    got = {k: str(v) for k, v in sorted(exp.items())}
+    got = {} if skip else {k: str(v) for k, v in sorted(fock.eigenstate(1, 1).items())}  # formal
     rep.check("state-11-expansion",
-              got == {(0, 0): "(1/4)*g^1", (1, 1): "(1)", (2, 0): "(1/2)*g^1"},
-              details=json.dumps({str(k): v for k, v in got.items()}, sort_keys=True))
+              None if skip else got == {(0, 0): "(1/4)*g^1", (1, 1): "(1)", (2, 0): "(1/2)*g^1"},
+              details=skip or json.dumps({str(k): v for k, v in got.items()}, sort_keys=True))
     return rep
 
 

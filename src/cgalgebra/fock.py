@@ -9,8 +9,9 @@ x^p y^r Dx^q Dy^s, and [a, a+] = [b, b+] = 1 are the Weyl relations, so
 sums, products, equality, text form and PT are WeylOp's.  Only the action
 on kets, :meth:`LadderOp.apply_state`, is the ladder layer's own.  The
 formal deformation slot of the scalar ring carries the coupling ``gbar``
-when it is kept symbolic.  Numerical work uses dense complex matrices on
-the truncated basis |n, m> ordered by energy.
+when it is kept symbolic; the modes of ad_K are solved once per mode pair
+with it formal, then specialized to each coupling.  Numerical work uses
+dense complex matrices on the truncated basis |n, m> ordered by energy.
 
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm, sqrt
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
-from .linalg import gaussian_rational_roots, charpoly, nullspace
+from .linalg import charpoly, gaussian_rational_roots, normalize_vector, nullspace
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
 from .weyl import Monomial, WeylOp, ad_series, apply, coefficient_matrix, commutator, multiply
@@ -145,14 +147,15 @@ def kgamma_decoupling_check(gbar: GbarLike = None) -> Tuple[bool, int]:
 # modes of the adjoint action
 # ---------------------------------------------------------------------------
 
-def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[Fraction, LadderOp]:
-    """Eigen-decomposition of ad_K on span{a, a+, b, b+}, exactly.
+@lru_cache(maxsize=64)
+def _mode_vectors(modes: Tuple[int, int]) -> Tuple[Tuple[Fraction, Tuple[Coefficient, ...]], ...]:
+    """(lam, nullspace vector over :data:`MODE_WORDS`) of ad_K in ascending lam, g formal.
 
-    Returns {lam: A_lam} in ascending order of lam, each A_{+|lam|} scaled so
-    that [A_{-i}, A_j] = delta_ij; raises :class:`DegenerateModes` if
-    eigenvalues collide (they cannot for the coupled number-like operator).
+    The charpoly (x^2 - m1^2)(x^2 - m2^2) is free of g, so each eigenspace is a
+    line at every coupling, and each vector has polynomial entries, one a
+    nonzero scalar: no substituted coupling makes it zero.
     """
-    k = k_ladder(gbar, modes)
+    k = k_ladder(None, modes)
     words = list(MODE_WORDS.values())  # K is quadratic, so [K, linear] is linear
     _, mat = coefficient_matrix([commutator(k, LadderOp({w: 1})) for w in words], rows=words)
     cp = charpoly(mat)
@@ -161,14 +164,30 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     roots = gaussian_rational_roots(cp)
     if len(roots) != 4:
         raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {roots}")
-    out: Dict[Fraction, LadderOp] = {}
+    out = []
     for lam in sorted(roots):
         shifted = [[mat[i][j] - (Coefficient.of(lam) if i == j else Coefficient())
                     for j in range(4)] for i in range(4)]
         vecs = nullspace(shifted)
         if len(vecs) != 1:
             raise DegenerateModes(f"eigenvalue {lam} has multiplicity {len(vecs)}")
-        out[lam] = LadderOp(zip(words, vecs[0]))
+        out.append((lam, tuple(vecs[0])))
+    return tuple(out)
+
+
+def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[Fraction, LadderOp]:
+    """Eigen-decomposition of ad_K on span{a, a+, b, b+}, exactly.
+
+    The vectors are solved once per mode pair with g formal (:func:`_mode_vectors`);
+    a call substitutes ``gbar`` and normalizes as :func:`nullspace` does, which
+    gives a solve's vectors at ``gbar``.  Returns {lam: A_lam} in ascending order
+    of lam, each A_{+|lam|} scaled so that [A_{-i}, A_j] = delta_ij; raises
+    :class:`DegenerateModes` if eigenvalues collide (they cannot for the
+    coupled number-like operator).
+    """
+    g = _gbar_coeff(gbar)
+    out = {lam: LadderOp(zip(MODE_WORDS.values(), normalize_vector([c.substitute(gamma=g) for c in vec])))
+           for lam, vec in _mode_vectors(tuple(modes))}
     for lam, op in out.items():
         if lam > 0 and -lam in out:
             pairing = commutator(out[-lam], op).coefficient(_word(0, 0, 0, 0))
@@ -270,16 +289,16 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 
 def _raising_ops(gbar: GbarLike, modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
-    """(A_{+|m1|}, A_{+|m2|}) from one :func:`mode_solver` call."""
+    """(A_{m1}, A_{m2}) from one :func:`mode_solver` call: the modes that create
+    K's quanta, so A_{m_i}|vac> != 0 also at m_i < 0 (where A_{|m_i|} ~ b)."""
     by_lam = mode_solver(gbar, modes)
-    m1, m2 = modes
-    return by_lam[F(abs(m1))], by_lam[F(abs(m2))]
+    return by_lam[F(modes[0])], by_lam[F(modes[1])]
 
 
 def eigenstate(n: int, m: int, gbar: GbarLike = None,
                na: Optional[int] = None, nb: Optional[int] = None,
                modes: Tuple[int, int] = (1, 3)) -> Dict[Tuple[int, int], Coefficient]:
-    """|n-bar, m-bar> = A_{+1}^n A_{+|m2|}^m |vac> over unnormalized |n, m>.
+    """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> over unnormalized |n, m>.
 
     When cutoffs are supplied the state must fit inside them with margin
     (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised.
@@ -326,16 +345,16 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
 
     Row order is n outer, m inner over the states |n-bar, m-bar> with
     n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``.
-    The modes are solved once per call, and the states are built
-    incrementally: A_3^m |vac> from A_3^(m-1) |vac>, then A_1^n A_3^m |vac>
-    from A_1^(n-1) A_3^m |vac>, the same applications in the same order
-    as :func:`eigenstate`.
+    The modes are specialized to ``gbar`` once per call, and the states are
+    built incrementally: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then
+    A_{m1}^n A_{m2}^m |vac> from A_{m1}^(n-1) A_{m2}^m |vac>, the same
+    applications in the same order as :func:`eigenstate`.
     """
     index = FockBasis(na, nb, modes).index()
     step = abs(modes[1])
     a1, a3 = _raising_ops(gbar, modes)
     rows: Dict[Tuple[int, int], np.ndarray] = {}
-    column = {(0, 0): Coefficient.of(1)}  # A_3^m |vac>
+    column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
     for m in range(nb + 1):
         if step * m > na:
             break

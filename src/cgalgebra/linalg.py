@@ -108,11 +108,11 @@ def nullspace(m: Matrix, ncols: Optional[int] = None) -> List[Vector]:
             w = red[i][f]
             if not w.is_zero():
                 v[c] = -w
-        basis.append(_normalize_vector(v))
+        basis.append(normalize_vector(v))
     return basis
 
 
-def _normalize_vector(v: Vector) -> Vector:
+def normalize_vector(v: Vector) -> Vector:
     """Deterministic normalization: strip common monomial and rational content,
     then make the first nonzero entry's leading value 1 when it is a unit."""
     support = [c for c in v if not c.is_zero()]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,38 @@ class TestReports:
         assert all("generator" in c["details"] for c in reverify)
         closure = [c for c in rep["checks"] if c["id"] == "catalog-closure"][0]
         assert "[q1,q3]" in closure["details"]
+
+    @pytest.mark.parametrize("modes", ["1,-3", "-1,3", "2,5", "2,-5", "3,1"])
+    def test_modes_suite_solves_the_modes_flag(self, modes, capsys):
+        """K = sum lam A_lam A_-lam + 1/2 + sum_{m_i<0} |m_i| holds only for the
+        modes of the K at ``--modes``; N and the decoupling map are (1, 3)'s."""
+        code, out, _ = run(["modes", "--modes", modes, "--gamma-bar", "2/3,-1/5"], capsys)
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        m1, m2 = (abs(int(m)) for m in modes.split(","))
+        lams = sorted({-m1, m1, -m2, m2})
+        assert checks["eigenvalue-multiset"]["details"] == str([Fraction(lam) for lam in lams])
+        skipped = ("N-in-mode-basis", "K-N-commute", "decoupling-similarity")
+        for cid, check in checks.items():
+            assert check["status"] == ("skip" if cid in skipped else "pass"), cid
+        assert all("modes (1, 3) only" in checks[cid]["details"] for cid in skipped)
+
+    def test_overlap_suite_skips_the_closed_forms_at_other_modes(self, capsys):
+        code, out, _ = run(["overlap", "--modes", "1,-3"], capsys)
+        assert code == 0
+        status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+        assert status.pop("self-overlap") == "pass"
+        assert len(status) == 5 and set(status.values()) == {"skip"}
+
+    def test_all_runs_at_the_unbounded_modes(self, capsys):
+        code, out, _ = run(["all", "--modes", "1,-3"], capsys)
+        assert code == 0
+        assert {rep["suite"] for rep in json.loads(out)} >= {"modes", "overlap", "spectrum"}
+
+    def test_modes_that_collide_are_an_error(self, capsys):
+        code, out, err = run(["modes", "--modes", "1,1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected 4 distinct rational eigenvalues")
 
     def test_overlap_example_value(self, capsys):
         code, out, _ = run(["overlap", "--gamma-bar", "1,0"], capsys)

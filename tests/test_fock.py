@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cgalgebra import fock
-from cgalgebra.errors import CheckFailed, CutoffTooSmall
+from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes
+from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
 from cgalgebra.ring import Coefficient, GAMMA, accumulate
-from cgalgebra.weyl import Monomial, WeylOp, apply, commutator, similarity
+from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
     MODE_WORDS,
@@ -245,6 +246,94 @@ class TestModes:
             assert recomposed == target
 
 
+def direct_mode_solve(gbar, modes):
+    """The eigen-solve of ad_K at the coupling ``gbar`` itself, built from the
+    public linear algebra: no formal solve, no substitution, no cache."""
+    k = k_ladder(gbar, modes)
+    words = list(MODE_WORDS.values())
+    _, mat = coefficient_matrix([commutator(k, LadderOp({w: 1})) for w in words], rows=words)
+    cp = charpoly(mat)
+    if not all(c.is_scalar() for c in cp):
+        raise DegenerateModes("adjoint eigenvalues are not scalars")
+    roots = gaussian_rational_roots(cp)
+    if len(roots) != 4:
+        raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {roots}")
+    out = {}
+    for lam in sorted(roots):
+        shifted = [[mat[i][j] - (Coefficient.of(lam) if i == j else Coefficient())
+                    for j in range(4)] for i in range(4)]
+        vecs = nullspace(shifted)
+        if len(vecs) != 1:
+            raise DegenerateModes(f"eigenvalue {lam} has multiplicity {len(vecs)}")
+        out[lam] = LadderOp(zip(words, vecs[0]))
+    for lam, op in out.items():
+        if lam > 0 and -lam in out:
+            pairing = commutator(out[-lam], op).coefficient(Monomial.make())
+            out[lam] = op.scale(Coefficient.of(1).divide_exact(pairing))
+    return out
+
+
+def solve_outcome(solve, gbar, modes):
+    """solve's modes as a list of pairs, or the message of its DegenerateModes."""
+    try:
+        return list(solve(gbar, modes).items())
+    except DegenerateModes as exc:
+        return f"DegenerateModes: {exc}"
+
+
+MODE_PAIRS = [(1, 3), (1, -3), (-1, 3), (-1, -3), (2, 5), (3, 1), (2, -5)]
+DEGENERATE_PAIRS = [(1, 1), (1, -1), (0, 3), (1, 0)]
+_rng = random.Random(1308)
+ORACLE_COUPLINGS = [None, 0, 1, gr(0, 1), 1000, 0.7 + 0.2j,
+                    gr(F(10**30 + 7, 3 * 10**29 + 1), F(-(10**29) + 3, 7 * 10**30 - 9))] + [
+    gr(F(_rng.randint(-60, 60), _rng.randint(1, 25)), F(_rng.randint(-60, 60), _rng.randint(1, 25)))
+    for _ in range(60)]
+
+
+class TestModeSolverOracle:
+    """mode_solver solves once per mode pair with g formal and substitutes the
+    coupling; the direct solve at each coupling must give the same modes."""
+
+    @pytest.mark.parametrize("modes", MODE_PAIRS + DEGENERATE_PAIRS)
+    def test_equals_the_direct_solve(self, modes):
+        for gbar in ORACLE_COUPLINGS:
+            want = solve_outcome(direct_mode_solve, gbar, modes)
+            assert solve_outcome(mode_solver, gbar, modes) == want, (modes, gbar)
+            assert isinstance(want, list) == (modes in MODE_PAIRS)
+
+    @pytest.mark.parametrize("modes", MODE_PAIRS)
+    def test_formal_vectors_survive_every_coupling(self, modes):
+        """Each formal vector is polynomial in g with a nonzero scalar entry,
+        so substituting a coupling never gives the zero vector."""
+        for _, vec in fock._mode_vectors(modes):
+            assert all(a >= 0 for c in vec for (a, _), _ in c.terms)
+            assert any(c.is_scalar() and not c.is_zero() for c in vec)
+
+    def test_one_formal_solve_per_mode_pair(self, monkeypatch):
+        fock._mode_vectors.cache_clear()
+        calls = {"charpoly": 0, "nullspace": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(fock, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(fock, name, counted)
+        mode_solver(None)
+        mode_solver(F(1, 2))
+        mode_solver(gr(2, F(-1, 5)))
+        eigenstate_matrix(F(1, 2), 6, 6)
+        assert calls == {"charpoly": 1, "nullspace": 4}
+
+    def test_returned_modes_do_not_reach_the_cache(self):
+        first = mode_solver(F(1, 2))
+        want = list(first.items())
+        first.pop(F(3))
+        first[F(1)] = LadderOp.scalar(7)
+        assert list(mode_solver(F(1, 2)).items()) == want
+        assert list(mode_solver(F(1, 2), [1, 3]).items()) == want  # the key is tuple(modes)
+        cached = fock._mode_vectors((1, 3))
+        assert isinstance(cached, tuple) and all(type(vec) is tuple for _, vec in cached)
+
+
 class TestMatrices:
     def test_entries_against_kronecker_oracle(self):
         na = nb = 5
@@ -448,6 +537,20 @@ class TestStatesAndOverlaps:
                     factorial(n2) * factorial(m2))
             # row-as-input convention: v K = lam v
             assert np.abs(vec @ m - (n + 3 * q + 0.5) * vec).max() < 1e-10
+
+    @pytest.mark.parametrize("modes", [(1, -3), (-1, 3), (-1, -3), (2, 5), (2, -5)])
+    def test_states_are_matrix_eigenvectors_at_any_modes(self, modes):
+        """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> is a nonzero eigenvector of K
+        with eigenvalue m1 n + m2 m + 1/2, also where a frequency is negative."""
+        na = nb = 9
+        m = k_matrix(0.5, na, nb, modes)
+        idx = FockBasis(na, nb, modes).index()
+        for (n, q) in ((0, 0), (1, 0), (1, 1), (0, 1)):
+            vec = np.zeros(len(idx), dtype=complex)
+            for (n2, m2), amp in eigenstate(n, q, F(1, 2), na, nb, modes).items():
+                vec[idx[(n2, m2)]] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
+            assert np.abs(vec).max() > 0.5
+            assert np.abs(vec @ m - (modes[0] * n + modes[1] * q + 0.5) * vec).max() < 1e-10
 
     def test_overlap_closed_form(self):
         vac = {(0, 0): Coefficient.of(1)}
