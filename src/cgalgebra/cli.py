@@ -1,8 +1,11 @@
 """Command-line verification suites with machine-readable reports.
 
 Every suite runs a named list of exact checks and serializes a Report;
-exit status is 0 when all checks pass, 1 on any failure, 2 on usage or
-internal errors.  Reports are deterministic apart from the timing fields.
+reports are deterministic apart from the timing fields.  Exit status: 0 when
+all checks pass, 1 on any failed check, 2 on a usage error (a bad flag,
+value, config or path: ``usage error: <message>``, no report) or when a
+suite raises an AlgebraError outside its checks (``error: <message>``; ``all``
+still prints the reports of the other suites).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from fractions import Fraction as F
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -27,8 +30,6 @@ from .weyl import (Monomial, WeylOp, apply, coefficient_matrix, commutator, mult
                    print_op, similarity)
 
 SCHEMA_VERSION = "cgalgebra-report/1"
-
-F = Fraction
 
 
 @dataclass
@@ -52,8 +53,20 @@ class Report:
     _start: float = field(default_factory=time.perf_counter, repr=False)
     _last: float = field(default=0.0, repr=False)
 
-    def check(self, cid: str, ok: Optional[bool], details: str = "", residual: str = ""):
-        """Record a check; ``ok`` of None records a skip (nothing to compare with)."""
+    def check(self, cid: str, ok: Optional[bool] | Callable[[], object], details: str = "",
+              residual: str = ""):
+        """Record a check; ``ok`` of None records a skip (nothing to compare with).
+
+        ``ok`` may be a callable, called here, returning ``ok`` or ``(ok, details)``;
+        an AlgebraError it raises records a fail with details ``"<Type>: <message>"``.
+        """
+        if callable(ok):
+            try:
+                ok = ok()
+            except AlgebraError as exc:
+                ok, details = False, f"{type(exc).__name__}: {exc}"
+            if isinstance(ok, tuple):
+                ok, details = ok
         now = round(time.perf_counter() - self._start, 4)
         status = "skip" if ok is None else "pass" if ok else "fail"
         self.checks.append(CheckRecord(cid, status, details, residual, round(now - self._last, 4)))
@@ -70,42 +83,19 @@ class Report:
     def ok(self) -> bool:
         return self.summary["fail"] == 0
 
-    def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "options": self.options,
-            "checks": [asdict(c) for c in self.checks],
-            "summary": self.summary,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def payload(self) -> dict:
+        """The report as the JSON object of the ``cgalgebra-report/1`` schema."""
+        return {"schema": SCHEMA_VERSION, "suite": self.suite, "options": self.options,
+                "checks": [asdict(c) for c in self.checks], "summary": self.summary}
 
     def to_markdown(self) -> str:
-        lines = [f"# suite: {self.suite}", ""]
-        lines.append("| check | status | details |")
-        lines.append("|---|---|---|")
+        lines = [f"# suite: {self.suite}", "", "| check | status | details |", "|---|---|---|"]
         for c in self.checks:
             detail = c.details.replace("|", "\\|")
             lines.append(f"| {c.id} | {c.status} | {detail} |")
         s = self.summary
-        lines.append("")
-        lines.append(f"**{s['pass']} passed, {s['fail']} failed, {s['skip']} skipped**")
+        lines += ["", f"**{s['pass']} passed, {s['fail']} failed, {s['skip']} skipped**"]
         return "\n".join(lines)
-
-
-def _outcome(fn: Callable[[], Tuple[bool, str]]) -> Tuple[bool, str]:
-    """fn()'s (ok, details), or a failure naming the AlgebraError that fn raises."""
-    try:
-        return fn()
-    except AlgebraError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
-
-
-def _parse_complex_rational(text: str) -> Coefficient:
-    if "," in text:
-        re, im = text.split(",", 1)
-        return Coefficient.of((Fraction(re), Fraction(im)))
-    return Coefficient.of(Fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +105,24 @@ def _parse_complex_rational(text: str) -> Coefficient:
 def suite_verify_algebra(opts) -> Report:
     rep = Report("verify-algebra", {"realization": opts.realization})
     table = realizations.cga32_table()
-    rep.check("table-consistency",
-              *_outcome(lambda: (_validate_table(table), "antisymmetry + Jacobi")))
+    rep.check("table-consistency", table.validate, details="antisymmetry + Jacobi")
     which = {"free": [realizations.realization_free],
              "osc": [realizations.realization_osc],
              "both": [realizations.realization_free, realizations.realization_osc]}[opts.realization]
-    gamma = opts.gamma
     for builder in which:
-        r = builder(gamma)
+        r = builder(opts.gamma)
         for (a, b), diff in invariance.verify_table(r, table).items():
             rep.check(f"{r.name}:[{a},{b}]", not diff, residual=str(diff) if diff else "")
     return rep
 
 
-def _validate_table(table) -> bool:
-    table.validate()
-    return True
-
-
-def _closure(gens, names) -> Tuple[bool, str]:
-    """Close the generators into a table, validate it, and print its brackets."""
-    tbl = invariance.close_algebra(gens, names)
+def _closure(w: F) -> Tuple[bool, str]:
+    """Close the enhanced catalog at frequency w, validate its table, and print its brackets."""
+    gens = {**realizations.decoupled_generic(w).gens, **realizations.enhanced_extras(w)}
+    tbl = invariance.close_algebra(list(gens.values()), list(gens))
     table_txt = {f"[{a},{b}]": {k: str(v) for k, v in combo.items()}
                  for (a, b), combo in sorted(tbl.brackets.items())}
-    return _validate_table(tbl), json.dumps(table_txt, sort_keys=True)
+    return tbl.validate(), json.dumps(table_txt, sort_keys=True)
 
 
 def suite_omega(opts) -> Report:
@@ -159,8 +143,8 @@ def suite_omega(opts) -> Report:
     th_c = realizations.theta_family(3, opts.gamma, F(3, 2))
     th_d = realizations.theta_family(3, 0, F(3, 2))
     rep.check("coupling-similarity-decouples",
-              *_outcome(lambda: (similarity(realizations.r2_exponent(opts.gamma), th_c, 64) == th_d,
-                                 "terminating series")))
+              lambda: similarity(realizations.r2_exponent(opts.gamma), th_c, 64) == th_d,
+              details="terminating series")
     return rep
 
 
@@ -205,7 +189,7 @@ def suite_critical(opts) -> Report:
     omegas = sorted({s.omega for s in sols})
     rep.check("omega-set", omegas == [F(-3), F(-1, 3), F(1, 3), F(3)],
               details=str([str(w) for w in omegas]))
-    by_omega: Dict[Fraction, List[Fraction]] = {}
+    by_omega: Dict[F, List[F]] = {}
     for s in sols:
         by_omega.setdefault(s.omega, []).append(s.lam)
     rep.check("lambda-at-3", sorted(by_omega.get(F(3), [])) == [F(-2), F(2)])
@@ -218,7 +202,7 @@ def suite_critical(opts) -> Report:
     return rep
 
 
-def _symmetry_dimension(omega: Optional[Fraction], bound: int) -> Optional[int]:
+def _symmetry_dimension(omega: Optional[F], bound: int) -> Optional[int]:
     """Expected number of first-order symmetries, or None where none is pinned.
 
     Formal frequency: bound 0 finds Dt, 1 and e^{iwt} Dy; bound 1 adds
@@ -236,8 +220,9 @@ def _symmetry_dimension(omega: Optional[Fraction], bound: int) -> Optional[int]:
 
 
 def suite_symmetries(opts) -> Report:
-    rep = Report("symmetries", {"omega": str(opts.omega), "degree_bound": str(opts.degree_bound)})
-    w = None if opts.omega == "generic" else Fraction(opts.omega)
+    w = opts.omega
+    rep = Report("symmetries", {"omega": "generic" if w is None else str(w),
+                                "degree_bound": str(opts.degree_bound)})
     om = WeylOp.dt().scale(I) - realizations.theta_family(w, 0, 0)
     res = invariance.find_symmetries(om, coeff_degree_bound=opts.degree_bound)
     expect = _symmetry_dimension(w, opts.degree_bound)
@@ -248,13 +233,8 @@ def suite_symmetries(opts) -> Report:
         rep.check(f"reverify:{k}:lam={r.lam_text()}", ok,
                   details=json.dumps({"generator": print_op(r.generator),
                                       "multiplier": print_op(r.multiplier)}))
-    if opts.omega in ("1", "3"):
-        w = int(opts.omega)
-        dg = realizations.decoupled_generic(w)
-        ex = realizations.enhanced_extras(w)
-        names = list(dg.names()) + list(ex)
-        gens = [dg[n] for n in dg.names()] + list(ex.values())
-        rep.check("catalog-closure", *_outcome(lambda: _closure(gens, names)))
+    if w in (1, 3):
+        rep.check("catalog-closure", lambda: _closure(w))
     return rep
 
 
@@ -263,7 +243,7 @@ def suite_contract(opts) -> Report:
     r = realizations.realization_osc()
     contracted = invariance.contract(r)
     table = realizations.contraction_table()
-    rep.check("table-consistency", *_outcome(lambda: (_validate_table(table), "")))
+    rep.check("table-consistency", table.validate)
     tc = invariance.verify_table(contracted, table)
     rep.check("contracted-closure", not any(tc.values()), details=f"{len(tc)} pairs")
     st = realizations.s_tilde_exponent()
@@ -406,8 +386,8 @@ def suite_eigencheck(opts) -> Report:
 
 
 def suite_general_l(opts) -> Report:
-    rep = Report("general-l", {"ell": str(opts.ell), "signs": ",".join(str(s) for s in opts.signs or ())})
-    ell = F(opts.ell)
+    ell = opts.ell
+    rep = Report("general-l", {"ell": str(ell), "signs": ",".join(str(s) for s in opts.signs or ())})
     bound = opts.degree_bound
     # the time-phase generators have spatial degree 2: a lower bound cannot find them
     pinned = bound >= 2
@@ -431,21 +411,6 @@ def suite_general_l(opts) -> Report:
         rep.check(f"signs={signs}:time-phase-family", ok if pinned else None,
                   details=f"{len(res)} generators, {dt_fam} with Dt")
     return rep
-
-
-SUITES: Dict[str, Callable] = {
-    "verify-algebra": suite_verify_algebra,
-    "omega": suite_omega,
-    "onshell": suite_onshell,
-    "critical": suite_critical,
-    "symmetries": suite_symmetries,
-    "contract": suite_contract,
-    "spectrum": suite_spectrum,
-    "modes": suite_modes,
-    "overlap": suite_overlap,
-    "eigencheck": suite_eigencheck,
-    "general-l": suite_general_l,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +442,8 @@ def catalog_entries() -> Dict[str, str]:
     return out
 
 
-class FixtureError(ValueError):
-    """A --golden fixture that parses but does not have the expected shape."""
+class UsageError(Exception):
+    """A flag, config or --golden fixture that the suites cannot use."""
 
 
 def suite_catalog(opts) -> Report:
@@ -488,7 +453,7 @@ def suite_catalog(opts) -> Report:
         path = Path(opts.golden) / "catalog.json"
         stored = json.loads(path.read_text())
         if not isinstance(stored, dict) or not all(isinstance(v, str) for v in stored.values()):
-            raise FixtureError(f"{path} is not a JSON object of strings")
+            raise UsageError(f"{path} is not a JSON object of strings")
         for key in sorted(set(entries) | set(stored)):
             rep.check(f"golden:{key}", entries.get(key) == stored.get(key),
                       details="" if entries.get(key) == stored.get(key)
@@ -506,24 +471,80 @@ def suite_catalog(opts) -> Report:
     return rep
 
 
-SUITES["catalog"] = suite_catalog
+SUITES: Dict[str, Callable] = {
+    "verify-algebra": suite_verify_algebra,
+    "omega": suite_omega,
+    "onshell": suite_onshell,
+    "critical": suite_critical,
+    "symmetries": suite_symmetries,
+    "contract": suite_contract,
+    "spectrum": suite_spectrum,
+    "modes": suite_modes,
+    "overlap": suite_overlap,
+    "eigencheck": suite_eigencheck,
+    "general-l": suite_general_l,
+    "catalog": suite_catalog,
+}
+
+# The 14 runs of `cgalgebra all`: a suite and the parsed options it overrides.
+ALL_RUNS: List[Tuple[str, Dict[str, object]]] = [
+    ("verify-algebra", {}), ("omega", {}), ("onshell", {}), ("critical", {}), ("contract", {}),
+    ("eigencheck", {}), ("modes", {}), ("overlap", {}), ("spectrum", {}),
+    ("symmetries", {"omega": None}), ("symmetries", {"omega": F(1)}), ("symmetries", {"omega": F(3)}),
+    ("general-l", {"ell": F(3, 2)}), ("general-l", {"ell": F(5, 2)}),
+]
 
 
-def run_all(opts) -> List[Report]:
-    reports = []
-    for name in ("verify-algebra", "omega", "onshell", "critical", "contract",
-                 "eigencheck", "modes", "overlap", "spectrum"):
-        reports.append(SUITES[name](opts))
-    for w in ("generic", "1", "3"):
-        reports.append(SUITES["symmetries"](argparse.Namespace(**{**vars(opts), "omega": w})))
-    for ell in ("3/2", "5/2"):
-        reports.append(SUITES["general-l"](argparse.Namespace(**{**vars(opts), "ell": ell})))
-    return reports
+def run_all(opts) -> Tuple[List[Report], List[str]]:
+    """Run ALL_RUNS: the reports that finished, and ``[suite] message`` per AlgebraError."""
+    reports, errors = [], []
+    for suite, overrides in ALL_RUNS:
+        try:
+            reports.append(SUITES[suite](argparse.Namespace(**{**vars(opts), **overrides})))
+        except AlgebraError as exc:
+            errors.append(f"[{suite}] {exc}")
+    return reports, errors
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` as a flag type: its ValueError or ZeroDivisionError is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _complex_rational(text: str) -> Coefficient:
+    parts = [F(x) for x in text.split(",", 1)]
+    return Coefficient.of(tuple(parts) if len(parts) == 2 else parts[0])
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"must be >= 0, got {int(text)}")
+    return int(text)
+
+
+def _modes(text: str) -> Tuple[int, int]:
+    modes = tuple(int(x) for x in text.split(","))
+    if len(modes) != 2:
+        raise ValueError(f"needs two integers like 1,3, got {len(modes)}")
+    return modes
+
+
+def _signs(text: str) -> Tuple[int, ...]:
+    tokens = [s.strip() for s in text.split(",")]
+    bad = [s for s in tokens if s not in ("+", "+1", "1", "-", "-1")]
+    if bad:
+        raise ValueError(f"takes +, -, +1, -1 or 1 separated by commas, got {bad[0]!r}")
+    return tuple(-1 if s.startswith("-") else 1 for s in tokens)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -533,18 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--realization", choices=("free", "osc", "both"), default="both")
-    p.add_argument("--gamma", type=Fraction, default=None,
+    p.add_argument("--gamma", type=_flag_type(F), default=None,
                    help="rational value for the deformation parameter (default: formal)")
-    p.add_argument("--gamma-bar", dest="gamma_bar", type=_parse_complex_rational, default=None,
+    p.add_argument("--gamma-bar", dest="gamma_bar", type=_flag_type(_complex_rational), default=None,
                    help='oscillator coupling as "re,im" rationals (default: formal/sweep)')
-    p.add_argument("--omega", default="generic", help='frequency: rational like "3" or "generic"')
-    p.add_argument("--ell", default="3/2", help="half-integer rank, e.g. 5/2")
-    p.add_argument("--signs", default=None,
+    p.add_argument("--omega", type=_flag_type(lambda t: None if t == "generic" else F(t)),
+                   default=None, help='frequency: rational like "3" or "generic"')
+    p.add_argument("--ell", type=_flag_type(F), default=F(3, 2), help="half-integer rank, e.g. 5/2")
+    p.add_argument("--signs", type=_flag_type(_signs), default=None,
                    help='frequency signs like "+,-" for the general-rank builders')
-    p.add_argument("--cutoff-a", dest="cutoff_a", type=int, default=12)
-    p.add_argument("--cutoff-b", dest="cutoff_b", type=int, default=12)
-    p.add_argument("--modes", default="1,3", help='mode pair, "1,3" or "1,-3"')
-    p.add_argument("--degree-bound", dest="degree_bound", type=int, default=2)
+    p.add_argument("--cutoff-a", dest="cutoff_a", type=_flag_type(_count), default=12)
+    p.add_argument("--cutoff-b", dest="cutoff_b", type=_flag_type(_count), default=12)
+    p.add_argument("--modes", type=_flag_type(_modes), default=(1, 3), help='mode pair, "1,3" or "1,-3"')
+    p.add_argument("--degree-bound", dest="degree_bound", type=_flag_type(_count), default=2)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--csv", default=None, help="also write spectra as CSV (spectrum suite)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -560,7 +582,7 @@ def _config_flags(path: str) -> List[str]:
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
-        raise ValueError(f"config {path} must hold a JSON object, not {type(data).__name__}")
+        raise UsageError(f"config {path} must hold a JSON object, not {type(data).__name__}")
     return [f"--{key.replace('_', '-')}={value}" for key, value in data.items() if value is not None]
 
 
@@ -577,70 +599,46 @@ def _joined(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
 
 
 def _usage_error(message: str):
-    raise ValueError(message)
-
-
-_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
-
-
-def _normalize(args: argparse.Namespace) -> argparse.Namespace:
-    if isinstance(args.signs, str):
-        tokens = [s.strip() for s in args.signs.split(",")]
-        bad = [s for s in tokens if s not in _SIGNS]
-        if bad:
-            raise ValueError(f"--signs takes +, -, +1, -1 or 1 separated by commas, got {bad[0]!r}")
-        args.signs = tuple(_SIGNS[s] for s in tokens)
-    if isinstance(args.modes, str):
-        args.modes = tuple(int(x) for x in args.modes.split(","))
-    if len(args.modes) != 2:
-        raise ValueError(f"--modes needs two integers like 1,3, got {len(args.modes)}")
-    for flag in ("cutoff_a", "cutoff_b", "degree_bound"):
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
-    if args.omega != "generic":
-        Fraction(args.omega)  # fail fast on malformed frequencies
-    Fraction(args.ell)
-    return args
+    raise UsageError(message)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    parser.error = _usage_error
     argv = _joined(parser, list(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv)
         if args.config:
             # parse again with the config's flags first: each goes through its
             # flag's type and choices, and an explicit flag, coming later, wins
-            parser.error = _usage_error
             args = parser.parse_args(_config_flags(args.config) + argv)
-        args = _normalize(args)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = run_all(args) if args.suite == "all" else [SUITES[args.suite](args)]
-        if args.format == "json":
-            blob = json.dumps([json.loads(r.to_json()) for r in reports], indent=2, sort_keys=True) \
-                if len(reports) > 1 else reports[0].to_json()
+        if args.suite == "all":
+            reports, errors = run_all(args)
+            payload = [r.payload() for r in reports]
         else:
-            blob = "\n\n".join(r.to_markdown() for r in reports)
+            reports, errors = [SUITES[args.suite](args)], []
+            payload = reports[0].payload()
+        blob = json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" \
+            else "\n\n".join(r.to_markdown() for r in reports)
         if args.out:
             Path(args.out).write_text(blob + "\n")
+    except SystemExit:  # --help, which has printed
+        return 0
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, FixtureError) as exc:  # --golden, --csv or --out
+    # a flag or --config; a --golden, --csv or --out path; a --config or --golden file
+    except (UsageError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if not args.out:
         print(blob)
     for r in reports:
         s = r.summary
-        line = f"[{r.suite}] {s['pass']} passed, {s['fail']} failed, {s['skip']} skipped"
-        print(line, file=sys.stderr)
-    return 0 if all(r.ok for r in reports) else 1
+        print(f"[{r.suite}] {s['pass']} passed, {s['fail']} failed, {s['skip']} skipped", file=sys.stderr)
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return 2 if errors else 0 if all(r.ok for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -55,10 +55,10 @@ class GeneratorTable:
             return {k: -v for k, v in self.brackets[(b, a)].items()}
         return {}
 
-    def validate(self) -> None:
+    def validate(self) -> bool:
         """Antisymmetry of storage and the Jacobi identity on all triples.
 
-        Raises :class:`CheckFailed` naming the first violation.
+        Returns True; raises :class:`CheckFailed` naming the first violation.
         """
         for (a, b) in self.brackets:
             if a == b and self.brackets[(a, b)]:
@@ -85,6 +85,7 @@ class GeneratorTable:
                                 accumulate(acc, m, f * g)
                     if acc:
                         raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {acc}")
+        return True
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
+from cgalgebra.errors import NonTerminatingSeries, NotClosed
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # LAPACK-dependent float tokens (residuals, condition numbers)
@@ -29,6 +31,11 @@ def timing_free(rep):
             check["details"] = FLOAT.sub("<float>", check["details"])
     return rep
 
+
+# one bad value per flag type and per choice
+BAD_VALUES = [("--cutoff-a", "x"), ("--degree-bound", "1.5"), ("--realization", "bogus"),
+              ("--format", "xml"), ("--ell", "x"), ("--ell", "1/0"), ("--modes", "1,x"),
+              ("--signs", "+,x"), ("--gamma-bar", "1,x")]
 
 # runs at non-default options, keyed by argv, in tests/golden/option_reports.json
 OPTION_REPORTS = json.loads((GOLDEN_DIR / "option_reports.json").read_text())
@@ -62,6 +69,32 @@ class TestExitCodes:
     ])
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("flag, value", BAD_VALUES)
+    def test_bad_value_is_one_usage_error_line(self, flag, value, tmp_path, capsys):
+        """The parser's own errors (bad choice, bad type) and the flag types' take
+        one format, on the command line and through --config alike."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        for argv in (["critical", flag, value], ["critical", "--config", str(cfg)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert err.startswith("usage error:") and err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "md"]])
+    def test_no_suite_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: the following arguments are required: suite\n"
+
+    @pytest.mark.parametrize("suite, flag, name", [("critical", "--config", "cfg.json"),
+                                                   ("catalog", "--golden", "catalog.json")])
+    def test_file_that_is_not_text_is_usage_error(self, suite, flag, name, tmp_path, capsys):
+        (tmp_path / name).write_bytes(b"\xff\xfe{")
+        code, out, err = run([suite, flag, str(tmp_path / name if flag == "--config" else tmp_path)],
+                             capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error:")
 
@@ -245,6 +278,42 @@ class TestReports:
         assert code == 2 and out == ""
         assert err.startswith("error: expected 4 distinct rational eigenvalues")
 
+    def test_all_reports_the_suites_that_finished(self, capsys):
+        """A suite that raises does not stop `all`: the others report, and each
+        suite that raised is named on stderr after the summaries."""
+        code, out, err = run(["all", "--modes", "1,1"], capsys)
+        assert code == 2
+        reports = json.loads(out)
+        assert [r["suite"] for r in reports] == [s for s, _ in cli.ALL_RUNS if s not in ("modes", "overlap")]
+        assert all(r["summary"]["fail"] == 0 for r in reports)
+        lines = err.splitlines()
+        assert lines[:12] == [f"[{r['suite']}] {r['summary']['pass']} passed, 0 failed, 0 skipped"
+                              for r in reports]
+        message = "expected 4 distinct rational eigenvalues, got [Fraction(-1, 1), Fraction(1, 1)]"
+        assert lines[12:] == [f"error: [modes] {message}", f"error: [overlap] {message}"]
+
+    def test_all_stderr_is_one_summary_line_per_run(self, capsys, monkeypatch):
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, lambda opts, name=name: cli.Report(name, {}))
+        code, out, err = run(["all"], capsys)
+        assert code == 0 and len(json.loads(out)) == 14
+        assert err == "".join(f"[{s}] 0 passed, 0 failed, 0 skipped\n" for s, _ in cli.ALL_RUNS)
+
+    @pytest.mark.parametrize("argv, target, error, check", [
+        (["omega"], "cgalgebra.cli.similarity", NonTerminatingSeries, "coupling-similarity-decouples"),
+        (["symmetries", "--omega", "3"], "cgalgebra.invariance.close_algebra", NotClosed, "catalog-closure"),
+    ])
+    def test_algebra_error_in_a_check_records_fail(self, argv, target, error, check, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise error("broken on purpose")
+
+        monkeypatch.setattr(target, broken)
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert [c["id"] for c in failed] == [check]
+        assert failed[0]["details"] == f"{error.__name__}: broken on purpose"
+
     def test_overlap_example_value(self, capsys):
         code, out, _ = run(["overlap", "--gamma-bar", "1,0"], capsys)
         assert code == 0
@@ -266,6 +335,14 @@ class TestReports:
         rep = json.loads(out)
         dim = [c for c in rep["checks"] if c["id"] == "dimension"][0]
         assert dim["details"] == "dim=12"
+
+    @pytest.mark.parametrize("omega", ["3/1", "3.0", "1/1"])
+    def test_symmetries_critical_omega_in_any_spelling(self, omega, capsys):
+        """--omega 3/1 is the critical ratio 3: its closure check runs as at --omega 3."""
+        code, out, _ = run(["symmetries", "--omega", omega], capsys)
+        assert code == 0
+        assert dimension_check(out) == ("pass", "dim=12")
+        assert dimension_check(out, "catalog-closure")[0] == "pass"
 
     def test_symmetries_large_rational_omega_finishes(self, capsys, deadline):
         # the characteristic polynomial's constant term used to be trial-divided
@@ -436,3 +513,22 @@ class TestGolden:
         want = OPTION_REPORTS[argv]
         assert code == want["exit"]
         assert timing_free(json.loads(out)) == want["report"]
+
+
+def benchmark_cli_configs():
+    """benchmarks/spans.py's CLI_CONFIGS, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "benchmarks" / "spans.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "CLI_CONFIGS")
+    return ast.literal_eval(node.value)
+
+
+class TestAllRuns:
+    def test_all_runs_are_the_benchmark_configs(self):
+        """The benchmark times `all` as 14 argv; each parses to its ALL_RUNS entry, in order."""
+        parser = cli.build_parser()
+        configs = list(benchmark_cli_configs().values())
+        assert len(configs) == len(cli.ALL_RUNS) == 14
+        for argv, (suite, overrides) in zip(configs, cli.ALL_RUNS):
+            want = {**vars(parser.parse_args([suite])), **overrides}
+            assert vars(parser.parse_args(argv)) == want, argv
