@@ -520,8 +520,25 @@ def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
     return convert
 
 
+MAX_DIGITS = 1000  # per numerator and denominator of a rational flag value
+
+
+def _rational(text: str) -> F:
+    """``F(text)`` with numerator and denominator of at most MAX_DIGITS digits each."""
+    try:  # int reads an exponent as F does (sign, spaces, underscores), before F computes 10**exponent
+        exponent = int(text.lower().partition("e")[2])
+    except ValueError:
+        exponent = 0  # no exponent, or a literal that F refuses with its own message
+    if abs(exponent) > 2 * MAX_DIGITS:
+        raise ValueError(f"exponent {exponent} is out of range")
+    q = F(text)
+    if max(abs(q.numerator), q.denominator) >= 10 ** MAX_DIGITS:
+        raise ValueError(f"numerator or denominator has more than {MAX_DIGITS} digits")
+    return q
+
+
 def _complex_rational(text: str) -> Coefficient:
-    parts = [F(x) for x in text.split(",", 1)]
+    parts = [_rational(x) for x in text.split(",", 1)]
     return Coefficient.of(tuple(parts) if len(parts) == 2 else parts[0])
 
 
@@ -554,13 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--realization", choices=("free", "osc", "both"), default="both")
-    p.add_argument("--gamma", type=_flag_type(F), default=None,
+    p.add_argument("--gamma", type=_flag_type(_rational), default=None,
                    help="rational value for the deformation parameter (default: formal)")
     p.add_argument("--gamma-bar", dest="gamma_bar", type=_flag_type(_complex_rational), default=None,
                    help='oscillator coupling as "re,im" rationals (default: formal/sweep)')
-    p.add_argument("--omega", type=_flag_type(lambda t: None if t == "generic" else F(t)),
+    p.add_argument("--omega", type=_flag_type(lambda t: None if t == "generic" else _rational(t)),
                    default=None, help='frequency: rational like "3" or "generic"')
-    p.add_argument("--ell", type=_flag_type(F), default=F(3, 2), help="half-integer rank, e.g. 5/2")
+    p.add_argument("--ell", type=_flag_type(_rational), default=F(3, 2), help="half-integer rank, e.g. 5/2")
     p.add_argument("--signs", type=_flag_type(_signs), default=None,
                    help='frequency signs like "+,-" for the general-rank builders')
     p.add_argument("--cutoff-a", dest="cutoff_a", type=_flag_type(_count), default=12)

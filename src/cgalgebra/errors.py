@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class AlgebraError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``residual`` is the
+    offending remainder where there is one."""
+
+    def __init__(self, message: str, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class ZeroSubstitution(AlgebraError):
@@ -17,10 +22,6 @@ class SingularLimit(AlgebraError):
 
 class NonTerminatingSeries(AlgebraError):
     """An ad-series similarity transform did not terminate within max_depth."""
-
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class UnsupportedShape(AlgebraError):
@@ -35,10 +36,6 @@ class BadArity(AlgebraError):
 class NotInIdeal(AlgebraError):
     """A candidate operator is not a function multiple of the target operator."""
 
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NonQuadratic(AlgebraError):
     """The Hamiltonian does not preserve the degree <= 2 filtration."""
@@ -48,9 +45,8 @@ class NotClosed(AlgebraError):
     """A set of generators does not close under commutation."""
 
     def __init__(self, message: str, pair=None, residual=None):
-        super().__init__(message)
+        super().__init__(message, residual)
         self.pair = pair
-        self.residual = residual
 
 
 class DegenerateModes(AlgebraError):
@@ -63,7 +59,3 @@ class CutoffTooSmall(AlgebraError):
 
 class CheckFailed(AlgebraError):
     """A symbolic identity check failed; carries the residual."""
-
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual

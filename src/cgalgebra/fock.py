@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial, perm, sqrt
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None) -> Tuple[bool, int]:
 # modes of the adjoint action
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@cache
 def _mode_vectors(modes: Tuple[int, int]) -> Tuple[Tuple[Fraction, Tuple[Coefficient, ...]], ...]:
     """(lam, nullspace vector over :data:`MODE_WORDS`) of ad_K in ascending lam, g formal.
 
@@ -295,6 +295,27 @@ def _raising_ops(gbar: GbarLike, modes: Tuple[int, int]) -> Tuple[LadderOp, Ladd
     return by_lam[F(modes[0])], by_lam[F(modes[1])]
 
 
+def _kets(gbar: GbarLike, modes: Tuple[int, int],
+          tops: List[int]) -> Iterator[Tuple[Tuple[int, int], Dict[Tuple[int, int], Coefficient]]]:
+    """((n, m), A_{m1}^n A_{m2}^m |vac>) for each m < len(tops) and n <= tops[m].
+
+    The modes are specialized to ``gbar`` once per pass, and each ket is built
+    from the one before it: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then
+    A_{m1}^n A_{m2}^m |vac> from A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
+    yields nothing but still advances the column.
+    """
+    a1, a2 = _raising_ops(gbar, modes)
+    column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
+    for m, top in enumerate(tops):
+        if m:
+            column = a2.apply_state(column)
+        ket = column
+        for n in range(top + 1):
+            if n:
+                ket = a1.apply_state(ket)
+            yield (n, m), ket
+
+
 def eigenstate(n: int, m: int, gbar: GbarLike = None,
                na: Optional[int] = None, nb: Optional[int] = None,
                modes: Tuple[int, int] = (1, 3)) -> Dict[Tuple[int, int], Coefficient]:
@@ -307,12 +328,7 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
         raise CutoffTooSmall("state would touch the a-cutoff")
     if nb is not None and m > nb:
         raise CutoffTooSmall("state would touch the b-cutoff")
-    a1, a3 = _raising_ops(gbar, modes)
-    state = {(0, 0): Coefficient.of(1)}
-    for _ in range(m):
-        state = a3.apply_state(state)
-    for _ in range(n):
-        state = a1.apply_state(state)
+    *_, (_, state) = _kets(gbar, modes, [-1] * m + [n])
     return state
 
 
@@ -344,32 +360,19 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
     """Rows = mode eigenstates that fit the cutoffs, in the orthonormal basis.
 
     Row order is n outer, m inner over the states |n-bar, m-bar> with
-    n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``.
-    The modes are specialized to ``gbar`` once per call, and the states are
-    built incrementally: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then
-    A_{m1}^n A_{m2}^m |vac> from A_{m1}^(n-1) A_{m2}^m |vac>, the same
-    applications in the same order as :func:`eigenstate`.
+    n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``:
+    both take their kets from one :func:`_kets` pass.
     """
     index = FockBasis(na, nb, modes).index()
     step = abs(modes[1])
-    a1, a3 = _raising_ops(gbar, modes)
     rows: Dict[Tuple[int, int], np.ndarray] = {}
-    column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
-    for m in range(nb + 1):
-        if step * m > na:
-            break
-        if m:
-            column = a3.apply_state(column)
-        st = column
-        for n in range(na - step * m + 1):
-            if n:
-                st = a1.apply_state(st)
-            row = rows[(n, m)] = np.zeros(len(index), dtype=complex)
-            for (n2, m2), amp in st.items():
-                j = index.get((n2, m2))
-                if j is None:
-                    raise CutoffTooSmall("eigenstate leaks outside the cutoff")
-                row[j] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
+    for nm, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
+        row = rows[nm] = np.zeros(len(index), dtype=complex)
+        for (n2, m2), amp in ket.items():
+            j = index.get((n2, m2))
+            if j is None:
+                raise CutoffTooSmall("eigenstate leaks outside the cutoff")
+            row[j] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
     return np.array([rows[nm] for nm in sorted(rows)])
 
 

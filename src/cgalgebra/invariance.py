@@ -407,7 +407,7 @@ def find_symmetries(omega_op: WeylOp,
         columns = [bh - b.scale(lam_c) for b, bh in zip(basis_ops, brackets)]
         columns.append(h.scale(I * lam_c))
         kept, live = _singleton_sweep(coefficient_matrix(columns)[1], len(columns))
-        for vec in nullspace(kept, ncols=len(live)) if live else []:
+        for vec in nullspace(kept, ncols=len(live)):
             coeffs = dict(zip(live, vec))
             c_coeff = coeffs.pop(len(basis_ops), Coefficient())
             inner = WeylOp.dt().scale(c_coeff)

@@ -247,47 +247,36 @@ def r2_exponent(gamma: Optional[CoefficientLike] = None) -> WeylOp:
 # decoupled catalog (rank 3/2, gamma = 0)
 # ---------------------------------------------------------------------------
 
-def _omega_coeff(omega) -> Coefficient:
-    return OMEGA if omega is None else Coefficient.of(omega)
-
-
 def decoupled_generic(omega: Optional[CoefficientLike] = None) -> Realization:
     """Nine-generator symmetry catalog of the decoupled oscillator pair.
 
-    ``omega`` is the second frequency; ``None`` keeps it formal (phases then
-    live on the (m, n) lattice).  Generator names follow the catalog
-    convention: the x-ladder pair is w+1/w-1, the y-pair w+omega/w-omega.
+    ``omega`` is the second frequency.  The generators are written once with
+    it formal (phases on the (m, n) lattice, the y-number terms carrying i*w);
+    a value is put in by :meth:`WeylOp.substitute`, which folds the phases and
+    raises ValueError on a complex frequency.  Generator names follow the
+    catalog convention: the x-ladder pair is w+1/w-1, the y-pair w+omega/w-omega.
     """
-    if omega is None:
-        wm, wn = 0, 1
-        iw = _c(0, 1, 0, 1)  # the scalar i*w
-    else:
-        q = Coefficient.of(omega)
-        if q.im:
-            raise ValueError("frequency must be real rational for phases")
-        wm, wn = q.re, 0
-        iw = q * I
+    iw = _c(0, 1, 0, 1)  # the scalar i*w
     gens = {
         "z+": _op((_c(1), _m(2, 0, dt=1)), (_c(0, 1), _m(2, 0, x=1, dx=1)),
-                  (_c(0, 1), _m(2, 0, x=2)), (_c(0, F(1, 2)), _m(2, 0)))
-              + WeylOp({_m(2, 0, y=1, dy=1): iw}),
+                  (_c(0, 1), _m(2, 0, x=2)), (_c(0, F(1, 2)), _m(2, 0)), (iw, _m(2, 0, y=1, dy=1))),
         "z-": _op((_c(1), _m(-2, 0, dt=1)), (_c(0, -1), _m(-2, 0, x=1, dx=1)),
-                  (_c(0, 1), _m(-2, 0, x=2)), (_c(0, F(-1, 2)), _m(-2, 0)))
-              + WeylOp({_m(-2, 0, y=1, dy=1): iw}),
-        "z0": _op((_c(1), _m(dt=1))) + WeylOp({_m(y=1, dy=1): iw}),
+                  (_c(0, 1), _m(-2, 0, x=2)), (_c(0, F(-1, 2)), _m(-2, 0)), (iw, _m(-2, 0, y=1, dy=1))),
+        "z0": _op((_c(1), _m(dt=1)), (iw, _m(y=1, dy=1))),
         "d": _op((_c(0, F(-1, 2)), _m(dt=1))),
         "c": WeylOp.one(),
-        "w+omega": WeylOp({Monomial.make(F(wm), wn, 0, (0, 0), (0, 1), 0): ONE}),
+        "w+omega": _op((ONE, _m(0, 1, dy=1))),
         "w+1": _op((_c(1), _m(1, 0, dx=1)), (_c(1), _m(1, 0, x=1))),
         "w-1": _op((_c(1), _m(-1, 0, dx=1)), (_c(-1), _m(-1, 0, x=1))),
-        "w-omega": WeylOp({Monomial.make(F(-wm), -wn, 0, (0, 1), (0, 0), 0): ONE}),
+        "w-omega": _op((ONE, _m(0, -1, y=1))),
     }
-    return Realization("decoupled-generic", gens, gamma=0)
+    return Realization("decoupled-generic", {k: v.substitute(omega=omega) for k, v in gens.items()},
+                       gamma=0)
 
 
 def generic_table(omega: Optional[CoefficientLike] = None) -> GeneratorTable:
     """Structure constants closed by the nine decoupled generators."""
-    w2 = _omega_coeff(omega) * F(1, 2)
+    w2 = OMEGA.substitute(omega=omega) * F(1, 2)
     br: Dict[Tuple[str, str], Dict[str, Coefficient]] = {
         ("d", "z+"): {"z+": _c(1)},
         ("d", "z-"): {"z-": _c(-1)},
@@ -331,12 +320,8 @@ def theta_family(omega: Optional[CoefficientLike] = None,
                  constant: CoefficientLike = 0) -> WeylOp:
     """Theta = -Dx^2/2 + x^2/2 + w y Dy - i g x Dy + C (formal where None)."""
     op = _op((_c(F(-1, 2)), _m(dx=2)), (_c(F(1, 2)), _m(x=2)),
-             (_c(0, -1, 1), _m(x=1, dy=1)))
-    op = op + WeylOp({_m(y=1, dy=1): _omega_coeff(omega)})
-    cq = Coefficient.of(constant)
-    if not cq.is_zero():
-        op = op + WeylOp.scalar(cq)
-    return op.substitute(gamma=gamma)
+             (_c(0, -1, 1), _m(x=1, dy=1)), (OMEGA, _m(y=1, dy=1)), (constant, _m()))
+    return op.substitute(gamma=gamma, omega=omega)
 
 
 # ---------------------------------------------------------------------------

@@ -187,10 +187,6 @@ class WeylOp:
     def spatial_degree(self) -> int:
         return max((m.spatial_degree() for m in self._terms), default=0)
 
-    def is_function(self) -> bool:
-        """True when no derivative (coordinate or time) appears."""
-        return all(m.is_function() for m in self._terms)
-
     def is_time_independent(self) -> bool:
         return all(m.phase_m == 0 and m.phase_n == 0 and m.t_pow == 0 and m.dt_pow == 0
                    for m in self._terms)

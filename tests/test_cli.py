@@ -83,6 +83,20 @@ class TestExitCodes:
             assert code == 2 and out == "", argv
             assert err.startswith("usage error:") and err.count("\n") == 1, (argv, err)
 
+    @pytest.mark.parametrize("suite, flag", [("overlap", "--gamma-bar"), ("general-l", "--ell"),
+                                             ("symmetries", "--omega"), ("omega", "--gamma")])
+    def test_rational_over_the_digit_bound_is_usage_error(self, suite, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: "1e5000"}))
+        for argv in ([suite, flag, "1e5000"], [suite, "--config", str(cfg)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"usage error: argument {flag}:"), (argv, err)
+
+    def test_rational_inside_the_digit_bound_runs(self, capsys):
+        code, _, _ = run(["omega", "--gamma", "1e999"], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize("argv", [[], ["--format", "md"]])
     def test_no_suite_is_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

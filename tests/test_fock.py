@@ -499,6 +499,10 @@ class TestEigenstateMatrix:
         eigenstate_matrix(F(1, 2), 12, 12)
         assert len(calls) == 1
 
+    def test_zero_frequency_is_degenerate(self):
+        with pytest.raises(DegenerateModes):
+            eigenstate_matrix(F(1, 2), 4, 4, (1, 0))
+
     def test_leaking_state_raises(self, monkeypatch):
         # a raising operator that moves the a-count by 4 > |m2| leaves the cutoff
         leaky = LadderOp({Monomial.make(x_pows=(4, 1)): Coefficient.of(1)})  # (a+)^4 b+

@@ -160,6 +160,18 @@ class TestDecoupledCatalog:
         # with the coupling sign flipped, i.e. H0 at g -> -g
         assert theta_family(3, None, F(3, 2)) == _gamma_negate(h0_op())
 
+    def test_specialized_printed_forms(self):
+        """A value of omega folds into coefficients and phases exactly."""
+        assert print_op(decoupled_generic(3)["z0"]) == "Dt^1 * (1) + y^1*Dy^1 * (3i)"
+        assert print_op(decoupled_generic(3)["w+omega"]) == "e[3,0]*Dy^1 * (1)"
+        assert print_op(decoupled_generic(F(-1, 3))["w-omega"]) == "e[1/3,0]*y^1 * (1)"
+        assert print_op(theta_family(F(355, 113), F(2, 3), F(3, 2))) == (
+            "1 * (3/2) + Dx^2 * (-1/2) + y^1*Dy^1 * (355/113) + x^1*Dy^1 * (-2/3i) + x^2 * (1/2)")
+
+    def test_complex_frequency_has_no_phase(self):
+        with pytest.raises(ValueError):
+            decoupled_generic((1, 1))
+
 
 def _gamma_negate(op: WeylOp) -> WeylOp:
     """g -> -g by reweighting each coefficient term."""
