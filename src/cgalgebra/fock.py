@@ -74,7 +74,8 @@ class LadderOp(WeylOp):
 
     def __mul__(self, other) -> "LadderOp":
         """The Weyl product, kept a LadderOp: a function of its own, not inherited,
-        so that the ladder product can be wrapped or timed apart from ``WeylOp.__mul__``."""
+        so that the ladder product can be wrapped or timed apart from ``WeylOp.__mul__``.
+        Only direct products come here: :func:`commutator` calls ``multiply`` itself."""
         if isinstance(other, WeylOp):
             return multiply(self, other)
         return self.scale(other)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import BadArity, CheckFailed
@@ -56,9 +57,11 @@ class GeneratorTable:
         return {}
 
     def validate(self) -> bool:
-        """Antisymmetry of storage and the Jacobi identity on all triples.
+        """Antisymmetry of storage and the Jacobi identity.
 
-        Returns True; raises :class:`CheckFailed` naming the first violation.
+        With the storage antisymmetric the Jacobi sum is totally antisymmetric,
+        so it is checked once per set of three distinct names.  Returns True;
+        raises :class:`CheckFailed` naming the first violation.
         """
         for (a, b) in self.brackets:
             if a == b and self.brackets[(a, b)]:
@@ -74,17 +77,14 @@ class GeneratorTable:
             for other in self.names:
                 if self.bracket(c, other):
                     raise CheckFailed(f"central element {c} has a nonzero bracket with {other}")
-        names = self.names
-        for a in names:
-            for b in names:
-                for c in names:
-                    acc: Dict[str, Coefficient] = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for k, f in self.bracket(y, z).items():
-                            for m, g in self.bracket(x, k).items():
-                                accumulate(acc, m, f * g)
-                    if acc:
-                        raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {acc}")
+        for a, b, c in combinations(self.names, 3):
+            acc: Dict[str, Coefficient] = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for k, f in self.bracket(y, z).items():
+                    for m, g in self.bracket(x, k).items():
+                        accumulate(acc, m, f * g)
+            if acc:
+                raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {acc}")
         return True
 
 

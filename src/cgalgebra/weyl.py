@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
@@ -289,18 +290,24 @@ _ZERO_OP = _op(WeylOp, {})
 # product
 # ---------------------------------------------------------------------------
 
-def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc: dict) -> None:
+def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc: dict,
+              contracted: bool) -> None:
     """Accumulate the normal-ordered expansion of (c1 m1) * (c2 m2) into acc.
 
     Each output monomial carries an integer weight (binomials times falling
     factorials) and one power of the phase derivative theta; the ring
     coefficient c1*c2*theta^p is built once per p and scaled by the weight.
+    With ``contracted`` the uncontracted term, the one that is the same in
+    both orders of the factors, is left out.
     """
+    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
+    if contracted and not any(p and q for p, q in zip(d1, x2)) and not (
+            m1.dt_pow and (m2.phase_m or m2.phase_n or m2.t_pow)):
+        return
     base = c1 * c2
     if base.is_zero():
         return
 
-    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
     pad = len(x1) - len(x2)
     if pad > 0:
         x2, d2 = x2 + (0,) * pad, d2 + (0,) * pad
@@ -337,43 +344,51 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     phase_m = _phase(m1.phase_m + m2.phase_m)
     phase_n = m1.phase_n + m2.phase_n
     t_pow = m1.t_pow + a
-    for xs, ds, weight in spatial:
-        for r, dt_left, tc, tw in time_choices:
-            w = weight * tw
-            accumulate(acc, Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow),
-                       tc * w if w != 1 else tc)
+    pairs = product(spatial, time_choices)
+    if contracted:
+        next(pairs)  # first with first: no contraction
+    for (xs, ds, weight), (r, dt_left, tc, tw) in pairs:
+        w = weight * tw
+        accumulate(acc, Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + m2.dt_pow),
+                   tc * w if w != 1 else tc)
 
 
-def multiply(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Normal-ordered associative product a*b, of the class of a."""
+def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
+    """Normal-ordered associative product a*b, of the class of a.
+
+    With ``contracted`` only the terms with at least one contraction: a*b
+    less the commutative product of the symbols.
+    """
     acc: dict = {}
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
-            _mono_mul(m1, c1, m2, c2, acc)
+            _mono_mul(m1, c1, m2, c2, acc, contracted)
     return _op(type(a), acc)
 
 
-def commutator(a, b):
-    """[a, b] = ab - ba through the operands' own ``*``: ``fock.LadderOp``'s for ladder pairs."""
-    return a * b - b * a
+def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
+    """[a, b] = ab - ba, of the class of a, from the contracted terms of each order."""
+    return multiply(a, b, contracted=True) - multiply(b, a, contracted=True)
 
 
 def anticommutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return multiply(a, b) + multiply(b, a)
 
 
-def similarity(s, a, max_depth: int = 64):
+def similarity(s: WeylOp, a: WeylOp, max_depth: int = 64) -> WeylOp:
     """e^s a e^{-s} through the terminating ad-series sum ad_s^n(a)/n!.
 
-    Works on any operator class with ``*``, ``+``, ``-`` and ``scale``.
-    Raises :class:`NonTerminatingSeries` when ad_s^{max_depth}(a) != 0;
-    callers must fall back to finite identities in that case.
+    Takes WeylOps (subclasses included), as :func:`commutator` does; the
+    result has the class of a.  Raises :class:`NonTerminatingSeries` when
+    ad_s^{max_depth}(a) != 0; callers must fall back to finite identities
+    in that case.
     """
     return ad_series(s, a, max_depth)[0]
 
 
-def ad_series(s, a, max_depth: int = 64) -> tuple:
-    """(e^s a e^{-s}, depth): the summed series and its number of nonzero ad terms."""
+def ad_series(s: WeylOp, a: WeylOp, max_depth: int = 64) -> tuple:
+    """(e^s a e^{-s}, depth): the summed series and its number of nonzero ad terms,
+    for WeylOp operands as :func:`similarity` takes them."""
     out = term = a
     for n in range(1, max_depth + 1):
         term = commutator(s, term)

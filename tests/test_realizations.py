@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from cgalgebra.errors import BadArity
+from cgalgebra.errors import BadArity, CheckFailed
 from cgalgebra.ring import Coefficient, I
 from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
@@ -53,6 +54,20 @@ class TestTables:
 
     def test_contraction_table_consistency(self):
         contraction_table().validate()
+
+    def test_validate_catches_a_jacobi_failure(self):
+        table = cga32_table()
+        broken = dataclasses.replace(
+            table, brackets={**table.brackets, ("z+", "z-"): {"z0": scalar(0, -2)}})
+        with pytest.raises(CheckFailed, match="Jacobi fails"):
+            broken.validate()
+
+    def test_validate_catches_storage_that_is_not_antisymmetric(self):
+        table = cga32_table()
+        broken = dataclasses.replace(
+            table, brackets={**table.brackets, ("z-", "z+"): {"z0": scalar(0, -4)}})
+        with pytest.raises(CheckFailed, match=r"\(z\+,z-\) and \(z-,z\+\) not antisymmetric"):
+            broken.validate()
 
 
 class TestRealizations:

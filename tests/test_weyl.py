@@ -5,6 +5,7 @@ from itertools import zip_longest
 import pytest
 
 from cgalgebra.errors import NonTerminatingSeries
+from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA, accumulate
 from cgalgebra.weyl import (
@@ -39,6 +40,21 @@ def rand_op(rng, max_terms=3):
             rng.randint(-1, 1), rng.randint(0, 1))
         terms[mono] = terms.get(mono, Coefficient()) + c
     return WeylOp(terms)
+
+
+def symbol_product(a, b):
+    """The commutative product: exponents add, nothing contracts."""
+    return WeylOp((Monomial.make(m1.phase_m + m2.phase_m, m1.phase_n + m2.phase_n, m1.t_pow + m2.t_pow,
+                                 [p + q for p, q in zip_longest(m1.x_pows, m2.x_pows, fillvalue=0)],
+                                 [p + q for p, q in zip_longest(m1.d_pows, m2.d_pows, fillvalue=0)],
+                                 m1.dt_pow + m2.dt_pow), c1 * c2)
+                  for m1, c1 in a.terms() for m2, c2 in b.terms())
+
+
+def function_op(rng):
+    """A random derivative-free operator."""
+    return WeylOp((Monomial.make(m.phase_m, m.phase_n, m.t_pow, m.x_pows), c)
+                  for m, c in rand_op(rng).terms())
 
 
 class TestProduct:
@@ -76,6 +92,27 @@ class TestProduct:
                    + commutator(b, commutator(c, a))
                    + commutator(c, commutator(a, b)))
             assert jac.is_zero()
+
+    def test_commutator_matches_both_products(self):
+        rng = random.Random(42)  # the triples of the associativity and Jacobi test
+        for _ in range(100):
+            a, b, c = rand_op(rng), rand_op(rng), rand_op(rng)
+            for x, y in ((a, b), (b, c), (c, a)):
+                assert commutator(x, y) == multiply(x, y) - multiply(y, x)
+                assert multiply(x, y, contracted=True) + symbol_product(x, y) == multiply(x, y)
+
+    def test_functions_commute(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            f, g, b = function_op(rng), function_op(rng), rand_op(rng)
+            assert commutator(f, g).is_zero()
+            assert multiply(f, b, contracted=True).is_zero()
+
+    def test_commutator_keeps_the_class_of_its_left_operand(self):
+        a, b = LadderOp({Monomial.make(x_pows=(1,)): 1}), LadderOp({Monomial.make(d_pows=(1,)): 1})
+        assert type(commutator(a, b)) is LadderOp and commutator(b, a) == WeylOp.one()
+        assert type(commutator(DX, a)) is WeylOp and commutator(DX, a) == WeylOp.one()
+        assert type(commutator(a, DX)) is LadderOp
 
     def test_anticommutator(self):
         assert anticommutator(DX, X) == multiply(X, DX).scale(2) + WeylOp.one()
