@@ -50,7 +50,7 @@ class NotClosed(AlgebraError):
 
 
 class DegenerateModes(AlgebraError):
-    """The adjoint action has colliding eigenvalues; mode basis undefined."""
+    """The adjoint action has colliding eigenvalues (a resonance): no mode basis or decoupling map."""
 
 
 class CutoffTooSmall(AlgebraError):

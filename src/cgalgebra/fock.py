@@ -33,10 +33,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
+from .invariance import decoupling_map
 from .linalg import charpoly, gaussian_rational_roots, normalize_vector, nullspace
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
-from .weyl import Monomial, WeylOp, ad_series, apply, coefficient_matrix, commutator, multiply
+from .weyl import Monomial, WeylOp, ad_series, apply, coefficient_matrix, commutator, multiply, similarity
 
 F = Fraction
 
@@ -113,35 +114,28 @@ def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp
     return out + coupling
 
 
-def n_ladder(gbar: GbarLike = None) -> LadderOp:
-    """Number-like partner N = a+a + b+b + (gbar/2) ab - (gbar^2/12) b^2.
+@cache
+def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
+    """(E, N) of :func:`kgamma_decoupling_check` with the coupling formal."""
+    e = decoupling_map(k_ladder(0, modes), k_ladder(None, modes))
+    return e, similarity(-e, LadderOp({_word(1, 1, 0, 0): 1, _word(0, 0, 1, 1): 1}))
 
-    Commutes with K(gbar); reduces to the total number operator at zero
-    coupling.  (With the modes written in the eigenbasis, N = A3 A-3 + A1 A-1.)
+
+def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
+    """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
+    it commutes with K(gbar), and is the total number operator at zero coupling."""
+    return _decoupling(tuple(modes))[1].substitute(gamma=_gbar_coeff(gbar))
+
+
+def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
+    """Verify e^{-E} K(0) e^{E} = K(gbar) exactly; returns (it holds, ad-series depth).
+
+    E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
+    the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    g = _gbar_coeff(gbar)
-    return LadderOp({_word(1, 1, 0, 0): 1, _word(0, 0, 1, 1): 1,
-                     _word(0, 1, 0, 1): g * F(1, 2), _word(0, 0, 0, 2): -(g * g) * F(1, 12)})
-
-
-def decoupling_exponent(gbar: GbarLike = None) -> LadderOp:
-    """The printed map exponent E = -(gbar/2 a+b + gbar/4 ab + gbar^2/48 b^2)."""
-    g = _gbar_coeff(gbar)
-    return LadderOp({_word(1, 0, 0, 1): -(g * F(1, 2)), _word(0, 1, 0, 1): -(g * F(1, 4)),
-                     _word(0, 0, 0, 2): -(g * g) * F(1, 48)})
-
-
-def kgamma_decoupling_check(gbar: GbarLike = None) -> Tuple[bool, int]:
-    """Verify e^{-E} K(0) e^{E} = K(gbar) and [K(gbar), N(gbar)] = 0 exactly,
-    E the printed exponent; returns (both hold, ad-series depth).
-
-    The orientation (conjugation by e^{-E} rather than e^{E}) is the one the
-    exact expansion singles out; the series terminates because each ad step
-    strictly lowers the b+ count, well within 16 steps.
-    """
-    out, depth = ad_series(-decoupling_exponent(gbar), k_ladder(0), 16)
-    k = k_ladder(gbar)
-    return out == k and commutator(k, n_ladder(gbar)).is_zero(), depth
+    out, depth = ad_series(-_decoupling(tuple(modes))[0].substitute(gamma=_gbar_coeff(gbar)),
+                           k_ladder(0, modes), 16)
+    return out == k_ladder(gbar, modes), depth
 
 
 # ---------------------------------------------------------------------------

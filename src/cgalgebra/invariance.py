@@ -2,12 +2,12 @@
 
 The on-shell condition for a candidate symmetry Z of the equation
 Omega psi = 0 is [Z, Omega] = f * Omega with f a function of the
-coordinates; :func:`multiplier_division` extracts f by matching the Dt
-part and verifying the remainder, :func:`onshell_report` runs that over a
-whole realization, :func:`find_symmetries` solves the determining linear
-system exactly for first-order candidates, :func:`close_algebra` recovers
-structure constants, and :func:`contract` performs the rescaled
-deformation-parameter limit.
+coordinates; :func:`multiplier_division` extracts f by matching the Dt part and
+verifying the remainder, :func:`onshell_report` runs that over a whole realization,
+:func:`find_symmetries` solves the determining linear system exactly for first-order
+candidates, :func:`close_algebra` recovers structure constants, :func:`decoupling_map`
+finds the similarity that decouples a quadratic operator, and :func:`contract`
+performs the rescaled deformation-parameter limit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import CheckFailed, NonQuadratic, NotClosed, NotInIdeal, UnsupportedShape
+from .errors import (CheckFailed, DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed,
+                     NotInIdeal, UnsupportedShape)
 from .linalg import (
     Matrix,
     charpoly,
@@ -29,7 +30,7 @@ from .linalg import (
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
-from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply
+from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply, similarity
 
 F = Fraction
 
@@ -210,12 +211,6 @@ def critical_frequencies() -> List[CriticalSolution]:
 # adjoint spectrum of a quadratic Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _quadratic_basis(arity: int) -> List[Monomial]:
-    """Monomials of total degree <= 2 in coordinates and derivatives, lowest degree first."""
-    exps = sorted(_monomials_up_to(2 * arity, 2), key=sum)
-    return [Monomial.make(x_pows=e[:arity], d_pows=e[arity:]) for e in exps]
-
-
 def _check_time_independent_quadratic(h: WeylOp) -> None:
     if not h.is_time_independent():
         raise NonQuadratic("Hamiltonian must be time independent")
@@ -223,12 +218,40 @@ def _check_time_independent_quadratic(h: WeylOp) -> None:
         raise NonQuadratic("Hamiltonian exceeds total degree 2 in coordinates/derivatives")
 
 
-def adjoint_matrix(h: WeylOp) -> Tuple[List[Monomial], Matrix]:
-    """Matrix of ad_H = [H, .] on the degree <= 2 operator space, which it maps
-    into itself: [H, m] never has a higher degree than m."""
+def adjoint_matrix(h: WeylOp, arity: int = 1) -> Tuple[List[Monomial], Matrix]:
+    """Matrix of ad_H = [H, .] on the monomials of degree <= 2 in at least ``arity`` coordinates
+    and their derivatives, lowest degree first: [H, m] never has a higher degree than m."""
     _check_time_independent_quadratic(h)
-    basis = _quadratic_basis(max(h.arity, 1))
+    arity = max(h.arity, arity)
+    basis = [Monomial.make(x_pows=e[:arity], d_pows=e[arity:])
+             for e in sorted(_monomials_up_to(2 * arity, 2), key=sum)]
     return coefficient_matrix([commutator(h, WeylOp({m: 1})) for m in basis], rows=basis)
+
+
+def decoupling_map(h0: WeylOp, h: WeylOp) -> WeylOp:
+    """E with e^{-E} h0 e^{E} = h, of h0's class, by the Lie-transform normal form (Deprit 1969).
+
+    Each step solves [h0, E_k] = h - e^{-E} h0 e^{E} on :func:`adjoint_matrix`'s space for the
+    coordinates of h0 and h, free unknowns 0, until the residual is exactly zero; with a formal
+    coupling each step raises the residual's order in it.  Raises :class:`DegenerateModes` at a
+    resonance (a residual outside ad_h0's image), :class:`UnsupportedShape` unless h0 has scalar
+    coefficients, :class:`NonTerminatingSeries` after as many steps as the space has dimensions.
+    """
+    if not all(c.is_scalar() for _, c in h0.terms()):
+        raise UnsupportedShape("h0 must have scalar coefficients", residual=h0)
+    _check_time_independent_quadratic(h)
+    basis, mat = adjoint_matrix(h0, h.arity)
+    e = type(h0)()
+    for _ in basis:
+        residual = h - similarity(-e, h0)
+        if not residual:
+            return e
+        _, col = coefficient_matrix([residual], basis)
+        red, pivots, d = rref_fraction_free([r + c for r, c in zip(mat, col)])
+        if pivots[-1:] == [len(basis)]:
+            raise DegenerateModes("resonance: the residual is outside the image of ad_h0", residual=residual)
+        e = e + type(h0)({basis[c]: red[i][-1].divide_exact(d) for i, c in enumerate(pivots)})
+    raise NonTerminatingSeries(f"no decoupling map within {len(basis)} steps", residual=residual)
 
 
 def lambda_candidates(h: WeylOp) -> List[Lambda]:

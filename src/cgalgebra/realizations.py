@@ -214,11 +214,9 @@ def k_plus_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
 
 
 def h0_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
-    """Non-hermitian oscillator H0 = -Dx^2/2 + x^2/2 + 3 y Dy + i g x Dy + 3/2."""
-    op = _op((_c(F(-1, 2)), _m(dx=2)), (_c(F(1, 2)), _m(x=2)),
-             (_c(3), _m(y=1, dy=1)), (_c(0, 1, 1), _m(x=1, dy=1)),
-             (_c(F(3, 2)), _m()))
-    return op.substitute(gamma=gamma)
+    """Non-hermitian oscillator H0 = -Dx^2/2 + x^2/2 + 3 y Dy + i g x Dy + 3/2: the
+    :func:`theta_family` at w = 3 and C = 3/2, with the sign of g flipped."""
+    return theta_family(3, -Coefficient.of(GAMMA if gamma is None else gamma), F(3, 2))
 
 
 def s2_exponent() -> WeylOp:
@@ -229,18 +227,6 @@ def s2_exponent() -> WeylOp:
 def s_tilde_exponent() -> WeylOp:
     """-(3/2) i t, the contraction-identification exponent."""
     return _op((_c(0, F(-3, 2)), _m(t=1)))
-
-
-def r2_exponent(gamma: Optional[CoefficientLike] = None) -> WeylOp:
-    """Exponent D with e^D Theta(3, g, C) e^{-D} = Theta(3, 0, C).
-
-    D = (3i/8) g x Dy - (i/8) g Dx Dy + (1/96) g^2 Dy^2.  The decoupling is
-    verified by exact expansion (the series terminates at depth 3).
-    """
-    op = _op((_c(0, F(3, 8), 1), _m(x=1, dy=1)),
-             (_c(0, F(-1, 8), 1), _m(dx=1, dy=1)),
-             (_c(F(1, 96), 0, 2), _m(dy=2)))
-    return op.substitute(gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

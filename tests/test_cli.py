@@ -263,17 +263,18 @@ class TestReports:
     @pytest.mark.parametrize("modes", ["1,-3", "-1,3", "2,5", "2,-5", "3,1"])
     def test_modes_suite_solves_the_modes_flag(self, modes, capsys):
         """K = sum lam A_lam A_-lam + 1/2 + sum_{m_i<0} |m_i| holds only for the
-        modes of the K at ``--modes``; N and the decoupling map are (1, 3)'s."""
-        code, out, _ = run(["modes", "--modes", modes, "--gamma-bar", "2/3,-1/5"], capsys)
-        assert code == 0
-        checks = {c["id"]: c for c in json.loads(out)["checks"]}
-        m1, m2 = (abs(int(m)) for m in modes.split(","))
-        lams = sorted({-m1, m1, -m2, m2})
-        assert checks["eigenvalue-multiset"]["details"] == str([Fraction(lam) for lam in lams])
-        skipped = ("N-in-mode-basis", "K-N-commute", "decoupling-similarity")
-        for cid, check in checks.items():
-            assert check["status"] == ("skip" if cid in skipped else "pass"), cid
-        assert all("modes (1, 3) only" in checks[cid]["details"] for cid in skipped)
+        modes of the K at ``--modes``; N and the decoupling map are derived for them."""
+        for coupling in (["--gamma-bar", "2/3,-1/5"], []):
+            code, out, _ = run(["modes", "--modes", modes] + coupling, capsys)
+            assert code == 0
+            checks = {c["id"]: c for c in json.loads(out)["checks"]}
+            m1, m2 = (abs(int(m)) for m in modes.split(","))
+            lams = sorted({-m1, m1, -m2, m2})
+            assert checks["eigenvalue-multiset"]["details"] == str([Fraction(lam) for lam in lams])
+            assert len(checks) == 8
+            for cid, check in checks.items():
+                assert check["status"] == "pass", (coupling, cid)
+            assert checks["decoupling-similarity"]["details"] == "ad-depth 2"
 
     def test_overlap_suite_skips_the_closed_forms_at_other_modes(self, capsys):
         code, out, _ = run(["overlap", "--modes", "1,-3"], capsys)

@@ -11,12 +11,12 @@ from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
 from cgalgebra.ring import Coefficient, GAMMA, accumulate
 from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
+from cgalgebra.invariance import decoupling_map
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
     MODE_WORDS,
     FockBasis,
     LadderOp,
-    decoupling_exponent,
     eigenstate,
     eigenstate_matrix,
     expected_psi,
@@ -180,15 +180,40 @@ class TestDecoupling:
     def test_zero_coupling_is_identity(self):
         ok, depth = kgamma_decoupling_check(0)
         assert depth == 0 and ok
-        assert decoupling_exponent(0).is_zero()
+        assert decoupling_map(k_ladder(0), k_ladder()).substitute(gamma=0).is_zero()
 
     def test_wrong_orientation_fails(self):
-        e_op = decoupling_exponent(F(1, 2))
+        e_op = decoupling_map(k_ladder(0), k_ladder(F(1, 2)))
         got = similarity(e_op, k_ladder(0), 16)
         assert got != k_ladder(F(1, 2))
 
     def test_k_n_commute_symbolically(self):
         assert commutator(k_ladder(), n_ladder()).is_zero()
+
+    def test_printed_forms_at_modes_1_3(self):
+        """The derived map and N at formal gbar are the forms printed for K(gbar)."""
+        g = GAMMA
+        printed_e = -((ADAG * B).scale(g * F(1, 2)) + (A * B).scale(g * F(1, 4))
+                      + (B * B).scale(g * g * F(1, 48)))
+        printed_n = ADAG * A + BDAG * B + (A * B).scale(g * F(1, 2)) - (B * B).scale(g * g * F(1, 12))
+        assert decoupling_map(k_ladder(0), k_ladder()) == printed_e
+        assert n_ladder() == printed_n
+
+    @pytest.mark.parametrize("modes", [(1, 3), (1, -3), (-1, 3), (2, 5), (2, -5), (3, 1)])
+    def test_derived_at_every_mode_pair(self, modes):
+        """E = g (a+b/(m1 - m2) - ab/(m1 + m2)) + g^2 m1 b^2 / (2 m2 (m1^2 - m2^2)),
+        and it decouples K at formal and numeric couplings."""
+        m1, m2 = modes
+        want = (ADAG * B).scale(GAMMA * F(1, m1 - m2)) - (A * B).scale(GAMMA * F(1, m1 + m2)) \
+            + (B * B).scale(GAMMA * GAMMA * F(m1, 2 * m2 * (m1 * m1 - m2 * m2)))
+        assert decoupling_map(k_ladder(0, modes), k_ladder(None, modes)) == want
+        for g in (None, gr(F(2, 3), F(-1, 5))):
+            assert kgamma_decoupling_check(g, modes) == (True, 2), g
+
+    @pytest.mark.parametrize("modes", [(1, 1), (1, -1)])
+    def test_resonant_modes_raise(self, modes, deadline):
+        with deadline(10), pytest.raises(DegenerateModes):
+            decoupling_map(k_ladder(0, modes), k_ladder(None, modes))
 
 
 class TestModes:

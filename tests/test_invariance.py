@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from cgalgebra import invariance, linalg
-from cgalgebra.errors import NotClosed, NotInIdeal, NonQuadratic, SingularLimit, UnsupportedShape
+from cgalgebra.errors import (CheckFailed, DegenerateModes, NotClosed, NotInIdeal, NonQuadratic,
+                              SingularLimit, UnsupportedShape)
 from cgalgebra.ring import Coefficient, GAMMA, I
-from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op
+from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
     cga32_table,
     contraction_table,
@@ -32,6 +33,7 @@ from cgalgebra.invariance import (
     crit_eq1,
     crit_eq2,
     critical_frequencies,
+    decoupling_map,
     find_symmetries,
     lambda_candidates,
     multiplier_division,
@@ -271,7 +273,50 @@ class TestAdjointCharpoly:
             assert all(sympy.expand(expr(c) - e) == 0 for c, e in zip(got, want))
 
 
+class TestDecouplingMap:
+    @pytest.mark.parametrize("w", [F(3), F(2), F(355, 113), F(-1, 3)])
+    def test_theta_closed_form(self, w):
+        """E = g (iw x Dy - i Dx Dy)/(w^2 - 1) + g^2 Dy^2 / (4w (w^2 - 1)) takes
+        Theta(w, g) to Theta(w, 0)."""
+        g, r = GAMMA, 1 / (w * w - 1)
+        want = WeylOp({Monomial.make(x_pows=(1, 0), d_pows=(0, 1)): I * g * (w * r),
+                       Monomial.make(d_pows=(1, 1)): -I * g * r,
+                       Monomial.make(d_pows=(0, 2)): g * g * (r / (4 * w))})
+        e = decoupling_map(theta_family(w, 0), theta_family(w))
+        assert e == want
+        assert similarity(e, theta_family(w)) == theta_family(w, 0)
+
+    @pytest.mark.parametrize("w", [0, 1, -1])
+    def test_resonant_frequencies_raise(self, w, deadline):
+        """At w = 0 the residual's Dy^2 lies outside Theta(0, 0)'s single coordinate:
+        the basis takes h's coordinates too, or that term would be dropped."""
+        with deadline(10), pytest.raises(DegenerateModes):
+            decoupling_map(theta_family(w, 0), theta_family(w))
+
+    def test_residual_of_degree_three_is_rejected(self):
+        h0 = theta_family(3, 0)
+        with pytest.raises(NonQuadratic):
+            decoupling_map(h0, h0 + WeylOp({Monomial.make(x_pows=(3,)): 1}))
+
+    def test_formal_frequency_is_unsupported(self):
+        """Over a formal w the map divides by w^2 - 1, which the ring cannot."""
+        with pytest.raises(UnsupportedShape):
+            decoupling_map(theta_family(None, 0), theta_family(None))
+
+    def test_identity_map_keeps_the_class(self):
+        from cgalgebra.fock import LadderOp, k_ladder
+        e = decoupling_map(k_ladder(0), k_ladder(0))
+        assert e.is_zero() and type(e) is LadderOp
+
+
 class TestFindSymmetries:
+    def test_wrong_product_raises_check_failed(self, monkeypatch):
+        """The finder's own re-verification, which the symmetries suite's reverify checks rely on."""
+        om = WeylOp.dt().scale(I) - theta_family(3, 0, 0)
+        monkeypatch.setattr(invariance, "multiply", lambda a, b: multiply(a, b) + WeylOp.one())
+        with pytest.raises(CheckFailed):
+            find_symmetries(om, lam_set=[2])
+
     def test_one_bracket_per_basis_operator(self, monkeypatch):
         # 15 for the adjoint matrix, 12 [b, H] and 12 re-verifications
         calls = []

@@ -22,14 +22,13 @@ from cgalgebra.realizations import (
     h0_op,
     k_plus_op,
     omega_ops,
-    r2_exponent,
     realization_free,
     realization_osc,
     s_tilde_exponent,
     theta_family,
     x_plus_op,
 )
-from cgalgebra.invariance import verify_table
+from cgalgebra.invariance import decoupling_map, verify_table
 
 GOLDEN = Path(__file__).parent / "golden" / "catalog.json"
 
@@ -143,7 +142,7 @@ class TestConnectionOperators:
     def test_r2_decouples_theta(self):
         coupled = theta_family(3, None, F(3, 2))
         decoupled = theta_family(3, 0, F(3, 2))
-        assert similarity(r2_exponent(), coupled, 64) == decoupled
+        assert similarity(decoupling_map(theta_family(3, 0), theta_family(3)), coupled, 64) == decoupled
 
 
 class TestDecoupledCatalog:
