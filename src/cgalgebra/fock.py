@@ -212,41 +212,76 @@ class FockBasis:
         return {nm: i for i, nm in enumerate(self.states())}
 
 
-def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
-    """Dense matrix with row i = expansion of op|state_i> (orthonormal basis).
+def _entries(op: LadderOp, basis: FockBasis) -> Iterator[Tuple[int, int, Coefficient, float]]:
+    """(i, j, exact amplitude, sqrt(n2! m2! / (n! m!))) of each state_j = |n2, m2> in
+    op|state_i = |n, m>, both unnormalized kets; the factor converts the amplitude to
+    the orthonormal basis.
 
     Amplitudes that would leave the truncation are dropped, exactly as a
     finite truncation demands; triangularity statements are exact because
     every coupling term of K lowers the b-number.
     """
-    states = basis.states()
     index = basis.index()
-    dim = len(states)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, (n, m) in enumerate(states):
-        # act on the unnormalized ket, convert amplitudes with sqrt(n! m!)
-        vec = {(n, m): Coefficient.of(1)}
-        img = op.apply_state(vec)
-        for (n2, m2), amp in img.items():
+    for (n, m), i in index.items():
+        for (n2, m2), amp in op.apply_state({(n, m): Coefficient.of(1)}).items():
             j = index.get((n2, m2))
-            if j is None:
-                continue
-            # unnormalized amplitude -> orthonormal conversion
-            scalar = complex(amp)
-            factor = sqrt(factorial(n2) * factorial(m2)) / sqrt(factorial(n) * factorial(m))
-            out[i, j] = scalar * factor
+            if j is not None:
+                yield i, j, amp, sqrt(factorial(n2) * factorial(m2)) / sqrt(factorial(n) * factorial(m))
+
+
+def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
+    """Dense matrix with row i = expansion of op|state_i> (orthonormal basis),
+    amplitudes outside the truncation dropped."""
+    dim = len(basis.states())
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, j, amp, factor in _entries(op, basis):
+        out[i, j] = complex(amp) * factor
+    return out
+
+
+@cache
+def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ...]:
+    """(rows, cols, g^0 weights, g^1 weights, factors) of K's truncated matrix with the
+    coupling formal: K is affine in it, so entry [i, j] at gbar is
+    (c0 + gbar c1) * factor.  Read-only arrays with one slot per nonzero entry,
+    O(dim) of them (K has at most three terms per ket).
+
+    The factor is kept apart and applied last, as :func:`ladder_matrix` applies
+    it to the exact amplitude, so the entries round alike: folded into c1 it
+    puts 1.8e-12 between the two routes at gbar = 1000 and cutoff 12."""
+    rows, cols, c0, c1, factors = [], [], [], [], []
+    for i, j, amp, factor in _entries(k_ladder(None, modes), FockBasis(na, nb, modes)):
+        weights = {a: complex(float(re), float(im)) for (a, _), (re, im) in amp.terms}
+        rows.append(i)
+        cols.append(j)
+        c0.append(weights.get(0, 0j))
+        c1.append(weights.get(1, 0j))
+        factors.append(factor)
+    out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+           np.array(c0, dtype=complex), np.array(c1, dtype=complex), np.array(factors))
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
 def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
-    """Truncated matrix of K: exactly lower triangular in the b-number order,
-    and in the basis's energy order only when |m2| > |m1|."""
+    """Truncated matrix of K = K0 + gbar K1: exactly lower triangular in the b-number
+    order, and in the basis's energy order only when |m2| > |m1|.
+
+    The entries of K0 and K1 are built once per cutoff and modes with the
+    coupling formal (:func:`_k_entries`); a call substitutes ``gbar`` into them
+    and fills a fresh matrix.
+    """
     if na < 1 or nb < 1:
         raise CutoffTooSmall("cutoffs must be at least 1")
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
         raise ValueError("numerical matrix needs a numeric coupling")
-    return ladder_matrix(k_ladder(g, modes), FockBasis(na, nb, modes))
+    rows, cols, c0, c1, factors = _k_entries(na, nb, tuple(modes))
+    dim = (na + 1) * (nb + 1)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, cols] = (c0 + complex(g) * c1) * factors
+    return out
 
 
 @dataclass
@@ -259,17 +294,15 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
     """Numerical eigenvalues with residual reporting.
 
     Residual ||M v - lam v|| <= 1e-9 max(||M||_2, 1) is checked per
-    eigenpair; a failure raises :class:`CheckFailed` with the worst offender.
+    eigenpair, all of them from one product M V - V diag(lam); a failure
+    raises :class:`CheckFailed` with the worst offender.
     The largest column norm of M is a lower bound on ||M||_2, so when the
     worst residual already passes against that bound the SVD behind the
     2-norm is skipped; the verdict and ``max_residual`` are the same either
     way.
     """
     vals, vecs = np.linalg.eig(matrix)
-    worst = 0.0
-    for k in range(len(vals)):
-        r = np.linalg.norm(matrix @ vecs[:, k] - vals[k] * vecs[:, k])
-        worst = max(worst, r)
+    worst = float(np.linalg.norm(matrix @ vecs - vecs * vals, axis=0).max())
     # column norms from views of M, with no complex temporary of M's size
     re, im = matrix.real, matrix.imag
     colmax = float(np.sqrt((np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)).max()))

@@ -406,6 +406,58 @@ class TestMatrices:
         with pytest.raises(CutoffTooSmall):
             k_matrix(0.5, 0, 4)
 
+    @pytest.mark.parametrize("modes", [(1, 3), (1, -3), (2, 5), (3, 1)])
+    @pytest.mark.parametrize("na, nb", [(1, 1), (3, 5), (6, 2), (12, 12)])
+    def test_cached_entries_against_exact_route(self, na, nb, modes):
+        """K0 + g K1 from the cached formal entries equals K(g) applied ket by ket
+        with exact arithmetic; the triangle and the diagonal hold exactly."""
+        basis = FockBasis(na, nb, modes)
+        states = basis.states()
+        by_b = np.argsort([m for _, m in states], kind="stable")
+        diag = np.array([modes[0] * n + modes[1] * m + 0.5 for n, m in states])
+        for g in (0, 0.3, 0.7 + 0.2j, 2, 1000, gr(F(2, 3), F(-1, 5))):
+            got = k_matrix(g, na, nb, modes)
+            assert np.abs(got - ladder_matrix(k_ladder(g, modes), basis)).max() <= 1e-12
+            assert np.abs(np.triu(got[np.ix_(by_b, by_b)], 1)).max() == 0.0
+            assert np.array_equal(np.diag(got), diag)
+        off = k_matrix(0, na, nb, modes)
+        assert np.array_equal(off, np.diag(diag))
+
+
+class TestKMatrixCache:
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        fock._k_entries.cache_clear()
+        yield
+        fock._k_entries.cache_clear()
+
+    def test_one_formal_build_per_cutoff_and_modes(self, monkeypatch):
+        calls = []
+        real = LadderOp.apply_state
+        monkeypatch.setattr(LadderOp, "apply_state", lambda self, st: calls.append(1) or real(self, st))
+        for g in (0, 0.3, 0.7 + 0.2j, 2):
+            k_matrix(g, 4, 4)
+        assert fock._k_entries.cache_info().misses == 1
+        assert len(calls) == 25  # one formal application per ket of the 5 x 5 basis
+        k_matrix(0.5, 4, 4, modes=[1, 3])
+        assert fock._k_entries.cache_info().misses == 1
+        k_matrix(0.5, 4, 4, modes=(1, -3))
+        assert fock._k_entries.cache_info().misses == 2
+
+    def test_returned_matrix_does_not_reach_the_cache(self):
+        want = k_matrix(0.5, 3, 3)
+        got = k_matrix(0.5, 3, 3)
+        got[:] = 7
+        assert np.array_equal(k_matrix(0.5, 3, 3), want)
+        assert all(not arr.flags.writeable for arr in fock._k_entries(3, 3, (1, 3)))
+
+    def test_guards_run_before_any_build(self):
+        with pytest.raises(CutoffTooSmall):
+            k_matrix(0.5, 0, 4)
+        with pytest.raises(ValueError, match="needs a numeric coupling"):
+            k_matrix(None, 4, 4)
+        assert fock._k_entries.cache_info().currsize == 0
+
 
 class TestSpectra:
     def test_gamma_independence(self):
