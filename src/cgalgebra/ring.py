@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .errors import SingularLimit, ZeroSubstitution
+from .errors import FloatOverflow, SingularLimit, ZeroSubstitution
 
 
 def _parts(q) -> tuple:
@@ -174,8 +174,12 @@ class Coefficient:
         return Fraction(re * re + im * im, self._den * self._den)
 
     def __complex__(self) -> complex:
+        """The scalar as a complex float; :class:`FloatOverflow` where a part exceeds the float range."""
         re, im = self._scalar()
-        return complex(re / self._den, im / self._den)
+        try:
+            return complex(re / self._den, im / self._den)
+        except OverflowError:
+            raise FloatOverflow("scalar too large for a complex float (magnitude above 1.8e308)") from None
 
     def gamma_exponents(self) -> tuple:
         if not self._num:

@@ -97,6 +97,17 @@ class TestExitCodes:
         code, _, _ = run(["omega", "--gamma", "1e999"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--gamma-bar", "1e400", "--cutoff-a", "2", "--cutoff-b", "2"],
+                                      ["modes", "--gamma-bar", "1e400"]])
+    def test_coupling_beyond_the_float_range_is_one_error_line(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_exact_suite_takes_a_coupling_beyond_the_float_range(self, capsys):
+        code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize("argv", [[], ["--format", "md"]])
     def test_no_suite_is_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

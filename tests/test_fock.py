@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cgalgebra import fock
-from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes
+from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
 from cgalgebra.ring import Coefficient, GAMMA, accumulate
 from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
@@ -244,6 +244,10 @@ class TestModes:
         same canonical pairing."""
         by = mode_solver(gbar, (1, -3))
         assert list(by) == [F(-3), F(-1), F(1), F(3)]
+        if gbar is None:  # the images of b+ and -b under the decoupling map
+            assert by[F(-3)] == linear({"b+": Coefficient.of(1), "a+": GAMMA * F(-1, 4),
+                                        "a": GAMMA * F(-1, 2), "b": GAMMA * GAMMA * F(-1, 24)})
+            assert by[F(3)] == linear({"b": Coefficient.of(-1)})
         for i in (1, 3):
             for j in (1, 3):
                 assert commutator(by[F(-i)], by[F(j)]) == WeylOp.scalar(int(i == j)), (i, j)
@@ -315,48 +319,87 @@ ORACLE_COUPLINGS = [None, 0, 1, gr(0, 1), 1000, 0.7 + 0.2j,
     for _ in range(60)]
 
 
+def specialized(formal, gbar):
+    """A formal ket {(n, m): c} with the coupling substituted, zero amplitudes dropped."""
+    g = fock._gbar_coeff(gbar)
+    return {nm: v for nm, c in formal.items() if not (v := c.substitute(gamma=g)).is_zero()}
+
+
+def proportional(x, y):
+    """x and y are nonzero multiples of each other over MODE_WORDS: every 2 x 2 minor is zero."""
+    rows = [[op.coefficient(w) for w in MODE_WORDS.values()] for op in (x, y)]
+    return not x.is_zero() and not y.is_zero() and all(
+        (rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]).is_zero() for i in range(4) for j in range(i))
+
+
 class TestModeSolverOracle:
-    """mode_solver solves once per mode pair with g formal and substitutes the
-    coupling; the direct solve at each coupling must give the same modes."""
+    """mode_solver takes the decoupling map's images of a, a+, b, b+ with g formal and
+    substitutes the coupling; the direct solve at each coupling must give the same
+    modes (at m2 < 0, where the direct solve scales A_{m2} by its g-dependent a
+    entry, the same modes up to scale)."""
 
     @pytest.mark.parametrize("modes", MODE_PAIRS + DEGENERATE_PAIRS)
     def test_equals_the_direct_solve(self, modes):
         for gbar in ORACLE_COUPLINGS:
             want = solve_outcome(direct_mode_solve, gbar, modes)
-            assert solve_outcome(mode_solver, gbar, modes) == want, (modes, gbar)
+            got = solve_outcome(mode_solver, gbar, modes)
             assert isinstance(want, list) == (modes in MODE_PAIRS)
+            if not isinstance(want, list) or modes[1] > 0:
+                assert got == want, (modes, gbar)
+            else:
+                assert [lam for lam, _ in got] == [lam for lam, _ in want], (modes, gbar)
+                assert all(proportional(op, ref) for (_, op), (_, ref) in zip(got, want)), (modes, gbar)
+            if isinstance(want, list):
+                k, by = k_ladder(gbar, modes), dict(got)
+                assert all(commutator(k, op) == op.scale(lam) for lam, op in got), (modes, gbar)
+                freqs = [F(abs(m)) for m in modes]
+                assert all(commutator(by[-i], by[j]) == WeylOp.scalar(int(i == j))
+                           for i in freqs for j in freqs), (modes, gbar)
+
+    @pytest.mark.parametrize("modes", MODE_PAIRS)
+    def test_specializes_the_formal_modes_and_kets(self, modes):
+        """mode_solver(g) and eigenstate(1, 1, g) are their formal results substituted at g."""
+        formal_modes = mode_solver(None, modes)
+        formal_ket = eigenstate(1, 1, None, modes=modes)
+        for gbar in ORACLE_COUPLINGS:
+            g = fock._gbar_coeff(gbar)
+            assert mode_solver(gbar, modes) == {lam: op.substitute(gamma=g) for lam, op in formal_modes.items()}, \
+                (modes, gbar)
+            assert eigenstate(1, 1, gbar, modes=modes) == specialized(formal_ket, gbar), (modes, gbar)
 
     @pytest.mark.parametrize("modes", MODE_PAIRS)
     def test_formal_vectors_survive_every_coupling(self, modes):
-        """Each formal vector is polynomial in g with a nonzero scalar entry,
-        so substituting a coupling never gives the zero vector."""
-        for _, vec in fock._mode_vectors(modes):
+        """Each formal mode is polynomial in g with a nonzero scalar entry,
+        so substituting a coupling never gives the zero operator."""
+        for _, op in fock._formal_modes(modes):
+            vec = [op.coefficient(w) for w in MODE_WORDS.values()]
             assert all(a >= 0 for c in vec for (a, _), _ in c.terms)
             assert any(c.is_scalar() and not c.is_zero() for c in vec)
 
     def test_one_formal_solve_per_mode_pair(self, monkeypatch):
-        fock._mode_vectors.cache_clear()
-        calls = {"charpoly": 0, "nullspace": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(fock, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(fock, name, counted)
-        mode_solver(None)
-        mode_solver(F(1, 2))
-        mode_solver(gr(2, F(-1, 5)))
-        eigenstate_matrix(F(1, 2), 6, 6)
-        assert calls == {"charpoly": 1, "nullspace": 4}
+        """One decoupling_map call serves the modes, N, the decoupling check and the eigenstates."""
+        fock._decoupling.cache_clear()
+        fock._formal_modes.cache_clear()
+        calls = []
+        real = fock.decoupling_map
+        monkeypatch.setattr(fock, "decoupling_map", lambda *a: calls.append(a) or real(*a))
+        mode_solver(None, (1, -3))
+        mode_solver(F(1, 2), (1, -3))
+        n_ladder(F(1, 2), (1, -3))
+        kgamma_decoupling_check(F(1, 2), (1, -3))
+        eigenstate_matrix(F(1, 2), 6, 6, (1, -3))
+        assert len(calls) == 1
 
     def test_returned_modes_do_not_reach_the_cache(self):
-        first = mode_solver(F(1, 2))
-        want = list(first.items())
-        first.pop(F(3))
-        first[F(1)] = LadderOp.scalar(7)
-        assert list(mode_solver(F(1, 2)).items()) == want
-        assert list(mode_solver(F(1, 2), [1, 3]).items()) == want  # the key is tuple(modes)
-        cached = fock._mode_vectors((1, 3))
-        assert isinstance(cached, tuple) and all(type(vec) is tuple for _, vec in cached)
+        for gbar in (F(1, 2), None):
+            first = mode_solver(gbar)
+            want = list(first.items())
+            first.pop(F(3))
+            first[F(1)] = LadderOp.scalar(7)
+            assert list(mode_solver(gbar).items()) == want
+            assert list(mode_solver(gbar, [1, 3]).items()) == want  # the key is tuple(modes)
+        cached = fock._formal_modes((1, 3))
+        assert isinstance(cached, tuple) and all(type(pair) is tuple for pair in cached)
 
 
 class TestMatrices:
@@ -457,6 +500,10 @@ class TestKMatrixCache:
         with pytest.raises(ValueError, match="needs a numeric coupling"):
             k_matrix(None, 4, 4)
         assert fock._k_entries.cache_info().currsize == 0
+
+    def test_coupling_beyond_the_float_range_is_typed(self):
+        with pytest.raises(FloatOverflow):
+            k_matrix(10**400, 2, 2)
 
 
 class TestSpectra:
@@ -583,7 +630,7 @@ class TestEigenstateMatrix:
     def test_leaking_state_raises(self, monkeypatch):
         # a raising operator that moves the a-count by 4 > |m2| leaves the cutoff
         leaky = LadderOp({Monomial.make(x_pows=(4, 1)): Coefficient.of(1)})  # (a+)^4 b+
-        monkeypatch.setattr(fock, "_raising_ops", lambda gbar, modes: (ADAG, leaky))
+        monkeypatch.setattr(fock, "mode_solver", lambda gbar, modes: {F(1): ADAG, F(3): leaky})
         with pytest.raises(CutoffTooSmall):
             eigenstate_matrix(F(1, 2), 6, 6)
 

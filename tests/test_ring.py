@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cgalgebra.errors import SingularLimit, ZeroSubstitution
+from cgalgebra.errors import AlgebraError, FloatOverflow, SingularLimit, ZeroSubstitution
 from cgalgebra.ring import (
     Coefficient,
     GAMMA,
@@ -89,6 +89,13 @@ class TestScalars:
             (GAMMA + 1).re
         with pytest.raises(ValueError):
             OMEGA.abs2()
+
+    def test_complex_beyond_the_float_range_is_typed(self):
+        assert issubclass(FloatOverflow, AlgebraError)
+        for q in (gr(10**400), gr(0, -(10**400)), gr(F(1, 3), F(10**309, 3))):
+            with pytest.raises(FloatOverflow):
+                complex(q)
+        assert complex(gr(F(10**400, 10**399), F(-1, 10**400))) == complex(10.0, 0.0)
 
     def test_text(self):
         assert [str(gr(*p)) for p in ((3, 1), (0, 1), (0, -1), (F(-1, 2), 0), (0, 0))] \
