@@ -227,12 +227,27 @@ def _symmetry_dimension(omega: Optional[F], bound: int) -> Optional[int]:
     return 12 if omega and bound == 2 else None
 
 
+@cache
+def _theta_phases() -> Tuple[invariance.Lambda, ...]:
+    """ad_H's eigenvalues m + n*w for H = Theta(w, 0) at formal w.  ad_H's matrix is
+    polynomial in w and its characteristic polynomial is the product of the factors
+    x - (m + n*w), so the eigenvalues at a rational w0 are these evaluated at w0."""
+    return tuple(invariance.lambda_candidates(realizations.theta_family(None, 0, 0)))
+
+
+def _symmetry_phases(w: Optional[F]) -> List[invariance.Lambda]:
+    """find_symmetries' default phases for i Dt - Theta(w, 0), from the formal ones."""
+    if w is None:
+        return invariance.default_phases(_theta_phases())
+    return sorted({(m + n * w, 0) for m, n in _theta_phases()})
+
+
 def suite_symmetries(opts) -> Report:
     w = opts.omega
     rep = Report("symmetries", {"omega": "generic" if w is None else str(w),
                                 "degree_bound": str(opts.degree_bound)})
     om = WeylOp.dt().scale(I) - realizations.theta_family(w, 0, 0)
-    res = invariance.find_symmetries(om, coeff_degree_bound=opts.degree_bound)
+    res = invariance.find_symmetries(om, _symmetry_phases(w), opts.degree_bound)
     expect = _symmetry_dimension(w, opts.degree_bound)
     rep.check("generic-dimension" if w is None else "dimension",
               None if expect is None else len(res) == expect, details=f"dim={len(res)}")

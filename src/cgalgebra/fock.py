@@ -26,6 +26,7 @@ when |m2| > |m1|.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,7 +35,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CheckFailed, CutoffTooSmall, DegenerateModes
+from .errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnsupportedShape
 from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
@@ -48,11 +49,16 @@ GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
 
 
 def _gbar_coeff(gbar: GbarLike) -> Coefficient:
-    """Interpret gbar: None keeps it formal (the ring's g slot)."""
+    """Interpret gbar: None keeps it formal (the ring's g slot).  A float part that is NaN
+    raises :class:`UnsupportedShape`, one that is infinite :class:`FloatOverflow`."""
     if gbar is None:
         return GAMMA
     if isinstance(gbar, (float, complex)):
         z = complex(gbar)
+        if cmath.isnan(z):
+            raise UnsupportedShape(f"coupling {gbar!r} is not a number")
+        if cmath.isinf(z):
+            raise FloatOverflow(f"coupling {gbar!r} is infinite; an exact coupling needs finite parts")
         return Coefficient.of((Fraction(z.real), Fraction(z.imag)))
     return Coefficient.of(gbar)
 

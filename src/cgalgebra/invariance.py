@@ -376,6 +376,14 @@ def _singleton_sweep(rows: Matrix, ncols: int) -> Tuple[Matrix, List[int]]:
     return kept, live_cols
 
 
+def default_phases(cands: Sequence[Lambda]) -> List[Lambda]:
+    """The phases :func:`find_symmetries` scans by default among ad_H's eigenvalues ``cands``:
+    all of them at a scalar frequency; with the frequency formal, the rational directions
+    plus the fundamental +-w phases (the degrees carried by the generic catalog)."""
+    formal = any(n for _, n in cands)
+    return [(m, n) for m, n in cands if not formal or n == 0 or (m == 0 and abs(n) == 1)]
+
+
 def find_symmetries(omega_op: WeylOp,
                     lam_set: Optional[Iterable] = None,
                     coeff_degree_bound: int = 2) -> List[SymmetryResult]:
@@ -391,10 +399,8 @@ def find_symmetries(omega_op: WeylOp,
     fraction-free elimination (lam = m + n*w with rational m and integer n
     when the frequency is formal).
 
-    When ``lam_set`` is None it defaults to :func:`lambda_candidates`, every
-    eigenvalue of ad_H found exactly; if the frequency is formal, that
-    default is filtered to the rational directions plus the fundamental +-w
-    phases (the degrees carried by the generic catalog).  Pass the full
+    When ``lam_set`` is None it defaults to :func:`default_phases` of
+    :func:`lambda_candidates`, every eigenvalue of ad_H found exactly.  Pass the full
     candidate list explicitly to scan formal multiples and mixed phases such
     as 2w or 1+w; the solution space then also contains the uniform
     deformation families that specialize to the critical-frequency extras.
@@ -406,10 +412,7 @@ def find_symmetries(omega_op: WeylOp,
     h = _split_i_dt_minus_h(omega_op)
     arity = max(h.arity, 1)
     if lam_set is None:
-        cands = lambda_candidates(h)
-        if any(n for _, n in cands):
-            cands = [(m, n) for (m, n) in cands if n == 0 or (m == 0 and abs(n) == 1)]
-        lam_set = cands
+        lam_set = default_phases(lambda_candidates(h))
     lams = sorted({_as_lambda(v) for v in lam_set})
 
     func_exps = _monomials_up_to(arity, coeff_degree_bound)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,9 @@ import pytest
 from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
 from cgalgebra.errors import NonTerminatingSeries, NotClosed
+from cgalgebra.invariance import default_phases, lambda_candidates
+from cgalgebra.realizations import theta_family
+from cgalgebra.ring import Coefficient, OMEGA
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # LAPACK-dependent float tokens (residuals, condition numbers)
@@ -558,3 +562,94 @@ class TestAllRuns:
         for argv, (suite, overrides) in zip(configs, cli.ALL_RUNS):
             want = {**vars(parser.parse_args([suite])), **overrides}
             assert vars(parser.parse_args(argv)) == want, argv
+
+
+# rational frequencies where the substituted phases are compared with a direct root search
+PHASE_OMEGAS = ["0", "1", "-1", "3", "-3", "1/3", "-1/3", "2", "7/5", "355/113", "1e200"]
+
+
+def divide_linear(p, r):
+    """(quotient, remainder) of the polynomial p (ascending coefficients) by x - r."""
+    acc, partial = Coefficient(), []
+    for c in reversed(p):
+        acc = c + r * acc
+        partial.append(acc)
+    return partial[-2::-1], partial[-1]
+
+
+def times_linear(p, r):
+    """The polynomial p (ascending coefficients) times x - r."""
+    return [a - r * b for a, b in zip([Coefficient()] + p, p + [Coefficient()])]
+
+
+class TestThetaPhases:
+    """ad_H's eigenvalues for H = Theta(w, 0), found once with w formal and substituted."""
+
+    def test_formal_phases_factor_the_characteristic_polynomial(self):
+        """prod (x - m - n*w)^mult over the cached phases is ad_H's characteristic polynomial
+        over Q(i)[w], so at every w0 its roots are exactly the phases evaluated at w0."""
+        cp = cli.invariance._adjoint_charpoly(theta_family(None, 0, 0))
+        product, mults = [Coefficient.of(1)], {}
+        for m, n in cli._theta_phases():
+            r = Coefficient.of(m) + OMEGA * n
+            rest, mults[(m, n)] = cp, 0
+            while not (divided := divide_linear(rest, r))[1]:
+                rest = divided[0]
+                mults[(m, n)] += 1
+                product = times_linear(product, r)
+        assert all(mults.values())
+        assert sum(mults.values()) == len(cp) - 1 == 15
+        assert product == cp
+
+    @pytest.mark.parametrize("omega", PHASE_OMEGAS)
+    def test_substituted_phases_equal_the_direct_root_search(self, omega):
+        w = cli.build_parser().parse_args(["symmetries", f"--omega={omega}"]).omega
+        assert cli._symmetry_phases(w) == lambda_candidates(theta_family(w, 0, 0))
+
+    def test_generic_phases_are_the_default_filter(self):
+        assert cli._symmetry_phases(None) == default_phases(lambda_candidates(theta_family(None, 0, 0)))
+
+    @pytest.mark.parametrize("omega", ["generic"] + PHASE_OMEGAS)
+    def test_report_equals_the_default_path(self, omega, capsys, monkeypatch):
+        argv = ["symmetries", "--omega", omega]
+        code, out, _ = run(argv, capsys)
+        monkeypatch.setattr(cli, "_symmetry_phases", lambda w: None)  # find_symmetries' own search
+        want_code, want, _ = run(argv, capsys)
+        assert code == want_code == 0
+        assert timing_free(json.loads(out)) == timing_free(json.loads(want))
+
+    def test_all_makes_one_charpoly_and_one_root_search(self, capsys, monkeypatch):
+        counts = Counter()
+        for name in ("_adjoint_charpoly", "gaussian_rational_roots", "lambda_candidates"):
+            real = getattr(cli.invariance, name)
+            monkeypatch.setattr(cli.invariance, name,
+                                lambda *a, _name=name, _real=real: counts.update([_name]) or _real(*a))
+        cli._theta_phases.cache_clear()
+        cli._theta_phases()
+        one_search = counts["gaussian_rational_roots"]
+        counts.clear()
+        cli._theta_phases.cache_clear()
+        assert run(["all"], capsys)[0] == 0
+        assert counts == Counter({"_adjoint_charpoly": 1, "lambda_candidates": 1,
+                                  "gaussian_rational_roots": one_search})
+
+    def test_phases_handed_out_do_not_reach_the_cache(self, capsys, monkeypatch):
+        reports = {}
+        for omega in ("generic", "3"):
+            reports[omega] = timing_free(json.loads(run(["symmetries", "--omega", omega], capsys)[1]))
+        handed = []
+        find = cli.invariance.find_symmetries
+        monkeypatch.setattr(cli.invariance, "find_symmetries",
+                            lambda om, lam_set, *a: handed.append(lam_set) or find(om, lam_set, *a))
+        for omega in ("generic", "3"):
+            run(["symmetries", "--omega", omega], capsys)
+        for lam_set in handed + [default_phases(cli._theta_phases()), list(cli._theta_phases())]:
+            lam_set.pop()
+            lam_set.append((Fraction(5), 1))
+        monkeypatch.undo()
+        for omega in ("generic", "3"):
+            assert timing_free(json.loads(run(["symmetries", "--omega", omega], capsys)[1])) == reports[omega]
+        cached = cli._theta_phases()
+        assert isinstance(cached, tuple) and len(cached) == 13
+        assert all(type(pair) is tuple and type(pair[0]) is Fraction and type(pair[1]) is int
+                   for pair in cached)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cgalgebra import fock
-from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow
+from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnsupportedShape
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
 from cgalgebra.ring import Coefficient, GAMMA, accumulate
 from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
@@ -504,6 +504,20 @@ class TestKMatrixCache:
     def test_coupling_beyond_the_float_range_is_typed(self):
         with pytest.raises(FloatOverflow):
             k_matrix(10**400, 2, 2)
+
+    def test_infinite_coupling_is_typed(self):
+        for gbar in (float("inf"), float("-inf"), complex(1, float("inf"))):
+            with pytest.raises(FloatOverflow, match="infinite"):
+                k_matrix(gbar, 2, 2)
+        assert fock._k_entries.cache_info().currsize == 0
+
+    def test_nan_coupling_is_typed(self):
+        fock._decoupling.cache_clear()
+        fock._formal_modes.cache_clear()
+        for gbar in (float("nan"), complex(float("nan"), 1), complex(float("inf"), float("nan"))):
+            with pytest.raises(UnsupportedShape, match="not a number"):
+                mode_solver(gbar)
+        assert fock._formal_modes.cache_info().currsize == fock._decoupling.cache_info().currsize == 0
 
 
 class TestSpectra:
