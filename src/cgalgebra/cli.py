@@ -28,8 +28,8 @@ from .errors import AlgebraError
 from .linalg import det
 from .ring import Coefficient, GAMMA, I
 # multiply is not called here, but the benchmark's tracer tests read it as cli.multiply
-from .weyl import (Monomial, WeylOp, apply, coefficient_matrix, commutator, multiply,  # noqa: F401
-                   parse_op, print_op, similarity)
+from .weyl import (GAUSSIAN_EXPONENT, Monomial, WeylOp, apply, commutator, multiply,  # noqa: F401
+                   coefficient_matrix, parse_op, print_op, similarity)
 
 SCHEMA_VERSION = "cgalgebra-report/1"
 
@@ -352,25 +352,35 @@ def suite_modes(opts) -> Report:
 
 
 def suite_overlap(opts) -> Report:
+    """|<vac|1,1-bar>|^2 against its closed form at the mode pair (m1, m2).
+
+    With alpha = 1/(m1 - m2) and beta = 1/(m1 + m2), A_{m1} A_{m2}|vac> is
+    |1,1> + beta g|0,0> - alpha g|2,0>, of norm 1 + c|g|^2 with c = beta^2 + 2 alpha^2,
+    so p(g) = beta^2 |g|^2 / (1 + c|g|^2), rising to L = beta^2 / c.
+    """
     rep = Report("overlap", {})
-    skip = "" if opts.modes == (1, 3) else f"expectation derived for modes (1, 3) only, not {opts.modes}"
+    modes = opts.modes
+    # first: a degenerate pair raises DegenerateModes here, before m1 +- m2 divides
+    st = fock.eigenstate(1, 1, F(1, 2), modes=modes)
+    alpha, beta = F(1, modes[0] - modes[1]), F(1, modes[0] + modes[1])
+    c = beta ** 2 + 2 * alpha ** 2
+    limit = beta ** 2 / c
     vac = {(0, 0): Coefficient.of(1)}
     values = [opts.gamma_bar] if opts.gamma_bar is not None else [F(1, 2), F(1), F(4)]
     for g in values:
-        p = None if skip else fock.overlap_probability(fock.eigenstate(1, 1, g), vac)
+        p = fock.overlap_probability(fock.eigenstate(1, 1, g, modes=modes), vac)
         a2 = Coefficient.of(g).abs2()
         # a scalar Coefficient prints in parentheses; the check id keeps the bare value
         rep.check(f"decay-probability:g={str(g).strip('()')}",
-                  None if skip else p == a2 / (16 + 9 * a2) and p < F(1, 9), details=skip or f"p = {p}")
-    big = None if skip else float(fock.overlap_probability(fock.eigenstate(1, 1, 1000), vac))
-    rep.check("large-coupling-limit", None if skip else abs(big - 1 / 9) < 1e-4,
-              details=skip or f"p = {big:.6f}")
-    st = fock.eigenstate(1, 1, F(1, 2), modes=opts.modes)
+                  p == beta ** 2 * a2 / (1 + c * a2) and p < limit, details=f"p = {p}")
+    big = fock.overlap_probability(fock.eigenstate(1, 1, 1000, modes=modes), vac)
+    rep.check("large-coupling-limit", limit - big == limit / (1 + c * 1000 ** 2),
+              details=f"p = {float(big):.6f}")
     rep.check("self-overlap", fock.overlap_probability(st, st) == 1)
-    got = {} if skip else {k: str(v) for k, v in sorted(fock.eigenstate(1, 1).items())}  # formal
+    got = fock.eigenstate(1, 1, modes=modes)  # formal
     rep.check("state-11-expansion",
-              None if skip else got == {(0, 0): "(1/4)*g^1", (1, 1): "(1)", (2, 0): "(1/2)*g^1"},
-              details=skip or json.dumps({str(k): v for k, v in got.items()}, sort_keys=True))
+              got == {(0, 0): GAMMA * beta, (1, 1): Coefficient.of(1), (2, 0): GAMMA * -alpha},
+              details=json.dumps({str(k): str(v) for k, v in sorted(got.items())}, sort_keys=True))
     return rep
 
 
@@ -448,7 +458,7 @@ def catalog_entries() -> Dict[str, str]:
     out["aux:X+"] = print_op(realizations.x_plus_op())
     out["aux:K+"] = print_op(realizations.k_plus_op())
     out["aux:H0"] = print_op(realizations.h0_op())
-    out["aux:S2"] = print_op(realizations.s2_exponent())
+    out["aux:S2"] = print_op(GAUSSIAN_EXPONENT)
     out["aux:S~"] = print_op(realizations.s_tilde_exponent())
     out["aux:R2"] = print_op(_theta_exponent())
     return out

@@ -342,8 +342,11 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
     """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> over unnormalized |n, m>.
 
     When cutoffs are supplied the state must fit inside them with margin
-    (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised.
+    (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised; a
+    negative n or m raises :class:`UnsupportedShape`.
     """
+    if n < 0 or m < 0:
+        raise UnsupportedShape(f"quantum numbers must be >= 0, got ({n}, {m})")
     if na is not None and n + abs(modes[1]) * m > na:
         raise CutoffTooSmall("state would touch the a-cutoff")
     if nb is not None and m > nb:

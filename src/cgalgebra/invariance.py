@@ -340,10 +340,10 @@ def _split_i_dt_minus_h(omega_op: WeylOp) -> WeylOp:
     dt_mono = Monomial.make(dt_pow=1)
     lead = omega_op.coefficient(dt_mono)
     if lead != I:
-        raise ValueError("expected an operator of the form i*Dt - H")
+        raise UnsupportedShape("expected an operator of the form i*Dt - H")
     h = WeylOp({dt_mono: I}) - omega_op
     if not h.is_time_independent():
-        raise ValueError("H must be time independent")
+        raise NonQuadratic("H must be time independent")
     return h
 
 
@@ -459,7 +459,7 @@ def close_algebra(gens: Sequence[WeylOp],
 
     One fraction-free elimination over [generator columns | every nonzero
     bracket column]: a generator column without a pivot raises
-    ``ValueError`` (dependent generators), and the first bracket column
+    :class:`UnsupportedShape` (dependent generators), and the first bracket column
     with one raises :class:`NotClosed` for that pair, the first outside the
     span in (i, j) order, with its commutator as residual.  Otherwise the
     generator pivots, all equal to d, fill rows 0..k-1, and a bracket's
@@ -477,7 +477,7 @@ def close_algebra(gens: Sequence[WeylOp],
     red, pivots, d = rref_fraction_free(matrix)
     k = len(gens)
     if pivots[:k] != list(range(k)):
-        raise ValueError("generators are linearly dependent")
+        raise UnsupportedShape("generators are linearly dependent")
     if len(pivots) > k:
         pair, c_op = pairs[pivots[k] - k]
         raise NotClosed(f"[{pair[0]}, {pair[1]}] is outside the span", pair=pair, residual=c_op)

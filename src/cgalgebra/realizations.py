@@ -219,11 +219,6 @@ def h0_op(gamma: Optional[CoefficientLike] = None) -> WeylOp:
     return theta_family(3, -Coefficient.of(GAMMA if gamma is None else gamma), F(3, 2))
 
 
-def s2_exponent() -> WeylOp:
-    """x^2/2."""
-    return _op((_c(F(1, 2)), _m(x=2)))
-
-
 def s_tilde_exponent() -> WeylOp:
     """-(3/2) i t, the contraction-identification exponent."""
     return _op((_c(0, F(-3, 2)), _m(t=1)))
@@ -258,30 +253,6 @@ def decoupled_generic(omega: Optional[CoefficientLike] = None) -> Realization:
     }
     return Realization("decoupled-generic", {k: v.substitute(omega=omega) for k, v in gens.items()},
                        gamma=0)
-
-
-def generic_table(omega: Optional[CoefficientLike] = None) -> GeneratorTable:
-    """Structure constants closed by the nine decoupled generators."""
-    w2 = OMEGA.substitute(omega=omega) * F(1, 2)
-    br: Dict[Tuple[str, str], Dict[str, Coefficient]] = {
-        ("d", "z+"): {"z+": _c(1)},
-        ("d", "z-"): {"z-": _c(-1)},
-        ("d", "w+1"): {"w+1": _c(F(1, 2))},
-        ("d", "w-1"): {"w-1": _c(F(-1, 2))},
-        ("d", "w+omega"): {"w+omega": w2},
-        ("d", "w-omega"): {"w-omega": -w2},
-        ("z0", "z+"): {"z+": _c(0, 2)},
-        ("z0", "z-"): {"z-": _c(0, -2)},
-        ("z+", "z-"): {"z0": _c(0, -4)},
-        ("z0", "w+1"): {"w+1": _c(0, 1)},
-        ("z0", "w-1"): {"w-1": _c(0, -1)},
-        ("z+", "w-1"): {"w+1": _c(0, -2)},
-        ("z-", "w+1"): {"w-1": _c(0, 2)},
-        ("w+1", "w-1"): {"c": _c(-2)},
-        ("w+omega", "w-omega"): {"c": _c(1)},
-    }
-    names = ("z+", "z-", "z0", "d", "c", "w+omega", "w+1", "w-1", "w-omega")
-    return GeneratorTable(names, br, central=frozenset({"c"}))
 
 
 def enhanced_extras(omega: int) -> Dict[str, WeylOp]:

@@ -418,6 +418,10 @@ def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tu
 # action on functions
 # ---------------------------------------------------------------------------
 
+# s = x1^2/2: a function f stands for f exp(-s), and ``apply`` conjugates by s
+GAUSSIAN_EXPONENT = WeylOp({Monomial.make(x_pows=(2,)): Fraction(1, 2)})
+
+
 def apply(op: WeylOp, f: WeylOp) -> WeylOp:
     """op acting on the function f exp(-x1^2/2), f a derivative-free WeylOp.
 
@@ -427,11 +431,8 @@ def apply(op: WeylOp, f: WeylOp) -> WeylOp:
     t powers are monomials like any other: Dt derives those of f, and those of
     op multiply.
     """
-    image = multiply(similarity(_GAUSSIAN_EXPONENT, op), f)
+    image = multiply(similarity(GAUSSIAN_EXPONENT, op), f)
     return _op(WeylOp, {mono: c for mono, c in image.terms() if mono.is_function()})
-
-
-_GAUSSIAN_EXPONENT = WeylOp({Monomial.make(x_pows=(2,)): Fraction(1, 2)})
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,22 @@ class TestReports:
                 assert check["status"] == "pass", (coupling, cid)
             assert checks["decoupling-similarity"]["details"] == "ad-depth 2"
 
-    def test_overlap_suite_skips_the_closed_forms_at_other_modes(self, capsys):
-        code, out, _ = run(["overlap", "--modes", "1,-3"], capsys)
-        assert code == 0
-        status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
-        assert status.pop("self-overlap") == "pass"
-        assert len(status) == 5 and set(status.values()) == {"skip"}
+    def test_overlap_suite_derives_the_closed_forms_at_other_modes(self, capsys):
+        """Every check passes at a nondegenerate mode pair, also at (1, 1000), where the
+        probability at coupling 1000 is still 0.08 short of its limit."""
+        for modes in ("1,-3", "2,5", "5,-2", "1,1000"):
+            code, out, _ = run(["overlap", "--modes", modes], capsys)
+            assert code == 0, modes
+            status = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+            assert list(status) == ["decay-probability:g=1/2", "decay-probability:g=1", "decay-probability:g=4",
+                                    "large-coupling-limit", "self-overlap", "state-11-expansion"]
+            assert set(status.values()) == {"pass"}, (modes, status)
+
+    @pytest.mark.parametrize("modes", ["2,-2", "1,1"])
+    def test_overlap_at_colliding_modes_is_an_error(self, modes, capsys):
+        code, out, err = run(["overlap", "--modes", modes], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: expected 4 distinct rational eigenvalues") and err.count("\n") == 1, err
 
     def test_all_runs_at_the_unbounded_modes(self, capsys):
         code, out, _ = run(["all", "--modes", "1,-3"], capsys)

@@ -708,6 +708,33 @@ class TestStatesAndOverlaps:
         p = overlap_probability(eigenstate(1, 1, 1000), vac)
         assert abs(float(p) - 1 / 9) < 1e-4
 
+    @pytest.mark.parametrize("modes", [(1, 3), (3, 1), (1, -3), (-1, 3), (-1, -3), (2, 5), (1, 2), (2, 3),
+                                       (5, -2), (7, 1), (1, 1000)])
+    def test_overlap_closed_form_at_any_modes(self, modes):
+        """A_{m1} A_{m2}|vac> = |1,1> + beta g|0,0> - alpha g|2,0> with alpha = 1/(m1 - m2)
+        and beta = 1/(m1 + m2), so p = beta^2|g|^2 / (1 + c|g|^2) with c = beta^2 + 2 alpha^2,
+        and p falls short of its limit L = beta^2 / c by exactly L / (1 + c|g|^2)."""
+        alpha, beta = F(1, modes[0] - modes[1]), F(1, modes[0] + modes[1])
+        c = beta ** 2 + 2 * alpha ** 2
+        limit = beta ** 2 / c
+        vac = {(0, 0): Coefficient.of(1)}
+        assert eigenstate(1, 1, modes=modes) == {(1, 1): gr(1), (0, 0): GAMMA * beta, (2, 0): GAMMA * -alpha}
+        for g in (gr(F(1, 2)), gr(1), gr(4), gr(F(2, 3)), gr(1, F(-1, 5)), gr(1000)):
+            st = eigenstate(1, 1, g, modes=modes)
+            assert st == {(1, 1): gr(1), (0, 0): g * beta, (2, 0): g * -alpha}
+            p, a2 = overlap_probability(st, vac), g.abs2()
+            assert p == beta ** 2 * a2 / (1 + c * a2)
+            assert limit - p == limit / (1 + c * a2)
+
+    @pytest.mark.parametrize("n, m", [(-1, 0), (0, -1)])
+    def test_negative_quantum_number_is_typed(self, n, m, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("eigenstate must reject the quantum numbers before solving for modes")
+
+        monkeypatch.setattr(fock, "mode_solver", forbidden)
+        with pytest.raises(UnsupportedShape, match="quantum numbers must be >= 0"):
+            eigenstate(n, m)
+
     def test_self_overlap(self):
         st = eigenstate(1, 1, F(1, 2))
         assert overlap_probability(st, st) == 1

@@ -334,6 +334,16 @@ class TestFindSymmetries:
         assert profile[(F(1), 0)] == profile[(F(-1), 0)] == 1
         assert profile[(F(0), 1)] == profile[(F(0), -1)] == 1
 
+    @pytest.mark.parametrize("omega_op", [theta_family(3, 0, 0), inv_op(3).scale(2)])
+    def test_operator_not_i_dt_minus_h_is_typed(self, omega_op):
+        with pytest.raises(UnsupportedShape, match=r"expected an operator of the form i\*Dt - H"):
+            find_symmetries(omega_op)
+
+    @pytest.mark.parametrize("term", [Monomial.make(t_pow=1, x_pows=(1,)), Monomial.make(2, x_pows=(1,))])
+    def test_time_dependent_h_is_typed(self, term):
+        with pytest.raises(NonQuadratic, match="H must be time independent"):
+            find_symmetries(inv_op(3) + WeylOp({term: 1}))
+
     @pytest.mark.parametrize("w,expected", [(1, 12), (3, 12)])
     def test_critical_dimensions(self, w, expected):
         res = find_symmetries(inv_op(w))
@@ -440,7 +450,7 @@ class TestCloseAlgebra:
         assert len(calls[0][0]) == 12 + len(tbl.brackets)
 
     def test_dependent_generators_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedShape, match="generators are linearly dependent"):
             close_algebra([WeylOp.coord(0), WeylOp.coord(0).scale(2)])
 
     def _full_table(self, w):

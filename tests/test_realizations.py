@@ -1,15 +1,17 @@
 import dataclasses
 import json
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from cgalgebra.errors import BadArity, CheckFailed
-from cgalgebra.ring import Coefficient, I
+from cgalgebra.ring import OMEGA, Coefficient, I
 from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
     CGA_NAMES,
+    GeneratorTable,
     cga32_table,
     contraction_identification,
     contraction_table,
@@ -18,7 +20,6 @@ from cgalgebra.realizations import (
     gen_free,
     gen_osc,
     gen_params,
-    generic_table,
     h0_op,
     k_plus_op,
     omega_ops,
@@ -28,13 +29,38 @@ from cgalgebra.realizations import (
     theta_family,
     x_plus_op,
 )
-from cgalgebra.invariance import decoupling_map, verify_table
+from cgalgebra.invariance import close_algebra, decoupling_map, verify_table
 
 GOLDEN = Path(__file__).parent / "golden" / "catalog.json"
 
 
 def scalar(re=0, im=0):
     return Coefficient.monomial((F(re), F(im)), 0, 0)
+
+
+def generic_table(omega=None) -> GeneratorTable:
+    """The structure constants of the nine decoupled generators, typed in: an
+    oracle for what ``close_algebra`` derives from ``decoupled_generic``."""
+    w2 = OMEGA.substitute(omega=omega) * F(1, 2)
+    br = {
+        ("d", "z+"): {"z+": scalar(1)},
+        ("d", "z-"): {"z-": scalar(-1)},
+        ("d", "w+1"): {"w+1": scalar(F(1, 2))},
+        ("d", "w-1"): {"w-1": scalar(F(-1, 2))},
+        ("d", "w+omega"): {"w+omega": w2},
+        ("d", "w-omega"): {"w-omega": -w2},
+        ("z0", "z+"): {"z+": scalar(0, 2)},
+        ("z0", "z-"): {"z-": scalar(0, -2)},
+        ("z+", "z-"): {"z0": scalar(0, -4)},
+        ("z0", "w+1"): {"w+1": scalar(0, 1)},
+        ("z0", "w-1"): {"w-1": scalar(0, -1)},
+        ("z+", "w-1"): {"w+1": scalar(0, -2)},
+        ("z-", "w+1"): {"w-1": scalar(0, 2)},
+        ("w+1", "w-1"): {"c": scalar(-2)},
+        ("w+omega", "w-omega"): {"c": scalar(1)},
+    }
+    names = ("z+", "z-", "z0", "d", "c", "w+omega", "w+1", "w-1", "w-omega")
+    return GeneratorTable(names, br, central=frozenset({"c"}))
 
 
 class TestTables:
@@ -154,6 +180,15 @@ class TestDecoupledCatalog:
         for w in (1, 3, 7):
             check = verify_table(decoupled_generic(w), generic_table(w))
             assert not any(check.values()), w
+
+    @pytest.mark.parametrize("w", [None, 1, 3, F(7, 5), -2])
+    def test_closure_derives_the_typed_table(self, w):
+        dg = decoupled_generic(w)
+        derived = close_algebra([dg[n] for n in dg.names()], dg.names())
+        typed = generic_table(w)
+        assert derived.names == typed.names
+        assert all(derived.bracket(a, b) == typed.bracket(a, b) for a, b in combinations(typed.names, 2))
+        assert derived.central == typed.central
 
     def test_enhanced_generators(self):
         ex3 = enhanced_extras(3)
