@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, perm, sqrt
+from operator import index
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -266,13 +267,14 @@ def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
 
     The entries of K0 and K1 are built once per cutoff and modes with the
     coupling formal (:func:`_k_entries`); a call substitutes ``gbar`` into them
-    and fills a fresh matrix.
+    and fills a fresh matrix.  A formal ``gbar`` (``None``) raises
+    :class:`UnsupportedShape`.
     """
     if na < 1 or nb < 1:
         raise CutoffTooSmall("cutoffs must be at least 1")
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
-        raise ValueError("numerical matrix needs a numeric coupling")
+        raise UnsupportedShape("numerical matrix needs a numeric coupling")
     rows, cols, c0, c1, factors = _k_entries(na, nb, tuple(modes))
     dim = (na + 1) * (nb + 1)
     out = np.zeros((dim, dim), dtype=complex)
@@ -342,9 +344,13 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
     """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> over unnormalized |n, m>.
 
     When cutoffs are supplied the state must fit inside them with margin
-    (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised; a
-    negative n or m raises :class:`UnsupportedShape`.
+    (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised; an
+    n or m that is not an integer, or is negative, raises :class:`UnsupportedShape`.
     """
+    try:
+        n, m = index(n), index(m)
+    except TypeError:
+        raise UnsupportedShape(f"quantum numbers must be integers, got ({n!r}, {m!r})") from None
     if n < 0 or m < 0:
         raise UnsupportedShape(f"quantum numbers must be >= 0, got ({n}, {m})")
     if na is not None and n + abs(modes[1]) * m > na:
@@ -369,12 +375,13 @@ def state_inner(s1: Mapping[Tuple[int, int], Coefficient],
 
 def overlap_probability(s1: Mapping[Tuple[int, int], Coefficient],
                         s2: Mapping[Tuple[int, int], Coefficient]) -> Fraction:
-    """|<s1|s2>|^2 for the normalized states, exact."""
+    """|<s1|s2>|^2 for the normalized states, exact; a zero state raises
+    :class:`UnsupportedShape`."""
     n12 = state_inner(s1, s2)
     n11 = state_inner(s1, s1)
     n22 = state_inner(s2, s2)
     if n11.is_zero() or n22.is_zero():
-        raise ValueError("cannot normalize a zero state")
+        raise UnsupportedShape("cannot normalize a zero state")
     return n12.abs2() / (n11.re * n22.re)
 
 

@@ -16,6 +16,12 @@ Fractions on demand.  The sparse term maps of the other layers (operators,
 functions, which are derivative-free operators, and ladder states) add into
 themselves through :func:`accumulate`, which keeps no zero value.
 
+That storage, ``_num`` and ``_den``, is also what the operator product reads:
+``weyl.multiply`` sums the terms that land on one output monomial as integer
+numerators over one denominator, and makes them a Coefficient once, through
+:func:`reduced`.  Any ``(num, den)`` with no zero entry and a positive
+``den`` finishes there in the canonical form.
+
 Canonical text form, used in golden files and reports::
 
     (3/2) + (-2+1i)*g^-1*w^2
@@ -247,7 +253,7 @@ class Coefficient:
         if len(n1) > 1 and len(n2) > 1:
             # only sums can cancel: Z[i] has no zero divisors
             d = {k: v for k, v in d.items() if v[0] or v[1]}
-        return _reduced(d, self._den * other._den)
+        return reduced(d, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -333,8 +339,8 @@ class Coefficient:
                     del rem[kk]
         # self/other = (N/n)/(D/d) = Q*d / (S*n)
         dd = other._den
-        return _reduced({k: (r * dd, i * dd) for k, (r, i) in quo.items()},
-                        scale * self._den)
+        return reduced({k: (r * dd, i * dd) for k, (r, i) in quo.items()},
+                       scale * self._den)
 
     # -- evaluation ----------------------------------------------------------
     def substitute(self, gamma=None, omega=None) -> "Coefficient":
@@ -356,13 +362,13 @@ class Coefficient:
             if wq is not None:
                 term = term * wq ** b
             out = out + term
-        return _reduced(out._num, out._den * self._den)
+        return reduced(out._num, out._den * self._den)
 
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
         if any(a < 0 for a, _ in self._num):
             raise SingularLimit(f"gamma -> 0 limit of ({self}) does not exist")
-        return _reduced({k: v for k, v in self._num.items() if k[0] == 0}, self._den)
+        return reduced({k: v for k, v in self._num.items() if k[0] == 0}, self._den)
 
     # -- normalization helpers -----------------------------------------------
     def rational_content(self) -> Fraction:
@@ -410,8 +416,10 @@ def _new(num: dict, den: int) -> Coefficient:
     return c
 
 
-def _reduced(num: dict, den: int) -> Coefficient:
-    """num/den with the common gcd divided out; ``num`` holds no zeros."""
+def reduced(num: dict, den: int) -> Coefficient:
+    """num/den in canonical form: ``num`` maps exponent pairs to ``(re, im)``
+    int pairs, none of them ``(0, 0)``, over the positive int ``den``; the
+    gcd of ``den`` and every numerator is divided out."""
     if not num:
         return ZERO
     if den != 1:
@@ -457,7 +465,7 @@ def _combine(x: Coefficient, y: Coefficient, sign: int) -> Coefficient:
                 d[k] = (re, im)
             else:
                 del d[k]
-    return _reduced(d, den)
+    return reduced(d, den)
 
 
 CoefficientLike = Union[Coefficient, int, Fraction, tuple]

@@ -497,7 +497,7 @@ class TestKMatrixCache:
     def test_guards_run_before_any_build(self):
         with pytest.raises(CutoffTooSmall):
             k_matrix(0.5, 0, 4)
-        with pytest.raises(ValueError, match="needs a numeric coupling"):
+        with pytest.raises(UnsupportedShape, match="needs a numeric coupling"):
             k_matrix(None, 4, 4)
         assert fock._k_entries.cache_info().currsize == 0
 
@@ -734,6 +734,21 @@ class TestStatesAndOverlaps:
         monkeypatch.setattr(fock, "mode_solver", forbidden)
         with pytest.raises(UnsupportedShape, match="quantum numbers must be >= 0"):
             eigenstate(n, m)
+
+    @pytest.mark.parametrize("n, m", [(1.5, 0), (0, F(1, 2))])
+    def test_non_integer_quantum_number_is_typed(self, n, m, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("eigenstate must reject the quantum numbers before solving for modes")
+
+        monkeypatch.setattr(fock, "mode_solver", forbidden)
+        with pytest.raises(UnsupportedShape, match="quantum numbers must be integers"):
+            eigenstate(n, m)
+
+    def test_zero_state_overlap_is_typed(self):
+        vac = {(0, 0): Coefficient.of(1)}
+        for s1, s2 in (({}, vac), (vac, {})):
+            with pytest.raises(UnsupportedShape, match="cannot normalize a zero state"):
+                overlap_probability(s1, s2)
 
     def test_self_overlap(self):
         st = eigenstate(1, 1, F(1, 2))

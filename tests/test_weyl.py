@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from itertools import zip_longest
+from itertools import product, zip_longest
+from math import comb
 
 import pytest
 
@@ -358,3 +359,170 @@ class TestApplyAgainstReference:
         timed = sum(1 for g in results if any(m.t_pow for m, _ in g.terms()))
         phased = sum(1 for g in results if len({(m.phase_m, m.phase_n) for m, _ in g.terms()}) > 1)
         assert (zero, timed, phased) == (52, 183, 97)
+
+
+# -- reference: the per-term product, each output term added as a Coefficient
+# into the term map ---------------------------------------------------------
+
+def _ref_falling(a, r):
+    out = 1
+    for j in range(r):
+        out *= a - j
+    return out
+
+
+def _ref_trim(xs, ds):
+    k = len(xs)
+    while k and xs[k - 1] == 0 and ds[k - 1] == 0:
+        k -= 1
+    return xs[:k], ds[:k]
+
+
+def _ref_mono_mul(m1, c1, m2, c2, acc, contracted):
+    """(c1 m1) * (c2 m2) normal ordered, each output term a Coefficient of its
+    own, summed into acc by ``accumulate``; returns the number of terms."""
+    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
+    if contracted and not any(p and q for p, q in zip(d1, x2)) and not (
+            m1.dt_pow and (m2.phase_m or m2.phase_n or m2.t_pow)):
+        return 0
+    base = c1 * c2
+    n = max(len(x1), len(x2))
+    x1, d1 = x1 + (0,) * (n - len(x1)), d1 + (0,) * (n - len(d1))
+    x2, d2 = x2 + (0,) * (n - len(x2)), d2 + (0,) * (n - len(d2))
+    spatial = [(tuple(p + q for p, q in zip(x1, x2)), tuple(p + q for p, q in zip(d1, d2)), 1)]
+    for i, (p, q) in enumerate(zip(d1, x2)):
+        if p and q:
+            spatial = [_ref_trim(xs[:i] + (xs[i] - s,) + xs[i + 1:], ds[:i] + (ds[i] - s,) + ds[i + 1:])
+                       + (w * comb(p, s) * _ref_falling(q, s),)
+                       for xs, ds, w in spatial for s in range(min(p, q) + 1)]
+    k, a = m1.dt_pow, m2.t_pow
+    theta = Coefficient({(0, 0): (0, m2.phase_m), (0, 1): (0, m2.phase_n)})
+    time_choices = []
+    for j in range(k + 1):
+        for r in range(j + 1):
+            tc = base * theta ** (j - r) * (comb(k, j) * comb(j, r) * _ref_falling(a, r))
+            if tc:
+                time_choices.append((r, k - j, tc))
+    pairs = product(spatial, time_choices)
+    if contracted:
+        next(pairs)
+    for (xs, ds, weight), (r, dt_left, tc) in pairs:
+        mono = Monomial.make(m1.phase_m + m2.phase_m, m1.phase_n + m2.phase_n,
+                             m1.t_pow + a - r, xs, ds, dt_left + m2.dt_pow)
+        accumulate(acc, mono, tc * weight)
+    return len(spatial) * len(time_choices) - contracted
+
+
+def ref_multiply(a, b, contracted=False):
+    acc = {}
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            _ref_mono_mul(m1, c1, m2, c2, acc, contracted)
+    return acc
+
+
+def _ref_term_count(a, b):
+    """The number of terms a*b adds up: above len(a*b) where terms collide."""
+    return sum(_ref_mono_mul(m1, c1, m2, c2, {}, False) for m1, c1 in a.terms() for m2, c2 in b.terms())
+
+
+def _ref_sum(x, y, sign):
+    out = dict(x)
+    for mono, c in y.items():
+        accumulate(out, mono, c if sign > 0 else -c)
+    return out
+
+
+def _rand_weight(rng):
+    """A Q(i) weight with denominators 2-7 on a few g^a w^b, a in -1..2, b in 0..2."""
+    terms = [((rng.randint(-1, 2), rng.randint(0, 2)),
+              (F(rng.randint(-6, 6), rng.randint(2, 7)), F(rng.randint(-6, 6), rng.randint(2, 7))))
+             for _ in range(rng.randint(1, 3))]
+    c = Coefficient(terms)
+    return c if c else Coefficient.of(F(1, rng.randint(2, 7)))
+
+
+def rand_product_op(rng, arity, phases):
+    """Terms over the given phases, with Dt powers 0-3, t powers -2..2, and
+    coordinate and derivative powers up to 2 in ``arity`` coordinates."""
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        pm, pn = rng.choice(phases)
+        mono = Monomial.make(pm, pn, rng.randint(-2, 2),
+                             [rng.randint(0, 2) for _ in range(arity)],
+                             [rng.randint(0, 2) for _ in range(arity)],
+                             rng.choice((0, 1, 1, 2, 3)))
+        accumulate(terms, mono, _rand_weight(rng))
+    return WeylOp(terms)
+
+
+def assert_same_terms(got, want):
+    """Equal term maps, equal hashes (canonical storage), and no zero coefficient."""
+    terms = dict(got.terms())
+    assert terms == want
+    assert hash(got) == hash(WeylOp(want))
+    for mono, c in terms.items():
+        assert c, mono
+        assert hash(c) == hash(want[mono])
+        assert c._den > 0 and all(re or im for re, im in c._num.values())
+
+
+def _product_cases():
+    rng = random.Random(1978)
+    cases = []
+    for _ in range(80):
+        # phases p/q + n w, q up to 4, shared by both operands
+        phases = [(F(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-1, 1)) for _ in range(2)]
+        cases.append((rand_product_op(rng, rng.randint(0, 2), phases),
+                      rand_product_op(rng, rng.randint(0, 2), phases)))
+    one_term = WeylOp({Monomial.make(F(2, 3), 1, -1, (1,), (2,), 3): Coefficient.monomial((F(1, 6), F(-2, 7)), -1, 2)})
+    other = rand_product_op(rng, 2, [(F(-1, 3), 0), (F(5, 2), 1)])
+    cases += [(one_term, other), (other, one_term), (one_term, one_term),
+              (WeylOp.zero(), other), (other, WeylOp.zero()), (WeylOp.zero(), WeylOp.zero()),
+              (DX + X, DX - X)]
+    return cases
+
+
+class TestProductAgainstReference:
+    def test_products_and_brackets(self):
+        """Rational weights and phases, so that a summed slot must raise its
+        denominator; in over half of the pairs some output terms collide."""
+        collided = 0
+        for a, b in _product_cases():
+            ab, ba = ref_multiply(a, b), ref_multiply(b, a)
+            assert_same_terms(multiply(a, b), ab)
+            assert_same_terms(multiply(a, b, contracted=True), ref_multiply(a, b, contracted=True))
+            assert_same_terms(commutator(a, b), _ref_sum(ref_multiply(a, b, True), ref_multiply(b, a, True), -1))
+            assert_same_terms(anticommutator(a, b), _ref_sum(ab, ba, 1))
+            collided += len(ab) < _ref_term_count(a, b)
+        assert collided > 40
+
+    def test_a_cancelled_output_monomial_is_dropped(self):
+        # (Dx + x)(Dx - x) = Dx^2 - x^2 - 1: the two x Dx terms cancel
+        got = multiply(DX + X, DX - X)
+        assert got == multiply(DX, DX) - multiply(X, X) - WeylOp.one()
+        assert Monomial.make(x_pows=(1,), d_pows=(1,)) not in dict(got.terms())
+
+    def test_no_coefficient_add_inside_multiply(self, monkeypatch):
+        """(x + Dx + t Dt + phase)^4 with rational weights: many terms collide per
+        output monomial, and none of them is summed by a Coefficient add."""
+        p = (X.scale(F(1, 2)) + DX.scale((F(2, 3), F(1, 5))) + multiply(T, DT).scale(F(3, 7))
+             + WeylOp.phase(F(1, 2), 1).scale(Coefficient.monomial(F(5, 4), 1, 0)))
+        p2_want = ref_multiply(p, p)
+        p4_want = ref_multiply(WeylOp(p2_want), WeylOp(p2_want))
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__"):
+            original = getattr(Coefficient, name)
+
+            def counted(self, other, original=original, name=name):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(Coefficient, name, counted)
+        p2 = multiply(p, p)
+        p4 = multiply(p2, p2)
+        assert calls == []
+        monkeypatch.undo()
+        assert_same_terms(p2, p2_want)
+        assert_same_terms(p4, p4_want)
+        assert len(p4_want) < _ref_term_count(p2, p2) // 2
