@@ -288,8 +288,8 @@ def suite_spectrum(opts) -> Report:
     rep = Report("spectrum", {"cutoff_a": str(opts.cutoff_a), "cutoff_b": str(opts.cutoff_b)})
     na, nb = opts.cutoff_a, opts.cutoff_b
     modes = opts.modes
-    expect = np.sort([modes[0] * n + modes[1] * m + 0.5
-                      for n in range(na + 1) for m in range(nb + 1)])
+    w1, w2 = (complex(Coefficient.of(x)).real for x in modes)  # FloatOverflow beyond the float range
+    expect = np.sort([w1 * n + w2 * m + 0.5 for n in range(na + 1) for m in range(nb + 1)])
     couplings = [complex(opts.gamma_bar)] if opts.gamma_bar is not None else [0.0, 0.3, 0.7 + 0.2j, 2.0]
     # every coupling term of K contains b, so K is strictly lower triangular
     # once the basis is ordered by the b-number m (stably, keeping energy order)

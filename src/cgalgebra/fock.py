@@ -41,10 +41,8 @@ from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GAMMA, accumulate
+from .ring import Coefficient, GAMMA, summed
 from .weyl import Monomial, WeylOp, ad_series, apply, commutator, multiply, similarity
-
-F = Fraction
 
 GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
 
@@ -97,18 +95,25 @@ class LadderOp(WeylOp):
         This is the action of x^p y^r Dx^q Dy^s on x^n y^m, written as a
         direct loop over the words: the product route (multiply by the ket
         read as a function, keep the derivative-free terms) costs much more
-        per ket.
+        per ket.  :func:`~cgalgebra.ring.summed` adds the terms that land on one ket.
         """
         words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
                  for mono, c in self._terms.items()]
-        out: Dict[Tuple[int, int], Coefficient] = {}
+        acc: dict = {}
         for (n, m), amp in state.items():
             for (p, r), (q, s), c in words:
                 if q > n or s > m:
                     continue
-                factor = perm(n, q) * perm(m, s)
-                accumulate(out, (n - q + p, m - s + r), amp * c * factor)
-        return out
+                key = (n - q + p, m - s + r)
+                term = (amp * c, perm(n, q) * perm(m, s))
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = term
+                elif type(slot) is tuple:
+                    acc[key] = [slot, term]
+                else:
+                    slot.append(term)
+        return summed(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp
     """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
     g = _gbar_coeff(gbar)
     m1, m2 = modes
-    out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): F(1, 2)})
+    out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): Fraction(1, 2)})
     coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
     return out + coupling
 
@@ -165,12 +170,13 @@ def _formal_modes(modes: Tuple[int, int]) -> Tuple[Tuple[Fraction, LadderOp], ..
     m1, m2 = modes
     lams = (m1, -m1, m2, -m2)
     if len(set(lams)) != 4:
-        raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {sorted({F(m) for m in lams})}")
+        got = sorted({Fraction(m) for m in lams})
+        raise DegenerateModes(f"expected 4 distinct rational eigenvalues, got {got}")
     e = _decoupling(modes)[0]
     out = []
     for m, up, down in ((m1, "a+", "a"), (m2, "b+", "b")):
-        out.append((F(m), similarity(-e, LadderOp({MODE_WORDS[up]: 1}))))
-        out.append((F(-m), similarity(-e, LadderOp({MODE_WORDS[down]: 1 if m > 0 else -1}))))
+        out.append((Fraction(m), similarity(-e, LadderOp({MODE_WORDS[up]: 1}))))
+        out.append((Fraction(-m), similarity(-e, LadderOp({MODE_WORDS[down]: 1 if m > 0 else -1}))))
     return tuple(sorted(out, key=lambda pair: pair[0]))
 
 
@@ -248,7 +254,7 @@ def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ..
     puts 1.8e-12 between the two routes at gbar = 1000 and cutoff 12."""
     rows, cols, c0, c1, factors = [], [], [], [], []
     for i, j, amp, factor in _entries(k_ladder(None, modes), FockBasis(na, nb, modes)):
-        weights = {a: complex(float(re), float(im)) for (a, _), (re, im) in amp.terms}
+        weights = {a: complex(Coefficient.of(q)) for (a, _), q in amp.terms}
         rows.append(i)
         cols.append(j)
         c0.append(weights.get(0, 0j))
@@ -326,7 +332,7 @@ def _kets(gbar: GbarLike, modes: Tuple[int, int],
     yields nothing but still advances the column.
     """
     by_lam = mode_solver(gbar, modes)
-    a1, a2 = by_lam[F(modes[0])], by_lam[F(modes[1])]
+    a1, a2 = by_lam[Fraction(modes[0])], by_lam[Fraction(modes[1])]
     column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
     for m, top in enumerate(tops):
         if m:
@@ -364,22 +370,19 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
 def state_inner(s1: Mapping[Tuple[int, int], Coefficient],
                 s2: Mapping[Tuple[int, int], Coefficient]) -> Coefficient:
     """<s1 | s2> with the unnormalized metric <n,m|n,m> = n! m!, a scalar."""
-    out = Coefficient()
-    for key, a1 in s1.items():
-        a2 = s2.get(key)
-        if a2 is None:
-            continue
-        out = out + a1.conj() * a2 * (factorial(key[0]) * factorial(key[1]))
-    return out
+    terms = [(a1.conj() * s2[nm], factorial(nm[0]) * factorial(nm[1])) for nm, a1 in s1.items() if nm in s2]
+    return summed({0: terms}).get(0, Coefficient())
 
 
 def overlap_probability(s1: Mapping[Tuple[int, int], Coefficient],
                         s2: Mapping[Tuple[int, int], Coefficient]) -> Fraction:
-    """|<s1|s2>|^2 for the normalized states, exact; a zero state raises
-    :class:`UnsupportedShape`."""
+    """|<s1|s2>|^2 for the normalized states, exact; a zero state, or one with
+    a formal coupling in its amplitudes, raises :class:`UnsupportedShape`."""
     n12 = state_inner(s1, s2)
     n11 = state_inner(s1, s1)
     n22 = state_inner(s2, s2)
+    if not (n12.is_scalar() and n11.is_scalar() and n22.is_scalar()):
+        raise UnsupportedShape("overlap needs states with numeric amplitudes")
     if n11.is_zero() or n22.is_zero():
         raise UnsupportedShape("cannot normalize a zero state")
     return n12.abs2() / (n11.re * n22.re)
@@ -391,8 +394,11 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
 
     Row order is n outer, m inner over the states |n-bar, m-bar> with
     n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``:
-    both take their kets from one :func:`_kets` pass.
+    both take their kets from one :func:`_kets` pass.  A formal ``gbar`` raises
+    :class:`UnsupportedShape`, as in :func:`k_matrix`.
     """
+    if not _gbar_coeff(gbar).is_scalar():
+        raise UnsupportedShape("numerical matrix needs a numeric coupling")
     index = FockBasis(na, nb, modes).index()
     step = abs(modes[1])
     rows: Dict[Tuple[int, int], np.ndarray] = {}
@@ -474,7 +480,7 @@ def h0_eigencheck() -> Dict[str, str]:
         diff = commutator(h0, r[name]) - r[name].scale(mult)
         record(f"[H0, {name}] = {mult} {name}", diff.is_zero(), diff)
 
-    g2_16 = Coefficient.monomial(F(1, 16), 2, 0)
+    g2_16 = Coefficient.monomial(Fraction(1, 16), 2, 0)
     quad = (multiply(r["w-1"], r["w+1"]) - multiply(r["w-3"], r["w+3"])).scale(g2_16) \
         + WeylOp.scalar(2)
     record("H0 equals its quadratic ladder combination", quad == h0, quad - h0)

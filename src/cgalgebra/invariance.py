@@ -32,15 +32,13 @@ from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
 from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply, similarity
 
-F = Fraction
-
 Lambda = Tuple[Fraction, int]  # lam = m + n*w
 
 
 def _as_lambda(v) -> Lambda:
     if isinstance(v, tuple):
-        return (F(v[0]), int(v[1]))
-    return (F(v), 0)
+        return (Fraction(v[0]), int(v[1]))
+    return (Fraction(v), 0)
 
 
 def _lambda_coeff(lam: Lambda) -> Coefficient:
@@ -164,7 +162,7 @@ class CriticalSolution:
 
 def crit_eq1(lam: Fraction, omega: Fraction) -> Fraction:
     """lam (omega^2 + 1 - (5/2) lam^2)."""
-    return lam * (omega * omega + 1 - F(5, 2) * lam * lam)
+    return lam * (omega * omega + 1 - Fraction(5, 2) * lam * lam)
 
 
 def crit_eq2(lam: Fraction, omega: Fraction) -> Fraction:
@@ -184,7 +182,7 @@ def critical_frequencies() -> List[CriticalSolution]:
     back-substitution into both original equations before being returned.
     """
     w = OMEGA
-    s = F(2, 5) * (1 + w * w)
+    s = Fraction(2, 5) * (1 + w * w)
     e_poly = -3 * s + 3 * s * s - s * w * w    # E: the even part, lam^2 -> s
     o_poly = 2 * w + 4 * s * w - 2 * w ** 3    # O: the odd part divided by lam
     p_poly = e_poly * e_poly - s * o_poly * o_poly
@@ -269,7 +267,7 @@ def lambda_candidates(h: WeylOp) -> List[Lambda]:
     parts is found; the degree-1 block alone would lose it.
     """
     cp = _adjoint_charpoly(h)
-    cands: set = {(F(0), 0)}
+    cands: set = {(Fraction(0), 0)}
     for m in gaussian_rational_roots([_weight(c, 0, 0) for c in cp]):
         if m < 0:
             continue  # the spectrum is symmetric: each pair below comes with its negative

@@ -13,15 +13,13 @@ exact ring; a ``gamma`` of ``None`` keeps the deformation parameter formal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import Fraction as F
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import BadArity, CheckFailed
 from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, accumulate
 from .weyl import Monomial, WeylOp, anticommutator, multiply
-
-F = Fraction
 
 
 def _c(re=0, im=0, g=0, w=0) -> Coefficient:
@@ -294,12 +292,12 @@ class GenParams:
     frequencies omega_i = eps_i (2i - 1) for i = 2 .. ell + 1/2.
     """
 
-    ell: Fraction
+    ell: F
     gamma_vec: Tuple[Coefficient, ...]
     eps_vec: Tuple[int, ...]
 
     def __post_init__(self):
-        ell = Fraction(self.ell)
+        ell = F(self.ell)
         if ell < F(3, 2) or (ell - F(1, 2)).denominator != 1:
             raise BadArity(f"rank must be a half-integer >= 3/2, got {ell}")
         n_par = int(ell - F(1, 2))
@@ -316,7 +314,7 @@ class GenParams:
 
 
 def gen_params(ell, signs: Iterable[int] = (), gammas: Optional[Iterable] = None) -> GenParams:
-    ell = Fraction(ell)
+    ell = F(ell)
     n_par = int(ell - F(1, 2))
     eps = tuple(signs) or (1,) * n_par
     if gammas is None:

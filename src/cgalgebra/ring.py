@@ -12,15 +12,12 @@ weight's real and imaginary numerators as Python ints over one positive
 denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
-Fractions on demand.  The sparse term maps of the other layers (operators,
-functions, which are derivative-free operators, and ladder states) add into
-themselves through :func:`accumulate`, which keeps no zero value.
-
-That storage, ``_num`` and ``_den``, is also what the operator product reads:
-``weyl.multiply`` sums the terms that land on one output monomial as integer
-numerators over one denominator, and makes them a Coefficient once, through
-:func:`reduced`.  Any ``(num, den)`` with no zero entry and a positive
-``den`` finishes there in the canonical form.
+Fractions on demand; no other module reads that storage.  Operator sums and
+constructors (functions included) add into their term maps through
+:func:`accumulate`, which keeps no zero value.  Where many int-weighted terms
+land on one key, as in the operator product and the ladder action on kets,
+the caller collects ``(coefficient, weight)`` pairs per key, and
+:func:`summed` adds them as ints over one denominator, once per key.
 
 Canonical text form, used in golden files and reports::
 
@@ -83,6 +80,38 @@ def accumulate(acc: dict, key, value) -> None:
         acc[key] = value
     elif old is not None:
         del acc[key]
+
+
+def summed(acc: dict) -> dict:
+    """{key: sum of w * c} in canonical form, leaving out each key whose sum cancels.
+
+    ``acc`` maps a key to one ``(Coefficient c, int w)`` pair, or to a list of
+    them once a second term lands on it; a list is summed as int numerators
+    over the lcm of its denominators, with no Coefficient in between.
+    """
+    out = {}
+    for key, slot in acc.items():
+        if type(slot) is tuple:
+            c, w = slot
+            c = c._scaled(w) if w != 1 else c
+        else:
+            den, num = 1, {}
+            for c, w in slot:
+                if den % c._den:
+                    up = c._den // gcd(den, c._den)
+                    den, num = den * up, {k: [re * up, im * up] for k, (re, im) in num.items()}
+                w *= den // c._den
+                for k, (re, im) in c._num.items():
+                    v = num.get(k)
+                    if v is None:
+                        num[k] = [w * re, w * im]
+                    else:
+                        v[0] += w * re
+                        v[1] += w * im
+            c = _reduced({k: (re, im) for k, (re, im) in num.items() if re or im}, den)
+        if c:
+            out[key] = c
+    return out
 
 
 class Coefficient:
@@ -253,7 +282,7 @@ class Coefficient:
         if len(n1) > 1 and len(n2) > 1:
             # only sums can cancel: Z[i] has no zero divisors
             d = {k: v for k, v in d.items() if v[0] or v[1]}
-        return reduced(d, self._den * other._den)
+        return _reduced(d, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -339,7 +368,7 @@ class Coefficient:
                     del rem[kk]
         # self/other = (N/n)/(D/d) = Q*d / (S*n)
         dd = other._den
-        return reduced({k: (r * dd, i * dd) for k, (r, i) in quo.items()},
+        return _reduced({k: (r * dd, i * dd) for k, (r, i) in quo.items()},
                        scale * self._den)
 
     # -- evaluation ----------------------------------------------------------
@@ -362,13 +391,13 @@ class Coefficient:
             if wq is not None:
                 term = term * wq ** b
             out = out + term
-        return reduced(out._num, out._den * self._den)
+        return _reduced(out._num, out._den * self._den)
 
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
         if any(a < 0 for a, _ in self._num):
             raise SingularLimit(f"gamma -> 0 limit of ({self}) does not exist")
-        return reduced({k: v for k, v in self._num.items() if k[0] == 0}, self._den)
+        return _reduced({k: v for k, v in self._num.items() if k[0] == 0}, self._den)
 
     # -- normalization helpers -----------------------------------------------
     def rational_content(self) -> Fraction:
@@ -416,7 +445,7 @@ def _new(num: dict, den: int) -> Coefficient:
     return c
 
 
-def reduced(num: dict, den: int) -> Coefficient:
+def _reduced(num: dict, den: int) -> Coefficient:
     """num/den in canonical form: ``num`` maps exponent pairs to ``(re, im)``
     int pairs, none of them ``(0, 0)``, over the positive int ``den``; the
     gcd of ``den`` and every numerator is divided out."""
@@ -465,7 +494,7 @@ def _combine(x: Coefficient, y: Coefficient, sign: int) -> Coefficient:
                 d[k] = (re, im)
             else:
                 del d[k]
-    return reduced(d, den)
+    return _reduced(d, den)
 
 
 CoefficientLike = Union[Coefficient, int, Fraction, tuple]

@@ -16,12 +16,10 @@ t powers may be negative, which is what lets on-shell multipliers such as
 1/t live in the same class.
 Coordinate and derivative powers are never negative.
 
-A product builds each output coefficient once.  An output monomial that one
-term reaches keeps that term's Coefficient; where several terms collide, their
-weights times the ring's integer storage (``_num`` over ``_den``) are summed as
-Python ints over one denominator, and :func:`~cgalgebra.ring.reduced` turns
-the sum into the canonical Coefficient at the end, so equal products have
-equal storage and equal hashes.
+A product works out the normal-ordering combinatorics only: each term it
+finds is a ring coefficient and an int weight, collected per output monomial,
+and :func:`~cgalgebra.ring.summed` adds each monomial's terms into one
+canonical Coefficient, or drops the monomial if they cancel.
 
 A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
 phases, t powers and coordinate powers are its monomials.  An operator acts
@@ -35,14 +33,12 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import NonTerminatingSeries
-from .ring import Coefficient, CoefficientLike, accumulate, reduced
-
-Phase = Tuple[Fraction, int]
+from .ring import Coefficient, CoefficientLike, accumulate, summed
 
 
 def _falling(a: int, r: int) -> int:
@@ -124,7 +120,7 @@ def _op(cls, terms: dict):
 class WeylOp:
     """Immutable normal-ordered operator: map Monomial -> Coefficient.
 
-    Sums, scalings, products and parameter maps of a subclass instance stay
+    Sums, scalings, products, powers and parameter maps of a subclass instance stay
     in its class (``fock.LadderOp``); the static constructors build WeylOps.
     """
 
@@ -244,7 +240,7 @@ class WeylOp:
     def __pow__(self, k: int) -> "WeylOp":
         if k < 0:
             raise ValueError("negative operator power")
-        out = WeylOp.one()
+        out = _op(type(self), {_MONO_ONE: Coefficient.of(1)})
         for _ in range(k):
             out = multiply(out, self)
         return out
@@ -305,12 +301,11 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
 
     Each output monomial carries an integer weight (binomials times falling
     factorials) and one power of the phase derivative theta; the ring
-    coefficient c1*c2*theta^p is built once per p.  ``acc`` maps a monomial
-    hit once to its (coefficient, weight) pair, and one hit more often to a
-    list [den, {(a, b): [re, im]}]: the weighted sum of its terms as int
-    numerators over den, the lcm of their denominators.  With ``contracted``
-    the uncontracted term, the one that is the same in both orders of the
-    factors, is left out.
+    coefficient c1*c2*theta^p is built once per p.  ``acc`` is the input of
+    :func:`~cgalgebra.ring.summed`: it maps a monomial hit once to its
+    (coefficient, weight) pair, and one hit more often to the list of them.
+    With ``contracted`` the uncontracted term, the one that is the same in
+    both orders of the factors, is left out.
     """
     x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
     if contracted and not any(p and q for p, q in zip(d1, x2)) and not (
@@ -366,50 +361,23 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
         slot = acc.get(key)
         if slot is None:
             acc[key] = (tc, w)
-            continue
-        if type(slot) is tuple:  # second hit: open an integer sum
-            c, cw = slot
-            slot = acc[key] = [c._den, {k: [cw * re, cw * im] for k, (re, im) in c._num.items()}]
-        den, num = slot
-        tden = tc._den
-        if den % tden:
-            up = tden // gcd(den, tden)
-            for v in num.values():
-                v[0] *= up
-                v[1] *= up
-            den = slot[0] = den * up
-        w *= den // tden
-        for k, (re, im) in tc._num.items():
-            v = num.get(k)
-            if v is None:
-                num[k] = [w * re, w * im]
-            else:
-                v[0] += w * re
-                v[1] += w * im
+        elif type(slot) is tuple:
+            acc[key] = [slot, (tc, w)]
+        else:
+            slot.append((tc, w))
 
 
 def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
     """Normal-ordered associative product a*b, of the class of a.
 
     With ``contracted`` only the terms with at least one contraction: a*b
-    less the commutative product of the symbols.  Each summed output
-    coefficient is made canonical here, once, or dropped if it cancelled.
+    less the commutative product of the symbols.
     """
     acc: dict = {}
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
             _mono_mul(m1, c1, m2, c2, acc, contracted)
-    out = {}
-    for mono, slot in acc.items():
-        if type(slot) is tuple:
-            c, w = slot
-            out[mono] = c * w if w != 1 else c
-        else:
-            den, num = slot
-            num = {k: (re, im) for k, (re, im) in num.items() if re or im}
-            if num:
-                out[mono] = reduced(num, den)
-    return _op(type(a), out)
+    return _op(type(a), summed(acc))
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -102,7 +102,8 @@ class TestExitCodes:
         assert code == 0
 
     @pytest.mark.parametrize("argv", [["spectrum", "--gamma-bar", "1e400", "--cutoff-a", "2", "--cutoff-b", "2"],
-                                      ["modes", "--gamma-bar", "1e400"]])
+                                      ["modes", "--gamma-bar", "1e400"],
+                                      ["spectrum", "--modes", f"1,{10**400}", "--cutoff-a", "2"]])
     def test_coupling_beyond_the_float_range_is_one_error_line(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""

@@ -138,6 +138,14 @@ class TestLadderAlgebra:
                      for _ in range(rng.randint(1, 3))}
             assert ladder(x).apply_state(state) == ref_apply_state(x, state), (x, state)
 
+    def test_powers_stay_ladder_ops(self):
+        x = ADAG + B.scale(gr(1, F(1, 2))) + BDAG * A
+        want = LadderOp.one()
+        for k in range(4):
+            got = x ** k
+            assert type(got) is LadderOp and got == want, k
+            want = want * x
+
     def test_traced_methods_are_the_ladder_layers_own(self):
         """Benchmark tracing wraps LadderOp.__mul__ and apply_state by name;
         inherited or aliased WeylOp methods would make it rebind WeylOp's too."""
@@ -501,9 +509,21 @@ class TestKMatrixCache:
             k_matrix(None, 4, 4)
         assert fock._k_entries.cache_info().currsize == 0
 
+    def test_eigenstate_matrix_guard_runs_before_any_build(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("eigenstate_matrix must reject a formal coupling before solving for modes")
+
+        monkeypatch.setattr(fock, "mode_solver", forbidden)
+        with pytest.raises(UnsupportedShape, match="needs a numeric coupling"):
+            eigenstate_matrix(None, 4, 4)
+
     def test_coupling_beyond_the_float_range_is_typed(self):
         with pytest.raises(FloatOverflow):
             k_matrix(10**400, 2, 2)
+
+    def test_mode_beyond_the_float_range_is_typed(self):
+        with pytest.raises(FloatOverflow):
+            k_matrix(1, 3, 3, (1, 10**400))
 
     def test_infinite_coupling_is_typed(self):
         for gbar in (float("inf"), float("-inf"), complex(1, float("inf"))):
@@ -748,6 +768,13 @@ class TestStatesAndOverlaps:
         vac = {(0, 0): Coefficient.of(1)}
         for s1, s2 in (({}, vac), (vac, {})):
             with pytest.raises(UnsupportedShape, match="cannot normalize a zero state"):
+                overlap_probability(s1, s2)
+
+    def test_formal_state_overlap_is_typed(self):
+        vac = {(0, 0): Coefficient.of(1)}
+        formal = eigenstate(1, 1)
+        for s1, s2 in ((formal, vac), (vac, formal), (formal, formal)):
+            with pytest.raises(UnsupportedShape, match="numeric amplitudes"):
                 overlap_probability(s1, s2)
 
     def test_self_overlap(self):

@@ -89,3 +89,24 @@ def test_the_import_graph_sees_every_form(tmp_path):
     probe.write_text("from . import fock, cli\nfrom .weyl import multiply\nimport numpy\n"
                      "def f():\n    from cgalgebra.invariance import contract\n    from numpy import eye\n")
     assert package_imports(probe) == {"fock", "cli", "weyl", "invariance"}
+
+
+STORAGE = ("_num", "_den")
+
+
+def storage_reads(path: Path) -> list:
+    """(line, attribute) of each read of a Coefficient's storage, ``x._num`` or ``x._den``."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE]
+
+
+def test_only_the_ring_reads_coefficient_storage():
+    found = {path.name: storage_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    del found["ring.py"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_storage_check_sees_every_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(c, d):\n    return c._den, [v for v in d.coef()._num.values()], c.num\n")
+    assert sorted(storage_reads(probe)) == [(2, "_den"), (2, "_num")]

@@ -11,6 +11,7 @@ from cgalgebra.ring import (
     GAMMA_INV,
     OMEGA,
     accumulate,
+    summed,
 )
 
 
@@ -346,3 +347,55 @@ class TestIntegerStorage:
                                    None if w is None else Coefficient.of(w))
                 assert model_of(got) == m_subst(mx, g, w)
                 check_canonical(got)
+
+
+def naive_summed(acc):
+    """Each key's terms summed one Coefficient at a time, zero sums left out."""
+    out = {}
+    for key, slot in acc.items():
+        total = sum((c * w for c, w in (slot if isinstance(slot, list) else [slot])), Coefficient())
+        if total:
+            out[key] = total
+    return out
+
+
+class TestSummed:
+    """``summed`` against a naive sum(w * c) per key."""
+
+    def test_differential_random(self):
+        rng = random.Random(1871)
+        for _ in range(300):
+            acc = {}
+            for key in range(rng.randint(0, 6)):
+                # denominators 1-12 from rand_model, so one list mixes them
+                pairs = [(coeff_of(rand_model(rng)), rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+                acc[key] = pairs[0] if len(pairs) == 1 else pairs
+            got = summed(acc)
+            assert got == naive_summed(acc)
+            for c in got.values():
+                assert c
+                check_canonical(c)
+
+    def test_cancelled_key_is_dropped(self):
+        x = Coefficient({(1, 0): (F(1, 2), F(-1, 3)), (0, 2): F(5, 6)})
+        y = Coefficient.monomial(F(3, 4), -1, 0)
+        acc = {"gone": [(x, 2), (y, 3), (x * 2, -1), (y * 3, -1)],
+               "kept": [(x, 3), (x, -2)], "zero-weight": (x, 0), "zero": (Coefficient(), 5)}
+        assert summed(acc) == {"kept": x}
+
+    def test_single_pair_is_scaled(self):
+        x = Coefficient({(0, 0): F(3, 10), (2, 1): (0, F(-1, 4))})
+        got = summed({"k": (x, 6), "one": (x, 1)})
+        assert got == {"k": x * 6, "one": x}
+        assert got["one"] is x
+        check_canonical(got["k"])
+
+    def test_mixed_denominators_reduce_to_canonical_storage(self):
+        # 1/6 + 1/3 + 2 (1/4) = 1 and (1/4 + 2 (1/24)) i = i/3: over the lcm 24 the
+        # numerators are (24, 8), and their gcd 8 leaves (3, 1) over 3
+        acc = {"k": [(Coefficient.of(F(1, 6)), 1), (Coefficient.of((F(1, 3), F(1, 4))), 1),
+                     (Coefficient.of((F(1, 4), F(1, 24))), 2)]}
+        got = summed(acc)["k"]
+        assert got == Coefficient.of((1, F(1, 3)))
+        assert got._den == 3 and got._num == {(0, 0): (3, 1)}
+        check_canonical(got)
