@@ -27,9 +27,10 @@ from . import fock, invariance, realizations
 from .errors import AlgebraError
 from .linalg import det
 from .ring import Coefficient, GAMMA, I
+from .weyl import (GAUSSIAN_EXPONENT, Monomial, WeylOp, apply, commutator, coefficient_matrix,
+                   parse_op, print_op, similarity)
 # multiply is not called here, but the benchmark's tracer tests read it as cli.multiply
-from .weyl import (GAUSSIAN_EXPONENT, Monomial, WeylOp, apply, commutator, multiply,  # noqa: F401
-                   coefficient_matrix, parse_op, print_op, similarity)
+from .weyl import multiply  # noqa: F401
 
 SCHEMA_VERSION = "cgalgebra-report/1"
 

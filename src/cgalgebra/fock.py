@@ -27,6 +27,7 @@ when |m2| > |m1|.
 from __future__ import annotations
 
 import cmath
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -99,20 +100,11 @@ class LadderOp(WeylOp):
         """
         words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
                  for mono, c in self._terms.items()]
-        acc: dict = {}
+        acc = defaultdict(list)
         for (n, m), amp in state.items():
             for (p, r), (q, s), c in words:
-                if q > n or s > m:
-                    continue
-                key = (n - q + p, m - s + r)
-                term = (amp * c, perm(n, q) * perm(m, s))
-                slot = acc.get(key)
-                if slot is None:
-                    acc[key] = term
-                elif type(slot) is tuple:
-                    acc[key] = [slot, term]
-                else:
-                    slot.append(term)
+                if q <= n and s <= m:
+                    acc[(n - q + p, m - s + r)].append((amp * c, perm(n, q) * perm(m, s)))
         return summed(acc)
 
 
@@ -394,9 +386,12 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
 
     Row order is n outer, m inner over the states |n-bar, m-bar> with
     n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``:
-    both take their kets from one :func:`_kets` pass.  A formal ``gbar`` raises
-    :class:`UnsupportedShape`, as in :func:`k_matrix`.
+    both take their kets from one :func:`_kets` pass.  As in :func:`k_matrix`, a
+    cutoff below 1 raises :class:`CutoffTooSmall` and a formal ``gbar``
+    :class:`UnsupportedShape`.
     """
+    if na < 1 or nb < 1:
+        raise CutoffTooSmall("cutoffs must be at least 1")
     if not _gbar_coeff(gbar).is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
     index = FockBasis(na, nb, modes).index()

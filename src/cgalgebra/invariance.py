@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (CheckFailed, DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed,
@@ -178,8 +177,8 @@ def critical_frequencies() -> List[CriticalSolution]:
     s = (2/5)(w^2+1).  Splitting the second equation into even and odd lam
     parts, E(w) + lam O(w) = 0, a rational solution needs the resultant-type
     polynomial E^2 - s O^2 to vanish; its rational roots give the critical
-    frequencies, and every (w, lam) pair is verified by exact
-    back-substitution into both original equations before being returned.
+    frequencies.  At each, the rational roots of lam^2 - s(w) (never zero,
+    as s > 0) are kept where both original equations vanish exactly.
     """
     w = OMEGA
     s = Fraction(2, 5) * (1 + w * w)
@@ -189,17 +188,8 @@ def critical_frequencies() -> List[CriticalSolution]:
     p_coeffs = [_weight(p_poly, 0, k).re for k in range(p_poly.omega_degree() + 1)]
     out: List[CriticalSolution] = []
     for omega, _mult in rational_roots(p_coeffs):
-        s_val, o_val, e_val = (c.substitute(omega=omega).re
-                               for c in (s, o_poly, e_poly))
-        cands: List[Fraction] = []
-        if o_val != 0:
-            cands.append(-e_val / o_val)
-        elif e_val == 0:
-            cands.extend(lam for lam, _ in rational_roots([-s_val, 0, 1]))
-        for lam in cands:
-            if lam == 0:
-                continue
-            if lam * lam == s_val and crit_eq1(lam, omega) == 0 and crit_eq2(lam, omega) == 0:
+        for lam, _ in rational_roots([-s.substitute(omega=omega).re, 0, 1]):
+            if crit_eq1(lam, omega) == 0 and crit_eq2(lam, omega) == 0:
                 out.append(CriticalSolution(omega, lam))
     out.sort(key=lambda cs: (cs.omega, cs.lam))
     return out
@@ -262,11 +252,11 @@ def lambda_candidates(h: WeylOp) -> List[Lambda]:
     formal, and a pair is kept, with its negative, where p vanishes
     exactly.  A root with non-integer n raises :class:`UnsupportedShape`,
     since a phase carries an integer multiple of w.
-    p is the product over all degree blocks (:func:`_adjoint_charpoly`), the
-    degree-2 block included, so a rational lam_i + lam_j with irrational
+    p is the characteristic polynomial of all of :func:`adjoint_matrix`, the
+    degree-2 monomials included, so a rational lam_i + lam_j with irrational
     parts is found; the degree-1 block alone would lose it.
     """
-    cp = _adjoint_charpoly(h)
+    cp = charpoly(adjoint_matrix(h)[1])
     cands: set = {(Fraction(0), 0)}
     for m in gaussian_rational_roots([_weight(c, 0, 0) for c in cp]):
         if m < 0:
@@ -282,26 +272,6 @@ def lambda_candidates(h: WeylOp) -> List[Lambda]:
                                        "but a phase carries an integer multiple of w")
             cands.update({(m, int(n)), (-m, -int(n))})
     return sorted(cands)
-
-
-def _adjoint_charpoly(h: WeylOp) -> List[Coefficient]:
-    """det(xI - ad_H) on the degree <= 2 space, as a product over degree blocks.
-
-    For H of spatial degree <= 2, [H, m] never has a higher degree than m,
-    so ordered by degree the matrix is block upper triangular, and det(xI - M)
-    is exactly the product of its diagonal blocks' characteristic polynomials.
-    """
-    basis, mat = adjoint_matrix(h)
-    cp = [Coefficient.of(1)]
-    for deg in sorted({m.spatial_degree() for m in basis}):
-        idx = [j for j, m in enumerate(basis) if m.spatial_degree() == deg]
-        block = charpoly([[mat[i][j] for j in idx] for i in idx])
-        prod = [Coefficient() for _ in range(len(cp) + len(block) - 1)]
-        for (i, a), (j, b) in product(enumerate(cp), enumerate(block)):
-            if a and b:
-                prod[i + j] = prod[i + j] + a * b
-        cp = prod
-    return cp
 
 
 def _weight(c: Coefficient, a: int, b: int) -> Coefficient:

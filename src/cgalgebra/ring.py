@@ -16,8 +16,8 @@ Fractions on demand; no other module reads that storage.  Operator sums and
 constructors (functions included) add into their term maps through
 :func:`accumulate`, which keeps no zero value.  Where many int-weighted terms
 land on one key, as in the operator product and the ladder action on kets,
-the caller collects ``(coefficient, weight)`` pairs per key, and
-:func:`summed` adds them as ints over one denominator, once per key.
+the caller collects a list of ``(coefficient, weight)`` pairs per key, and
+:func:`summed` adds each list as ints over one denominator.
 
 Canonical text form, used in golden files and reports::
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .errors import FloatOverflow, SingularLimit, ZeroSubstitution
+from .errors import FloatOverflow, SingularLimit, UnsupportedShape, ZeroSubstitution
 
 
 def _parts(q) -> tuple:
@@ -85,14 +85,14 @@ def accumulate(acc: dict, key, value) -> None:
 def summed(acc: dict) -> dict:
     """{key: sum of w * c} in canonical form, leaving out each key whose sum cancels.
 
-    ``acc`` maps a key to one ``(Coefficient c, int w)`` pair, or to a list of
-    them once a second term lands on it; a list is summed as int numerators
-    over the lcm of its denominators, with no Coefficient in between.
+    ``acc`` maps a key to a list of ``(Coefficient c, int w)`` pairs.  A list
+    of several is summed as int numerators over the lcm of its denominators,
+    with no Coefficient in between.
     """
     out = {}
     for key, slot in acc.items():
-        if type(slot) is tuple:
-            c, w = slot
+        if len(slot) == 1:
+            (c, w), = slot
             c = c._scaled(w) if w != 1 else c
         else:
             den, num = 1, {}
@@ -129,7 +129,7 @@ class Coefficient:
     result.  Instances are immutable.
     """
 
-    __slots__ = ("_num", "_den", "_terms", "_hash")
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms=()):
         """Sum of ``((a, b), q)`` pairs (or a mapping), q an exact scalar:
@@ -232,11 +232,7 @@ class Coefficient:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self._den, frozenset(self._num.items())))
-            return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         return f"Coefficient({self})"
@@ -298,7 +294,9 @@ class Coefficient:
     def __pow__(self, k: int) -> "Coefficient":
         """Power by squaring; a negative k divides 1 exactly by self^-k, which
         raises ``ValueError`` unless self is a unit (a nonzero scalar times a
-        power of g)."""
+        power of g).  A k that is not an int raises :class:`UnsupportedShape`."""
+        if not isinstance(k, int):
+            raise UnsupportedShape(f"exponent must be an integer, got {k!r}")
         if k < 0:
             return ONE.divide_exact(self ** -k)
         out = ONE

@@ -30,6 +30,7 @@ multiplies by f, and keeps the derivative-free terms.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -37,7 +38,7 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import NonTerminatingSeries
+from .errors import NonTerminatingSeries, UnsupportedShape
 from .ring import Coefficient, CoefficientLike, accumulate, summed
 
 
@@ -238,8 +239,9 @@ class WeylOp:
         return self.scale(other)
 
     def __pow__(self, k: int) -> "WeylOp":
-        if k < 0:
-            raise ValueError("negative operator power")
+        """Repeated product; a k that is not an int >= 0 raises :class:`UnsupportedShape`."""
+        if not isinstance(k, int) or k < 0:
+            raise UnsupportedShape(f"operator power must be an integer >= 0, got {k!r}")
         out = _op(type(self), {_MONO_ONE: Coefficient.of(1)})
         for _ in range(k):
             out = multiply(out, self)
@@ -302,8 +304,8 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     Each output monomial carries an integer weight (binomials times falling
     factorials) and one power of the phase derivative theta; the ring
     coefficient c1*c2*theta^p is built once per p.  ``acc`` is the input of
-    :func:`~cgalgebra.ring.summed`: it maps a monomial hit once to its
-    (coefficient, weight) pair, and one hit more often to the list of them.
+    :func:`~cgalgebra.ring.summed`: a ``defaultdict(list)`` of the
+    (coefficient, weight) pairs of each output monomial.
     With ``contracted`` the uncontracted term, the one that is the same in
     both orders of the factors, is left out.
     """
@@ -356,15 +358,7 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
         next(pairs)  # first with first: no contraction
     dt2 = m2.dt_pow
     for (xs, ds, weight), (r, dt_left, tc, tw) in pairs:
-        w = weight * tw
-        key = Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + dt2)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = (tc, w)
-        elif type(slot) is tuple:
-            acc[key] = [slot, (tc, w)]
-        else:
-            slot.append((tc, w))
+        acc[Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + dt2)].append((tc, weight * tw))
 
 
 def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
@@ -373,7 +367,7 @@ def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
     With ``contracted`` only the terms with at least one contraction: a*b
     less the commutative product of the symbols.
     """
-    acc: dict = {}
+    acc = defaultdict(list)
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
             _mono_mul(m1, c1, m2, c2, acc, contracted)

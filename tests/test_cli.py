@@ -12,7 +12,8 @@ import pytest
 from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
 from cgalgebra.errors import NonTerminatingSeries, NotClosed
-from cgalgebra.invariance import default_phases, lambda_candidates
+from cgalgebra.invariance import adjoint_matrix, default_phases, lambda_candidates
+from cgalgebra.linalg import charpoly
 from cgalgebra.realizations import theta_family
 from cgalgebra.ring import Coefficient, OMEGA
 
@@ -108,6 +109,12 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("suite", ["spectrum", "modes"])
+    def test_cutoff_zero_is_one_error_line(self, suite, capsys):
+        code, out, err = run([suite, "--cutoff-a", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: cutoffs must be at least 1\n", err
 
     def test_exact_suite_takes_a_coupling_beyond_the_float_range(self, capsys):
         code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
@@ -599,7 +606,7 @@ class TestThetaPhases:
     def test_formal_phases_factor_the_characteristic_polynomial(self):
         """prod (x - m - n*w)^mult over the cached phases is ad_H's characteristic polynomial
         over Q(i)[w], so at every w0 its roots are exactly the phases evaluated at w0."""
-        cp = cli.invariance._adjoint_charpoly(theta_family(None, 0, 0))
+        cp = charpoly(adjoint_matrix(theta_family(None, 0, 0))[1])
         product, mults = [Coefficient.of(1)], {}
         for m, n in cli._theta_phases():
             r = Coefficient.of(m) + OMEGA * n
@@ -631,7 +638,7 @@ class TestThetaPhases:
 
     def test_all_makes_one_charpoly_and_one_root_search(self, capsys, monkeypatch):
         counts = Counter()
-        for name in ("_adjoint_charpoly", "gaussian_rational_roots", "lambda_candidates"):
+        for name in ("charpoly", "gaussian_rational_roots", "lambda_candidates"):
             real = getattr(cli.invariance, name)
             monkeypatch.setattr(cli.invariance, name,
                                 lambda *a, _name=name, _real=real: counts.update([_name]) or _real(*a))
@@ -641,7 +648,7 @@ class TestThetaPhases:
         counts.clear()
         cli._theta_phases.cache_clear()
         assert run(["all"], capsys)[0] == 0
-        assert counts == Counter({"_adjoint_charpoly": 1, "lambda_candidates": 1,
+        assert counts == Counter({"charpoly": 1, "lambda_candidates": 1,
                                   "gaussian_rational_roots": one_search})
 
     def test_phases_handed_out_do_not_reach_the_cache(self, capsys, monkeypatch):

@@ -509,6 +509,11 @@ class TestKMatrixCache:
             k_matrix(None, 4, 4)
         assert fock._k_entries.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("na, nb", [(-1, 3), (3, -2), (0, 0), (0, 3), (3, 0)])
+    def test_eigenstate_matrix_cutoff_below_one_is_typed(self, na, nb):
+        with pytest.raises(CutoffTooSmall, match="at least 1"):
+            eigenstate_matrix(0.5, na, nb)
+
     def test_eigenstate_matrix_guard_runs_before_any_build(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("eigenstate_matrix must reject a formal coupling before solving for modes")

@@ -110,3 +110,36 @@ def test_the_storage_check_sees_every_read(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f(c, d):\n    return c._den, [v for v in d.coef()._num.values()], c.num\n")
     assert sorted(storage_reads(probe)) == [(2, "_den"), (2, "_num")]
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) of each name ``path`` imports and never reads, leaving out
+    ``from __future__`` imports, names listed in ``__all__``, and imports whose
+    line carries ``# noqa: F401``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    imported = [(alias.lineno, alias.asname or alias.name.split(".")[0])
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for elt in node.value.elts}
+    return sorted((line, name) for line, name in imported
+                  if name not in used and "# noqa: F401" not in lines[line - 1])
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = {path.name: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_unused_import_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+                     "from .ring import (Coefficient,\n    summed)\nfrom .linalg import rank  # noqa: F401\n"
+                     "from .weyl import multiply\n__all__ = ['multiply']\n"
+                     "def f(x: Coefficient):\n    from itertools import product\n    return np\n")
+    assert unused_imports(probe) == [(2, "os"), (5, "summed"), (10, "product")]

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cgalgebra.errors import AlgebraError, FloatOverflow, SingularLimit, ZeroSubstitution
+from cgalgebra.errors import AlgebraError, FloatOverflow, SingularLimit, UnsupportedShape, ZeroSubstitution
 from cgalgebra.ring import (
     Coefficient,
     GAMMA,
@@ -109,6 +109,11 @@ class TestScalars:
             (GAMMA + 1) ** -1
         with pytest.raises(ZeroDivisionError):
             gr() ** -1
+
+    @pytest.mark.parametrize("k", [1.5, F(1, 2), F(2), 2.0])
+    def test_non_integer_power_is_typed(self, k):
+        with pytest.raises(UnsupportedShape, match="must be an integer"):
+            Coefficient.of(2) ** k
 
     def test_gaussian_rational_factory_contract(self):
         """What ``benchmarks/workloads.py`` uses of the factory it imports."""
@@ -353,7 +358,7 @@ def naive_summed(acc):
     """Each key's terms summed one Coefficient at a time, zero sums left out."""
     out = {}
     for key, slot in acc.items():
-        total = sum((c * w for c, w in (slot if isinstance(slot, list) else [slot])), Coefficient())
+        total = sum((c * w for c, w in slot), Coefficient())
         if total:
             out[key] = total
     return out
@@ -368,8 +373,7 @@ class TestSummed:
             acc = {}
             for key in range(rng.randint(0, 6)):
                 # denominators 1-12 from rand_model, so one list mixes them
-                pairs = [(coeff_of(rand_model(rng)), rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
-                acc[key] = pairs[0] if len(pairs) == 1 else pairs
+                acc[key] = [(coeff_of(rand_model(rng)), rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
             got = summed(acc)
             assert got == naive_summed(acc)
             for c in got.values():
@@ -380,12 +384,12 @@ class TestSummed:
         x = Coefficient({(1, 0): (F(1, 2), F(-1, 3)), (0, 2): F(5, 6)})
         y = Coefficient.monomial(F(3, 4), -1, 0)
         acc = {"gone": [(x, 2), (y, 3), (x * 2, -1), (y * 3, -1)],
-               "kept": [(x, 3), (x, -2)], "zero-weight": (x, 0), "zero": (Coefficient(), 5)}
+               "kept": [(x, 3), (x, -2)], "zero-weight": [(x, 0)], "zero": [(Coefficient(), 5)]}
         assert summed(acc) == {"kept": x}
 
     def test_single_pair_is_scaled(self):
         x = Coefficient({(0, 0): F(3, 10), (2, 1): (0, F(-1, 4))})
-        got = summed({"k": (x, 6), "one": (x, 1)})
+        got = summed({"k": [(x, 6)], "one": [(x, 1)]})
         assert got == {"k": x * 6, "one": x}
         assert got["one"] is x
         check_canonical(got["k"])

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cgalgebra.errors import NonTerminatingSeries
+from cgalgebra.errors import NonTerminatingSeries, UnsupportedShape
 from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA, accumulate
@@ -117,6 +117,11 @@ class TestProduct:
 
     def test_anticommutator(self):
         assert anticommutator(DX, X) == multiply(X, DX).scale(2) + WeylOp.one()
+
+    @pytest.mark.parametrize("k", [-1, 1.5, F(2)])
+    def test_power_outside_the_naturals_is_typed(self, k):
+        with pytest.raises(UnsupportedShape, match="integer >= 0"):
+            X ** k
 
 
 class TestSimilarity:
