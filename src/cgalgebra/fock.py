@@ -85,10 +85,9 @@ class LadderOp(WeylOp):
     def __mul__(self, other) -> "LadderOp":
         """The Weyl product, kept a LadderOp: a function of its own, not inherited,
         so that the ladder product can be wrapped or timed apart from ``WeylOp.__mul__``.
-        Only direct products come here: :func:`commutator` calls ``multiply`` itself."""
-        if isinstance(other, WeylOp):
-            return multiply(self, other)
-        return self.scale(other)
+        Only direct products come here: :func:`commutator` calls ``multiply`` itself.
+        A scalar factor is written ``scale(c)``; ``*`` takes operators only."""
+        return multiply(self, other) if isinstance(other, WeylOp) else NotImplemented
 
     def apply_state(self, state: Mapping[Tuple[int, int], Coefficient]) -> Dict[Tuple[int, int], Coefficient]:
         """Act on a ket expanded over unnormalized |n, m>.

@@ -357,10 +357,10 @@ def find_symmetries(omega_op: WeylOp,
                     coeff_degree_bound: int = 2) -> List[SymmetryResult]:
     """Solve [Z, Omega] = f Omega exactly for first-order candidates.
 
-    Candidates have the form Z = e^{i lam t} (c Dt + sum_i a_i(x) D_i + a_0(x))
-    of total spatial degree <= coeff_degree_bound (so the derivative
-    coefficients a_i have degree <= coeff_degree_bound - 1 and the function
-    part a_0 degree <= coeff_degree_bound), c an unknown scalar.  For
+    Candidates have the form Z = e^{i lam t} (c Dt + sum_i a_i(x) D_i + a_0(x)),
+    the derivative coefficients a_i of degree <= max(coeff_degree_bound - 1, 0)
+    and the function part a_0 of degree <= coeff_degree_bound, c an unknown
+    scalar; so at bound 0 the D_i, of spatial degree 1, are candidates.  For
     Omega = i Dt - H with time-independent H the multiplier is forced to
     f = -i lam c e^{i lam t}, so the determining system reduces to the
     spatial identity [W, H] - lam W + i lam c H = 0, solved by exact

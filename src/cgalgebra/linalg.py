@@ -32,13 +32,14 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
 
     Returns (reduced matrix, pivot column list, final pivot value d).  On
     exit every pivot entry equals d and every other entry in a pivot column
-    is zero; the nullspace can be read off without any division.
+    is zero; the nullspace can be read off without any division.  Each step
+    sets row = (piv row - fac pivot_row) / prev with fac = row[c], zero or
+    not, so every earlier pivot becomes piv and no closing pass is needed.
     """
     a = [row[:] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: List[int] = []
-    pivot_rows: List[int] = []
     prev = _ONE
     r = 0
     for c in range(cols):
@@ -73,30 +74,14 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
                     num = (x * piv if x else x) - (fac * y if y else y)
                     row[j] = num.divide_exact(prev) if num else Coefficient()
         pivots.append(c)
-        pivot_rows.append(r)
         prev = piv
         r += 1
-    # normalize pivot rows so each pivot equals the final prev
-    for idx, (pr, pc) in enumerate(zip(pivot_rows, pivots)):
-        piv = a[pr][pc]
-        if piv == prev:
-            continue
-        ratio = prev.divide_exact(piv)
-        a[pr] = [v * ratio if not v.is_zero() else v for v in a[pr]]
     return a, pivots, prev
 
 
 def nullspace(m: Matrix, ncols: Optional[int] = None) -> List[Vector]:
-    """Basis of {v : m v = 0}; entries stay in the ring (denominator-free)."""
-    if not m:
-        n = ncols or 0
-        basis = []
-        for f in range(n):
-            v = [Coefficient() for _ in range(n)]
-            v[f] = _ONE
-            basis.append(v)
-        return basis
-    cols = len(m[0])
+    """Basis of {v : m v = 0}, denominator-free; a matrix with no rows is ``ncols`` wide."""
+    cols = len(m[0]) if m else ncols or 0
     red, pivots, d = rref_fraction_free(m)
     piv_of_col = {c: i for i, c in enumerate(pivots)}
     free_cols = [c for c in range(cols) if c not in piv_of_col]
@@ -118,7 +103,7 @@ def normalize_vector(v: Vector) -> Vector:
     support = [c for c in v if not c.is_zero()]
     if not support:
         return v
-    gmin = min(c.gamma_exponents()[0] for c in support)
+    gmin = min(min(a for (a, _), _ in c.terms) for c in support)
     wmin = min(min(b for (_, b), _ in c.terms) for c in support)
     if wmin:
         wshift = Coefficient.monomial(1, 0, wmin)

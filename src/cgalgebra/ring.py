@@ -216,12 +216,6 @@ class Coefficient:
         except OverflowError:
             raise FloatOverflow("scalar too large for a complex float (magnitude above 1.8e308)") from None
 
-    def gamma_exponents(self) -> tuple:
-        if not self._num:
-            return (0, 0)
-        exps = [a for a, _ in self._num]
-        return (min(exps), max(exps))
-
     def omega_degree(self) -> int:
         return max((b for _, b in self._num), default=0)
 

@@ -229,14 +229,7 @@ class WeylOp:
         return _op(type(self), {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other) -> "WeylOp":
-        if isinstance(other, WeylOp):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "WeylOp":
-        # scalars commute with nothing here except by acting as left factors,
-        # but scaling by a ring element is the same on either side
-        return self.scale(other)
+        return multiply(self, other) if isinstance(other, WeylOp) else NotImplemented
 
     def __pow__(self, k: int) -> "WeylOp":
         """Repeated product; a k that is not an int >= 0 raises :class:`UnsupportedShape`."""
@@ -314,8 +307,6 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
             m1.dt_pow and (m2.phase_m or m2.phase_n or m2.t_pow)):
         return
     base = c1 * c2
-    if base.is_zero():
-        return
 
     pad = len(x1) - len(x2)
     if pad > 0:

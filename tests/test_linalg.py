@@ -65,7 +65,8 @@ class TestNullspace:
 
     def test_empty_matrix(self):
         basis = nullspace([], ncols=3)
-        assert len(basis) == 3
+        assert basis == [[C(1) if i == j else Coefficient() for j in range(3)] for i in range(3)]
+        assert nullspace([]) == []
 
 
 def dense_rref(m):
@@ -117,6 +118,14 @@ def dense_rref(m):
     return a, pivots, prev
 
 
+def assert_rref_exit(red, pivots, d):
+    """The state rref_fraction_free leaves, with no closing pass: pivot k sits
+    in row k and equals d, and every other entry of its column is zero."""
+    for k, c in enumerate(pivots):
+        assert red[k][c] == d
+        assert all(row[c].is_zero() for i, row in enumerate(red) if i != k)
+
+
 def rand_sparse_ring_matrix(rng, rows, cols, density):
     """Nonzero Q(i) entries with the given density, about one in seven times
     g, 1/g or w; the closure eliminations have 24 x 40 at density 0.09."""
@@ -140,11 +149,28 @@ class TestSparseRowUpdate:
         rng = random.Random(12)
         for rows, cols, density in self.CASES:
             m = rand_sparse_ring_matrix(rng, rows, cols, density)
-            assert linalg.rref_fraction_free(m) == dense_rref(m)
+            reduced = linalg.rref_fraction_free(m)
+            assert reduced == dense_rref(m)
+            assert_rref_exit(*reduced)
             basis = nullspace(m)
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "rref_fraction_free", dense_rref)
                 assert nullspace(m) == basis
+
+    def test_exit_state_with_zero_and_repeated_rows(self):
+        """Rational matrices, a third of their entries zero, with a zero row and
+        a repeated row put in; the pivot count is the rank."""
+        rng = random.Random(25)
+        for _ in range(80):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = [[C(F(rng.randint(-3, 3), rng.randint(1, 3))) if rng.random() < 0.67 else C(0)
+                  for _ in range(cols)] for _ in range(rows)]
+            m.insert(rng.randint(0, rows), [C(0)] * cols)
+            m.insert(rng.randint(0, rows + 1), m[rng.randrange(rows + 1)][:])
+            red, pivots, d = linalg.rref_fraction_free(m)
+            assert_rref_exit(red, pivots, d)
+            a = np.array([[complex(c) for c in row] for row in m])
+            assert len(pivots) == np.linalg.matrix_rank(a, tol=1e-9)
 
 
 class TestSolveAndRank:

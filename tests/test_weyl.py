@@ -123,6 +123,13 @@ class TestProduct:
         with pytest.raises(UnsupportedShape, match="integer >= 0"):
             X ** k
 
+    @pytest.mark.parametrize("left, right", [(X, 2), (2, X), (X, I), (I, X), (X, F(1, 2)),
+                                             (LadderOp(Y.terms()), 2), (2, LadderOp(Y.terms()))])
+    def test_star_takes_no_scalar(self, left, right):
+        """``*`` is the operator product only; a scalar factor is written ``scale(c)``."""
+        with pytest.raises(TypeError):
+            left * right
+
 
 class TestSimilarity:
     def test_single_step(self):
@@ -461,15 +468,20 @@ def rand_product_op(rng, arity, phases):
     return WeylOp(terms)
 
 
+def assert_no_zero(op):
+    """No coefficient of op is zero, and none stores a zero numerator pair."""
+    for mono, c in op.terms():
+        assert c, mono
+        assert c._den > 0 and all(re or im for re, im in c._num.values())
+
+
 def assert_same_terms(got, want):
     """Equal term maps, equal hashes (canonical storage), and no zero coefficient."""
     terms = dict(got.terms())
     assert terms == want
     assert hash(got) == hash(WeylOp(want))
-    for mono, c in terms.items():
-        assert c, mono
-        assert hash(c) == hash(want[mono])
-        assert c._den > 0 and all(re or im for re, im in c._num.values())
+    assert all(hash(c) == hash(want[mono]) for mono, c in terms.items())
+    assert_no_zero(got)
 
 
 def _product_cases():
@@ -531,3 +543,30 @@ class TestProductAgainstReference:
         assert_same_terms(p2, p2_want)
         assert_same_terms(p4, p4_want)
         assert len(p4_want) < _ref_term_count(p2, p2) // 2
+
+
+class TestNoZeroCoefficient:
+    """No term map keeps a zero coefficient, so the monomial product, whose
+    base coefficient c1 * c2 is then never zero (Q(i)[g, 1/g, w] has no zero
+    divisors), need not test for one."""
+
+    def test_linear_and_parameter_maps(self):
+        for a, b in _product_cases():
+            for op in (a + b, a - b, a - a, -a, WeylOp([*a.terms(), *(-a).terms()]),
+                       a.scale(F(-2, 3)), a.scale(GAMMA - OMEGA), a.scale(0),
+                       a.substitute(gamma=F(1, 2)), a.substitute(omega=F(-1, 3)),
+                       a.substitute(gamma=(2, -1), omega=3), a.scale(GAMMA).gamma_limit(),
+                       a.pt_transform()):
+                assert_no_zero(op)
+
+    def test_a_cancelled_term_is_dropped(self):
+        assert (X.scale(GAMMA - 2) + Y).substitute(gamma=2) == Y
+        assert DX.scale(OMEGA + 1).substitute(omega=-1).is_zero()
+        # e[1,0] and e[0,1] land on one phase at w = 1 and cancel there
+        assert (WeylOp.phase(1) - WeylOp.phase(0, 1)).substitute(omega=1).is_zero()
+        assert X.scale(GAMMA).gamma_limit().is_zero()
+
+    def test_apply(self):
+        rng = random.Random(2016)
+        for _ in range(100):
+            assert_no_zero(apply(rand_apply_op(rng), rand_wavefunction(rng)))
