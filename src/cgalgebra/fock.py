@@ -98,7 +98,7 @@ class LadderOp(WeylOp):
         per ket.  :func:`~cgalgebra.ring.summed` adds the terms that land on one ket.
         """
         words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
-                 for mono, c in self._terms.items()]
+                 for mono, c in self.terms()]
         acc = defaultdict(list)
         for (n, m), amp in state.items():
             for (p, r), (q, s), c in words:

@@ -142,9 +142,7 @@ def verify_table(r: Realization, table: GeneratorTable) -> Dict[Tuple[str, str],
     names = table.names
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            want = WeylOp.zero()
-            for k, cf in table.bracket(a, b).items():
-                want = want + r[k].scale(cf)
+            want = WeylOp(term for k, cf in table.bracket(a, b).items() for term in r[k].scale(cf).terms())
             out[(a, b)] = commutator(r[a], r[b]) - want
     return out
 
@@ -404,9 +402,8 @@ def find_symmetries(omega_op: WeylOp,
         for vec in nullspace(kept, ncols=len(live)):
             coeffs = dict(zip(live, vec))
             c_coeff = coeffs.pop(len(basis_ops), Coefficient())
-            inner = WeylOp.dt().scale(c_coeff)
-            for j, c in coeffs.items():
-                inner = inner + basis_ops[j].scale(c)
+            scaled = [WeylOp.dt().scale(c_coeff)] + [basis_ops[j].scale(c) for j, c in coeffs.items()]
+            inner = WeylOp(term for op in scaled for term in op.terms())
             phase = WeylOp.phase(lam[0], lam[1])
             gen = multiply(phase, inner)
             mult = phase.scale(-(I * lam_c * c_coeff))

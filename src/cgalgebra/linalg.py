@@ -124,8 +124,6 @@ def normalize_vector(v: Vector) -> Vector:
 
 
 def rank(m: Matrix) -> int:
-    if not m:
-        return 0
     _, pivots, _ = rref_fraction_free(m)
     return len(pivots)
 

@@ -12,13 +12,14 @@ exact ring; a ``gamma`` of ``None`` keeps the deformation parameter formal.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import BadArity, CheckFailed
-from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, accumulate
+from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, summed
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
 
@@ -76,13 +77,14 @@ class GeneratorTable:
                 if self.bracket(c, other):
                     raise CheckFailed(f"central element {c} has a nonzero bracket with {other}")
         for a, b, c in combinations(self.names, 3):
-            acc: Dict[str, Coefficient] = {}
+            acc = defaultdict(list)
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 for k, f in self.bracket(y, z).items():
                     for m, g in self.bracket(x, k).items():
-                        accumulate(acc, m, f * g)
-            if acc:
-                raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {acc}")
+                        acc[m].append((f * g, 1))
+            jacobi = summed(acc)
+            if jacobi:
+                raise CheckFailed(f"Jacobi fails on ({a},{b},{c}): {jacobi}")
         return True
 
 
@@ -326,10 +328,8 @@ def gen_params(ell, signs: Iterable[int] = (), gammas: Optional[Iterable] = None
 
 def _coupling_terms(p: GenParams) -> WeylOp:
     """-i sum_j g_j x_j D_{j+1} (the i Dt - H convention carries the minus)."""
-    out = WeylOp.zero()
-    for j, g in enumerate(p.gamma_vec):
-        out = out + multiply(WeylOp.coord(j), WeylOp.deriv(j + 1)).scale(-I * g)
-    return out
+    return WeylOp(term for j, g in enumerate(p.gamma_vec)
+                  for term in multiply(WeylOp.coord(j), WeylOp.deriv(j + 1)).scale(-I * g).terms())
 
 
 def gen_free(p: GenParams) -> WeylOp:
@@ -339,10 +339,10 @@ def gen_free(p: GenParams) -> WeylOp:
 
 def gen_osc(p: GenParams) -> WeylOp:
     """i Dt + Dx1^2/2 - x1^2/2 - sum omega_i x_i D_i - i sum g_j x_j D_{j+1}."""
-    out = WeylOp.dt().scale(I) + (WeylOp.deriv(0) ** 2 - WeylOp.coord(0) ** 2).scale(F(1, 2))
-    for i, w in enumerate(p.omega_vec(), start=1):
-        out = out - multiply(WeylOp.coord(i), WeylOp.deriv(i)).scale(w)
-    return out + _coupling_terms(p)
+    frequencies = WeylOp(term for i, w in enumerate(p.omega_vec(), start=1)
+                         for term in multiply(WeylOp.coord(i), WeylOp.deriv(i)).scale(w).terms())
+    return (WeylOp.dt().scale(I) + (WeylOp.deriv(0) ** 2 - WeylOp.coord(0) ** 2).scale(F(1, 2))
+            - frequencies + _coupling_terms(p))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +414,6 @@ def contraction_identification() -> Dict[str, Tuple[Dict[str, Coefficient], Weyl
     basis = dict(om3.gens)
     basis.update(ex3)
     for name, combo in combos.items():
-        op = WeylOp.zero()
-        for bname, cf in combo.items():
-            op = op + basis[bname].scale(cf)
+        op = WeylOp(term for bname, cf in combo.items() for term in basis[bname].scale(cf).terms())
         out[name] = (combo, expected[name], op)
     return out

@@ -12,12 +12,11 @@ weight's real and imaginary numerators as Python ints over one positive
 denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
-Fractions on demand; no other module reads that storage.  Operator sums and
-constructors (functions included) add into their term maps through
-:func:`accumulate`, which keeps no zero value.  Where many int-weighted terms
-land on one key, as in the operator product and the ladder action on kets,
-the caller collects a list of ``(coefficient, weight)`` pairs per key, and
-:func:`summed` adds each list as ints over one denominator.
+Fractions on demand; no other module reads that storage.  :func:`summed` is
+the one routine that adds terms into a term map: the caller collects a list
+of ``(coefficient, int weight)`` pairs per key (operator constructors, sums,
+ad-series and products, the ladder action on kets, Jacobi sums), and each
+list is added as ints over one denominator, keeping no zero value.
 
 Canonical text form, used in golden files and reports::
 
@@ -69,17 +68,6 @@ def _parse_scalar(text: str) -> tuple:
     if m:
         return Fraction(m.group(1)), Fraction(m.group(2))
     return Fraction(0), Fraction({"": "1", "+": "1", "-": "-1"}.get(body, body))
-
-
-def accumulate(acc: dict, key, value) -> None:
-    """acc[key] += value, keeping no zero: a key whose sum cancels is dropped."""
-    old = acc.get(key)
-    if old is not None:
-        value = old + value
-    if value:
-        acc[key] = value
-    elif old is not None:
-        del acc[key]
 
 
 def summed(acc: dict) -> dict:

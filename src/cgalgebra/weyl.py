@@ -16,10 +16,11 @@ t powers may be negative, which is what lets on-shell multipliers such as
 1/t live in the same class.
 Coordinate and derivative powers are never negative.
 
-A product works out the normal-ordering combinatorics only: each term it
-finds is a ring coefficient and an int weight, collected per output monomial,
-and :func:`~cgalgebra.ring.summed` adds each monomial's terms into one
-canonical Coefficient, or drops the monomial if they cancel.
+A constructor, sum, difference, ad-series or product collects a ring
+coefficient and an int weight for each term it finds, per output monomial,
+and one :func:`~cgalgebra.ring.summed` call adds each monomial's terms into
+one canonical Coefficient, or drops the monomial if they cancel.  A product
+works out the normal-ordering combinatorics only.
 
 A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
 phases, t powers and coordinate powers are its monomials.  An operator acts
@@ -39,7 +40,7 @@ from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import NonTerminatingSeries, UnsupportedShape
-from .ring import Coefficient, CoefficientLike, accumulate, summed
+from .ring import Coefficient, CoefficientLike, summed
 
 
 def _falling(a: int, r: int) -> int:
@@ -80,9 +81,9 @@ class Monomial(NamedTuple):
             x_pows = x_pows + (0,) * (n - len(x_pows))
             d_pows = d_pows + (0,) * (n - len(d_pows))
         if any(p < 0 for p in x_pows) or any(p < 0 for p in d_pows):
-            raise ValueError("coordinate and derivative powers must be >= 0")
+            raise UnsupportedShape("coordinate and derivative powers must be >= 0")
         if dt_pow < 0:
-            raise ValueError("Dt power must be >= 0")
+            raise UnsupportedShape("Dt power must be >= 0")
         x_pows, d_pows = _trim(x_pows, d_pows)
         return Monomial(_phase(Fraction(phase_m)), int(phase_n), int(t_pow), x_pows, d_pows, int(dt_pow))
 
@@ -128,11 +129,20 @@ class WeylOp:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coefficient] = ()):
-        d = {}
+        acc = defaultdict(list)
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, c in items:
-            accumulate(d, mono, Coefficient.of(c))
-        self._terms = d
+            acc[mono].append((Coefficient.of(c), 1))
+        self._terms = summed(acc)
+
+    @classmethod
+    def _combined(cls, parts) -> "WeylOp":
+        """sum of w * op over the (op, int w) pairs, of class cls, in one summed pass."""
+        acc = defaultdict(list)
+        for op, w in parts:
+            for mono, c in op._terms.items():
+                acc[mono].append((c, w))
+        return _op(cls, summed(acc))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -211,16 +221,15 @@ class WeylOp:
     def __add__(self, other) -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        d = dict(self._terms)
-        for mono, c in other._terms.items():
-            accumulate(d, mono, c)
-        return _op(type(self), d)
+        return self._combined(((self, 1), (other, 1)))
 
     def __neg__(self) -> "WeylOp":
         return _op(type(self), {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "WeylOp":
-        return self + (-other)
+        if not isinstance(other, WeylOp):
+            return NotImplemented
+        return self._combined(((self, 1), (other, -1)))
 
     def scale(self, c: CoefficientLike) -> "WeylOp":
         c = Coefficient.of(c)
@@ -387,13 +396,16 @@ def similarity(s: WeylOp, a: WeylOp, max_depth: int = 64) -> WeylOp:
 
 def ad_series(s: WeylOp, a: WeylOp, max_depth: int = 64) -> tuple:
     """(e^s a e^{-s}, depth): the summed series and its number of nonzero ad terms,
-    for WeylOp operands as :func:`similarity` takes them."""
-    out = term = a
-    for n in range(1, max_depth + 1):
+    for WeylOp operands as :func:`similarity` takes them.  The series is summed
+    once, as sum (N!/n!) ad_s^n(a) over the common denominator N!."""
+    terms = [term := a]
+    for depth in range(max_depth):
         term = commutator(s, term)
         if term.is_zero():
-            return out, n - 1
-        out = out + term.scale(Fraction(1, factorial(n)))
+            top = factorial(depth)
+            out = type(a)._combined((t, top // factorial(n)) for n, t in enumerate(terms))
+            return out.scale(Fraction(1, top)), depth
+        terms.append(term)
     raise NonTerminatingSeries(
         f"ad-series did not terminate within {max_depth} steps", residual=term)
 

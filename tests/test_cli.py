@@ -120,6 +120,21 @@ class TestExitCodes:
         code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
         assert code == 0
 
+    def test_help_exits_zero_with_a_usage_line(self, capsys):
+        code, out, err = run(["--help"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: cgalgebra ")
+
+    def test_catalog_without_golden_lists_every_entry(self, capsys):
+        code, out, err = run(["catalog"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["summary"] == {"pass": 43, "fail": 0, "skip": 0}
+        assert all(c["status"] == "pass" for c in rep["checks"])
+        golden = json.loads((GOLDEN_DIR / "catalog.json").read_text())
+        assert {c["id"]: c["details"] for c in rep["checks"]} == golden
+        assert err == "[catalog] 43 passed, 0 failed, 0 skipped\n"
+
     @pytest.mark.parametrize("argv", [[], ["--format", "md"]])
     def test_no_suite_is_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

@@ -9,7 +9,7 @@ import pytest
 from cgalgebra import fock
 from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnsupportedShape
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
-from cgalgebra.ring import Coefficient, GAMMA, accumulate
+from cgalgebra.ring import Coefficient, GAMMA
 from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
 from cgalgebra.invariance import decoupling_map
 from cgalgebra.realizations import h0_op, realization_osc
@@ -37,6 +37,15 @@ from cgalgebra.fock import (
 
 def gr(re=0, im=0):
     return Coefficient.of((F(re), F(im)))
+
+
+def accumulate(acc, key, value):
+    """Reference sparse add: acc[key] += value, a key whose sum cancels dropped."""
+    value = acc.get(key, Coefficient()) + value
+    if value:
+        acc[key] = value
+    else:
+        acc.pop(key, None)
 
 
 def linear(coeffs):

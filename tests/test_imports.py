@@ -112,6 +112,27 @@ def test_the_storage_check_sees_every_read(tmp_path):
     assert sorted(storage_reads(probe)) == [(2, "_den"), (2, "_num")]
 
 
+def term_map_reads(path: Path) -> list:
+    """Line of each read of an operator's term map, ``x._terms``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+
+
+def test_only_weyl_reads_operator_term_maps():
+    """Every sum into a term map goes through ``weyl``, which makes it one
+    ``ring.summed`` pass; ``ring``'s own ``_terms`` is a Coefficient's Fraction view."""
+    found = {path.name: term_map_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    del found["weyl.py"], found["ring.py"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_term_map_check_sees_every_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(op, ops):\n    d = dict(op._terms)\n"
+                     "    return d, [o._terms.items() for o in ops], op.terms()\n")
+    assert sorted(term_map_reads(probe)) == [2, 3]
+
+
 def unused_imports(path: Path) -> list:
     """(line, name) of each name ``path`` imports and never reads, leaving out
     ``from __future__`` imports, names listed in ``__all__``, and imports whose

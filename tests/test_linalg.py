@@ -184,6 +184,7 @@ class TestSolveAndRank:
     def test_rank(self):
         assert rank([[C(1), C(2)], [C(2), C(4)]]) == 1
         assert rank([[C(1), C(0)], [C(0), C(1)]]) == 2
+        assert rank([]) == 0
 
 
 def bareiss_det(m):

@@ -10,7 +10,6 @@ from cgalgebra.ring import (
     GAMMA,
     GAMMA_INV,
     OMEGA,
-    accumulate,
     summed,
 )
 
@@ -80,6 +79,16 @@ class TestScalars:
             with pytest.raises(TypeError):
                 Coefficient.of(bad)
 
+    def test_no_sum_or_equality_with_a_non_scalar(self):
+        # __add__ and __eq__ return NotImplemented, which Python turns into
+        # a TypeError for the sum and into False for the comparison
+        with pytest.raises(TypeError):
+            Coefficient.of(1) + "x"
+        with pytest.raises(TypeError):
+            "x" + Coefficient.of(1)
+        assert (Coefficient.of(1) == "x") is False
+        assert Coefficient.of(1) != "x"
+
     def test_parts_abs2_and_complex(self):
         q = gr(F(3, 2), -2)
         assert q.abs2() == F(25, 4) and type(q.abs2()) is F
@@ -138,17 +147,6 @@ class TestScalars:
 
 
 class TestAccumulate:
-    def test_keeps_no_zero_and_drops_cancelled_keys(self):
-        acc = {}
-        accumulate(acc, "a", Coefficient.of(2))
-        accumulate(acc, "z", Coefficient())
-        accumulate(acc, "z", gr())
-        assert acc == {"a": Coefficient.of(2)}
-        accumulate(acc, "a", GAMMA)
-        assert acc == {"a": GAMMA + 2}
-        accumulate(acc, "a", -(GAMMA + 2))
-        assert acc == {}
-
     def test_constructor_accumulates(self):
         assert Coefficient([((1, 0), gr(1)), ((1, 0), gr(-1)), ((0, 0), gr(0, 1))]) \
             == Coefficient.of(gr(0, 1))

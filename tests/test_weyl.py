@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction as F
 from itertools import product, zip_longest
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from cgalgebra.errors import NonTerminatingSeries, UnsupportedShape
 from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
-from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA, accumulate
+from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA
 from cgalgebra.weyl import (
     Monomial,
     WeylOp,
+    ad_series,
     anticommutator,
     apply,
     commutator,
@@ -27,6 +28,15 @@ DX = WeylOp.deriv(0)
 DY = WeylOp.deriv(1)
 DT = WeylOp.dt()
 T = WeylOp.t()
+
+
+def accumulate(acc, key, value):
+    """Reference sparse add: acc[key] += value, a key whose sum cancels dropped."""
+    value = acc.get(key, Coefficient()) + value
+    if value:
+        acc[key] = value
+    else:
+        acc.pop(key, None)
 
 
 def rand_op(rng, max_terms=3):
@@ -129,6 +139,19 @@ class TestProduct:
         """``*`` is the operator product only; a scalar factor is written ``scale(c)``."""
         with pytest.raises(TypeError):
             left * right
+
+    @pytest.mark.parametrize("left, right", [(X, 2), (2, X), (X, I), (LadderOp(Y.terms()), 2)])
+    def test_sum_and_difference_take_no_scalar(self, left, right):
+        """``+`` and ``-`` take operators only; a scalar term is written ``WeylOp.scalar(c)``."""
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+
+    @pytest.mark.parametrize("powers", [{"x_pows": (1, -1)}, {"d_pows": (-2,)}, {"dt_pow": -1}])
+    def test_negative_monomial_power_is_typed(self, powers):
+        with pytest.raises(UnsupportedShape, match=">= 0"):
+            Monomial.make(**powers)
 
 
 class TestSimilarity:
@@ -543,6 +566,62 @@ class TestProductAgainstReference:
         assert_same_terms(p2, p2_want)
         assert_same_terms(p4, p4_want)
         assert len(p4_want) < _ref_term_count(p2, p2) // 2
+
+
+class _RefOp(dict):
+    """A reference term map, with the ``terms()`` view that ``ref_multiply`` reads."""
+    terms = dict.items
+
+
+def ref_ad_series(s, a):
+    """Reference (sum ad_s^n(a)/n!, depth): each ad term a reference commutator,
+    added into the partial sum one Coefficient at a time."""
+    out = term = _RefOp(a.terms())
+    for n in range(1, 65):
+        term = _RefOp(_ref_sum(ref_multiply(s, term), ref_multiply(term, s), -1))
+        if not term:
+            return out, n - 1
+        out = _ref_sum(out, {mono: c * F(1, factorial(n)) for mono, c in term.items()}, 1)
+    raise AssertionError("the reference ad-series did not terminate")
+
+
+def _nilpotent_pairs():
+    """(s, a) pairs whose ad-series terminates: each s lowers a degree that
+    bounds a's terms (x^2/2 the x derivatives, g Dx the x powers, x Dy / 3
+    the y powers plus x derivatives, i t the Dt powers)."""
+    rng = random.Random(1969)
+    exponents = [multiply(X, X).scale(F(1, 2)), DX.scale(GAMMA), multiply(X, DY).scale(F(1, 3)), T.scale(I)]
+    operands = [rand_op(rng) for _ in range(6)] + [a for a, _ in _product_cases()[::8]]
+    operands += [WeylOp.zero(), LadderOp(rand_op(rng).terms())]
+    return [(s, a) for s in exponents for a in operands]
+
+
+class TestLinearAgainstReference:
+    """``+``, ``-`` and the ad-series, each one summed pass, against the
+    reference sparse add: equal term maps, canonical storage, no zero."""
+
+    def test_sums_and_differences(self):
+        rng = random.Random(42)  # the 300 operators of the associativity and Jacobi triples
+        pairs = _product_cases() + [(rand_op(rng), rand_op(rng)) for _ in range(150)]
+        pairs.append((LadderOp(X.terms()), DX - X))
+        for a, b in pairs:
+            x, y = dict(a.terms()), dict(b.terms())
+            for got, want in ((a + b, _ref_sum(x, y, 1)), (a - b, _ref_sum(x, y, -1)),
+                              (a - a, {}), (b - a, _ref_sum(y, x, -1))):
+                assert_same_terms(got, want)
+            assert type(a + b) is type(a) and type(a - b) is type(a)
+
+    def test_ad_series_and_similarity(self):
+        depths = []
+        for s, a in _nilpotent_pairs():
+            want, depth = ref_ad_series(s, a)
+            got, got_depth = ad_series(s, a)
+            assert_same_terms(got, want)
+            assert got_depth == depth and type(got) is type(a)
+            assert similarity(s, a) == got
+            depths.append(depth)
+        # from depth 2 on some weight N!/n! of the common denominator N! is not 1
+        assert [depths.count(d) for d in range(6)] == [25, 13, 23, 10, 5, 0]
 
 
 class TestNoZeroCoefficient:
