@@ -53,6 +53,14 @@ class DegenerateModes(AlgebraError):
     """The adjoint action has colliding eigenvalues (a resonance): no mode basis or decoupling map."""
 
 
+class NotDivisible(AlgebraError, ValueError):
+    """An exact division has a remainder: the dividend is not a ring multiple of the divisor."""
+
+
+class ZeroDivisor(AlgebraError, ZeroDivisionError):
+    """An exact division by the zero coefficient."""
+
+
 class FloatOverflow(AlgebraError):
     """An exact scalar is too large for the complex floats of the numerical layer."""
 

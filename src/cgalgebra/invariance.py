@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (CheckFailed, DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed,
-                     NotInIdeal, UnsupportedShape)
+                     NotDivisible, NotInIdeal, UnsupportedShape, ZeroDivisor)
 from .linalg import (
     Matrix,
     charpoly,
@@ -104,7 +104,7 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
             raise NotInIdeal("multiplier would carry derivatives", residual=cand)
         try:
             cq = c.divide_exact(om_c)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (NotDivisible, ZeroDivisor) as exc:
             raise NotInIdeal(f"coefficient division failed: {exc}", residual=cand)
         key = Monomial.make(mono.phase_m - om_mono.phase_m,
                             mono.phase_n - om_mono.phase_n,

@@ -12,11 +12,13 @@ weight's real and imaginary numerators as Python ints over one positive
 denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
-Fractions on demand; no other module reads that storage.  :func:`summed` is
-the one routine that adds terms into a term map: the caller collects a list
-of ``(coefficient, int weight)`` pairs per key (operator constructors, sums,
-ad-series and products, the ladder action on kets, Jacobi sums), and each
-list is added as ints over one denominator, keeping no zero value.
+Fractions on demand; no other module reads that storage.  One routine,
+:func:`_sum`, adds ``(coefficient, int weight)`` pairs as ints over one
+denominator, keeping no zero value: ``+``, ``-``, the constructor,
+``substitute`` and :func:`summed` each make one call per result.
+:func:`summed` sums a term map: the caller collects a list of pairs per key
+(operator constructors, sums, ad-series and products, the ladder action on
+kets, Jacobi sums).
 
 Canonical text form, used in golden files and reports::
 
@@ -30,18 +32,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .errors import FloatOverflow, SingularLimit, UnsupportedShape, ZeroSubstitution
-
-
-def _parts(q) -> tuple:
-    """(re, im) Fractions of an exact scalar: an int, a Fraction, an (re, im)
-    pair of those, or a scalar :class:`Coefficient`."""
-    if isinstance(q, Coefficient):
-        return q.re, q.im
-    x, y = q if isinstance(q, tuple) and len(q) == 2 else (q, 0)
-    if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
-        raise TypeError(f"cannot interpret {q!r} as an exact scalar")
-    return Fraction(x), Fraction(y)
+from .errors import (FloatOverflow, NotDivisible, SingularLimit, UnsupportedShape, ZeroDivisor,
+                     ZeroSubstitution)
 
 
 # one term of the canonical text form: (weight)*g^a*w^b
@@ -71,35 +63,9 @@ def _parse_scalar(text: str) -> tuple:
 
 
 def summed(acc: dict) -> dict:
-    """{key: sum of w * c} in canonical form, leaving out each key whose sum cancels.
-
-    ``acc`` maps a key to a list of ``(Coefficient c, int w)`` pairs.  A list
-    of several is summed as int numerators over the lcm of its denominators,
-    with no Coefficient in between.
-    """
-    out = {}
-    for key, slot in acc.items():
-        if len(slot) == 1:
-            (c, w), = slot
-            c = c._scaled(w) if w != 1 else c
-        else:
-            den, num = 1, {}
-            for c, w in slot:
-                if den % c._den:
-                    up = c._den // gcd(den, c._den)
-                    den, num = den * up, {k: [re * up, im * up] for k, (re, im) in num.items()}
-                w *= den // c._den
-                for k, (re, im) in c._num.items():
-                    v = num.get(k)
-                    if v is None:
-                        num[k] = [w * re, w * im]
-                    else:
-                        v[0] += w * re
-                        v[1] += w * im
-            c = _reduced({k: (re, im) for k, (re, im) in num.items() if re or im}, den)
-        if c:
-            out[key] = c
-    return out
+    """{key: sum of w * c} over ``acc``'s lists of ``(Coefficient c, int w)``
+    pairs, in canonical form, leaving out each key whose sum cancels."""
+    return {key: c for key, slot in acc.items() if (c := _sum(slot))}
 
 
 class Coefficient:
@@ -122,23 +88,9 @@ class Coefficient:
     def __init__(self, terms=()):
         """Sum of ``((a, b), q)`` pairs (or a mapping), q an exact scalar:
         an int, a Fraction, an ``(re, im)`` pair or a scalar Coefficient."""
-        if not terms:
-            self._num, self._den = {}, 1
-            return
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for (a, b), q in items:
-            if b < 0:
-                raise ValueError("negative w exponent is not part of the ring")
-            x, y = _parts(q)
-            old = acc.get((a, b))
-            acc[(a, b)] = (x, y) if old is None else (old[0] + x, old[1] + y)
-        parts = [(k, re, im) for k, (re, im) in acc.items() if re or im]
-        # the lcm of the reduced denominators already leaves gcd 1
-        den = lcm(*(f.denominator for _, re, im in parts for f in (re, im)))
-        self._num = {k: (re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator)) for k, re, im in parts}
-        self._den = den
+        c = _sum((Coefficient.monomial(q, *k), 1) for k, q in items)
+        self._num, self._den = c._num, c._den
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -148,11 +100,25 @@ class Coefficient:
             return value
         if type(value) is int:
             return _new({(0, 0): (value, 0)}, 1) if value else ZERO
-        return Coefficient({(0, 0): value})
+        return Coefficient.monomial(value)
 
     @staticmethod
     def monomial(q, g_exp: int = 0, w_exp: int = 0) -> "Coefficient":
-        return Coefficient({(g_exp, w_exp): q})
+        """q * g^g_exp * w^w_exp for an exact scalar q: an int, a Fraction, an
+        ``(re, im)`` pair of those or a scalar Coefficient."""
+        if w_exp < 0:
+            raise ValueError("negative w exponent is not part of the ring")
+        if isinstance(q, Coefficient):
+            q = q.re, q.im
+        x, y = q if isinstance(q, tuple) and len(q) == 2 else (q, 0)
+        if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+            raise TypeError(f"cannot interpret {q!r} as an exact scalar")
+        if not (x or y):
+            return ZERO
+        # the lcm of the reduced denominators already leaves gcd 1
+        den = lcm(x.denominator, y.denominator)
+        return _new({(g_exp, w_exp): (x.numerator * (den // x.denominator),
+                                      y.numerator * (den // y.denominator))}, den)
 
     # -- views ------------------------------------------------------------
     @property
@@ -225,18 +191,18 @@ class Coefficient:
             other = Coefficient.of(other)
         except TypeError:
             return NotImplemented
-        return _combine(self, other, 1)
+        return _sum(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coefficient":
-        return _new({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
+        return self._scaled(-1)
 
     def __sub__(self, other) -> "Coefficient":
-        return _combine(self, Coefficient.of(other), -1)
+        return _sum(((self, 1), (Coefficient.of(other), -1)))
 
     def __rsub__(self, other) -> "Coefficient":
-        return _combine(Coefficient.of(other), self, -1)
+        return _sum(((Coefficient.of(other), 1), (self, -1)))
 
     def __mul__(self, other) -> "Coefficient":
         if type(other) is int:
@@ -275,7 +241,7 @@ class Coefficient:
 
     def __pow__(self, k: int) -> "Coefficient":
         """Power by squaring; a negative k divides 1 exactly by self^-k, which
-        raises ``ValueError`` unless self is a unit (a nonzero scalar times a
+        raises :class:`NotDivisible` unless self is a unit (a nonzero scalar times a
         power of g).  A k that is not an int raises :class:`UnsupportedShape`."""
         if not isinstance(k, int):
             raise UnsupportedShape(f"exponent must be an integer, got {k!r}")
@@ -296,7 +262,8 @@ class Coefficient:
 
     # -- division -----------------------------------------------------------
     def divide_exact(self, other: "Coefficient") -> "Coefficient":
-        """Exact division; raises ``ValueError`` when not a ring multiple.
+        """Exact division; raises :class:`NotDivisible` when not a ring multiple
+        and :class:`ZeroDivisor` for a zero divisor.
 
         Leading-term division in (g, w) with lexicographic order, on the
         integer numerators: with S*N = Q*D + R kept invariant, each step
@@ -304,12 +271,12 @@ class Coefficient:
         term integral.  A quotient's g exponents are bounded below by
         ``min_g(self) - min_g(other)`` (the lowest g terms of a product
         multiply, since Q(i)[w] has no zero divisors), so division stops
-        with ``ValueError`` once the remainder would need a lower one.
+        with :class:`NotDivisible` once the remainder would need a lower one.
         """
         other = Coefficient.of(other)
         dnum = other._num
         if not dnum:
-            raise ZeroDivisionError("division by zero coefficient")
+            raise ZeroDivisor("division by zero coefficient")
         if not self._num:
             return ZERO
         lead_a, lead_b = lead = max(dnum)
@@ -323,7 +290,7 @@ class Coefficient:
             k = max(rem)
             qa, qb = k[0] - lead_a, k[1] - lead_b
             if qb < 0 or qa < a_floor:
-                raise ValueError(f"({self}) is not divisible by ({other})")
+                raise NotDivisible(f"({self}) is not divisible by ({other})")
             rr, ri = rem[k]
             # (rr + i ri) / (lr + i li) = (rr + i ri)(lr - i li) / norm
             tr, ti = rr * lr + ri * li, ri * lr - rr * li
@@ -363,14 +330,15 @@ class Coefficient:
         wq = None if omega is None else Coefficient.of(omega)
         if gq is not None and not gq and any(a < 0 for a, _ in self._num):
             raise ZeroSubstitution("gamma=0 hits a gamma pole")
-        out = ZERO
+        parts = []
         for (a, b), v in self._num.items():
             term = _new({(a if gq is None else 0, b if wq is None else 0): v}, 1)
             if gq is not None:
                 term = term * gq ** a
             if wq is not None:
                 term = term * wq ** b
-            out = out + term
+            parts.append((term, 1))
+        out = _sum(parts)
         return _reduced(out._num, out._den * self._den)
 
     def gamma_limit(self) -> "Coefficient":
@@ -443,38 +411,43 @@ def _reduced(num: dict, den: int) -> Coefficient:
     return _new(num, den)
 
 
-def _combine(x: Coefficient, y: Coefficient, sign: int) -> Coefficient:
-    """x + sign*y, for sign 1 or -1."""
-    ny = y._num
-    if not ny:
-        return x
-    nx = x._num
-    if not nx:
-        return y if sign > 0 else -y
-    dx, dy = x._den, y._den
-    if dx == dy:
-        den, my = dx, sign
-        d = dict(nx)
-    else:
-        g = gcd(dx, dy)
-        mx, my = dy // g, sign * (dx // g)
-        den = dx * mx
-        d = {k: (re * mx, im * mx) for k, (re, im) in nx.items()}
-    for k, (re, im) in ny.items():
-        if my != 1:
-            re *= my
-            im *= my
-        old = d.get(k)
-        if old is None:
-            d[k] = (re, im)
-        else:
-            re += old[0]
-            im += old[1]
-            if re or im:
-                d[k] = (re, im)
-            else:
-                del d[k]
-    return _reduced(d, den)
+def _sum(pairs) -> Coefficient:
+    """Canonical sum of w * c over ``(Coefficient c, int w)`` pairs: a lone
+    nonzero term as ``c`` (w = 1) or ``c._scaled(w)``, otherwise ints over the
+    lcm of the denominators, deleting each key whose sum cancels."""
+    first = num = None
+    for c, w in pairs:
+        if not w or not c._num:
+            continue
+        if first is None:
+            first, fw = c, w
+            continue
+        if num is None:
+            den = first._den
+            num = dict(first._num) if fw == 1 else \
+                {k: (re * fw, im * fw) for k, (re, im) in first._num.items()}
+        cd = c._den
+        if cd != den:
+            if den % cd:
+                up = cd // gcd(den, cd)
+                den *= up
+                num = {k: (re * up, im * up) for k, (re, im) in num.items()}
+            w *= den // cd
+        for k, (re, im) in c._num.items():
+            if w != 1:
+                re *= w
+                im *= w
+            old = num.get(k)
+            if old is not None:
+                re += old[0]
+                im += old[1]
+                if not (re or im):
+                    del num[k]
+                    continue
+            num[k] = (re, im)
+    if num is None:
+        return ZERO if first is None else first if fw == 1 else first._scaled(fw)
+    return _reduced(num, den)
 
 
 CoefficientLike = Union[Coefficient, int, Fraction, tuple]

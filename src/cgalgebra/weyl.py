@@ -136,7 +136,7 @@ class WeylOp:
         self._terms = summed(acc)
 
     @classmethod
-    def _combined(cls, parts) -> "WeylOp":
+    def _weighted_sum(cls, parts) -> "WeylOp":
         """sum of w * op over the (op, int w) pairs, of class cls, in one summed pass."""
         acc = defaultdict(list)
         for op, w in parts:
@@ -221,7 +221,7 @@ class WeylOp:
     def __add__(self, other) -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return self._combined(((self, 1), (other, 1)))
+        return self._weighted_sum(((self, 1), (other, 1)))
 
     def __neg__(self) -> "WeylOp":
         return _op(type(self), {m: -c for m, c in self._terms.items()})
@@ -229,7 +229,7 @@ class WeylOp:
     def __sub__(self, other) -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        return self._combined(((self, 1), (other, -1)))
+        return self._weighted_sum(((self, 1), (other, -1)))
 
     def scale(self, c: CoefficientLike) -> "WeylOp":
         c = Coefficient.of(c)
@@ -403,7 +403,7 @@ def ad_series(s: WeylOp, a: WeylOp, max_depth: int = 64) -> tuple:
         term = commutator(s, term)
         if term.is_zero():
             top = factorial(depth)
-            out = type(a)._combined((t, top // factorial(n)) for n, t in enumerate(terms))
+            out = type(a)._weighted_sum((t, top // factorial(n)) for n, t in enumerate(terms))
             return out.scale(Fraction(1, top)), depth
         terms.append(term)
     raise NonTerminatingSeries(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cgalgebra import invariance, linalg
-from cgalgebra.errors import (CheckFailed, DegenerateModes, NotClosed, NotInIdeal, NonQuadratic,
+from cgalgebra.errors import (CheckFailed, DegenerateModes, NotClosed, NotDivisible, NotInIdeal, NonQuadratic,
                               SingularLimit, UnsupportedShape)
 from cgalgebra.ring import Coefficient, GAMMA, I
 from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op, similarity
@@ -89,6 +89,15 @@ class TestMultiplierDivision:
     def test_zero_candidate(self):
         _, op_0, _ = omega_ops(realization_osc())
         assert multiplier_division(WeylOp.zero(), op_0).is_zero()
+
+    def test_coefficient_division_failure_is_not_in_ideal(self):
+        # Dt's coefficient g + 1 in the divisor does not divide the candidate's 1
+        dt = Monomial.make(0, 0, 0, (), (), 1)
+        omega_op = WeylOp({dt: GAMMA + 1})
+        assert print_op(multiplier_division(WeylOp({dt: GAMMA * GAMMA + GAMMA}), omega_op)) == "1 * (1)*g^1"
+        with pytest.raises(NotInIdeal, match="coefficient division failed") as info:
+            multiplier_division(WeylOp({dt: Coefficient.of(1)}), omega_op)
+        assert type(info.value.__context__) is NotDivisible
 
     def test_not_in_ideal(self):
         _, op_0, _ = omega_ops(realization_osc())

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from cgalgebra.errors import AlgebraError, FloatOverflow, SingularLimit, UnsupportedShape, ZeroSubstitution
+from cgalgebra.errors import (AlgebraError, FloatOverflow, NotDivisible, SingularLimit, UnsupportedShape,
+                              ZeroDivisor, ZeroSubstitution)
 from cgalgebra.ring import (
     Coefficient,
     GAMMA,
@@ -211,6 +212,21 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             (GAMMA + Coefficient.of(1)).divide_exact(OMEGA)
 
+    def test_division_errors_are_typed(self):
+        # typed, and still the builtin classes that callers outside the package catch
+        assert issubclass(NotDivisible, AlgebraError) and issubclass(NotDivisible, ValueError)
+        assert issubclass(ZeroDivisor, AlgebraError) and issubclass(ZeroDivisor, ZeroDivisionError)
+        with pytest.raises(NotDivisible, match="is not divisible by"):
+            (GAMMA + 1).divide_exact(OMEGA)
+        with pytest.raises(NotDivisible):
+            (GAMMA * GAMMA + 1).divide_exact(GAMMA + 1)
+        with pytest.raises(NotDivisible):
+            (GAMMA + 1) ** -1
+        with pytest.raises(ZeroDivisor, match="division by zero"):
+            gr(1).divide_exact(gr(0))
+        with pytest.raises(ZeroDivisor):
+            gr() ** -1
+
     def test_divide_exact_non_multiple_terminates(self, deadline):
         # the remainder's g exponent used to fall without bound
         with deadline(5), pytest.raises(ValueError):
@@ -241,11 +257,12 @@ def m_clean(d):
     return {k: v for k, v in d.items() if v[0] or v[1]}
 
 
-def m_add(x, y, sign=1):
+def m_add(x, y, w=1):
+    """x + w*y for an int weight w."""
     d = dict(x)
     for k, (re, im) in y.items():
         r0, i0 = d.get(k, (F(0), F(0)))
-        d[k] = (r0 + sign * re, i0 + sign * im)
+        d[k] = (r0 + w * re, i0 + w * im)
     return m_clean(d)
 
 
@@ -353,17 +370,20 @@ class TestIntegerStorage:
 
 
 def naive_summed(acc):
-    """Each key's terms summed one Coefficient at a time, zero sums left out."""
+    """Each key's terms summed on the Fraction model, zero sums left out; it
+    shares no adder with the library."""
     out = {}
     for key, slot in acc.items():
-        total = sum((c * w for c, w in slot), Coefficient())
+        total = {}
+        for c, w in slot:
+            total = m_add(total, model_of(c), w)
         if total:
             out[key] = total
     return out
 
 
 class TestSummed:
-    """``summed`` against a naive sum(w * c) per key."""
+    """``summed`` against the Fraction model, key by key."""
 
     def test_differential_random(self):
         rng = random.Random(1871)
@@ -371,9 +391,13 @@ class TestSummed:
             acc = {}
             for key in range(rng.randint(0, 6)):
                 # denominators 1-12 from rand_model, so one list mixes them
-                acc[key] = [(coeff_of(rand_model(rng)), rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+                slot = [(coeff_of(rand_model(rng)), rng.randint(-5, 5)) for _ in range(rng.randint(0, 4))]
+                if rng.random() < 0.2:
+                    # every term again with the opposite weight: the slot cancels
+                    slot += [(c, -w) for c, w in reversed(slot)]
+                acc[key] = slot
             got = summed(acc)
-            assert got == naive_summed(acc)
+            assert {key: model_of(c) for key, c in got.items()} == naive_summed(acc)
             for c in got.values():
                 assert c
                 check_canonical(c)
@@ -382,7 +406,7 @@ class TestSummed:
         x = Coefficient({(1, 0): (F(1, 2), F(-1, 3)), (0, 2): F(5, 6)})
         y = Coefficient.monomial(F(3, 4), -1, 0)
         acc = {"gone": [(x, 2), (y, 3), (x * 2, -1), (y * 3, -1)],
-               "kept": [(x, 3), (x, -2)], "zero-weight": [(x, 0)], "zero": [(Coefficient(), 5)]}
+               "kept": [(x, 3), (x, -2)], "zero-weight": [(x, 0)], "zero": [(Coefficient(), 5)], "empty": []}
         assert summed(acc) == {"kept": x}
 
     def test_single_pair_is_scaled(self):
@@ -401,3 +425,52 @@ class TestSummed:
         assert got == Coefficient.of((1, F(1, 3)))
         assert got._den == 3 and got._num == {(0, 0): (3, 1)}
         check_canonical(got)
+
+
+class TestEveryRouteIntoTheAdder:
+    """The constructor, ``+``/``-`` with ints and ``substitute`` against the Fraction model."""
+
+    def test_constructor_with_repeated_keys_and_mixed_denominators(self):
+        rng = random.Random(1968)
+        for _ in range(500):
+            terms = []  # (key, value handed to the constructor, its (re, im) Fractions)
+            for _ in range(rng.randint(0, 6)):
+                key = (rng.randint(-2, 2), rng.randint(0, 2))
+                if terms and rng.random() < 0.25:
+                    key = rng.choice(terms)[0]  # a repeated key
+                q = (rand_part(rng), rand_part(rng))
+                form = rng.randrange(4)
+                if form == 1:
+                    q, value = (q[0], F(0)), q[0]
+                elif form == 2:
+                    q, value = (F(q[0].numerator), F(0)), q[0].numerator
+                else:
+                    value = Coefficient.of(q) if form == 3 else q
+                terms.append((key, value, q))
+            if terms and rng.random() < 0.2:
+                key, _, (re, im) = terms[0]
+                terms.append((key, (-re, -im), (-re, -im)))  # cancels the first term
+            want = {}
+            for key, _, q in terms:
+                want = m_add(want, {key: q})
+            got = Coefficient([(key, value) for key, value, _ in terms])
+            assert model_of(got) == want
+            check_canonical(got)
+
+    def test_ints_on_either_side(self):
+        rng = random.Random(1969)
+        for _ in range(300):
+            mx, n = rand_model(rng), rng.randint(-4, 4)
+            x, nm = coeff_of(mx), ({(0, 0): (F(n), F(0))} if n else {})
+            for got, want in ((n - x, m_add(nm, mx, -1)), (x - n, m_add(mx, nm, -1)),
+                              (n + x, m_add(nm, mx)), (x + n, m_add(mx, nm))):
+                assert model_of(got) == want
+                check_canonical(got)
+        x = coeff_of(rand_model(rng))
+        assert (x - 0) is x and (x + 0) is x and (0 + x) is x
+
+    def test_substitute_of_zero(self):
+        zero = Coefficient()
+        for g, w in ((gr(0), gr(1)), (gr(2, 1), None), (None, gr(F(1, 3))), (gr(0), gr(0))):
+            assert zero.substitute(g, w).is_zero()
+            check_canonical(zero.substitute(g, w))
