@@ -61,6 +61,14 @@ class ZeroDivisor(AlgebraError, ZeroDivisionError):
     """An exact division by the zero coefficient."""
 
 
+class NegativeOmegaPower(AlgebraError, ValueError):
+    """A coefficient term with a negative power of the frequency w, which the ring does not hold."""
+
+
+class ComplexFrequency(AlgebraError, ValueError):
+    """A frequency with an imaginary part, which no phase of the real lattice Q + Z*w can take."""
+
+
 class FloatOverflow(AlgebraError):
     """An exact scalar is too large for the complex floats of the numerical layer."""
 

@@ -234,7 +234,7 @@ def decoupled_generic(omega: Optional[CoefficientLike] = None) -> Realization:
     ``omega`` is the second frequency.  The generators are written once with
     it formal (phases on the (m, n) lattice, the y-number terms carrying i*w);
     a value is put in by :meth:`WeylOp.substitute`, which folds the phases and
-    raises ValueError on a complex frequency.  Generator names follow the
+    raises ComplexFrequency on a complex frequency.  Generator names follow the
     catalog convention: the x-ladder pair is w+1/w-1, the y-pair w+omega/w-omega.
     """
     iw = _c(0, 1, 0, 1)  # the scalar i*w

@@ -20,7 +20,8 @@ A constructor, sum, difference, ad-series or product collects a ring
 coefficient and an int weight for each term it finds, per output monomial,
 and one :func:`~cgalgebra.ring.summed` call adds each monomial's terms into
 one canonical Coefficient, or drops the monomial if they cancel.  A product
-works out the normal-ordering combinatorics only.
+works out the normal-ordering combinatorics only, taking its integer weights
+from two tables keyed by exponents (spatial contractions and the Dt block).
 
 A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
 phases, t powers and coordinate powers are its monomials.  An operator acts
@@ -34,21 +35,13 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb, factorial
-from operator import add
+from itertools import accumulate, product, repeat
+from math import comb, factorial, perm, prod
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import NonTerminatingSeries, UnsupportedShape
+from .errors import ComplexFrequency, NonTerminatingSeries, UnsupportedShape
 from .ring import Coefficient, CoefficientLike, summed
-
-
-def _falling(a: int, r: int) -> int:
-    """a (a-1) ... (a-r+1); valid for negative a as well."""
-    out = 1
-    for j in range(r):
-        out *= a - j
-    return out
 
 
 def _trim(x_pows: tuple, d_pows: tuple) -> tuple:
@@ -254,7 +247,7 @@ class WeylOp:
         """Substitute parameter values; omega folds phases (m,n) -> (m+n*omega, 0).
 
         ``omega`` must be an exact rational when any term carries a nonzero
-        w-phase index, because the phase lattice stays real.
+        w-phase index, else :class:`ComplexFrequency`: the phase lattice stays real.
         """
         if gamma is None and omega is None:
             return self
@@ -264,7 +257,7 @@ class WeylOp:
             if omega is not None and mono.phase_n:
                 wq = Coefficient.of(omega)
                 if wq.im:
-                    raise ValueError("cannot fold a complex frequency into a phase")
+                    raise ComplexFrequency("cannot fold a complex frequency into a phase")
                 mono = Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
                                      mono.x_pows, mono.d_pows, mono.dt_pow)
             pairs.append((mono, c2))
@@ -299,56 +292,53 @@ _ZERO_OP = _op(WeylOp, {})
 # product
 # ---------------------------------------------------------------------------
 
+@cache
+def _contractions(p: int, q: int) -> tuple:
+    """Dxi^p xi^q = sum_s C(p,s) q!/(q-s)! xi^{q-s} Dxi^{p-s}, as (s, weight) from s = 0."""
+    return tuple((s, comb(p, s) * perm(q, s)) for s in range(min(p, q) + 1))
+
+
+@cache
+def _time_block(k: int, a: int) -> tuple:
+    """Dt^k e^{i theta t} t^a = sum_{j,r} C(k,j) C(j,r) a(a-1)..(a-r+1) theta^{j-r} e^{i theta t} t^{a-r}
+    Dt^{k-j}, any int a, as the (r, k - j, j - r, weight) of nonzero weight, (0, k, 0, 1) first."""
+    return tuple((r, k - j, j - r, comb(k, j) * comb(j, r) * ff)
+                 for j in range(k + 1) for r in range(j + 1) if (ff := prod(range(a, a - r, -1))))
+
+
 def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc: dict,
               contracted: bool) -> None:
-    """Accumulate the normal-ordered expansion of (c1 m1) * (c2 m2) into acc.
-
-    Each output monomial carries an integer weight (binomials times falling
-    factorials) and one power of the phase derivative theta; the ring
-    coefficient c1*c2*theta^p is built once per p.  ``acc`` is the input of
-    :func:`~cgalgebra.ring.summed`: a ``defaultdict(list)`` of the
-    (coefficient, weight) pairs of each output monomial.
-    With ``contracted`` the uncontracted term, the one that is the same in
-    both orders of the factors, is left out.
+    """Accumulate the normal-ordered expansion of (c1 m1) * (c2 m2) into acc, the
+    ``defaultdict(list)`` of (coefficient, int weight) pairs per output monomial that
+    :func:`~cgalgebra.ring.summed` adds.  The weights come from the tables keyed by
+    exponents, :func:`_contractions` and :func:`_time_block`; each ring coefficient
+    c1*c2*theta^p (theta from deriving the phase) is built once per p.  With ``contracted``
+    the uncontracted term, the one that is the same in both orders of the factors, is left out.
     """
     x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
-    if contracted and not any(p and q for p, q in zip(d1, x2)) and not (
-            m1.dt_pow and (m2.phase_m or m2.phase_n or m2.t_pow)):
+    hits = [(i, p, q) for i, (p, q) in enumerate(zip(d1, x2)) if p and q]
+    k, a, dt2 = m1.dt_pow, m2.t_pow, m2.dt_pow
+    timed = k and (m2.phase_m or m2.phase_n or a)
+    if contracted and not hits and not timed:
         return
     base = c1 * c2
 
-    pad = len(x1) - len(x2)
-    if pad > 0:
-        x2, d2 = x2 + (0,) * pad, d2 + (0,) * pad
-    elif pad < 0:
-        x1, d1 = x1 + (0,) * -pad, d1 + (0,) * -pad
-
-    # spatial contractions: Dxi^p xi^q = sum_s C(p,s) falling(q,s) xi^{q-s} Dxi^{p-s},
-    # as (x powers, D powers, weight); the uncontracted term needs no trim
+    # (x powers, D powers, weight), the shorter factor padded with zeros ((0,) * n is () for
+    # n <= 0); the s = 0 term leaves coordinate i nonzero, so it keeps its tuples untrimmed
+    n = len(x1) - len(x2)
+    x1, d1, x2, d2 = x1 + (0,) * -n, d1 + (0,) * -n, x2 + (0,) * n, d2 + (0,) * n
     spatial = [(tuple(map(add, x1, x2)), tuple(map(add, d1, d2)), 1)]
-    for i, (p, q) in enumerate(zip(d1, x2)):
-        if p and q:
-            spatial = [_trim(xs[:i] + (xs[i] - s,) + xs[i + 1:], ds[:i] + (ds[i] - s,) + ds[i + 1:])
-                       + (w * comb(p, s) * _falling(q, s),)
-                       for xs, ds, w in spatial for s in range(min(p, q) + 1)]
+    for i, p, q in hits:
+        spatial = [_trim(xs[:i] + (xs[i] - s,) + xs[i + 1:], ds[:i] + (ds[i] - s,) + ds[i + 1:])
+                   + (w * sw,) if s else (xs, ds, w)
+                   for xs, ds, w in spatial for s, sw in _contractions(p, q)]
 
-    # time block: Dt^k across e^{i theta t} t^a, as (t shift r, Dt left, coefficient, weight)
-    k = m1.dt_pow
-    a = m2.t_pow
-    if k:
-        theta = _phase_theta(m2.phase_m, m2.phase_n)
-        theta_pows = [base]
-        for _ in range(k):
-            theta_pows.append(theta_pows[-1] * theta)
-        time_choices = []
-        for j in range(k + 1):
-            ckj = comb(k, j)
-            for r in range(j + 1):
-                ff = _falling(a, r)
-                if ff and not theta_pows[j - r].is_zero():
-                    time_choices.append((r, k - j, theta_pows[j - r], ckj * comb(j, r) * ff))
-    else:
-        time_choices = [(0, 0, base, 1)]
+    # (t shift r, Dt power out, coefficient, weight); theta is 0 without a phase
+    time_choices = [(0, k + dt2, base, 1)]
+    if timed:
+        theta_pows = list(accumulate(repeat(_phase_theta(m2.phase_m, m2.phase_n), k), mul, initial=base))
+        time_choices = [(r, dt_left + dt2, tc, tw) for r, dt_left, j, tw in _time_block(k, a)
+                        if (tc := theta_pows[j])]
 
     phase_m = _phase(m1.phase_m + m2.phase_m)
     phase_n = m1.phase_n + m2.phase_n
@@ -356,9 +346,8 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     pairs = product(spatial, time_choices)
     if contracted:
         next(pairs)  # first with first: no contraction
-    dt2 = m2.dt_pow
-    for (xs, ds, weight), (r, dt_left, tc, tw) in pairs:
-        acc[Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt_left + dt2)].append((tc, weight * tw))
+    for (xs, ds, weight), (r, dt, tc, tw) in pairs:
+        acc[Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt)].append((tc, weight * tw))
 
 
 def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:

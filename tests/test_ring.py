@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from cgalgebra.errors import (AlgebraError, FloatOverflow, NotDivisible, SingularLimit, UnsupportedShape,
-                              ZeroDivisor, ZeroSubstitution)
+from cgalgebra.errors import (AlgebraError, FloatOverflow, NegativeOmegaPower, NotDivisible, SingularLimit,
+                              UnsupportedShape, ZeroDivisor, ZeroSubstitution)
 from cgalgebra.ring import (
     Coefficient,
     GAMMA,
@@ -205,6 +205,13 @@ class TestCoefficient:
     def test_no_negative_omega_exponent(self):
         with pytest.raises(ValueError):
             Coefficient.monomial(gr(1), 0, -1)
+
+    def test_negative_omega_exponent_is_typed(self):
+        # typed, and still the ValueError that callers outside the package catch
+        assert issubclass(NegativeOmegaPower, AlgebraError) and issubclass(NegativeOmegaPower, ValueError)
+        for make in (lambda: Coefficient.monomial(F(1, 2), 1, -1), lambda: Coefficient({(0, -2): 3})):
+            with pytest.raises(NegativeOmegaPower, match="negative w exponent"):
+                make()
 
     def test_divide_exact(self):
         a = (GAMMA + OMEGA) * (GAMMA_INV * 3 + OMEGA * OMEGA)
@@ -415,6 +422,18 @@ class TestSummed:
         assert got == {"k": x * 6, "one": x}
         assert got["one"] is x
         check_canonical(got["k"])
+
+    def test_lone_pair_comes_back_as_is_or_scaled(self):
+        rng = random.Random(1872)
+        for _ in range(200):
+            mx, w = rand_model(rng), rng.choice((-3, -1, 2, 5))
+            x = coeff_of(mx)
+            got = summed({"one": [(x, 1)], "w": [(x, w)], "zero": [(Coefficient(), 1)]})
+            assert set(got) == ({"one", "w"} if mx else set())
+            if mx:
+                assert got["one"] is x
+                assert model_of(got["w"]) == m_add({}, mx, w)
+                check_canonical(got["w"])
 
     def test_mixed_denominators_reduce_to_canonical_storage(self):
         # 1/6 + 1/3 + 2 (1/4) = 1 and (1/4 + 2 (1/24)) i = i/3: over the lcm 24 the

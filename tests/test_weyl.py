@@ -5,13 +5,15 @@ from math import comb, factorial
 
 import pytest
 
-from cgalgebra.errors import NonTerminatingSeries, UnsupportedShape
+from cgalgebra.errors import AlgebraError, ComplexFrequency, NonTerminatingSeries, UnsupportedShape
 from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA
 from cgalgebra.weyl import (
     Monomial,
     WeylOp,
+    _contractions,
+    _time_block,
     ad_series,
     anticommutator,
     apply,
@@ -209,6 +211,15 @@ class TestParameterMaps:
         # rational frequency lands on a fractional lattice point
         got = op.substitute(omega=F(1, 3))
         assert got == WeylOp.phase(F(1, 3), 0).scale(F(1, 3))
+
+    def test_complex_frequency_is_typed(self):
+        # typed, and still the ValueError that callers outside the package catch
+        assert issubclass(ComplexFrequency, AlgebraError) and issubclass(ComplexFrequency, ValueError)
+        for omega in ((2, 1), (0, F(-1, 3)), Coefficient.of((F(1, 2), 5))):
+            with pytest.raises(ComplexFrequency, match="complex frequency"):
+                WeylOp.phase(1, 1).scale(OMEGA).substitute(omega=omega)
+        # no w-phase index, nothing to fold: the coefficient takes the complex value
+        assert X.scale(OMEGA).substitute(omega=(2, 1)) == X.scale((2, 1))
 
     def test_gamma_limit(self):
         op = X.scale(GAMMA) + Y
@@ -649,3 +660,73 @@ class TestNoZeroCoefficient:
         rng = random.Random(2016)
         for _ in range(100):
             assert_no_zero(apply(rand_apply_op(rng), rand_wavefunction(rng)))
+
+
+def _ref_time_block(k, a):
+    """Dt^k e^{i theta t} t^a normal ordered by Leibniz, sum_j C(k,j) (Dt^j e^{i theta t} t^a) Dt^{k-j},
+    each Dt^j found by deriving j times: {(t shift, Dt power left, theta power): weight}."""
+    out = {}
+    f = {(0, a): 1}  # (theta power, t power): weight of e^{i theta t} (i theta)^p t^m
+    for j in range(k + 1):
+        for (p, m), w in f.items():
+            out[(a - m, k - j, p)] = out.get((a - m, k - j, p), 0) + comb(k, j) * w
+        deriv = {}
+        for (p, m), w in f.items():
+            deriv[(p + 1, m)] = deriv.get((p + 1, m), 0) + w
+            if m:
+                deriv[(p, m - 1)] = deriv.get((p, m - 1), 0) + m * w
+        f = deriv
+    return {key: w for key, w in out.items() if w}
+
+
+def _dt_operands(rng):
+    """Dt^k, k = 1..3, bare and on monomials with phases, t powers and coordinates."""
+    return [WeylOp({Monomial.make(pm, pn, t, xs, ds, k): _rand_weight(rng)})
+            for k in (1, 2, 3)
+            for pm, pn, t, xs, ds in ((0, 0, 0, (), ()), (F(1, 2), 1, -1, (1,), (2,)),
+                                      (-2, 0, 2, (0, 1), (1, 1)))]
+
+
+def _phase_free_operands(rng):
+    """Right factors for Dt^k: phase-free monomials at t^0, for which the product builds
+    no theta powers; phase-free ones at t^a, a < 0, where theta is 0 but the t block is
+    not; phased ones at t^a, a < 0, for contrast; and a sum of three of them."""
+    ops = []
+    for pm, pn, t in [(0, 0, 0)] * 3 + [(0, 0, a) for a in (-1, -2, -3)] + [(F(-1, 3), 1, -2), (2, 0, -1)]:
+        mono = Monomial.make(pm, pn, t, [rng.randint(0, 2) for _ in range(2)],
+                             [rng.randint(0, 2) for _ in range(2)], rng.randint(0, 2))
+        ops.append(WeylOp({mono: _rand_weight(rng)}))
+    return ops + [ops[0] + ops[3] + ops[-1]]
+
+
+class TestProductTables:
+    """The product's weight tables, keyed by exponents, against closed forms, and
+    the product where the time block needs no power of the phase derivative."""
+
+    def test_contractions(self):
+        for p in range(5):
+            for q in range(5):
+                table = _contractions(p, q)
+                assert [s for s, _ in table] == list(range(min(p, q) + 1))
+                assert [w for _, w in table] == [comb(p, s) * factorial(q) // factorial(q - s)
+                                                 for s in range(min(p, q) + 1)]
+                # on x^n: Dx^p x^q x^n = (q+n)!/(q+n-p)! x^{q+n-p}, term by term
+                for n in range(5):
+                    assert sum(w * _ref_falling(n, p - s) for s, w in table) == _ref_falling(q + n, p)
+
+    def test_time_block(self):
+        for k in range(5):
+            for a in range(-3, 5):
+                table = _time_block(k, a)
+                assert table[0] == (0, k, 0, 1)
+                assert all(w for *_, w in table)
+                assert len({entry[:3] for entry in table}) == len(table)
+                assert {(r, dt, p): w for r, dt, p, w in table} == _ref_time_block(k, a)
+
+    def test_dt_across_phase_free_factors(self):
+        rng = random.Random(2028)
+        for a in _dt_operands(rng):
+            for b in _phase_free_operands(rng):
+                assert_same_terms(multiply(a, b), ref_multiply(a, b))
+                assert_same_terms(multiply(a, b, contracted=True), ref_multiply(a, b, contracted=True))
+                assert_same_terms(multiply(b, a), ref_multiply(b, a))
