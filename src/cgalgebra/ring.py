@@ -13,12 +13,12 @@ denominator shared by all its terms, reduced so that the common gcd is 1
 (the integer-preserving idea of Bareiss elimination, applied to the ring).
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
 Fractions on demand; no other module reads that storage.  One routine,
-:func:`_sum`, adds a sequence of ``(coefficient, int weight)`` pairs as ints
-over one denominator, keeping no zero value, and returns a lone pair at once:
-``+``, ``-``, the constructor, ``substitute`` and :func:`summed` each make one
-call per result.  :func:`summed` sums a term map: the caller collects a list
-of pairs per key (operator constructors, sums, ad-series and products, the
-ladder action on kets, Jacobi sums).
+:func:`_sum`, adds ``(coefficient, int weight)`` pairs as ints over one
+denominator, keeping no zero value: ``+``, ``-``, the constructor,
+``substitute`` and :func:`summed` each make one call per result.
+:func:`summed` sums a term map: the caller collects a list of pairs per key
+(operator constructors, sums, ad-series and products, the ladder action on
+kets, Jacobi sums).
 
 Canonical text form, used in golden files and reports::
 
@@ -89,7 +89,7 @@ class Coefficient:
         """Sum of ``((a, b), q)`` pairs (or a mapping), q an exact scalar:
         an int, a Fraction, an ``(re, im)`` pair or a scalar Coefficient."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        c = _sum([(Coefficient.monomial(q, *k), 1) for k, q in items])
+        c = _sum((Coefficient.monomial(q, *k), 1) for k, q in items)
         self._num, self._den = c._num, c._den
 
     # -- constructors ---------------------------------------------------
@@ -412,12 +412,9 @@ def _reduced(num: dict, den: int) -> Coefficient:
 
 
 def _sum(pairs) -> Coefficient:
-    """Canonical sum of w * c over a sequence of ``(Coefficient c, int w)``
-    pairs: a lone nonzero term as ``c`` (w = 1) or ``c._scaled(w)``, otherwise
-    ints over the lcm of the denominators, deleting each key whose sum cancels."""
-    if len(pairs) == 1:
-        c, w = pairs[0]
-        return c if w == 1 else c._scaled(w)
+    """Canonical sum of w * c over ``(Coefficient c, int w)`` pairs: a lone
+    nonzero term as ``c`` (w = 1) or ``c._scaled(w)``, otherwise ints over the
+    lcm of the denominators, deleting each key whose sum cancels."""
     first = num = None
     for c, w in pairs:
         if not w or not c._num:

@@ -334,11 +334,12 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
                    for xs, ds, w in spatial for s, sw in _contractions(p, q)]
 
     # (t shift r, Dt power out, coefficient, weight); theta is 0 without a phase
-    time_choices = [(0, k + dt2, base, 1)]
     if timed:
         theta_pows = list(accumulate(repeat(_phase_theta(m2.phase_m, m2.phase_n), k), mul, initial=base))
-        time_choices = [(r, dt_left + dt2, tc, tw) for r, dt_left, j, tw in _time_block(k, a)
-                        if (tc := theta_pows[j])]
+        time_choices = [(r, dt_left + dt2, tc, tw) for r, dt_left, power, tw in _time_block(k, a)
+                        if (tc := theta_pows[power])]
+    else:
+        time_choices = [(0, k + dt2, base, 1)]
 
     phase_m = _phase(m1.phase_m + m2.phase_m)
     phase_n = m1.phase_n + m2.phase_n
