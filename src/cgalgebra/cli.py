@@ -253,7 +253,7 @@ def suite_symmetries(opts) -> Report:
     rep.check("generic-dimension" if w is None else "dimension",
               None if expect is None else len(res) == expect, details=f"dim={len(res)}")
     for k, r in enumerate(res):
-        # find_symmetries raises CheckFailed unless [Z, Omega] = f Omega holds exactly
+        # find_symmetries raises NotInIdeal unless [Z, Omega] = f Omega holds exactly
         rep.check(f"reverify:{k}:lam={r.lam_text()}", True,
                   details=json.dumps({"generator": print_op(r.generator),
                                       "multiplier": print_op(r.multiplier)}))

@@ -69,6 +69,18 @@ class ComplexFrequency(AlgebraError, ValueError):
     """A frequency with an imaginary part, which no phase of the real lattice Q + Z*w can take."""
 
 
+class ZeroPolynomial(AlgebraError, ValueError):
+    """The zero polynomial, which vanishes everywhere: it has no finite list of roots."""
+
+
+class NotCritical(AlgebraError, ValueError):
+    """A frequency other than the critical ones, 1 and 3, where the enhanced generators live."""
+
+
+class UnknownName(AlgebraError, KeyError):
+    """A name outside a fixed catalog of closed forms."""
+
+
 class FloatOverflow(AlgebraError):
     """An exact scalar is too large for the complex floats of the numerical layer."""
 

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnsupportedShape
+from .errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName, UnsupportedShape
 from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
@@ -432,7 +432,7 @@ def quoted_psi(name: str) -> WeylOp:
         return _psi(-3, {(1, 0): c((0, -24), -1, 0), (0, 1): c(-48, -2, 0)})
     if name == "psi11":
         return _psi(-4, {(0, 0): c(48, -2, 0), (2, 0): c(-192, -2, 0), (1, 1): c((0, 192), -3, 0)})
-    raise KeyError(name)
+    raise UnknownName(f"no quoted closed form {name!r}")
 
 
 def expected_psi(name: str) -> WeylOp:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (CheckFailed, DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed,
-                     NotDivisible, NotInIdeal, UnsupportedShape, ZeroDivisor)
+from .errors import (DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed, NotDivisible, NotInIdeal,
+                     UnsupportedShape, ZeroDivisor)
 from .linalg import (
     Matrix,
     charpoly,
@@ -26,6 +26,7 @@ from .linalg import (
     nullspace,
     rational_roots,
     rref_fraction_free,
+    solve_in_span,
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
@@ -77,7 +78,8 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
     invertible coefficient (true for every invariant operator here: the
     leading term is i*Dt, possibly times a phase or a time power).  The
     extracted f may carry negative time powers (e.g. 1/t), which the
-    operator product handles exactly.
+    operator product handles exactly.  The remainder test alone rejects a
+    nonzero cand with no Dt part, or one whose Dt part carries derivatives.
     """
     om_dt = _dt_part(omega_op)
     if len(om_dt) != 1:
@@ -86,22 +88,14 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
     if not om_mono.is_function():
         raise NotInIdeal("divisor Dt coefficient is not a function", residual=omega_op)
 
-    cand_dt = _dt_part(cand)
-    if cand_dt.is_zero():
-        if cand.is_zero():
-            return WeylOp.zero()
-        raise NotInIdeal("candidate has no Dt part but is nonzero", residual=cand)
-
     terms = {}
-    for mono, c in cand_dt.terms():
+    for mono, c in _dt_part(cand).terms():
         xs = list(mono.x_pows) + [0] * (om_mono.arity - mono.arity)
         for i in range(om_mono.arity):
             xs[i] -= om_mono.x_pows[i]
             if xs[i] < 0:
                 raise NotInIdeal("division would need a negative coordinate power",
                                  residual=cand)
-        if not mono.is_function():
-            raise NotInIdeal("multiplier would carry derivatives", residual=cand)
         try:
             cq = c.divide_exact(om_c)
         except (NotDivisible, ZeroDivisor) as exc:
@@ -227,16 +221,16 @@ def decoupling_map(h0: WeylOp, h: WeylOp) -> WeylOp:
         raise UnsupportedShape("h0 must have scalar coefficients", residual=h0)
     _check_time_independent_quadratic(h)
     basis, mat = adjoint_matrix(h0, h.arity)
+    columns = [list(col) for col in zip(*mat)]
     e = type(h0)()
     for _ in basis:
         residual = h - similarity(-e, h0)
         if not residual:
             return e
-        _, col = coefficient_matrix([residual], basis)
-        red, pivots, d = rref_fraction_free([r + c for r, c in zip(mat, col)])
-        if pivots[-1:] == [len(basis)]:
+        sol = solve_in_span(columns, [row[0] for row in coefficient_matrix([residual], basis)[1]])
+        if sol is None:
             raise DegenerateModes("resonance: the residual is outside the image of ad_h0", residual=residual)
-        e = e + type(h0)({basis[c]: red[i][-1].divide_exact(d) for i, c in enumerate(pivots)})
+        e += type(h0)(zip(basis, sol))
     raise NonTerminatingSeries(f"no decoupling map within {len(basis)} steps", residual=residual)
 
 
@@ -372,8 +366,10 @@ def find_symmetries(omega_op: WeylOp,
     deformation families that specialize to the critical-frequency extras.
 
     The brackets [b, H] of the basis operators do not depend on lam and are
-    computed once.  Every returned generator is re-verified against the full
-    operator product before being reported.
+    computed once.  Each generator's multiplier comes from
+    :func:`multiplier_division` of [Z, Omega] by Omega, which re-verifies
+    [Z, Omega] = f Omega against the full operator product and raises
+    :class:`NotInIdeal` where it fails.
     """
     h = _split_i_dt_minus_h(omega_op)
     arity = max(h.arity, 1)
@@ -393,6 +389,7 @@ def find_symmetries(omega_op: WeylOp,
         basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=(0,) * arity): 1}))
 
     brackets = [commutator(b, h) for b in basis_ops]  # independent of lam
+    unknowns = basis_ops + [WeylOp.dt()]  # c Dt's column is i lam c H
     results: List[SymmetryResult] = []
     for lam in lams:
         lam_c = _lambda_coeff(lam)
@@ -400,17 +397,9 @@ def find_symmetries(omega_op: WeylOp,
         columns.append(h.scale(I * lam_c))
         kept, live = _singleton_sweep(coefficient_matrix(columns)[1], len(columns))
         for vec in nullspace(kept, ncols=len(live)):
-            coeffs = dict(zip(live, vec))
-            c_coeff = coeffs.pop(len(basis_ops), Coefficient())
-            scaled = [WeylOp.dt().scale(c_coeff)] + [basis_ops[j].scale(c) for j, c in coeffs.items()]
-            inner = WeylOp(term for op in scaled for term in op.terms())
-            phase = WeylOp.phase(lam[0], lam[1])
-            gen = multiply(phase, inner)
-            mult = phase.scale(-(I * lam_c * c_coeff))
-            check = commutator(gen, omega_op) - multiply(mult, omega_op)
-            if not check.is_zero():
-                raise CheckFailed("solver produced a non-symmetry", residual=check)
-            results.append(SymmetryResult(lam, gen, mult))
+            inner = WeylOp(term for j, c in zip(live, vec) for term in unknowns[j].scale(c).terms())
+            gen = multiply(WeylOp.phase(lam[0], lam[1]), inner)
+            results.append(SymmetryResult(lam, gen, multiplier_division(commutator(gen, omega_op), omega_op)))
     return results
 
 
@@ -458,17 +447,15 @@ def close_algebra(gens: Sequence[WeylOp],
 # contraction
 # ---------------------------------------------------------------------------
 
-def contract(r: Realization, powers: Optional[Mapping[str, int]] = None) -> Realization:
-    """Rescale each generator by g^{s} and take the g -> 0 limit.
+def contract(r: Realization) -> Realization:
+    """Rescale each generator by g^{s}, s its entry of ``CONTRACTION_POWERS``,
+    and take the g -> 0 limit.
 
     Raises :class:`~cgalgebra.errors.SingularLimit` when any generator keeps
     a pole after its rescaling.
     """
-    if powers is None:
-        powers = CONTRACTION_POWERS
     gens = {}
     for name, op in r.gens.items():
-        s = powers[name]
-        scaled = op.scale(Coefficient.monomial(1, s, 0))
+        scaled = op.scale(Coefficient.monomial(1, CONTRACTION_POWERS[name], 0))
         gens[name] = scaled.gamma_limit()
     return Realization(f"{r.name}-contracted", gens, gamma=0)

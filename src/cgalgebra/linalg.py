@@ -15,12 +15,11 @@ from itertools import count
 from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import Coefficient
+from .errors import ZeroPolynomial
+from .ring import ONE, Coefficient
 
 Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
-
-_ONE = Coefficient.of(1)
 
 
 def _nnz(row: Sequence[Coefficient]) -> int:
@@ -40,7 +39,7 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: List[int] = []
-    prev = _ONE
+    prev = ONE
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -113,7 +112,7 @@ def normalize_vector(v: Vector) -> Vector:
         v = [c * gshift if c else c for c in v]
     first = next(c for c in v if not c.is_zero())
     if len(first.terms) == 1:
-        inv = _ONE.divide_exact(Coefficient.of(first.terms[0][1]))
+        inv = ONE.divide_exact(Coefficient.of(first.terms[0][1]))
         v = [c * inv if c else c for c in v]
     else:
         cont = first.rational_content()
@@ -137,9 +136,8 @@ def det(m: Matrix) -> Coefficient:
 def solve_in_span(columns: List[Vector], target: Vector) -> Optional[Vector]:
     """Solve sum_j x_j columns[j] = target exactly; None when inconsistent.
 
-    The solution must live in the ring (true for every structure-constant
-    expansion this package performs); a genuinely fractional solution
-    raises ``ValueError`` from the exact division.
+    Free unknowns are zero.  The solution must live in the ring; a genuinely
+    fractional one raises :class:`NotDivisible` from the exact division.
     """
     if not columns:
         return [] if all(c.is_zero() for c in target) else None
@@ -150,7 +148,6 @@ def solve_in_span(columns: List[Vector], target: Vector) -> Optional[Vector]:
     if ncols in pivots:
         return None  # pivot in the target column: inconsistent
     piv_of_col = {c: i for i, c in enumerate(pivots)}
-    # free unknowns are set to zero
     sol = [Coefficient() for _ in range(ncols)]
     for c, i in piv_of_col.items():
         rhs = red[i][ncols]
@@ -167,8 +164,8 @@ def charpoly(m: Matrix) -> List[Coefficient]:
     """
     n = len(m)
     coeffs = [Coefficient() for _ in range(n + 1)]
-    coeffs[n] = _ONE
-    mk = [[_ONE if i == j else Coefficient() for i in range(n)] for j in range(n)]
+    coeffs[n] = ONE
+    mk = [[ONE if i == j else Coefficient() for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
         # m @ M_{k-1}, by columns
         mk = [[sum((a * b for a, b in zip(row, col) if a and b), Coefficient()) for row in m]
@@ -205,7 +202,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
-        raise ValueError("zero polynomial has every root")
+        raise ZeroPolynomial("zero polynomial has every root")
     mults: dict = {}
     while len(cs) > 1 and cs[0] == 0:
         cs = cs[1:]
@@ -297,7 +294,7 @@ def gaussian_rational_roots(coeffs: Sequence[Coefficient]) -> List[Fraction]:
     ims = [c.im for c in coeffs]
     base = res if any(res) else ims
     if not any(base):
-        raise ValueError("zero polynomial")
+        raise ZeroPolynomial("zero polynomial has every root")
     out = []
     for root, _ in rational_roots(base):
         if eval_poly(res, root) == 0 and eval_poly(ims, root) == 0:

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import BadArity, CheckFailed
+from .errors import BadArity, CheckFailed, NotCritical
 from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, summed
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
@@ -269,7 +269,7 @@ def enhanced_extras(omega: int) -> Dict[str, WeylOp]:
             "r-2": _op((_c(1), _m(-4, 0, y=1, dx=1)), (_c(-1), _m(-4, 0, x=1, y=1))),
             "r-3": _op((_c(1), _m(-6, 0, y=2))),
         }
-    raise ValueError("enhanced generators exist at frequency 1 or 3 only")
+    raise NotCritical("enhanced generators exist at frequency 1 or 3 only")
 
 
 def theta_family(omega: Optional[CoefficientLike] = None,

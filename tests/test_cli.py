@@ -98,6 +98,12 @@ class TestExitCodes:
             assert code == 2 and out == "", argv
             assert err.startswith(f"usage error: argument {flag}:"), (argv, err)
 
+    def test_rational_denominator_over_the_digit_bound(self):
+        # no exponent to catch early: the denominator itself has 1001 digits
+        with pytest.raises(ValueError, match="more than 1000 digits"):
+            cli._rational(f"1/{10 ** 1000}")
+        assert cli._rational(f"1/{10 ** 999}").denominator == 10 ** 999
+
     def test_rational_inside_the_digit_bound_runs(self, capsys):
         code, _, _ = run(["omega", "--gamma", "1e999"], capsys)
         assert code == 0

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cgalgebra import fock
-from cgalgebra.errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnsupportedShape
+from cgalgebra.errors import (AlgebraError, CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName,
+                              UnsupportedShape)
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
 from cgalgebra.ring import Coefficient, GAMMA
 from cgalgebra.weyl import Monomial, WeylOp, apply, coefficient_matrix, commutator, similarity
@@ -804,6 +805,8 @@ class TestStatesAndOverlaps:
             eigenstate(1, 4, F(1, 2), na=12, nb=3)
         with pytest.raises(CutoffTooSmall):
             eigenstate(10, 1, F(1, 2), na=12, nb=12)
+        with pytest.raises(CutoffTooSmall, match="b-cutoff"):
+            eigenstate(0, 4, F(1, 2), na=20, nb=3)
 
     def test_eigenstate_family_full_rank(self):
         mat = eigenstate_matrix(1.0, 12, 12)
@@ -826,6 +829,13 @@ class TestEigencheck:
         for name in ("psi10", "psi20", "psi01"):
             assert quoted_psi(name) == expected_psi(name)
         assert quoted_psi("psi11") != expected_psi("psi11")
+
+    def test_unknown_quoted_form_is_typed(self):
+        # typed, and still the KeyError that callers outside the package catch
+        assert issubclass(UnknownName, AlgebraError) and issubclass(UnknownName, KeyError)
+        for lookup in (quoted_psi, expected_psi):
+            with pytest.raises(AlgebraError, match="psi02"):
+                lookup("psi02")
 
     def test_quoted_psi11_fails_eigen_identity(self):
         h0 = h0_op()

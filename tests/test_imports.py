@@ -167,26 +167,32 @@ def test_the_unused_import_check_sees_every_form(tmp_path):
     assert unused_imports(probe) == [(2, "os"), (5, "summed"), (10, "product")]
 
 
+def scoped_nodes(path: Path):
+    """(scope, node) for every node of ``path``, in source order; the scope is the
+    dotted name of the function (or class body) the node sits in, ``""`` at
+    module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text(), str(path)), "")
+
+
 def builtin_raises(path: Path) -> list:
     """(line, function, exception) of each ``raise`` of a builtin exception class,
-    as ``raise ValueError(...)`` or ``raise KeyError``, with the dotted name of
-    the function (or class body) it sits in, ``""`` at module level."""
+    as ``raise ValueError(...)`` or ``raise KeyError``, in the scope it sits in."""
     builtin = {name for name, obj in vars(builtins).items()
                if isinstance(obj, type) and issubclass(obj, BaseException)}
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id in builtin:
-                    found.append((child.lineno, scope, exc.id))
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(), str(path)), "")
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in builtin:
+                found.append((node.lineno, scope, exc.id))
     return found
 
 
@@ -197,10 +203,6 @@ FLAG_CONVERTERS = {("cli.py", name) for name in ("_rational", "_count", "_modes"
 # Raises of a builtin class still waiting for a typed error.  Type one, then
 # take its entry out: the list may only shrink.
 UNTYPED_RAISES = {
-    ("fock.py", "quoted_psi", "KeyError"),
-    ("linalg.py", "gaussian_rational_roots", "ValueError"),
-    ("linalg.py", "rational_roots", "ValueError"),
-    ("realizations.py", "enhanced_extras", "ValueError"),
     ("ring.py", "Coefficient._scalar", "ValueError"),
     ("ring.py", "Coefficient.monomial", "TypeError"),
     ("ring.py", "Coefficient.parse", "ValueError"),
@@ -223,6 +225,31 @@ def test_the_raise_check_sees_every_form(tmp_path):
                      "def h():\n    def inner():\n        raise TypeError(1)\n")
     assert builtin_raises(probe) == [(2, "", "KeyError"), (5, "C.f", "ValueError"),
                                      (15, "h.inner", "TypeError")]
+
+
+def elimination_reads(path: Path) -> list:
+    """(line, scope) of each read of ``rref_fraction_free``, called or not, as a
+    bare name or as ``linalg.rref_fraction_free``."""
+    return [(node.lineno, scope) for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Name) and node.id == "rref_fraction_free"
+            or isinstance(node, ast.Attribute) and node.attr == "rref_fraction_free"]
+
+
+def test_one_elimination_outside_linalg():
+    """Outside ``linalg`` only ``close_algebra`` reads an elimination off directly;
+    every other solve goes through ``nullspace`` or ``solve_in_span``."""
+    found = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
+             for _, scope in elimination_reads(path)]
+    assert found == [("invariance.py", "close_algebra")]
+
+
+def test_the_elimination_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import linalg\nfrom .linalg import rref_fraction_free\n"
+                     "red = rref_fraction_free([])\n"
+                     "class C:\n    def f(self, m):\n        return linalg.rref_fraction_free(m)\n"
+                     "def g(ms):\n    solve = rref_fraction_free\n    return [solve(m) for m in ms]\n")
+    assert elimination_reads(probe) == [(3, ""), (6, "C.f"), (8, "g")]
 
 
 MEMOS = ("cache", "lru_cache")

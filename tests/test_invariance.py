@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from cgalgebra import invariance, linalg
-from cgalgebra.errors import (CheckFailed, DegenerateModes, NotClosed, NotDivisible, NotInIdeal, NonQuadratic,
+from cgalgebra.errors import (DegenerateModes, NonTerminatingSeries, NotClosed, NotDivisible, NotInIdeal, NonQuadratic,
                               SingularLimit, UnsupportedShape)
-from cgalgebra.ring import Coefficient, GAMMA, I
+from cgalgebra.ring import Coefficient, GAMMA, GAMMA_INV, I
 from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
+    Realization,
     cga32_table,
     contraction_table,
     decoupled_generic,
@@ -27,6 +28,7 @@ from cgalgebra.realizations import (
     theta_family,
 )
 from cgalgebra.invariance import (
+    SymmetryResult,
     adjoint_matrix,
     close_algebra,
     contract,
@@ -103,6 +105,20 @@ class TestMultiplierDivision:
         _, op_0, _ = omega_ops(realization_osc())
         with pytest.raises(NotInIdeal):
             multiplier_division(WeylOp.coord(0), op_0)
+
+    @pytest.mark.parametrize("divisor, match", [
+        (WeylOp.coord(0), "single Dt leading term"),
+        (WeylOp.dt() + multiply(WeylOp.coord(0), WeylOp.dt()), "single Dt leading term"),
+        (multiply(WeylOp.deriv(0), WeylOp.dt()), "not a function")])
+    def test_divisor_shape_is_checked(self, divisor, match):
+        with pytest.raises(NotInIdeal, match=match):
+            multiplier_division(WeylOp.dt(), divisor)
+
+    def test_derivatives_in_the_dt_part_leave_a_remainder(self):
+        # a function times i Dt - H has no Dx Dt term, so the remainder test rejects it
+        _, op_0, _ = omega_ops(realization_osc())
+        with pytest.raises(NotInIdeal, match="nonzero remainder"):
+            multiplier_division(multiply(WeylOp.deriv(0), WeylOp.dt()), op_0)
 
     def test_second_time_derivative_is_not_in_ideal(self):
         _, op_0, _ = omega_ops(realization_osc())
@@ -312,6 +328,15 @@ class TestDecouplingMap:
         with deadline(10), pytest.raises(DegenerateModes):
             decoupling_map(theta_family(w, 0), theta_family(w))
 
+    def test_a_series_that_never_closes_raises(self):
+        """Every step solves, and every similarity terminates, yet each correction
+        leaves a new residual: the map gives up after as many steps as ad_h0's
+        space has dimensions (15 in two coordinates)."""
+        h0 = parse_op("Dy^2 * (1) + y^1*Dx^1 * (1) + x^1*Dx^1 * (1)")
+        with pytest.raises(NonTerminatingSeries, match="no decoupling map within 15 steps") as info:
+            decoupling_map(h0, h0 + parse_op("y^1*Dx^1 * (1)"))
+        assert info.value.residual
+
     def test_residual_of_degree_three_is_rejected(self):
         h0 = theta_family(3, 0)
         with pytest.raises(NonQuadratic):
@@ -329,11 +354,17 @@ class TestDecouplingMap:
 
 
 class TestFindSymmetries:
-    def test_wrong_product_raises_check_failed(self, monkeypatch):
-        """The finder's own re-verification, which the symmetries suite's reverify checks rely on."""
+    def test_lambda_text(self):
+        lams = [(F(2), 0), (F(0), -1), (F(1), 2), (F(-1, 2), -3)]
+        assert [SymmetryResult(lam, WeylOp.zero(), WeylOp.zero()).lam_text() for lam in lams] == \
+            ["2", "-1*w", "1+2*w", "-1/2-3*w"]
+
+    def test_wrong_product_raises_not_in_ideal(self, monkeypatch):
+        """The finder's own re-verification, by multiplier_division's remainder test,
+        which the symmetries suite's reverify checks rely on."""
         om = WeylOp.dt().scale(I) - theta_family(3, 0, 0)
         monkeypatch.setattr(invariance, "multiply", lambda a, b: multiply(a, b) + WeylOp.one())
-        with pytest.raises(CheckFailed):
+        with pytest.raises(NotInIdeal, match="nonzero remainder"):
             find_symmetries(om, lam_set=[2])
 
     def test_one_bracket_per_basis_operator(self, monkeypatch):
@@ -544,5 +575,6 @@ class TestContraction:
         assert cga32_table().bracket("z+", "z-") != {}
 
     def test_singular_without_rescaling(self):
+        # z0's power 0 leaves its 1/g pole in place
         with pytest.raises(SingularLimit):
-            contract(realization_osc(), powers={n: 0 for n in cga32_table().names})
+            contract(Realization("pole", {"z0": WeylOp.scalar(GAMMA_INV)}))

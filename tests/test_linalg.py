@@ -4,8 +4,10 @@ from fractions import Fraction as F
 from math import isqrt, lcm
 
 import numpy as np
+import pytest
 
 from cgalgebra import linalg
+from cgalgebra.errors import AlgebraError, ZeroPolynomial
 from cgalgebra.linalg import (
     charpoly,
     det,
@@ -180,6 +182,13 @@ class TestSolveAndRank:
         sol = solve_in_span(cols, target)
         assert sol == [C(3), C(2)]
         assert solve_in_span(cols, [C(0), C(0), C(1)]) is None
+        # with no columns, the empty combination reaches the zero target only
+        assert solve_in_span([], [C(0), C(0)]) == []
+        assert solve_in_span([], [C(0), GAMMA]) is None
+
+    def test_normalize_the_zero_vector(self):
+        v = [C(0), C(0)]
+        assert linalg.normalize_vector(v) is v
 
     def test_rank(self):
         assert rank([[C(1), C(2)], [C(2), C(4)]]) == 1
@@ -272,12 +281,22 @@ class TestUnivariate:
         roots = rational_roots([F(-2), F(-1), F(1)])  # (x-2)(x+1)
         assert roots == [(F(-1), 1), (F(2), 1)]
         assert rational_roots([F(0), F(0), F(1)]) == [(F(0), 2)]
+        assert rational_roots([F(-2), F(-1), F(1), F(0), F(0)]) == roots  # zeros above the degree drop
         # double roots and fractional roots together: (x-3)^2 (3x-1)
         p = [F(-9), F(33), F(-19), F(3)]
         assert rational_roots(p) == [(F(1, 3), 1), (F(3), 2)]
 
     def test_rational_roots_none(self):
         assert rational_roots([F(1), F(0), F(1)]) == []  # x^2 + 1
+
+    @pytest.mark.parametrize("coeffs", [[], [F(0)], [F(0), F(0), F(0)]])
+    def test_zero_polynomial_is_typed(self, coeffs):
+        # typed, and still the ValueError that callers outside the package catch
+        assert issubclass(ZeroPolynomial, AlgebraError) and issubclass(ZeroPolynomial, ValueError)
+        with pytest.raises(AlgebraError, match="zero polynomial"):
+            rational_roots(coeffs)
+        with pytest.raises(AlgebraError, match="zero polynomial"):
+            gaussian_rational_roots([Coefficient.of(c) for c in coeffs])
 
     def test_rational_roots_match_divisor_enumeration(self):
         # small coefficients, where trial division of a_0 and a_n is cheap

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cgalgebra.errors import BadArity, CheckFailed
+from cgalgebra.errors import AlgebraError, BadArity, CheckFailed, NotCritical
 from cgalgebra.ring import OMEGA, Coefficient, I
 from cgalgebra.weyl import WeylOp, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
@@ -92,6 +92,17 @@ class TestTables:
         broken = dataclasses.replace(
             table, brackets={**table.brackets, ("z-", "z+"): {"z0": scalar(0, -4)}})
         with pytest.raises(CheckFailed, match=r"\(z\+,z-\) and \(z-,z\+\) not antisymmetric"):
+            broken.validate()
+
+    def test_validate_catches_a_nonzero_self_bracket(self):
+        table = cga32_table()
+        broken = dataclasses.replace(table, brackets={**table.brackets, ("z0", "z0"): {"c": scalar(1, 0)}})
+        with pytest.raises(CheckFailed, match=r"\[z0,z0\] must vanish"):
+            broken.validate()
+
+    def test_validate_catches_a_central_element_that_acts(self):
+        broken = dataclasses.replace(cga32_table(), central=frozenset({"z0"}))
+        with pytest.raises(CheckFailed, match="central element z0 has a nonzero bracket"):
             broken.validate()
 
 
@@ -195,7 +206,9 @@ class TestDecoupledCatalog:
         assert print_op(ex3["r-3"]) == "e[-6,0]*y^2 * (1)"
         ex1 = enhanced_extras(1)
         assert ex1["q1"] == parse_op("y^1*Dx^1 * (1) + x^1*y^1 * (1)")
-        with pytest.raises(ValueError):
+        # typed, and still the ValueError that callers outside the package catch
+        assert issubclass(NotCritical, AlgebraError) and issubclass(NotCritical, ValueError)
+        with pytest.raises(AlgebraError, match="frequency 1 or 3 only"):
             enhanced_extras(2)
 
     def test_theta_family(self):
@@ -241,6 +254,10 @@ class TestGeneralRank:
             gen_params(2)
         with pytest.raises(BadArity):
             gen_params(F(5, 2), (1,))
+        with pytest.raises(BadArity, match="need 2 couplings for rank 5/2, got 1"):
+            gen_params(F(5, 2), (1, 1), gammas=[F(1, 2)])
+        with pytest.raises(BadArity, match="signs must be"):
+            gen_params(F(5, 2), (1, 2))
         p = gen_params(F(5, 2), (-1, 1))
         assert p.omega_vec() == (-3, 5)
         assert all(abs(w) == 2 * i - 1 for i, w in enumerate(p.omega_vec(), start=2))

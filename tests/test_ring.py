@@ -196,6 +196,10 @@ class TestCoefficient:
         c = Coefficient.of(5) + GAMMA * 2
         assert c.substitute(gr(0), gr(0)) == gr(5)
 
+    def test_rational_content(self):
+        assert (GAMMA * F(4, 3) + Coefficient.of((F(2, 3), 2))).rational_content() == F(2, 3)
+        assert Coefficient().rational_content() == 1  # the zero coefficient has content 1
+
     def test_gamma_limit(self):
         assert (Coefficient.of(5) + GAMMA * 2).gamma_limit() == Coefficient.of(5)
         assert OMEGA.gamma_limit() == OMEGA

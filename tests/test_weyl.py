@@ -13,6 +13,7 @@ from cgalgebra.weyl import (
     Monomial,
     WeylOp,
     _contractions,
+    _is_wrapped,
     _time_block,
     ad_series,
     anticommutator,
@@ -249,6 +250,25 @@ class TestParameterMaps:
         op = X.scale(GAMMA + OMEGA)
         text = "x^1 * ((1)*g^1 + (1)*w^1)"
         assert print_op(op) == text and parse_op(text) == op
+
+    def test_is_wrapped(self):
+        assert _is_wrapped("((1)*g^1 + (1)*w^1)")
+        assert not _is_wrapped("(1)*g^1 + (1)")  # the first group closes before the end
+        assert not _is_wrapped("((1))*g^1")
+
+    def test_zero_round_trip(self):
+        assert print_op(WeylOp.zero()) == "0" and parse_op(" 0 ") == WeylOp.zero()
+
+    def test_coordinates_past_y_are_numbered(self):
+        op = multiply(WeylOp.coord(2), WeylOp.deriv(0))
+        text = "x3^1*Dx1^1 * (1)"  # three coordinates print as x1, x2, x3
+        assert print_op(op) == text and parse_op(text) == op
+
+    @pytest.mark.parametrize("text, match", [("x^1", "bad operator term"), ("x^1 * 2", "bad operator term"),
+                                             ("z^1 * (1)", "bad factor"), ("x^1*Dq^1 * (1)", "bad factor")])
+    def test_parse_rejects_bad_text(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_op(text)
 
     def test_normal_ordering_idempotent_via_text(self):
         rng = random.Random(31)
