@@ -69,6 +69,18 @@ class ComplexFrequency(AlgebraError, ValueError):
     """A frequency with an imaginary part, which no phase of the real lattice Q + Z*w can take."""
 
 
+class NotScalar(AlgebraError, ValueError):
+    """A coefficient with a g or w term where a scalar of Q(i) is needed."""
+
+
+class NotExact(AlgebraError, TypeError):
+    """A value that is not an exact scalar (an int, a Fraction or an (re, im) pair of those)."""
+
+
+class ParseError(AlgebraError, ValueError):
+    """Text that is not the canonical printed form of a coefficient or an operator."""
+
+
 class ZeroPolynomial(AlgebraError, ValueError):
     """The zero polynomial, which vanishes everywhere: it has no finite list of roots."""
 

@@ -2,10 +2,12 @@
 
 Fraction-free (Montante/Bareiss style) elimination keeps every intermediate
 entry inside the ring, so nullspaces of matrices with polynomial entries
-come out exact; characteristic polynomials, and determinants as their
-constant terms, divide by integers only.  Division of ring elements only
-ever happens through :meth:`Coefficient.divide_exact`, which is guaranteed
-to succeed at the points the algorithms use it.
+come out exact; a row catches up to the current pivot only when a step next
+touches it, so the work follows the nonzeros, not rows times steps.
+Characteristic polynomials, and determinants as their constant terms,
+divide by integers only.  Division of ring elements only ever happens
+through :meth:`Coefficient.divide_exact`, which is guaranteed to succeed at
+the points the algorithms use it.
 """
 
 from __future__ import annotations
@@ -22,59 +24,59 @@ Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
 
 
-def _nnz(row: Sequence[Coefficient]) -> int:
-    return sum(1 for c in row if not c.is_zero())
-
-
 def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
     """Full fraction-free Gauss-Jordan elimination.
 
     Returns (reduced matrix, pivot column list, final pivot value d).  On
     exit every pivot entry equals d and every other entry in a pivot column
-    is zero; the nullspace can be read off without any division.  Each step
-    sets row = (piv row - fac pivot_row) / prev with fac = row[c], zero or
-    not, so every earlier pivot becomes piv and no closing pass is needed.
+    is zero; the nullspace can be read off without any division.
+
+    Bareiss's step takes each other row to (piv row - fac pivot_row) / prev,
+    a bare rescale by piv / prev where fac = 0.  That rescale is deferred:
+    level[i] is the pivot value row i was last scaled to, and the factors
+    piv_k / piv_{k-1} of the steps it sits out telescope to prev / level[i].
+    So the pivot row catches up as row prev / level, an eliminated row
+    becomes (piv row - fac pivot_row) / level, and a closing pass lifts only
+    the rows whose level is not d.  Every division is exact, as its quotient
+    is the entry the eager update would hold, and the result is the same.
     """
     a = [row[:] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    level = [ONE] * rows
     pivots: List[int] = []
     prev = ONE
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        # choose the sparsest candidate row for pivot (deterministic tie-break)
-        best = None
-        for i in range(r, rows):
-            if not a[i][c].is_zero():
-                key = (_nnz(a[i]), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        # the sparsest candidate row is the pivot (ties to the first)
+        cand = [(sum(1 for x in a[i] if x), i) for i in range(r, rows) if a[i][c]]
+        if not cand:
             continue
-        i = best[1]
-        if i != r:
-            a[r], a[i] = a[i], a[r]
-        piv = a[r][c]
+        i = min(cand)[1]
+        a[r], a[i], level[r], level[i] = a[i], a[r], level[i], level[r]
+        if level[r] != prev:
+            a[r] = [(x * prev).divide_exact(level[r]) if x else x for x in a[r]]
+        prow, piv = a[r], a[r][c]
         for i in range(rows):
-            if i == r:
+            fac = a[i][c]
+            if i == r or not fac:
                 continue
-            if a[i][c].is_zero():
-                # still rescale to keep all previous pivots equal
-                for j in range(cols):
-                    if not a[i][j].is_zero():
-                        a[i][j] = (a[i][j] * piv).divide_exact(prev)
-                continue
-            fac, row, prow = a[i][c], a[i], a[r]
+            row, lv = a[i], level[i]
             for j in range(cols):
                 x, y = row[j], prow[j]
                 if x or y:  # x*piv - fac*y, with no product of a zero
                     num = (x * piv if x else x) - (fac * y if y else y)
-                    row[j] = num.divide_exact(prev) if num else Coefficient()
+                    row[j] = num.divide_exact(lv) if num else Coefficient()
+            level[i] = piv
+        level[r] = piv
         pivots.append(c)
         prev = piv
         r += 1
+    for i in range(rows):
+        if level[i] != prev:
+            a[i] = [(x * prev).divide_exact(level[i]) if x else x for x in a[i]]
     return a, pivots, prev
 
 

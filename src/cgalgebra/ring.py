@@ -32,8 +32,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, SingularLimit, UnsupportedShape,
-                     ZeroDivisor, ZeroSubstitution)
+from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, NotScalar, ParseError,
+                     SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution)
 
 
 # one term of the canonical text form: (weight)*g^a*w^b
@@ -112,7 +112,7 @@ class Coefficient:
             q = q.re, q.im
         x, y = q if isinstance(q, tuple) and len(q) == 2 else (q, 0)
         if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
-            raise TypeError(f"cannot interpret {q!r} as an exact scalar")
+            raise NotExact(f"cannot interpret {q!r} as an exact scalar")
         if not (x or y):
             return ZERO
         # the lcm of the reduced denominators already leaves gcd 1
@@ -142,9 +142,9 @@ class Coefficient:
         return not self._num or (len(self._num) == 1 and (0, 0) in self._num)
 
     def _scalar(self) -> tuple:
-        """The (re, im) numerators over ``_den`` of a scalar; ValueError otherwise."""
+        """The (re, im) numerators over ``_den`` of a scalar; :class:`NotScalar` otherwise."""
         if not self.is_scalar():
-            raise ValueError(f"not a scalar: {self}")
+            raise NotScalar(f"not a scalar: {self}")
         return self._num.get((0, 0), (0, 0))
 
     @property
@@ -377,7 +377,7 @@ class Coefficient:
         for chunk in s.split(" + "):
             m = _TERM_RX.match(chunk.strip())
             if not m:
-                raise ValueError(f"bad coefficient term: {chunk!r}")
+                raise ParseError(f"bad coefficient term: {chunk!r}")
             q = _parse_scalar(m.group(1))
             a = int(m.group(2)) if m.group(2) else 0
             b = int(m.group(3)) if m.group(3) else 0

@@ -40,7 +40,7 @@ from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ComplexFrequency, NonTerminatingSeries, UnsupportedShape
+from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
 from .ring import Coefficient, CoefficientLike, summed
 
 
@@ -532,7 +532,7 @@ def parse_op(text: str) -> WeylOp:
         chunk = chunk.strip()
         head, sep, coeff_txt = chunk.rpartition(" * ")
         if not sep or not coeff_txt.startswith("("):
-            raise ValueError(f"bad operator term: {chunk!r}")
+            raise ParseError(f"bad operator term: {chunk!r}")
         if coeff_txt.startswith("((") and _is_wrapped(coeff_txt):
             coeff_txt = coeff_txt[1:-1]
         c = Coefficient.parse(coeff_txt)
@@ -542,7 +542,7 @@ def parse_op(text: str) -> WeylOp:
         for fac in head.split("*"):
             m = _FACTOR_RX.match(fac.strip())
             if not m:
-                raise ValueError(f"bad factor {fac!r} in {chunk!r}")
+                raise ParseError(f"bad factor {fac!r} in {chunk!r}")
             if m.group("pm") is not None:
                 pm, pn = Fraction(m.group("pm")), int(m.group("pn"))
             elif m.group("t") is not None:

@@ -200,14 +200,9 @@ def builtin_raises(path: Path) -> list:
 # turns it into exit 2 with a message.
 FLAG_CONVERTERS = {("cli.py", name) for name in ("_rational", "_count", "_modes", "_signs")}
 
-# Raises of a builtin class still waiting for a typed error.  Type one, then
-# take its entry out: the list may only shrink.
-UNTYPED_RAISES = {
-    ("ring.py", "Coefficient._scalar", "ValueError"),
-    ("ring.py", "Coefficient.monomial", "TypeError"),
-    ("ring.py", "Coefficient.parse", "ValueError"),
-    ("weyl.py", "parse_op", "ValueError"),
-}
+# Raises of a builtin class still waiting for a typed error: none is left,
+# and the set may not grow.
+UNTYPED_RAISES: set = set()
 
 
 def test_library_raises_only_typed_errors():

@@ -6,7 +6,7 @@ from math import isqrt, lcm
 import numpy as np
 import pytest
 
-from cgalgebra import linalg
+from cgalgebra import cli, invariance, linalg
 from cgalgebra.errors import AlgebraError, ZeroPolynomial
 from cgalgebra.linalg import (
     charpoly,
@@ -18,7 +18,7 @@ from cgalgebra.linalg import (
     rational_roots,
     solve_in_span,
 )
-from cgalgebra.ring import Coefficient, GAMMA, OMEGA
+from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA
 
 C = Coefficient.of
 
@@ -173,6 +173,86 @@ class TestSparseRowUpdate:
             assert_rref_exit(red, pivots, d)
             a = np.array([[complex(c) for c in row] for row in m])
             assert len(pivots) == np.linalg.matrix_rank(a, tol=1e-9)
+
+
+def block_diagonal(k, block):
+    """k copies of the square ``block`` down the diagonal of a zero matrix."""
+    n = len(block)
+    m = [[Coefficient() for _ in range(k * n)] for _ in range(k * n)]
+    for b in range(k):
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                m[b * n + i][b * n + j] = C(v)
+    return m
+
+
+class TestDeferredScaling:
+    """A row catches up to the current pivot only when a step next touches it."""
+
+    def test_divisions_grow_linearly_with_the_blocks(self, monkeypatch):
+        """An eager rescale of every row at every step makes 1,472 divisions on
+        16 blocks, quadratic in the block count; the deferred one makes 92."""
+        k, calls = 16, Counter()
+        divide = Coefficient.divide_exact
+
+        def counted(x, y):
+            calls["divide_exact"] += 1
+            return divide(x, y)
+
+        monkeypatch.setattr(Coefficient, "divide_exact", counted)
+        m = block_diagonal(k, [[2, 1], [1, 3]])
+        red, pivots, d = linalg.rref_fraction_free(m)
+        monkeypatch.undo()
+        assert calls["divide_exact"] <= 6 * k
+        assert (pivots, d) == (list(range(2 * k)), C(5 ** k))
+        assert red == [[d if i == j else Coefficient() for j in range(2 * k)] for i in range(2 * k)]
+
+    # symmetries at w = 1 ends with the 24 x 39 closure system (82 nonzeros);
+    # general-l at 5/2 solves systems of up to 18 x 17
+    @pytest.mark.parametrize("argv, count", [(["symmetries", "--omega", "1"], 6),
+                                             (["general-l", "--ell", "5/2"], 4)])
+    def test_the_suites_eliminations_match_the_dense_update(self, argv, count, monkeypatch, capsys):
+        inputs = []
+        eliminate = linalg.rref_fraction_free
+
+        def recorder(m):
+            inputs.append([row[:] for row in m])
+            return eliminate(m)
+
+        monkeypatch.setattr(linalg, "rref_fraction_free", recorder)
+        monkeypatch.setattr(invariance, "rref_fraction_free", recorder)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert len(inputs) == count
+        for m in inputs:
+            assert eliminate(m) == dense_rref(m)
+
+    def test_a_row_that_sits_out_two_pivots_then_pivots(self):
+        """Row 3 is eliminated at column 0 (level 2), sits out the pivots 6 and
+        30 of columns 1 and 2, and is brought up by 30 / 2 to pivot column 3."""
+        m = [[C(2), C(0), C(0), C(1), C(0)],
+             [C(0), C(3), C(0), C(0), I],
+             [C(0), C(0), C(5), C(0), GAMMA],
+             [C(1), C(0), C(0), C(7), C(1)]]
+        red, pivots, d = linalg.rref_fraction_free(m)
+        assert (red, pivots, d) == dense_rref(m)
+        assert pivots == [0, 1, 2, 3] and d == C(195)  # 2 * 3 * 5 * 7 - 3 * 5
+        assert_rref_exit(red, pivots, d)
+        assert red[3][4] == C(30)  # 2 (row 3 after column 0) times 30 / 2
+
+    def test_lagging_pivot_rows_get_the_closing_rescale(self):
+        """Here no step touches a pivot row again once its column is done, so
+        every row but the last ends below d and only the closing pass lifts it."""
+        m = [[C(2), C(0), C(0), GAMMA],
+             [C(0), C(3), C(0), OMEGA],
+             [C(0), C(0), I * 5, C(1)]]
+        red, pivots, d = linalg.rref_fraction_free(m)
+        assert (red, pivots, d) == dense_rref(m)
+        assert d == I * 30
+        assert red == [[d, C(0), C(0), GAMMA * I * 15],
+                       [C(0), d, C(0), OMEGA * I * 10],
+                       [C(0), C(0), d, C(6)]]
 
 
 class TestSolveAndRank:

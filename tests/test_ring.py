@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from cgalgebra.errors import (AlgebraError, FloatOverflow, NegativeOmegaPower, NotDivisible, SingularLimit,
-                              UnsupportedShape, ZeroDivisor, ZeroSubstitution)
+from cgalgebra.errors import (AlgebraError, FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, NotScalar,
+                              ParseError, SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution)
 from cgalgebra.ring import (
     Coefficient,
     GAMMA,
@@ -100,6 +100,19 @@ class TestScalars:
             (GAMMA + 1).re
         with pytest.raises(ValueError):
             OMEGA.abs2()
+
+    def test_inexact_and_non_scalar_values_are_typed(self):
+        # typed, and still the TypeError on which + and * return NotImplemented,
+        # and the ValueError that callers outside the package catch
+        assert issubclass(NotExact, AlgebraError) and issubclass(NotExact, TypeError)
+        assert issubclass(NotScalar, AlgebraError) and issubclass(NotScalar, ValueError)
+        for make in (lambda: Coefficient.of(0.5), lambda: Coefficient.of((1, 2, 3)),
+                     lambda: Coefficient.monomial("1", 1, 0), lambda: Coefficient({(0, 0): 1j})):
+            with pytest.raises(NotExact, match="exact scalar"):
+                make()
+        for read in (lambda: (GAMMA + 1).re, lambda: OMEGA.im, OMEGA.abs2, lambda: complex(GAMMA_INV)):
+            with pytest.raises(NotScalar, match="not a scalar"):
+                read()
 
     def test_complex_beyond_the_float_range_is_typed(self):
         assert issubclass(FloatOverflow, AlgebraError)
@@ -260,6 +273,12 @@ class TestCoefficient:
         assert Coefficient.parse("0") == Coefficient()
         canonical = "(3/2) + (-2+1i)*g^-1*w^2"
         assert str(Coefficient.parse(canonical)) == canonical
+
+    @pytest.mark.parametrize("text", ["(1)*q^2", "3/2", "(1) + (2)*w^-1", "(1)+(2)*g^1"])
+    def test_parse_error_is_typed(self, text):
+        assert issubclass(ParseError, AlgebraError) and issubclass(ParseError, ValueError)
+        with pytest.raises(ParseError, match="bad coefficient term"):
+            Coefficient.parse(text)
 
 
 # -- reference model: {(a, b): (re, im)} with Fraction parts, zeros dropped ----

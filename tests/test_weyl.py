@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from cgalgebra.errors import AlgebraError, ComplexFrequency, NonTerminatingSeries, UnsupportedShape
+from cgalgebra.errors import AlgebraError, ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
 from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA
@@ -268,6 +268,13 @@ class TestParameterMaps:
                                              ("z^1 * (1)", "bad factor"), ("x^1*Dq^1 * (1)", "bad factor")])
     def test_parse_rejects_bad_text(self, text, match):
         with pytest.raises(ValueError, match=match):
+            parse_op(text)
+
+    @pytest.mark.parametrize("text", ["x^1 * 2", "z^1 * (1)", "x^1 * (1)*q^2"])
+    def test_parse_error_is_typed(self, text):
+        # typed, and still the ValueError that the catalog's round-trip check catches
+        assert issubclass(ParseError, AlgebraError) and issubclass(ParseError, ValueError)
+        with pytest.raises(ParseError):
             parse_op(text)
 
     def test_normal_ordering_idempotent_via_text(self):
