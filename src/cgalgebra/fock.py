@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, perm, sqrt
+from math import factorial, ldexp, perm, sqrt
 from operator import index
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -206,6 +206,19 @@ class FockBasis:
         return {nm: i for i, nm in enumerate(self.states())}
 
 
+@cache
+def _root_factorial(n: int, m: int) -> Tuple[float, int]:
+    """(r, k) with sqrt(n! m!) = r * 2^k: r is ``math.sqrt`` of the int and k = 0 wherever
+    n! m! fits in a float; past that, r is the root of the int shifted down by 2k bits,
+    so that a ratio of two roots stays finite."""
+    q = factorial(n) * factorial(m)
+    try:
+        return sqrt(q), 0
+    except OverflowError:
+        k = (q.bit_length() - 1000) // 2
+        return sqrt(q >> 2 * k), k
+
+
 def _entries(op: LadderOp, basis: FockBasis) -> Iterator[Tuple[int, int, Coefficient, float]]:
     """(i, j, exact amplitude, sqrt(n2! m2! / (n! m!))) of each state_j = |n2, m2> in
     op|state_i = |n, m>, both unnormalized kets; the factor converts the amplitude to
@@ -217,10 +230,12 @@ def _entries(op: LadderOp, basis: FockBasis) -> Iterator[Tuple[int, int, Coeffic
     """
     index = basis.index()
     for (n, m), i in index.items():
-        for (n2, m2), amp in op.apply_state({(n, m): Coefficient.of(1)}).items():
-            j = index.get((n2, m2))
+        r, k = _root_factorial(n, m)
+        for nm2, amp in op.apply_state({(n, m): Coefficient.of(1)}).items():
+            j = index.get(nm2)
             if j is not None:
-                yield i, j, amp, sqrt(factorial(n2) * factorial(m2)) / sqrt(factorial(n) * factorial(m))
+                r2, k2 = _root_factorial(*nm2)
+                yield i, j, amp, ldexp(r2 / r, k2 - k)
 
 
 def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
@@ -398,11 +413,14 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
     rows: Dict[Tuple[int, int], np.ndarray] = {}
     for nm, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
         row = rows[nm] = np.zeros(len(index), dtype=complex)
-        for (n2, m2), amp in ket.items():
-            j = index.get((n2, m2))
+        for nm2, amp in ket.items():
+            j = index.get(nm2)
             if j is None:
                 raise CutoffTooSmall("eigenstate leaks outside the cutoff")
-            row[j] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
+            try:
+                row[j] = complex(amp) * ldexp(*_root_factorial(*nm2))
+            except OverflowError:
+                raise FloatOverflow(f"eigenstate amplitude of {nm2} past the float range") from None
     return np.array([rows[nm] for nm in sorted(rows)])
 
 

@@ -23,6 +23,8 @@ kets, Jacobi sums).
 Canonical text form, used in golden files and reports::
 
     (3/2) + (-2+1i)*g^-1*w^2
+
+Its numerals are those ``str(Fraction)`` prints, read by :func:`parse_number` for both readers.
 """
 
 from __future__ import annotations
@@ -36,8 +38,13 @@ from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, 
                      SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution)
 
 
-# one term of the canonical text form: (weight)*g^a*w^b
-_TERM_RX = re.compile(r"^\(([^()]*)\)(?:\*g\^(-?\d+))?(?:\*w\^(\d+))?$")
+# a numeral as str(Fraction) prints it: a signed integer, optionally over a
+# denominator that is not zero; parse_number reads every number of both text forms
+_NUMERAL = r"-?\d+(?:/[1-9]\d*)?"
+
+# one term of the canonical text form: (x), (x+yi), (x-yi) or (yi), then *g^a and *w^b
+_TERM_RX = re.compile(rf"\((?:(?P<x>{_NUMERAL})(?:(?P<sign>[+-])(?P<y>{_NUMERAL})i)?|(?P<iy>{_NUMERAL})i)\)"
+                      r"(?:\*g\^(?P<a>-?\d+))?(?:\*w\^(?P<b>\d+))?")
 
 
 def _scalar_text(x: Fraction, y: Fraction) -> str:
@@ -49,17 +56,20 @@ def _scalar_text(x: Fraction, y: Fraction) -> str:
     return "".join(parts)
 
 
-def _parse_scalar(text: str) -> tuple:
-    """Inverse of :func:`_scalar_text`, as an (re, im) pair of Fractions."""
-    s = text.strip()
-    if not s.endswith("i"):
-        return Fraction(s), Fraction(0)
-    body = s[:-1]
-    # split a trailing rational off the real part, e.g. "1/2-3i"
-    m = re.match(r"^([+-]?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)$", body)
-    if m:
-        return Fraction(m.group(1)), Fraction(m.group(2))
-    return Fraction(0), Fraction({"": "1", "+": "1", "-": "-1"}.get(body, body))
+def parse_number(text: str) -> Union[int, Fraction]:
+    """The value of a numeral as ``str(Fraction)`` prints it (``-3/2``, ``7``), an int when
+    integral.  Other text (a ``+``, a leading zero, a point, an exponent, ``_``, a space, ``/0``,
+    ``/1``, a fraction not in lowest terms) and a digit string past the int-conversion limit
+    raise :class:`ParseError`, in time linear in the text's length."""
+    if re.fullmatch(_NUMERAL, text):
+        num, _, den = text.partition("/")
+        try:
+            q = Fraction(int(num), int(den or 1))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"numeral of {len(text)} characters is too long") from None
+        if str(q) == text:
+            return q.numerator if q.denominator == 1 else q
+    raise ParseError(f"bad numeral: {text!r}")
 
 
 def summed(acc: dict) -> dict:
@@ -370,19 +380,23 @@ class Coefficient:
 
     @staticmethod
     def parse(text: str) -> "Coefficient":
+        """Inverse of ``str``: reads exactly the text it prints, one pattern match per
+        `` + ``-separated term, and raises :class:`ParseError` for any other text."""
         s = text.strip()
         if s == "0":
             return ZERO
         pairs = []
         for chunk in s.split(" + "):
-            m = _TERM_RX.match(chunk.strip())
+            m = _TERM_RX.fullmatch(chunk)
             if not m:
                 raise ParseError(f"bad coefficient term: {chunk!r}")
-            q = _parse_scalar(m.group(1))
-            a = int(m.group(2)) if m.group(2) else 0
-            b = int(m.group(3)) if m.group(3) else 0
-            pairs.append(((a, b), q))
-        return Coefficient(pairs)
+            x, sign, y, iy, a, b = m.groups()
+            q = parse_number(x or "0"), parse_number(y or iy or "0") * (-1 if sign == "-" else 1)
+            pairs.append(((parse_number(a or "0"), parse_number(b or "0")), q))
+        c = Coefficient(pairs)
+        if str(c) != s:  # a repeated key, a zero weight or the terms out of order
+            raise ParseError(f"coefficient not in canonical form: {s!r}")
+        return c
 
 
 def _new(num: dict, den: int) -> Coefficient:

@@ -41,7 +41,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
-from .ring import Coefficient, CoefficientLike, summed
+from .ring import Coefficient, CoefficientLike, parse_number, summed
 
 
 def _trim(x_pows: tuple, d_pows: tuple) -> tuple:
@@ -444,119 +444,80 @@ def _coord_names(arity: int) -> list:
     return ["x", "y"][:arity] if arity <= 2 else [f"x{i+1}" for i in range(arity)]
 
 
+def _term_text(mono: Monomial, c: Coefficient, names: list) -> str:
+    """One term of :func:`print_op`'s text, the coordinates called ``names``."""
+    facs = []
+    if mono.phase_m or mono.phase_n:
+        facs.append(f"e[{mono.phase_m},{mono.phase_n}]")
+    if mono.t_pow:
+        facs.append(f"t^{mono.t_pow}")
+    facs += [f"{name}^{p}" for name, p in zip(names, mono.x_pows) if p]
+    facs += [f"D{name}^{p}" for name, p in zip(names, mono.d_pows) if p]
+    if mono.dt_pow:
+        facs.append(f"Dt^{mono.dt_pow}")
+    body = str(c) if len(c.terms) == 1 else f"({c})"
+    return f"{'*'.join(facs) or '1'} * {body}"
+
+
 def print_op(op: WeylOp) -> str:
     """Deterministic canonical serialization, e.g. ``e[2,0]*x^1*Dx^1 * (2i)``."""
     if op.is_zero():
         return "0"
     arity = op.arity
     names = _coord_names(arity)
-    chunks = []
-    for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)):
-        facs = []
-        if mono.phase_m or mono.phase_n:
-            facs.append(f"e[{mono.phase_m},{mono.phase_n}]")
-        if mono.t_pow:
-            facs.append(f"t^{mono.t_pow}")
-        for i, p in enumerate(mono.x_pows):
-            if p:
-                facs.append(f"{names[i]}^{p}")
-        for i, p in enumerate(mono.d_pows):
-            if p:
-                facs.append(f"D{names[i]}^{p}")
-        if mono.dt_pow:
-            facs.append(f"Dt^{mono.dt_pow}")
-        head = "*".join(facs) if facs else "1"
-        body = str(c) if len(c.terms) == 1 else f"({c})"
-        chunks.append(f"{head} * {body}")
-    return " + ".join(chunks)
+    return " + ".join(_term_text(mono, c, names)
+                      for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)))
 
 
-def _split_terms(s: str) -> list:
-    """Split on ' + ' at paren depth zero."""
-    out, depth, start, i = [], 0, 0, 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(" + ", i):
-            out.append(s[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    out.append(s[start:])
-    return out
+# one term of print_op's text, then " + " or the end: the factors, " * ", and a
+# coefficient that is one term of ring's text or a parenthesized sum of them
+_TERM_RX = re.compile(r"(?P<term>(?P<head>[^ ]+) \* (?:(?P<one>\([^()]*\)[^ ()]*)"
+                      r"|\((?P<sum>(?=\()(?:[^()]|\([^()]*\))*)\)))(?: \+ |\Z)")
+_FACTOR_RX = re.compile(r"e\[(?P<pm>[^],]*),(?P<pn>-?\d+)\]|t\^(?P<t>-?\d+)|Dt\^(?P<dt>\d+)"
+                        r"|(?P<d>D?)(?:x(?P<xi>[1-9]\d*)|x|(?P<y>y))\^(?P<p>\d+)")
 
 
-_FACTOR_RX = re.compile(
-    r"^(?:e\[(?P<pm>-?\d+(?:/\d+)?),(?P<pn>-?\d+)\]"
-    r"|t\^(?P<t>-?\d+)"
-    r"|(?P<dx>D)?(?P<name>x\d*|y)\^(?P<xp>\d+)"
-    r"|Dt\^(?P<dt>\d+)"
-    r"|1)$"
-)
-
-
-def _is_wrapped(s: str) -> bool:
-    """True when the whole string is one balanced (...) group."""
-    if not (s.startswith("(") and s.endswith(")")):
-        return False
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and i != len(s) - 1:
-                return False
-    return depth == 0
-
-
-def _coord_index(name: str) -> int:
-    if name == "x":
-        return 0
-    if name == "y":
-        return 1
-    return int(name[1:]) - 1
+def _monomial(head: str) -> Monomial:
+    """The monomial of a term's factors, ``1`` for none; a factor that is not one
+    :func:`print_op` writes raises :class:`ParseError`."""
+    pm, pn, tp, dt, xs, ds = 0, 0, 0, 0, {}, {}
+    for fac in () if head == "1" else head.split("*"):
+        m = _FACTOR_RX.fullmatch(fac)
+        if not m:
+            raise ParseError(f"bad factor {fac!r} in {head!r}")
+        if m["pm"] is not None:
+            pm, pn = parse_number(m["pm"]), parse_number(m["pn"])
+        elif m["t"] is not None:
+            tp = parse_number(m["t"])
+        elif m["dt"] is not None:
+            dt = parse_number(m["dt"])
+        else:
+            i = 1 if m["y"] else parse_number(m["xi"] or "1") - 1
+            (ds if m["d"] else xs)[i] = parse_number(m["p"])
+    n = max([*xs, *ds], default=-1) + 1
+    return Monomial.make(pm, pn, tp, [xs.get(i, 0) for i in range(n)], [ds.get(i, 0) for i in range(n)], dt)
 
 
 def parse_op(text: str) -> WeylOp:
-    """Inverse of :func:`print_op`; round-trips exactly."""
+    """Inverse of :func:`print_op`: reads each term exactly as it prints, in any order
+    of the terms, by one pattern match per term, and raises :class:`ParseError` for any
+    other text (a repeated monomial included) in time linear in the text's length."""
     s = text.strip()
     if s == "0":
         return WeylOp.zero()
-    terms = []
-    for chunk in _split_terms(s):
-        chunk = chunk.strip()
-        head, sep, coeff_txt = chunk.rpartition(" * ")
-        if not sep or not coeff_txt.startswith("("):
-            raise ParseError(f"bad operator term: {chunk!r}")
-        if coeff_txt.startswith("((") and _is_wrapped(coeff_txt):
-            coeff_txt = coeff_txt[1:-1]
-        c = Coefficient.parse(coeff_txt)
-        pm, pn, tp, dt = Fraction(0), 0, 0, 0
-        xs: dict = {}
-        ds: dict = {}
-        for fac in head.split("*"):
-            m = _FACTOR_RX.match(fac.strip())
-            if not m:
-                raise ParseError(f"bad factor {fac!r} in {chunk!r}")
-            if m.group("pm") is not None:
-                pm, pn = Fraction(m.group("pm")), int(m.group("pn"))
-            elif m.group("t") is not None:
-                tp = int(m.group("t"))
-            elif m.group("name") is not None:
-                i = _coord_index(m.group("name"))
-                if m.group("dx"):
-                    ds[i] = ds.get(i, 0) + int(m.group("xp"))
-                else:
-                    xs[i] = xs.get(i, 0) + int(m.group("xp"))
-            elif m.group("dt") is not None:
-                dt = int(m.group("dt"))
-        n = max([i + 1 for i in xs] + [i + 1 for i in ds] + [0])
-        terms.append((Monomial.make(pm, pn, tp,
-                                    tuple(xs.get(i, 0) for i in range(n)),
-                                    tuple(ds.get(i, 0) for i in range(n)), dt), c))
-    return WeylOp(terms)
+    terms: dict = {}  # monomial -> (coefficient, the term's text)
+    pos = 0
+    while pos < len(s) or not terms:
+        m = _TERM_RX.match(s, pos)
+        if not m:
+            raise ParseError(f"bad operator term: {s[pos:]!r}")
+        mono = _monomial(m["head"])
+        if mono in terms:
+            raise ParseError(f"repeated monomial in {m['term']!r}")
+        terms[mono] = Coefficient.parse(m["one"] or m["sum"]), m["term"]
+        pos = m.end()
+    names = _coord_names(max(mono.arity for mono in terms))
+    for mono, (c, term) in terms.items():
+        if _term_text(mono, c, names) != term:
+            raise ParseError(f"operator term not in canonical form: {term!r}")
+    return _op(WeylOp, {mono: c for mono, (c, _) in terms.items()})

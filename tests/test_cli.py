@@ -122,6 +122,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: cutoffs must be at least 1\n", err
 
+    @pytest.mark.parametrize("cutoffs", [("171", "1"), ("1", "171")])
+    def test_spectrum_past_cutoff_170_passes(self, cutoffs, capsys):
+        # 171! does not fit in a float; each normalizing factor is a ratio of roots
+        code, _, err = run(["spectrum", "--cutoff-a", cutoffs[0], "--cutoff-b", cutoffs[1]], capsys)
+        assert code == 0 and err.endswith("[spectrum] 11 passed, 0 failed, 0 skipped\n"), err
+
+    def test_modes_past_cutoff_170_ends_in_its_checks(self, capsys):
+        code, out, _ = run(["modes", "--cutoff-a", "171", "--cutoff-b", "1", "--format", "json"], capsys)
+        failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert code == 1 and failed == ["eigenstates-span"]  # the float rank, as at cutoff 40
+
+    def test_modes_past_the_float_range_is_one_error_line(self, capsys):
+        code, out, err = run(["modes", "--cutoff-a", "301", "--cutoff-b", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: eigenstate amplitude of (301, 0) past the float range\n", err
+
     def test_exact_suite_takes_a_coupling_beyond_the_float_range(self, capsys):
         code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
         assert code == 0
@@ -190,6 +206,13 @@ class TestExitCodes:
         (tmp_path / "catalog.json").write_text(json.dumps({"osc:c": "1 * ((1)*g^-2"}))
         code, out, _ = run(["catalog", "--golden", str(tmp_path), "--format", "json"], capsys)
         assert code == 1
+        check = next(c for c in json.loads(out)["checks"] if c["id"] == "roundtrip:osc:c")
+        assert check["status"] == "fail" and check["details"].startswith("ValueError: ")
+
+    def test_golden_line_with_a_zero_denominator_fails_its_roundtrip(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(json.dumps({"osc:c": "e[1/0,0]*x^1 * (1)"}))
+        code, out, err = run(["catalog", "--golden", str(tmp_path), "--format", "json"], capsys)
+        assert code == 1 and "Traceback" not in err
         check = next(c for c in json.loads(out)["checks"] if c["id"] == "roundtrip:osc:c")
         assert check["status"] == "fail" and check["details"].startswith("ValueError: ")
 

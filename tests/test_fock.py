@@ -1,7 +1,8 @@
 import inspect
 import random
 from fractions import Fraction as F
-from math import comb, factorial, perm, sqrt
+from itertools import product
+from math import comb, factorial, isqrt, perm, sqrt
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cgalgebra.realizations import h0_op, realization_osc
 from cgalgebra.fock import (
     MODE_WORDS,
     FockBasis,
+    _root_factorial,
     LadderOp,
     eigenstate,
     eigenstate_matrix,
@@ -682,6 +684,33 @@ class TestEigenstateMatrix:
         monkeypatch.setattr(fock, "mode_solver", lambda gbar, modes: {F(1): ADAG, F(3): leaky})
         with pytest.raises(CutoffTooSmall):
             eigenstate_matrix(F(1, 2), 6, 6)
+
+
+    def test_amplitude_past_the_float_range_is_typed(self):
+        # sqrt(301!) is past 1.8e308; cutoff 300 still builds
+        assert eigenstate_matrix(F(1, 2), 300, 1).shape == (300 + 1 + 300 - 3 + 1, 301 * 2)
+        with pytest.raises(FloatOverflow, match="past the float range"):
+            eigenstate_matrix(F(1, 2), 301, 1)
+
+
+class TestRootFactorials:
+    def test_math_sqrt_in_the_float_range_and_scaled_past_it(self):
+        for n, m in product((0, 1, 12, 170, 171, 172, 300, 400), (0, 1, 171)):
+            r, k = _root_factorial(n, m)
+            q = factorial(n) * factorial(m)
+            try:
+                assert (r, k) == (sqrt(q), 0), (n, m)
+            except OverflowError:  # q is past the float range
+                assert k > 0 and 2 ** 499 < r < 2 ** 502
+                assert abs(F(r) * 2 ** k / isqrt(q) - 1) < 1e-14, (n, m)
+
+    @pytest.mark.parametrize("na, nb", [(171, 1), (1, 171), (400, 1)])
+    def test_k_matrix_past_cutoff_170_matches_its_spectrum(self, na, nb):
+        # 171! is past the float range; the normalizing factors are ratios of roots
+        m = k_matrix(F(1, 2), na, nb)
+        assert np.isfinite(m).all()
+        want = sorted(n + 3 * k + 0.5 for n in range(na + 1) for k in range(nb + 1))
+        assert np.allclose(np.sort(spectrum(m).eigenvalues.real), want)
 
 
 class TestStatesAndOverlaps:

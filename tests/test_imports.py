@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import cgalgebra
@@ -290,3 +291,31 @@ def test_the_memo_check_sees_every_form(tmp_path):
     assert sorted(memo_parameters(probe)) == [
         (4, "f", "p", "int"), (4, "f", "q", "Fraction"), (7, "g", "k", "int"), (7, "g", "m", "Monomial"),
         (7, "g", "rest", ""), (11, "h", "c", "Coefficient"), (11, "h", "self", "")]
+
+
+# a digit class after a "/": the denominator of a numeral spelled as a pattern
+DENOMINATOR = re.compile(r"/\??\(?(?:\?:)?(?:\\d|\[\d)")
+
+
+def numeral_patterns(path: Path) -> list:
+    """(line, scope) of each string literal, or literal part of an f-string, that
+    spells a numeral with a denominator as a pattern, such as ``-?\\d+(?:/\\d+)?``."""
+    return [(node.lineno, scope) for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and DENOMINATOR.search(node.value)]
+
+
+def test_only_the_ring_spells_the_numeral():
+    """Both text readers take their numbers through ``ring.parse_number``; only the
+    command line's flag converters read a flag value on their own."""
+    found = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py")) if path.name != "ring.py"
+             for _, scope in numeral_patterns(path)}
+    assert {hit for hit in found if hit not in FLAG_CONVERTERS} == set()
+
+
+def test_the_numeral_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import re\nRX = re.compile(r'-?\\d+(?:/\\d+)?')\n"
+                     "def f(s, n):\n    return re.match(rf'e\\[(-?[0-9]+/[1-9][0-9]*),{n}\\]', s)\n"
+                     "class C:\n    PART = r'\\d*/?\\d*'\n"
+                     "def g():\n    '''-3/2 is a numeral, \\\\d+ a pattern.'''\n    return re.compile(r'x\\d+/y')\n")
+    assert numeral_patterns(probe) == [(2, ""), (4, "f"), (6, "C")]

@@ -11,6 +11,7 @@ from cgalgebra.ring import (
     GAMMA,
     GAMMA_INV,
     OMEGA,
+    parse_number,
     summed,
 )
 
@@ -279,6 +280,26 @@ class TestCoefficient:
         assert issubclass(ParseError, AlgebraError) and issubclass(ParseError, ValueError)
         with pytest.raises(ParseError, match="bad coefficient term"):
             Coefficient.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "(1e10000000)", "(1/0)", "(x)", "(" + "7" * 5000 + ")", "(1.5)", "(1_0)", "( 1)", "(i)", "(1+i)", "(+1)",
+        "(01)", "(-0)", "(1/1)", "(2/4)", "(1/-2)", "(0)", "(0+1i)", "(1+0i)", "(1--1i)", "(1) + (2)",
+        "(1) + (1)*g^1", "(1)*g^0", "(1)*w^01", "(1)*g^" + "9" * 5000, "(1" + " " * 10 ** 6 + ")"],
+        ids=lambda text: text if len(text) < 40 else f"{text[:20]}...{len(text)}")
+    def test_malformed_text_raises_quickly(self, text, deadline):
+        # only the text str prints reads back, and Fraction never sees the rest
+        with deadline(1), pytest.raises(ParseError):
+            Coefficient.parse(text)
+
+    def test_numerals_are_those_fraction_prints(self, deadline):
+        rng = random.Random(7)
+        for _ in range(200):
+            q = F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+            assert parse_number(str(q)) == q
+        assert type(parse_number("-12")) is int and type(parse_number("-3/2")) is F
+        for text in ["1e5", "1.0", "1_0", " 1", "+1", "01", "-0", "1/0", "1/1", "2/4", "1/-2", "i", "", "7" * 5000]:
+            with deadline(1), pytest.raises(ParseError):
+                parse_number(text)
 
 
 # -- reference model: {(a, b): (re, im)} with Fraction parts, zeros dropped ----

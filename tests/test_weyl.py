@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import product, zip_longest
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from cgalgebra.weyl import (
     Monomial,
     WeylOp,
     _contractions,
-    _is_wrapped,
     _time_block,
     ad_series,
     anticommutator,
@@ -251,10 +252,13 @@ class TestParameterMaps:
         text = "x^1 * ((1)*g^1 + (1)*w^1)"
         assert print_op(op) == text and parse_op(text) == op
 
-    def test_is_wrapped(self):
-        assert _is_wrapped("((1)*g^1 + (1)*w^1)")
-        assert not _is_wrapped("(1)*g^1 + (1)")  # the first group closes before the end
-        assert not _is_wrapped("((1))*g^1")
+    def test_coefficient_sum_is_one_wrapped_group(self):
+        # a sum of coefficient terms is read only as one balanced (...) group
+        assert parse_op("x^1 * ((1)*g^1 + (1)*w^1)") == X.scale(GAMMA + OMEGA)
+        for text in ("x^1 * (1)*g^1 + (1)",  # the first group closes before the end
+                     "x^1 * ((1))*g^1"):
+            with pytest.raises(ParseError):
+                parse_op(text)
 
     def test_zero_round_trip(self):
         assert print_op(WeylOp.zero()) == "0" and parse_op(" 0 ") == WeylOp.zero()
@@ -284,6 +288,58 @@ class TestParameterMaps:
             txt = print_op(op)
             assert parse_op(txt) == op
             assert print_op(parse_op(txt)) == txt
+
+
+CATALOG = Path(__file__).parent / "golden" / "catalog.json"
+
+
+def corruptions(rng, text):
+    """One character of ``text`` dropped, duplicated and swapped with the next, and
+    ``e5``, ``/0``, ``x0`` and ``*t^1`` inserted, each at a random place."""
+    at = [rng.randrange(len(text)) for _ in range(7)]
+    return ([text[:at[0]] + text[at[0] + 1:], text[:at[1]] + text[at[1]:at[1] + 1] + text[at[1]:],
+             text[:at[2]] + text[at[2] + 1:at[2] + 2] + text[at[2]] + text[at[2] + 2:]]
+            + [text[:i] + token + text[i:] for i, token in zip(at[3:], ("e5", "/0", "x0", "*t^1"))])
+
+
+class TestReader:
+    """``parse_op`` reads each term exactly as ``print_op`` writes it, the terms in any
+    order, and raises ``ParseError`` for every other text in time linear in its length."""
+
+    @pytest.mark.parametrize("text", [
+        "e[1/0,0]*x^1 * (1)", "x0^1 * (1)", "x01^1 * (1)", "t^1*t^2 * (1)", "Dt^1*Dt^2 * (1)",
+        "e[1,0]*e[2,0] * (1)", "Dx^1*x^1 * (1)", "x^1*x^1 * (1)", "x^0 * (1)", "t^0 * (1)", "e[0,0] * (1)",
+        "e[2/4,0] * (1)", "e[1.5,0] * (1)", "x1^1 * (1)", "x^1*x3^1 * (1)", "x^1 * (1e999999999999)",
+        "x^1 * ((1))", "x^1 * ((1)*w^1 + (1)*g^1)", "x^1 * (1) + x^1 * (2)", "x^1 * (1) + ", "x^1  * (1)", "",
+        "x^" + "9" * 5000 + " * (1)", "a" * 10 ** 6, "(" * 10 ** 6, "x^1 * (1" + " " * 10 ** 6 + ")"],
+        ids=lambda text: text if len(text) < 40 else f"{text[:20]}...{len(text)}")
+    def test_malformed_text_raises_quickly(self, text, deadline):
+        with deadline(1), pytest.raises(ParseError):
+            parse_op(text)
+
+    def test_terms_in_any_order(self):
+        op = parse_op("x^2 * (1/2) + Dx^2 * (-1/2)")
+        assert print_op(op) == "Dx^2 * (-1/2) + x^2 * (1/2)"
+
+    def test_long_valid_text_reads_in_linear_time(self, deadline):
+        text = " + ".join(f"x^{k}*Dy^2 * (-3/2+1i)" for k in range(1, 5000))
+        assert len(text) > 10 ** 5
+        with deadline(1):
+            op = parse_op(text)
+        assert print_op(op) == text
+
+    def test_corrupted_catalog_lines_read_back_or_raise(self, deadline):
+        rng = random.Random(2015)
+        for key, text in sorted(json.loads(CATALOG.read_text()).items()):
+            for _ in range(5):
+                for bad in corruptions(rng, text):
+                    with deadline(1):
+                        try:
+                            op = parse_op(bad)
+                        except ParseError:
+                            continue
+                    # read back: the same terms, in print_op's order
+                    assert sorted(print_op(op).split(" + ")) == sorted(bad.split(" + ")), (key, bad)
 
 
 def wavefunction(phase_m, poly, t_pow=0):
