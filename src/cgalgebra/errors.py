@@ -81,6 +81,15 @@ class ParseError(AlgebraError, ValueError):
     """Text that is not the canonical printed form of a coefficient or an operator."""
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)`` for a short text; for a longer one, the first 60 characters
+    of its repr and the text's length, so that a message quoting it stays bounded."""
+    quoted = repr(text[:61])
+    if len(quoted) <= 62:
+        return quoted
+    return f"{quoted[:60]}... ({len(text)} characters)"
+
+
 class ZeroPolynomial(AlgebraError, ValueError):
     """The zero polynomial, which vanishes everywhere: it has no finite list of roots."""
 

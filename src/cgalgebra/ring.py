@@ -14,11 +14,12 @@ denominator shared by all its terms, reduced so that the common gcd is 1
 Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
 Fractions on demand; no other module reads that storage.  One routine,
 :func:`_sum`, adds ``(coefficient, int weight)`` pairs as ints over one
-denominator, keeping no zero value: ``+``, ``-``, the constructor,
-``substitute`` and :func:`summed` each make one call per result.
-:func:`summed` sums a term map: the caller collects a list of pairs per key
-(operator constructors, sums, ad-series and products, the ladder action on
-kets, Jacobi sums).
+denominator, keeping no zero value: ``+``, ``-``, the constructor and
+``substitute`` each make one call per result.  :func:`summed` sums a term
+map: the caller collects a list of pairs per key (operator constructors,
+sums, ad-series and products, the ladder action on kets, Jacobi sums), and
+``summed`` makes one ``_sum`` call per key of several pairs; a key of one
+pair ``(c, w)`` becomes ``c``, ``-c`` or ``c`` scaled by ``w`` in place.
 
 Canonical text form, used in golden files and reports::
 
@@ -35,7 +36,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, NotScalar, ParseError,
-                     SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution)
+                     SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution, excerpt)
 
 
 # a numeral as str(Fraction) prints it: a signed integer, optionally over a
@@ -69,13 +70,23 @@ def parse_number(text: str) -> Union[int, Fraction]:
             raise ParseError(f"numeral of {len(text)} characters is too long") from None
         if str(q) == text:
             return q.numerator if q.denominator == 1 else q
-    raise ParseError(f"bad numeral: {text!r}")
+    raise ParseError(f"bad numeral: {excerpt(text)}")
 
 
 def summed(acc: dict) -> dict:
     """{key: sum of w * c} over ``acc``'s lists of ``(Coefficient c, int w)``
-    pairs, in canonical form, leaving out each key whose sum cancels."""
-    return {key: c for key, slot in acc.items() if (c := _sum(slot))}
+    pairs, in canonical form, leaving out each key whose sum cancels; a lone
+    pair is scaled in place, several go through :func:`_sum`."""
+    out = {}
+    for key, slot in acc.items():
+        if len(slot) == 1:  # a lone term, summed in place
+            c, w = slot[0]
+            c = c if w == 1 else -c if w == -1 else c._scaled(w)
+        else:
+            c = _sum(slot)
+        if c:
+            out[key] = c
+    return out
 
 
 class Coefficient:
@@ -244,10 +255,12 @@ class Coefficient:
         if not k or not self._num:
             return ZERO
         # the storage is reduced, so the new gcd is gcd(den, k)
-        g = gcd(self._den, k)
-        k //= g
-        return _new({key: (re * k, im * k) for key, (re, im) in self._num.items()},
-                    self._den // g)
+        den = self._den
+        if den != 1:
+            g = gcd(den, k)
+            k //= g
+            den //= g
+        return _new({key: (re * k, im * k) for key, (re, im) in self._num.items()}, den)
 
     def __pow__(self, k: int) -> "Coefficient":
         """Power by squaring; a negative k divides 1 exactly by self^-k, which
@@ -389,13 +402,13 @@ class Coefficient:
         for chunk in s.split(" + "):
             m = _TERM_RX.fullmatch(chunk)
             if not m:
-                raise ParseError(f"bad coefficient term: {chunk!r}")
+                raise ParseError(f"bad coefficient term: {excerpt(chunk)}")
             x, sign, y, iy, a, b = m.groups()
             q = parse_number(x or "0"), parse_number(y or iy or "0") * (-1 if sign == "-" else 1)
             pairs.append(((parse_number(a or "0"), parse_number(b or "0")), q))
         c = Coefficient(pairs)
         if str(c) != s:  # a repeated key, a zero weight or the terms out of order
-            raise ParseError(f"coefficient not in canonical form: {s!r}")
+            raise ParseError(f"coefficient not in canonical form: {excerpt(s)}")
         return c
 
 

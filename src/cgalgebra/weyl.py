@@ -22,6 +22,12 @@ and one :func:`~cgalgebra.ring.summed` call adds each monomial's terms into
 one canonical Coefficient, or drops the monomial if they cancel.  A product
 works out the normal-ordering combinatorics only, taking its integer weights
 from two tables keyed by exponents (spatial contractions and the Dt block).
+Per pair of monomials it grows the spatial terms one contraction at a time,
+each replacing one coordinate's powers (trimmed only where the last coordinate
+drops to zero), and pairs them with the time terms of a Dt block, if any, in
+nested loops.  Its output keys are made by ``tuple.__new__`` from a Monomial's
+fields, past the checks of ``Monomial.make``, which every routine taking
+outside exponents still passes through.
 
 A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
 phases, t powers and coordinate powers are its monomials.  An operator acts
@@ -35,13 +41,17 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
+from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt
 from .ring import Coefficient, CoefficientLike, parse_number, summed
+
+
+# _key(Monomial, fields): a Monomial from a tuple of its fields, past the NamedTuple's own __new__
+_key = tuple.__new__
 
 
 def _trim(x_pows: tuple, d_pows: tuple) -> tuple:
@@ -314,41 +324,58 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     exponents, :func:`_contractions` and :func:`_time_block`; each ring coefficient
     c1*c2*theta^p (theta from deriving the phase) is built once per p.  With ``contracted``
     the uncontracted term, the one that is the same in both orders of the factors, is left out.
+    The exponents are canonical already, so the output keys skip ``Monomial.make``'s checks.
     """
-    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
+    pm1, pn1, t1, x1, d1, k = m1
+    pm2, pn2, a, x2, d2, dt2 = m2
     hits = [(i, p, q) for i, (p, q) in enumerate(zip(d1, x2)) if p and q]
-    k, a, dt2 = m1.dt_pow, m2.t_pow, m2.dt_pow
-    timed = k and (m2.phase_m or m2.phase_n or a)
+    timed = k and (pm2 or pn2 or a)
     if contracted and not hits and not timed:
         return
     base = c1 * c2
+    phase_m = _phase(pm1 + pm2)
+    phase_n = pn1 + pn2
+    t_pow = t1 + a
 
-    # (x powers, D powers, weight), the shorter factor padded with zeros ((0,) * n is () for
-    # n <= 0); the s = 0 term leaves coordinate i nonzero, so it keeps its tuples untrimmed
+    # the shorter factor padded with zeros ((0,) * n is () for n <= 0); the exponents add
     n = len(x1) - len(x2)
     x1, d1, x2, d2 = x1 + (0,) * -n, d1 + (0,) * -n, x2 + (0,) * n, d2 + (0,) * n
-    spatial = [(tuple(map(add, x1, x2)), tuple(map(add, d1, d2)), 1)]
+    xs, ds = tuple(map(add, x1, x2)), tuple(map(add, d1, d2))
+
+    # (x powers, D powers, weight); a contraction at coordinate i replaces entry i, and only
+    # the last coordinate dropping to x^0 Dx^0 leaves trailing zeros to trim
+    spatial = [(xs, ds, 1)]
+    last = len(xs) - 1
     for i, p, q in hits:
-        spatial = [_trim(xs[:i] + (xs[i] - s,) + xs[i + 1:], ds[:i] + (ds[i] - s,) + ds[i + 1:])
-                   + (w * sw,) if s else (xs, ds, w)
-                   for xs, ds, w in spatial for s, sw in _contractions(p, q)]
+        table = _contractions(p, q)[1:]
+        grown = []
+        for entry in spatial:
+            grown.append(entry)
+            xs, ds, w = entry
+            xi, di = xs[i], ds[i]
+            for s, sw in table:
+                xc, dc = xs[:i] + (xi - s,) + xs[i + 1:], ds[:i] + (di - s,) + ds[i + 1:]
+                if i == last and xi == s == di:
+                    xc, dc = _trim(xc, dc)
+                grown.append((xc, dc, w * sw))
+        spatial = grown
+
+    if not timed:  # with contracted, the first spatial entry has no contraction
+        dt = k + dt2
+        for xs, ds, w in spatial[1:] if contracted else spatial:
+            acc[_key(Monomial, (phase_m, phase_n, t_pow, xs, ds, dt))].append((base, w))
+        return
 
     # (t shift r, Dt power out, coefficient, weight); theta is 0 without a phase
-    if timed:
-        theta_pows = list(accumulate(repeat(_phase_theta(m2.phase_m, m2.phase_n), k), mul, initial=base))
-        time_choices = [(r, dt_left + dt2, tc, tw) for r, dt_left, power, tw in _time_block(k, a)
-                        if (tc := theta_pows[power])]
-    else:
-        time_choices = [(0, k + dt2, base, 1)]
-
-    phase_m = _phase(m1.phase_m + m2.phase_m)
-    phase_n = m1.phase_n + m2.phase_n
-    t_pow = m1.t_pow + a
-    pairs = product(spatial, time_choices)
-    if contracted:
-        next(pairs)  # first with first: no contraction
-    for (xs, ds, weight), (r, dt, tc, tw) in pairs:
-        acc[Monomial(phase_m, phase_n, t_pow - r, xs, ds, dt)].append((tc, weight * tw))
+    theta_pows = list(accumulate(repeat(_phase_theta(pm2, pn2), k), mul, initial=base))
+    time_choices = [(r, dt_left + dt2, tc, tw) for r, dt_left, power, tw in _time_block(k, a)
+                    if (tc := theta_pows[power])]
+    # with contracted, the first spatial entry skips the first time choice: no contraction
+    choices = time_choices[1:] if contracted else time_choices
+    for xs, ds, w in spatial:
+        for r, dt, tc, tw in choices:
+            acc[_key(Monomial, (phase_m, phase_n, t_pow - r, xs, ds, dt))].append((tc, w * tw))
+        choices = time_choices
 
 
 def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
@@ -484,7 +511,7 @@ def _monomial(head: str) -> Monomial:
     for fac in () if head == "1" else head.split("*"):
         m = _FACTOR_RX.fullmatch(fac)
         if not m:
-            raise ParseError(f"bad factor {fac!r} in {head!r}")
+            raise ParseError(f"bad factor {excerpt(fac)} in {excerpt(head)}")
         if m["pm"] is not None:
             pm, pn = parse_number(m["pm"]), parse_number(m["pn"])
         elif m["t"] is not None:
@@ -510,14 +537,14 @@ def parse_op(text: str) -> WeylOp:
     while pos < len(s) or not terms:
         m = _TERM_RX.match(s, pos)
         if not m:
-            raise ParseError(f"bad operator term: {s[pos:]!r}")
+            raise ParseError(f"bad operator term: {excerpt(s[pos:])}")
         mono = _monomial(m["head"])
         if mono in terms:
-            raise ParseError(f"repeated monomial in {m['term']!r}")
+            raise ParseError(f"repeated monomial in {excerpt(m['term'])}")
         terms[mono] = Coefficient.parse(m["one"] or m["sum"]), m["term"]
         pos = m.end()
     names = _coord_names(max(mono.arity for mono in terms))
     for mono, (c, term) in terms.items():
         if _term_text(mono, c, names) != term:
-            raise ParseError(f"operator term not in canonical form: {term!r}")
+            raise ParseError(f"operator term not in canonical form: {excerpt(term)}")
     return _op(WeylOp, {mono: c for mono, (c, _) in terms.items()})

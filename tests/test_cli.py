@@ -216,6 +216,15 @@ class TestExitCodes:
         check = next(c for c in json.loads(out)["checks"] if c["id"] == "roundtrip:osc:c")
         assert check["status"] == "fail" and check["details"].startswith("ValueError: ")
 
+    def test_long_golden_line_that_does_not_parse_keeps_its_details_short(self, tmp_path, capsys):
+        (tmp_path / "catalog.json").write_text(json.dumps({"osc:c": "a" * 10 ** 6, "osc:d": "x^1 * (1" + " " * 10 ** 6 + ")"}))
+        code, out, _ = run(["catalog", "--golden", str(tmp_path), "--format", "json"], capsys)
+        assert code == 1
+        for key in ("osc:c", "osc:d"):
+            check = next(c for c in json.loads(out)["checks"] if c["id"] == f"roundtrip:{key}")
+            assert check["status"] == "fail" and check["details"].startswith("ValueError: ")
+            assert len(check["details"]) < 300 and "characters)" in check["details"]
+
 
 class TestReports:
     def test_json_round_trip(self, capsys):

@@ -301,6 +301,19 @@ class TestCoefficient:
             with deadline(1), pytest.raises(ParseError):
                 parse_number(text)
 
+    @pytest.mark.parametrize("read, text", [(parse_number, "-" * 10 ** 6), (Coefficient.parse, "(1" + " " * 10 ** 6 + ")"),
+                                            (Coefficient.parse, " + ".join(f"(1)*g^{k}" for k in range(10 ** 5)))],
+                             ids=["numeral", "term", "order"])
+    def test_error_message_is_bounded(self, read, text):
+        """A message quotes a bounded excerpt of the text and its length."""
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert len(str(err.value)) < 300 and "characters)" in str(err.value)
+
+    def test_short_text_is_quoted_whole(self):
+        with pytest.raises(ParseError, match=r"^bad numeral: '1\.5'$"):
+            parse_number("1.5")
+
 
 # -- reference model: {(a, b): (re, im)} with Fraction parts, zeros dropped ----
 
@@ -465,6 +478,15 @@ class TestSummed:
         got = summed({"k": [(x, 6)], "neg": [(x, -3)], "one": [(x, 1)], "zero": [(Coefficient(), 1)]})
         assert got == {"k": x * 6, "neg": x * -3, "one": x}
         assert got["one"] is x
+        check_canonical(got["k"])
+        check_canonical(got["neg"])
+
+    def test_single_pair_over_denominator_one(self):
+        # integral storage: scaling needs no gcd, and -1 negates
+        x = Coefficient({(0, 0): 3, (1, 2): (-2, 5)})
+        got = summed({"k": [(x, 4)], "neg": [(x, -1)], "zero-weight": [(x, 0)]})
+        assert got == {"k": x + x + x + x, "neg": Coefficient() - x}
+        assert got["k"]._den == 1 and got["k"]._num == {(0, 0): (12, 0), (1, 2): (-8, 20)}
         check_canonical(got["k"])
         check_canonical(got["neg"])
 

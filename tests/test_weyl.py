@@ -317,6 +317,17 @@ class TestReader:
         with deadline(1), pytest.raises(ParseError):
             parse_op(text)
 
+    @pytest.mark.parametrize("text", ["a" * 10 ** 6, "x^1 * (1" + " " * 10 ** 6 + ")", "x^1*" + "Dq^1*" * 10 ** 5 + "x^1 * (1)",
+                                      "e[" + "-" * 10 ** 6 + ",0] * (1)", "x^1 * (" + "1" * 10 ** 6 + "q)",
+                                      "x^1 * (" + " + ".join(f"(1)*g^{k}" for k in range(1, 10 ** 5)) + ")",
+                                      "x^1 * (1) + x^1 * (" + "1" * 4000 + ")", "Dx^1*x^1 * (" + "1" * 4000 + ")"],
+                             ids=["letters", "spaces", "factors", "numeral", "coefficient", "order", "repeated", "canonical"])
+    def test_error_message_is_bounded(self, text):
+        """A message quotes a bounded excerpt of the text and its length, never the whole text."""
+        with pytest.raises(ParseError) as err:
+            parse_op(text)
+        assert len(str(err.value)) < 300 and "characters)" in str(err.value)
+
     def test_terms_in_any_order(self):
         op = parse_op("x^2 * (1/2) + Dx^2 * (-1/2)")
         assert print_op(op) == "Dx^2 * (-1/2) + x^2 * (1/2)"
@@ -630,6 +641,25 @@ class TestProductAgainstReference:
             assert_same_terms(anticommutator(a, b), _ref_sum(ab, ba, 1))
             collided += len(ab) < _ref_term_count(a, b)
         assert collided > 40
+
+    def test_kernel_edge_cases(self):
+        """Contractions that empty the trailing coordinates, operands of different
+        arity and contracted pairs with a Dt block, in both orders and both modes."""
+        XY, DXDY, Z, DZ = multiply(X, Y), multiply(DX, DY), WeylOp.coord(2), WeylOp.deriv(2)
+        timed = WeylOp({Monomial.make(F(1, 2), 1, 1, (1,)): Coefficient.monomial((F(2, 3), 1), 1, 0)})
+        pairs = [(DXDY, XY), (DY, Y), (DY.scale(F(3, 2)) + X, multiply(Y, Y) + DX),  # trailing zeros
+                 (DX, multiply(XY, DY)), (multiply(DXDY, DZ), Z), (DZ, X + Z),  # arities 1-3
+                 (multiply(DX, DT), timed), (multiply(multiply(DXDY, DT), DT), multiply(timed, XY))]
+        for a, b in pairs:
+            for left, right in ((a, b), (b, a)):
+                for contracted in (False, True):
+                    assert_same_terms(multiply(left, right, contracted=contracted),
+                                      ref_multiply(left, right, contracted))
+                assert_same_terms(commutator(left, right),
+                                  _ref_sum(ref_multiply(left, right, True), ref_multiply(right, left, True), -1))
+        # Dx Dy x y = x y Dx Dy + x Dx + y Dy + 1, and [Dy, y] = 1: the scalar key is the trimmed ()
+        assert dict(multiply(DXDY, XY).terms())[Monomial.make()] == Coefficient.of(1)
+        assert dict(commutator(DY, Y).terms()) == {Monomial(): Coefficient.of(1)}
 
     def test_a_cancelled_output_monomial_is_dropped(self):
         # (Dx + x)(Dx - x) = Dx^2 - x^2 - 1: the two x Dx terms cancel
