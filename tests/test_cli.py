@@ -116,6 +116,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("cutoffs", [[], ["--cutoff-a", "2", "--cutoff-b", "2"]])
+    def test_finite_coupling_that_overflows_k_is_one_error_line(self, cutoffs, capsys):
+        code, out, err = run(["spectrum", "--gamma-bar", "1e308", *cutoffs], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: coupling (1e+308+0j) takes K's truncated matrix past the float range\n", err
+
     @pytest.mark.parametrize("suite", ["spectrum", "modes"])
     def test_cutoff_zero_is_one_error_line(self, suite, capsys):
         code, out, err = run([suite, "--cutoff-a", "0"], capsys)
@@ -325,6 +331,21 @@ class TestReports:
         assert code == 0
         tri = [c for c in json.loads(out)["checks"] if c["id"].startswith("triangular:")]
         assert len(tri) == 4 and all(c["status"] == "pass" for c in tri)
+
+    def test_spectrum_reports_the_largest_entry_above_the_triangle(self, monkeypatch, capsys):
+        k_matrix = cli.fock.k_matrix
+        index = cli.fock.FockBasis(2, 2).index()
+
+        def upper(*args):  # entries from a b-number 0 ket to b-number 1 and 2 kets
+            m = k_matrix(*args)
+            m[index[(2, 0)], index[(0, 1)]] = 2.5j
+            m[index[(0, 0)], index[(1, 2)]] = -1.5
+            return m
+
+        monkeypatch.setattr(cli.fock, "k_matrix", upper)
+        _, out, _ = run(["spectrum", "--cutoff-a", "2", "--cutoff-b", "2", "--gamma-bar", "0.5"], capsys)
+        tri = [c for c in json.loads(out)["checks"] if c["id"].startswith("triangular:")]
+        assert [(c["status"], c["details"]) for c in tri] == [("fail", "off-triangle max 2.5e+00")]
 
     def test_symmetries_report_carries_generators(self, capsys):
         code, out, _ = run(["symmetries", "--omega", "1"], capsys)

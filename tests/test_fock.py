@@ -538,6 +538,13 @@ class TestKMatrixCache:
         with pytest.raises(FloatOverflow):
             k_matrix(10**400, 2, 2)
 
+    @pytest.mark.parametrize("gbar", [1e308, 1e308j, -1e308 + 1e308j])
+    def test_finite_coupling_past_the_float_range_is_typed(self, gbar):
+        # finite, but it takes an entry past 1.8e308; no warning escapes (warnings are errors here)
+        with pytest.raises(FloatOverflow, match="past the float range"):
+            k_matrix(gbar, 2, 2)
+        assert np.isfinite(k_matrix(1e300, 2, 2)).all()
+
     def test_mode_beyond_the_float_range_is_typed(self):
         with pytest.raises(FloatOverflow):
             k_matrix(1, 3, 3, (1, 10**400))
@@ -640,6 +647,104 @@ class TestResidualBound:
         with pytest.raises(CheckFailed):
             spectrum(self.ONES)
         assert norm2_calls == [(self.N, self.N)]
+
+
+def component_sets(matrix):
+    """The components of :func:`fock._components` as sorted index tuples."""
+    return sorted(tuple(row) for group in fock._components(matrix) for row in group.tolist())
+
+
+def eig_shapes(monkeypatch, perturb_call=None):
+    """Spy on np.linalg.eig: returns the list of shapes it is called on.  At call
+    number ``perturb_call``, whose input must be a stack, one entry of the last
+    block's eigenvectors is moved by 1e-3."""
+    shapes = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        vals, vecs = eig(a)
+        if len(shapes) == perturb_call:
+            vecs[-1, 0, 0] += 1e-3
+        shapes.append(np.shape(a))
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return shapes
+
+
+class TestBlockSpectrum:
+    """Random complex blocks of sizes 1, 1, 3, 3 and 5 on the diagonal, the second
+    1-block joined to the 5-block by one strictly lower entry, hidden by a random
+    permutation: four components, of sizes 1, 3, 3 and 6."""
+
+    SIZES = (1, 1, 3, 3, 5)
+    SHAPES = [(1, 1, 1), (2, 3, 3), (1, 6, 6)]  # the stacks, one eig call per size, ascending
+
+    @classmethod
+    def hidden(cls):
+        """(the permuted matrix, its components as sorted index tuples)."""
+        rng = np.random.default_rng(5)
+        n = sum(cls.SIZES)
+        m = np.zeros((n, n), dtype=complex)
+        parts, start = [], 0
+        for s in cls.SIZES:
+            m[start:start + s, start:start + s] = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+            parts.append(list(range(start, start + s)))
+            start += s
+        m[n - 1, 1] = 0.5 - 0.25j  # row n - 1 in the 5-block, column 1 the second 1-block
+        parts[-1] += parts.pop(1)
+        perm = rng.permutation(n)  # new index k holds old index perm[k]
+        where = np.argsort(perm)
+        return m[np.ix_(perm, perm)], sorted(tuple(sorted(where[p].tolist())) for p in parts)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_components_are_the_hidden_blocks(self, transpose):
+        m, parts = self.hidden()
+        assert component_sets(m.T if transpose else m) == parts
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_eigenvalues_equal_the_dense_solve(self, transpose, monkeypatch):
+        m, _ = self.hidden()
+        m = m.T if transpose else m
+        want = np.sort_complex(np.linalg.eigvals(m))
+        shapes = eig_shapes(monkeypatch)
+        res = spectrum(m)
+        assert shapes == self.SHAPES
+        assert np.abs(np.sort_complex(res.eigenvalues) - want).max() < 1e-9
+        assert res.max_residual < 1e-9 * np.linalg.norm(m, 2)
+
+    @pytest.mark.parametrize("call", [1, 2])  # a 1 x 1 block takes any vector
+    def test_perturbed_block_vectors_fail(self, call, monkeypatch):
+        m, _ = self.hidden()
+        shapes = eig_shapes(monkeypatch, perturb_call=call)
+        with pytest.raises(CheckFailed, match="eigen residual"):
+            spectrum(m)
+        assert len(shapes) == 3
+
+
+class TestKBlocks:
+    """K's coupling gbar (a + a+) b changes n + m by 0 or -2: at gbar != 0 the
+    components of its truncated matrix are the two parity classes of n + m,
+    at gbar = 0 the dim singletons."""
+
+    @pytest.mark.parametrize("na, nb, modes", [(12, 12, (1, 3)), (12, 12, (1, -3)), (9, 4, (1, 3)),
+                                               (4, 7, (1, -3)), (6, 1, (1, 3)), (1, 1, (1, 3))])
+    def test_components_are_the_parity_classes(self, na, nb, modes, monkeypatch):
+        states = FockBasis(na, nb, modes).states()
+        classes = [[i for i, (n, k) in enumerate(states) if (n + k) % 2 == p] for p in (0, 1)]
+        m = k_matrix(0.7 + 0.2j, na, nb, modes)
+        assert component_sets(m) == sorted(map(tuple, classes))
+        sizes = [len(c) for c in classes]  # 85 and 84 at cutoff 12: two eig calls
+        shapes = eig_shapes(monkeypatch)
+        spectrum(m)
+        assert shapes == [(sizes.count(s), s, s) for s in sorted(set(sizes))]
+
+    @pytest.mark.parametrize("na, nb, modes", [(12, 12, (1, 3)), (4, 7, (1, -3))])
+    def test_zero_coupling_makes_one_call(self, na, nb, modes, monkeypatch):
+        shapes = eig_shapes(monkeypatch)
+        res = spectrum(k_matrix(0, na, nb, modes))
+        dim = (na + 1) * (nb + 1)
+        assert shapes == [(dim, 1, 1)] and res.max_residual == 0.0
 
 
 def per_state_rows(gbar, na, nb, modes):
