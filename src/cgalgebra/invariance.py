@@ -20,6 +20,7 @@ from .errors import (DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClo
                      UnsupportedShape, ZeroDivisor)
 from .linalg import (
     Matrix,
+    Row,
     charpoly,
     eval_poly,
     gaussian_rational_roots,
@@ -30,7 +31,7 @@ from .linalg import (
 )
 from .realizations import CONTRACTION_POWERS, GeneratorTable, Realization
 from .ring import Coefficient, I, OMEGA
-from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply, similarity
+from .weyl import Monomial, WeylOp, coefficient_matrix, commutator, monomial_order, multiply, similarity
 
 Lambda = Tuple[Fraction, int]  # lam = m + n*w
 
@@ -316,23 +317,60 @@ def _monomials_up_to(arity: int, bound: int) -> List[tuple]:
             for rest in _monomials_up_to(arity - 1, bound - e)]
 
 
-def _singleton_sweep(rows: Matrix, ncols: int) -> Tuple[Matrix, List[int]]:
+def _phase_system(basis: Sequence[Monomial], brackets: Sequence[WeylOp], h: WeylOp,
+                  lam: Lambda) -> Tuple[List[Monomial], List[Row]]:
+    """The determining system [W, H] - lam W + i lam c H = 0 at one phase, by rows.
+
+    Column j < len(basis) belongs to basis[j]'s unknown and holds
+    [b_j, H] - lam b_j, read from the lam-independent bracket ``brackets[j]``
+    with its entry at b_j shifted by -lam (and dropped where that cancels);
+    the last column belongs to c and holds i lam H.  Returns the row
+    monomials in :func:`monomial_order` and each row's nonzero entries
+    {column: coefficient}: the rows and columns of
+    ``coefficient_matrix([[b_j, H] - lam b_j ..., i lam H])``.
+    """
+    rows: Dict[Monomial, Row] = {}
+    for j, bh in enumerate(brackets):
+        for mono, c in bh.terms():
+            rows.setdefault(mono, {})[j] = c
+    lam_c = _lambda_coeff(lam)
+    if lam_c:
+        for j, b in enumerate(basis):
+            row = rows.setdefault(b, {})
+            entry = row[j] - lam_c if j in row else -lam_c
+            if entry:
+                row[j] = entry
+            else:
+                del row[j]
+        i_lam = I * lam_c
+        for mono, c in h.terms():
+            rows.setdefault(mono, {})[len(basis)] = c * i_lam
+    order = monomial_order(mono for mono, row in rows.items() if row)
+    return order, [rows[mono] for mono in order]
+
+
+def _singleton_sweep(rows: Sequence[Row], ncols: int) -> Tuple[Matrix, List[int]]:
     """Iteratively force unknowns appearing alone in a homogeneous row to zero.
 
-    Returns the rows restricted to the live columns, those rows that keep a
-    nonzero entry, and the live column indices.
+    ``rows`` are maps {column: entry} of nonzero entries.  The forced set is
+    the least fixpoint of "a row whose support has one unforced column
+    forces it", so the order rows are read in does not change it.  Returns
+    the rows that keep a live column, in their order and restricted to the
+    live columns, and the live column indices.
     """
     forced: set = set()
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        singles: set = set()
         for row in rows:
-            live = [j for j, c in enumerate(row) if c and j not in forced]
+            live = row.keys() - forced
             if len(live) == 1:
-                forced.add(live[0])
-                changed = True
+                singles |= live
+        if not singles:
+            break
+        forced |= singles
     live_cols = [j for j in range(ncols) if j not in forced]
-    kept = [[row[j] for j in live_cols] for row in rows if any(row[j] for j in live_cols)]
+    zero = Coefficient()
+    kept = [[row.get(j, zero) for j in live_cols] for row in rows if row.keys() - forced]
     return kept, live_cols
 
 
@@ -366,7 +404,9 @@ def find_symmetries(omega_op: WeylOp,
     deformation families that specialize to the critical-frequency extras.
 
     The brackets [b, H] of the basis operators do not depend on lam and are
-    computed once.  Each generator's multiplier comes from
+    computed once; :func:`_phase_system` builds each phase's rows from them,
+    and the solve sweeps out the forced unknowns and takes the nullspace.
+    Each generator's multiplier comes from
     :func:`multiplier_division` of [Z, Omega] by Omega, which re-verifies
     [Z, Omega] = f Omega against the full operator product and raises
     :class:`NotInIdeal` where it fails.
@@ -379,23 +419,18 @@ def find_symmetries(omega_op: WeylOp,
 
     func_exps = _monomials_up_to(arity, coeff_degree_bound)
     deriv_exps = _monomials_up_to(arity, max(coeff_degree_bound - 1, 0))
-    basis_ops: List[WeylOp] = []
+    basis: List[Monomial] = []
     for i in range(arity):
         d = [0] * arity
         d[i] = 1
-        for mu in deriv_exps:
-            basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=tuple(d)): 1}))
-    for mu in func_exps:
-        basis_ops.append(WeylOp({Monomial.make(x_pows=mu, d_pows=(0,) * arity): 1}))
+        basis += [Monomial.make(x_pows=mu, d_pows=tuple(d)) for mu in deriv_exps]
+    basis += [Monomial.make(x_pows=mu, d_pows=(0,) * arity) for mu in func_exps]
 
-    brackets = [commutator(b, h) for b in basis_ops]  # independent of lam
-    unknowns = basis_ops + [WeylOp.dt()]  # c Dt's column is i lam c H
+    unknowns = [WeylOp({b: 1}) for b in basis] + [WeylOp.dt()]
+    brackets = [commutator(b, h) for b in unknowns[:-1]]  # independent of lam
     results: List[SymmetryResult] = []
     for lam in lams:
-        lam_c = _lambda_coeff(lam)
-        columns = [bh - b.scale(lam_c) for b, bh in zip(basis_ops, brackets)]
-        columns.append(h.scale(I * lam_c))
-        kept, live = _singleton_sweep(coefficient_matrix(columns)[1], len(columns))
+        kept, live = _singleton_sweep(_phase_system(basis, brackets, h, lam)[1], len(unknowns))
         for vec in nullspace(kept, ncols=len(live)):
             inner = WeylOp(term for j, c in zip(live, vec) for term in unknowns[j].scale(c).terms())
             gen = multiply(WeylOp.phase(lam[0], lam[1]), inner)

@@ -2,8 +2,10 @@
 
 Fraction-free (Montante/Bareiss style) elimination keeps every intermediate
 entry inside the ring, so nullspaces of matrices with polynomial entries
-come out exact; a row catches up to the current pivot only when a step next
-touches it, so the work follows the nonzeros, not rows times steps.
+come out exact.  A row is the map of its nonzero entries, and catches up to
+the current pivot only when a step next touches it, so the work follows the
+nonzeros, not rows times columns times steps; a row still at level ONE is
+never divided.
 Characteristic polynomials, and determinants as their constant terms,
 divide by integers only.  Division of ring elements only ever happens
 through :meth:`Coefficient.divide_exact`, which is guaranteed to succeed at
@@ -15,13 +17,29 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import isqrt, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ZeroPolynomial
+from .errors import UnsupportedShape, ZeroPolynomial
 from .ring import ONE, Coefficient
 
 Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
+Row = Dict[int, Coefficient]  # a row's nonzero entries by column
+
+
+def _width(m: Matrix) -> int:
+    """The common length of m's rows (0 for no rows); ragged rows raise :class:`UnsupportedShape`."""
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise UnsupportedShape(f"ragged input: lengths {sorted({len(row) for row in m})}")
+    return cols
+
+
+def _over(row: Row, lv: Coefficient) -> Row:
+    """The nonzero entries of row / lv; at level ONE no entry is divided."""
+    if lv == ONE:
+        return {j: x for j, x in row.items() if x}
+    return {j: x.divide_exact(lv) for j, x in row.items() if x}
 
 
 def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
@@ -29,20 +47,25 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
 
     Returns (reduced matrix, pivot column list, final pivot value d).  On
     exit every pivot entry equals d and every other entry in a pivot column
-    is zero; the nullspace can be read off without any division.
+    is zero; the nullspace can be read off without any division.  Rows of
+    different lengths raise :class:`UnsupportedShape`.
 
-    Bareiss's step takes each other row to (piv row - fac pivot_row) / prev,
-    a bare rescale by piv / prev where fac = 0.  That rescale is deferred:
-    level[i] is the pivot value row i was last scaled to, and the factors
-    piv_k / piv_{k-1} of the steps it sits out telescope to prev / level[i].
-    So the pivot row catches up as row prev / level, an eliminated row
-    becomes (piv row - fac pivot_row) / level, and a closing pass lifts only
-    the rows whose level is not d.  Every division is exact, as its quotient
-    is the entry the eager update would hold, and the result is the same.
+    Each row is held as the map {column: entry} of its nonzero entries, so
+    a step reads and writes nonzeros only; the pivot is the candidate row
+    with the fewest nonzeros (ties to the first).  Bareiss's step takes
+    each other row to (piv row - fac pivot_row) / prev, a bare rescale by
+    piv / prev where fac = 0.  That rescale is deferred: level[i] is the
+    pivot value row i was last scaled to, and the factors piv_k / piv_{k-1}
+    of the steps it sits out telescope to prev / level[i].  So the pivot
+    row catches up as row prev / level, an eliminated row becomes
+    (piv row - fac pivot_row) / level, and a closing pass lifts only the
+    rows whose level is not d.  A row still at level ONE is not divided.
+    Every division is exact, as its quotient is the entry the eager update
+    would hold, and the result is the same.
     """
-    a = [row[:] for row in m]
+    cols = _width(m)
+    a: List[Row] = [{j: x for j, x in enumerate(row) if x} for row in m]
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     level = [ONE] * rows
     pivots: List[int] = []
     prev = ONE
@@ -50,25 +73,25 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
     for c in range(cols):
         if r >= rows:
             break
-        # the sparsest candidate row is the pivot (ties to the first)
-        cand = [(sum(1 for x in a[i] if x), i) for i in range(r, rows) if a[i][c]]
+        cand = [(len(a[i]), i) for i in range(r, rows) if c in a[i]]
         if not cand:
             continue
         i = min(cand)[1]
         a[r], a[i], level[r], level[i] = a[i], a[r], level[i], level[r]
         if level[r] != prev:
-            a[r] = [(x * prev).divide_exact(level[r]) if x else x for x in a[r]]
+            a[r] = _over({j: x * prev for j, x in a[r].items()}, level[r])
         prow, piv = a[r], a[r][c]
         for i in range(rows):
-            fac = a[i][c]
-            if i == r or not fac:
+            row = a[i]
+            if i == r or c not in row:
                 continue
-            row, lv = a[i], level[i]
-            for j in range(cols):
-                x, y = row[j], prow[j]
-                if x or y:  # x*piv - fac*y, with no product of a zero
-                    num = (x * piv if x else x) - (fac * y if y else y)
-                    row[j] = num.divide_exact(lv) if num else Coefficient()
+            # x*piv - fac*y over both supports, where column c cancels
+            fac = row[c]
+            num = {j: x * piv for j, x in row.items() if j != c}
+            for j, y in prow.items():
+                if j != c:
+                    num[j] = num[j] - fac * y if j in num else -(fac * y)
+            a[i] = _over(num, level[i])
             level[i] = piv
         level[r] = piv
         pivots.append(c)
@@ -76,8 +99,9 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
         r += 1
     for i in range(rows):
         if level[i] != prev:
-            a[i] = [(x * prev).divide_exact(level[i]) if x else x for x in a[i]]
-    return a, pivots, prev
+            a[i] = _over({j: x * prev for j, x in a[i].items()}, level[i])
+    zero = Coefficient()
+    return [[row.get(j, zero) for j in range(cols)] for row in a], pivots, prev
 
 
 def nullspace(m: Matrix, ncols: Optional[int] = None) -> List[Vector]:
@@ -140,12 +164,13 @@ def solve_in_span(columns: List[Vector], target: Vector) -> Optional[Vector]:
 
     Free unknowns are zero.  The solution must live in the ring; a genuinely
     fractional one raises :class:`NotDivisible` from the exact division.
+    Columns, or the target, of different lengths raise :class:`UnsupportedShape`.
     """
     if not columns:
         return [] if all(c.is_zero() for c in target) else None
-    rows = len(columns[0])
+    _width([*columns, target])
     ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    aug = [list(row) for row in zip(*columns, target)]
     red, pivots, d = rref_fraction_free(aug)
     if ncols in pivots:
         return None  # pivot in the target column: inconsistent

@@ -427,6 +427,14 @@ def ad_series(s: WeylOp, a: WeylOp, max_depth: int = 64) -> tuple:
         f"ad-series did not terminate within {max_depth} steps", residual=term)
 
 
+def monomial_order(monos: Iterable[Monomial]) -> list:
+    """The monomials sorted by :meth:`Monomial.sort_key` at their largest arity:
+    the row order of :func:`coefficient_matrix`."""
+    monos = list(monos)
+    arity = max((m.arity for m in monos), default=0)
+    return sorted(monos, key=lambda m: m.sort_key(arity))
+
+
 def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tuple:
     """(rows, matrix) with column j the coefficients of ops[j] on the row monomials.
 
@@ -436,8 +444,7 @@ def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tu
     """
     ops = list(ops)
     if rows is None:
-        arity = max((op.arity for op in ops), default=0)
-        rows = sorted({m for op in ops for m in op._terms}, key=lambda m: m.sort_key(arity))
+        rows = monomial_order({m for op in ops for m in op._terms})
     zero = Coefficient()
     return rows, [[op._terms.get(m, zero) for op in ops] for m in rows]
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -9,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from cgalgebra import invariance, linalg
+from cgalgebra import cli, invariance, linalg
 from cgalgebra.errors import (DegenerateModes, NonTerminatingSeries, NotClosed, NotDivisible, NotInIdeal, NonQuadratic,
                               SingularLimit, UnsupportedShape)
-from cgalgebra.ring import Coefficient, GAMMA, GAMMA_INV, I
-from cgalgebra.weyl import Monomial, WeylOp, commutator, multiply, parse_op, print_op, similarity
+from cgalgebra.ring import Coefficient, GAMMA, GAMMA_INV, I, OMEGA
+from cgalgebra.weyl import Monomial, WeylOp, coefficient_matrix, commutator, multiply, parse_op, print_op, similarity
 from cgalgebra.realizations import (
     Realization,
     cga32_table,
@@ -462,6 +464,128 @@ class TestFindSymmetries:
             res = find_symmetries(gen_osc(p), lam_set=[2, -2], coeff_degree_bound=2)
             assert {r.lam for r in res} == {(F(2), 0), (F(-2), 0)}
             assert all(any(m.dt_pow for m, _ in r.generator.terms()) for r in res)
+
+
+C = Coefficient.of
+
+# the five suite runs that call find_symmetries, and the phases each one scans
+FINDER_RUNS = {"symmetries-generic": (["symmetries", "--omega", "generic"], 7),
+               "symmetries-1": (["symmetries", "--omega", "1"], 5),
+               "symmetries-3": (["symmetries", "--omega", "3"], 11),
+               "general-l-3_2": (["general-l", "--ell", "3/2"], 2),
+               "general-l-5_2": (["general-l", "--ell", "5/2"], 4)}
+
+
+@pytest.fixture(scope="module")
+def finder_systems():
+    """Per run of FINDER_RUNS: the arguments of each ``_phase_system`` call, and
+    a copy of the rows and the width of each ``_singleton_sweep`` call."""
+    build, sweep = invariance._phase_system, invariance._singleton_sweep
+    out = {}
+    for name, (argv, _) in FINDER_RUNS.items():
+        builds, sweeps = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(invariance, "_phase_system", lambda *args: builds.append(args) or build(*args))
+            patch.setattr(invariance, "_singleton_sweep",
+                          lambda rows, n: sweeps.append(([dict(row) for row in rows], n)) or sweep(rows, n))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+        out[name] = builds, sweeps
+    return out
+
+
+def dense(rows, ncols):
+    """Maps {column: entry} as dense rows ``ncols`` wide."""
+    return [[row.get(j, Coefficient()) for j in range(ncols)] for row in rows]
+
+
+class TestPhaseSystem:
+    @pytest.mark.parametrize("run", FINDER_RUNS)
+    def test_matches_the_coefficient_matrix_of_the_operator_columns(self, run, finder_systems):
+        """Every phase the run scans: the rows and entries of coefficient_matrix of
+        the columns [b, H] - lam b and i lam H, built by operator arithmetic."""
+        builds, _ = finder_systems[run]
+        assert len(builds) == FINDER_RUNS[run][1]
+        for basis, brackets, h, lam in builds:
+            lam_c = Coefficient.of(lam[0]) + OMEGA * lam[1]
+            columns = [bh - WeylOp({b: 1}).scale(lam_c) for b, bh in zip(basis, brackets)]
+            columns.append(h.scale(I * lam_c))
+            rows, matrix = coefficient_matrix(columns)
+            got_rows, got = invariance._phase_system(basis, brackets, h, lam)
+            assert got_rows == rows
+            assert all(all(got_row.values()) for got_row in got)
+            assert dense(got, len(columns)) == matrix
+
+    def test_the_shift_cancels_at_y_and_minus_w(self, finder_systems):
+        """[y, H] has the entry -w at y, and no other column reaches y: so at lam = -w
+        row y drops out, and at lam = w it holds -2w in column y alone."""
+        builds = {b[3]: b for b in finder_systems["symmetries-generic"][0]}
+        basis, brackets, h, _ = builds[(0, -1)]
+        y = Monomial.make(x_pows=(0, 1))
+        j = basis.index(y)
+        assert brackets[j].coefficient(y) == -OMEGA
+        assert y not in invariance._phase_system(basis, brackets, h, (F(0), -1))[0]
+        rows, got = invariance._phase_system(basis, brackets, h, (F(0), 1))
+        assert got[rows.index(y)] == {j: OMEGA * -2}
+
+
+def dense_singleton_sweep(rows, ncols):
+    """The sweep over dense rows, re-reading every entry until nothing changes:
+    the reference for ``_singleton_sweep``."""
+    forced = set()
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            live = [j for j, c in enumerate(row) if c and j not in forced]
+            if len(live) == 1:
+                forced.add(live[0])
+                changed = True
+    live_cols = [j for j in range(ncols) if j not in forced]
+    kept = [[row[j] for j in live_cols] for row in rows if any(row[j] for j in live_cols)]
+    return kept, live_cols
+
+
+def cascade_rows(rng, ncols, chain):
+    """Sparse random rows ``ncols`` wide over a random subset of the columns (so
+    some columns are zero), with two zero rows and a cascade put in: one row
+    holds column p0 alone and row k holds p(k-1) and pk, so forcing p(k-1)
+    leaves pk alone in row k."""
+    cols = rng.sample(range(ncols), ncols - 2)
+    p = cols[:chain]
+    rows = [{j: C(rng.choice((-2, -1, 1, 2, 3))) for j in rng.sample(cols, rng.randint(2, min(4, len(cols))))}
+            for _ in range(rng.randint(2, 6))]
+    rows += [{p[0]: C(1)}] + [{p[k - 1]: C(2), p[k]: C(-1)} for k in range(1, chain)] + [{}, {}]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestSingletonSweep:
+    def test_matches_the_dense_sweep_on_random_cascades(self):
+        rng = random.Random(34)
+        for _ in range(200):
+            ncols, chain = rng.randint(6, 12), rng.randint(1, 4)
+            rows = cascade_rows(rng, ncols, chain)
+            kept, live = invariance._singleton_sweep(rows, ncols)
+            assert (kept, live) == dense_singleton_sweep(dense(rows, ncols), ncols)
+            assert len(live) <= ncols - chain
+            # the forced set is a fixpoint, whatever the order the rows are read in
+            assert invariance._singleton_sweep(rng.sample(rows, len(rows)), ncols)[1] == live
+
+    def test_zero_rows_and_columns(self):
+        """Row 3 forces column 3; columns 0 and 2 are zero, so they stay live."""
+        rows = [{}, {1: C(1), 3: C(2), 4: C(1)}, {}, {3: GAMMA}]
+        zero = Coefficient()
+        assert invariance._singleton_sweep(rows, 5) == ([[zero, C(1), zero, C(1)]], [0, 1, 2, 4])
+        assert invariance._singleton_sweep([{}, {}], 3) == ([], [0, 1, 2])
+        assert invariance._singleton_sweep([], 2) == ([], [0, 1])
+
+    @pytest.mark.parametrize("run", FINDER_RUNS)
+    def test_matches_the_dense_sweep_on_the_suites_systems(self, run, finder_systems):
+        _, sweeps = finder_systems[run]
+        assert len(sweeps) == FINDER_RUNS[run][1]
+        for rows, ncols in sweeps:
+            assert invariance._singleton_sweep(rows, ncols) == dense_singleton_sweep(dense(rows, ncols), ncols)
 
 
 class TestCloseAlgebra:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cgalgebra import cli, invariance, linalg
-from cgalgebra.errors import AlgebraError, ZeroPolynomial
+from cgalgebra.errors import AlgebraError, UnsupportedShape, ZeroPolynomial
 from cgalgebra.linalg import (
     charpoly,
     det,
@@ -210,7 +210,9 @@ class TestDeferredScaling:
     # symmetries at w = 1 ends with the 24 x 39 closure system (82 nonzeros);
     # general-l at 5/2 solves systems of up to 18 x 17
     @pytest.mark.parametrize("argv, count", [(["symmetries", "--omega", "1"], 6),
-                                             (["general-l", "--ell", "5/2"], 4)])
+                                             (["general-l", "--ell", "5/2"], 4),
+                                             (["symmetries", "--omega", "generic"], 7),
+                                             (["symmetries", "--omega", "3"], 12)])
     def test_the_suites_eliminations_match_the_dense_update(self, argv, count, monkeypatch, capsys):
         inputs = []
         eliminate = linalg.rref_fraction_free
@@ -253,6 +255,50 @@ class TestDeferredScaling:
         assert red == [[d, C(0), C(0), GAMMA * I * 15],
                        [C(0), d, C(0), OMEGA * I * 10],
                        [C(0), C(0), d, C(6)]]
+
+    def test_no_row_at_level_one_is_divided(self, monkeypatch):
+        """Rows not yet touched by a step, and rows pivoted or eliminated while
+        the pivot is ONE, are multiplied only: no division has ONE as divisor."""
+        divisors = []
+        divide = Coefficient.divide_exact
+        monkeypatch.setattr(Coefficient, "divide_exact", lambda x, y: divisors.append(y) or divide(x, y))
+        m = [[C(1), C(2), C(0), C(1)],
+             [C(3), C(0), C(1), C(0)],
+             [C(0), C(1), C(2), GAMMA],
+             [C(2), C(0), C(0), OMEGA]]
+        red, pivots, d = linalg.rref_fraction_free(m)
+        monkeypatch.undo()
+        assert (red, pivots, d) == dense_rref(m)
+        assert divisors and C(1) not in divisors
+
+    def test_pivot_ties_go_to_the_first_row(self):
+        """Both rows of [[1, 1], [2, 1]] have two nonzeros: row 0 pivots, so d is
+        1 * 1 - 2 * 1 = -1; pivoting on row 1 would give 2 * 1 - 1 * 1 = 1."""
+        red, pivots, d = linalg.rref_fraction_free([[C(1), C(1)], [C(2), C(1)]])
+        assert (red, pivots, d) == ([[C(-1), C(0)], [C(0), C(-1)]], [0, 1], C(-1))
+
+
+RAGGED = [[[C(1), C(2)], [C(3)]], [[C(1)], [C(3), C(4)]]]
+
+
+class TestRaggedInput:
+    """Rows (or columns) of different lengths are refused, never read short or cut."""
+
+    @pytest.mark.parametrize("m", RAGGED)
+    @pytest.mark.parametrize("routine", [linalg.rref_fraction_free, nullspace, rank])
+    def test_ragged_rows_are_typed(self, routine, m):
+        with pytest.raises(UnsupportedShape, match=r"ragged input: lengths \[1, 2\]"):
+            routine(m)
+
+    @pytest.mark.parametrize("columns", RAGGED)
+    def test_ragged_columns_are_typed(self, columns):
+        with pytest.raises(UnsupportedShape, match=r"ragged input: lengths \[1, 2\]"):
+            solve_in_span(columns, [C(1)] * len(columns[0]))
+
+    @pytest.mark.parametrize("target", [[C(1)], [C(1), C(2), C(3)]])
+    def test_a_target_of_another_length_is_typed(self, target):
+        with pytest.raises(UnsupportedShape, match="ragged input"):
+            solve_in_span([[C(1), C(0)], [C(0), C(1)]], target)
 
 
 class TestSolveAndRank:
