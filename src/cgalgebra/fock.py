@@ -64,6 +64,12 @@ def _gbar_coeff(gbar: GbarLike) -> Coefficient:
     return Coefficient.of(gbar)
 
 
+def _gamma_arg(gbar: GbarLike) -> Optional[Coefficient]:
+    """The ``gamma`` to substitute for gbar into a formal-coupling operator: None leaves
+    the coupling formal, so the substitution returns the operator as it is."""
+    return None if gbar is None else _gbar_coeff(gbar)
+
+
 # ---------------------------------------------------------------------------
 # ladder algebra: the Weyl algebra under the Bargmann map
 # ---------------------------------------------------------------------------
@@ -131,7 +137,7 @@ def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
 def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
     it commutes with K(gbar), and is the total number operator at zero coupling."""
-    return _decoupling(tuple(modes))[1].substitute(gamma=_gbar_coeff(gbar))
+    return _decoupling(tuple(modes))[1].substitute(gamma=_gamma_arg(gbar))
 
 
 def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
@@ -140,7 +146,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
     E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
     the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    out, depth = ad_series(-_decoupling(tuple(modes))[0].substitute(gamma=_gbar_coeff(gbar)),
+    out, depth = ad_series(-_decoupling(tuple(modes))[0].substitute(gamma=_gamma_arg(gbar)),
                            k_ladder(0, modes), 16)
     return out == k_ladder(gbar, modes), depth
 
@@ -181,7 +187,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     raises :class:`DegenerateModes` if eigenvalues collide (m1 or m2 zero, or
     m1 = +-m2).
     """
-    g = _gbar_coeff(gbar)
+    g = _gamma_arg(gbar)
     return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(tuple(modes))}
 
 

@@ -105,8 +105,11 @@ def rref_fraction_free(m: Matrix) -> Tuple[Matrix, List[int], Coefficient]:
 
 
 def nullspace(m: Matrix, ncols: Optional[int] = None) -> List[Vector]:
-    """Basis of {v : m v = 0}, denominator-free; a matrix with no rows is ``ncols`` wide."""
+    """Basis of {v : m v = 0}, denominator-free; a matrix with no rows is ``ncols`` wide,
+    and rows of another width than a given ``ncols`` raise :class:`UnsupportedShape`."""
     cols = len(m[0]) if m else ncols or 0
+    if ncols is not None and ncols != cols:
+        raise UnsupportedShape(f"rows {cols} wide, where ncols is {ncols}")
     red, pivots, d = rref_fraction_free(m)
     piv_of_col = {c: i for i, c in enumerate(pivots)}
     free_cols = [c for c in range(cols) if c not in piv_of_col]

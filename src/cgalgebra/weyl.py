@@ -19,7 +19,8 @@ Coordinate and derivative powers are never negative.
 A constructor, sum, difference, ad-series or product collects a ring
 coefficient and an int weight for each term it finds, per output monomial,
 and one :func:`~cgalgebra.ring.summed` call adds each monomial's terms into
-one canonical Coefficient, or drops the monomial if they cancel.  A product
+one canonical Coefficient, or drops the monomial if they cancel; so do the
+commutator and anticommutator, both orders into one ``summed`` call.  A product
 works out the normal-ordering combinatorics only, taking its integer weights
 from two tables keyed by exponents (spatial contractions and the Dt block).
 Per pair of monomials it grows the spatial terms one contraction at a time,
@@ -378,26 +379,38 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
         choices = time_choices
 
 
-def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False) -> WeylOp:
+def multiply(a: WeylOp, b: WeylOp, *, contracted: bool = False,
+             into: Optional[dict] = None) -> Optional[WeylOp]:
     """Normal-ordered associative product a*b, of the class of a.
 
     With ``contracted`` only the terms with at least one contraction: a*b
-    less the commutative product of the symbols.
+    less the commutative product of the symbols.  With ``into``, a
+    ``defaultdict(list)`` in :func:`~cgalgebra.ring.summed`'s input format, the
+    product's (coefficient, int weight) pairs are appended to it, to be summed
+    by the caller, and the result is None.
     """
-    acc = defaultdict(list)
+    acc = defaultdict(list) if into is None else into
     for m1, c1 in a.terms():
         for m2, c2 in b.terms():
             _mono_mul(m1, c1, m2, c2, acc, contracted)
-    return _op(type(a), summed(acc))
+    return _op(type(a), summed(acc)) if into is None else None
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    """[a, b] = ab - ba, of the class of a, from the contracted terms of each order."""
-    return multiply(a, b, contracted=True) - multiply(b, a, contracted=True)
+    """[a, b] = ab - ba, of the class of a: the contracted terms of ab and of (-b)a
+    go into one accumulator, and one ``summed`` call adds them."""
+    acc = defaultdict(list)
+    multiply(a, b, contracted=True, into=acc)
+    multiply(-b, a, contracted=True, into=acc)
+    return _op(type(a), summed(acc))
 
 
 def anticommutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return multiply(a, b) + multiply(b, a)
+    """ab + ba, of the class of a, both orders summed in one ``summed`` call."""
+    acc = defaultdict(list)
+    multiply(a, b, into=acc)
+    multiply(b, a, into=acc)
+    return _op(type(a), summed(acc))
 
 
 def similarity(s: WeylOp, a: WeylOp, max_depth: int = 64) -> WeylOp:

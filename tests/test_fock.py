@@ -410,6 +410,19 @@ class TestModeSolverOracle:
         eigenstate_matrix(F(1, 2), 6, 6, (1, -3))
         assert len(calls) == 1
 
+    def test_a_formal_coupling_substitutes_nothing(self, monkeypatch):
+        """With gbar None the formal operators come back with no g -> g substitution;
+        an explicit formal g substitutes, and gives the same operators."""
+        formal = mode_solver(None), n_ladder(None), kgamma_decoupling_check(None)  # builds the caches
+        calls = []
+        real = Coefficient.substitute
+        monkeypatch.setattr(Coefficient, "substitute", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        got = mode_solver(None), n_ladder(None), kgamma_decoupling_check(None)
+        assert calls == []
+        assert got == formal == (mode_solver(GAMMA), n_ladder(GAMMA), kgamma_decoupling_check(GAMMA))
+        assert calls
+        assert all(type(op) is LadderOp for op in [*got[0].values(), got[1]])
+
     def test_returned_modes_do_not_reach_the_cache(self):
         for gbar in (F(1, 2), None):
             first = mode_solver(gbar)

@@ -248,6 +248,30 @@ def test_the_elimination_check_sees_every_form(tmp_path):
     assert elimination_reads(probe) == [(3, ""), (6, "C.f"), (8, "g")]
 
 
+def accumulator_passes(path: Path) -> list:
+    """(line, scope) of each call that passes ``into=``, whatever it calls."""
+    return [(node.lineno, scope) for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Call) and any(kw.arg == "into" for kw in node.keywords)]
+
+
+def test_only_the_brackets_pass_an_accumulator():
+    """``multiply(..., into=acc)`` leaves the summing to its caller: only the
+    commutator and anticommutator in ``weyl`` sum both orders of a product at once."""
+    found = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for _, scope in accumulator_passes(path)]
+    assert found == [("weyl.py", "commutator")] * 2 + [("weyl.py", "anticommutator")] * 2
+
+
+def test_the_accumulator_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import weyl\nfrom .weyl import multiply\n"
+                     "multiply(a, b, into=acc)\n"
+                     "class C:\n    def f(self):\n        return weyl.multiply(a, b, contracted=True, into={})\n"
+                     "def g(ops, acc):\n    mul = multiply\n    return [mul(x, y, into=acc) for x, y in ops]\n"
+                     "multiply(a, b, contracted=True)\n")
+    assert accumulator_passes(probe) == [(3, ""), (6, "C.f"), (9, "g")]
+
+
 MEMOS = ("cache", "lru_cache")
 
 

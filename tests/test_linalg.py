@@ -290,6 +290,15 @@ class TestRaggedInput:
         with pytest.raises(UnsupportedShape, match=r"ragged input: lengths \[1, 2\]"):
             routine(m)
 
+    @pytest.mark.parametrize("ncols", [0, 1, 5])
+    def test_rows_of_another_width_than_ncols_are_typed(self, ncols):
+        with pytest.raises(UnsupportedShape, match=f"rows 2 wide, where ncols is {ncols}"):
+            nullspace([[C(1), C(2)]], ncols=ncols)
+
+    def test_ncols_matching_the_rows_or_sizing_no_rows(self):
+        assert nullspace([[C(1), C(2)]], ncols=2) == nullspace([[C(1), C(2)]]) == [[C(1), C(F(-1, 2))]]
+        assert nullspace([], ncols=2) == [[C(1), C(0)], [C(0), C(1)]]
+
     @pytest.mark.parametrize("columns", RAGGED)
     def test_ragged_columns_are_typed(self, columns):
         with pytest.raises(UnsupportedShape, match=r"ragged input: lengths \[1, 2\]"):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product, zip_longest
 from math import comb, factorial
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from cgalgebra import weyl
 from cgalgebra.errors import AlgebraError, ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
 from cgalgebra.fock import LadderOp
 from cgalgebra.realizations import h0_op, realization_osc
-from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA
+from cgalgebra.ring import Coefficient, GAMMA, I, OMEGA, summed
 from cgalgebra.weyl import (
     Monomial,
     WeylOp,
@@ -131,6 +133,42 @@ class TestProduct:
 
     def test_anticommutator(self):
         assert anticommutator(DX, X) == multiply(X, DX).scale(2) + WeylOp.one()
+
+    @pytest.mark.parametrize("bracket, contracted", [(commutator, True), (anticommutator, False)])
+    def test_a_bracket_is_two_products_into_one_sum(self, bracket, contracted, monkeypatch):
+        """Both orders append to one accumulator, and one ``summed`` call adds it."""
+        a, b = rand_op(random.Random(5)), rand_op(random.Random(6))
+        want = bracket(a, b)
+        products, sums = [], []
+
+        def spy_multiply(x, y, **kw):
+            products.append(kw)
+            return multiply(x, y, **kw)
+
+        monkeypatch.setattr(weyl, "multiply", spy_multiply)
+        monkeypatch.setattr(weyl, "summed", lambda acc: sums.append(acc) or summed(acc))
+        assert bracket(a, b) == want
+        assert [kw.get("contracted", False) for kw in products] == [contracted] * 2
+        assert products[0]["into"] is products[1]["into"] is sums[0] and len(sums) == 1
+
+    def test_a_product_into_an_accumulator(self):
+        """``into`` takes the (coefficient, weight) pairs that ``summed`` adds to the product;
+        it adds to what the accumulator holds already, and the call returns None."""
+        rng = random.Random(42)  # the triples of the associativity and Jacobi test
+        for _ in range(100):
+            a, b, c = rand_op(rng), rand_op(rng), rand_op(rng)
+            for contracted in (False, True):
+                acc = defaultdict(list)
+                assert multiply(a, b, contracted=contracted, into=acc) is None
+                assert summed(acc) == dict(multiply(a, b, contracted=contracted).terms())
+                multiply(a, c, contracted=contracted, into=acc)
+                assert summed(acc) == dict(multiply(a, b + c, contracted=contracted).terms())
+
+    def test_ladder_brackets_stay_ladder_operators(self):
+        a, adag = LadderOp({Monomial.make(d_pows=(1,)): 1}), LadderOp({Monomial.make(x_pows=(1,)): 1})
+        com, anti = commutator(a, adag), anticommutator(a, adag)
+        assert type(com) is LadderOp and com == WeylOp.one()
+        assert type(anti) is LadderOp and anti == multiply(adag, a).scale(2) + WeylOp.one()
 
     @pytest.mark.parametrize("k", [-1, 1.5, F(2)])
     def test_power_outside_the_naturals_is_typed(self, k):
