@@ -292,18 +292,12 @@ def suite_spectrum(opts) -> Report:
     w1, w2 = (complex(Coefficient.of(x)).real for x in modes)  # FloatOverflow beyond the float range
     expect = np.sort([w1 * n + w2 * m + 0.5 for n in range(na + 1) for m in range(nb + 1)])
     couplings = [complex(opts.gamma_bar)] if opts.gamma_bar is not None else [0.0, 0.3, 0.7 + 0.2j, 2.0]
-    # every coupling term of K contains b, so K is strictly lower triangular
-    # once the basis is ordered by the b-number m (stably, keeping energy order);
-    # rank[i] is state i's position in that order
-    by_b = np.argsort([m for _, m in fock.FockBasis(na, nb, modes).states()], kind="stable")
-    rank = np.empty_like(by_b)
-    rank[by_b] = np.arange(len(by_b))
     base = None
     csv_rows = []
     for g in couplings:
         m = fock.k_matrix(g, na, nb, modes)
         rows, cols = np.nonzero(m)
-        above = rank[rows] < rank[cols]
+        above = rows < cols
         tri = float(np.abs(m[rows[above], cols[above]]).max(initial=0.0))
         rep.check(f"triangular:g={g}", tri == 0.0, details=f"off-triangle max {tri:.1e}")
         res = fock.spectrum(m)

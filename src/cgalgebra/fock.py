@@ -12,17 +12,16 @@ formal deformation slot of the scalar ring carries the coupling ``gbar``
 when it is kept symbolic; the decoupling map E of K, and with it the modes
 of ad_K (the images e^{-E} w e^{E} of the linear words w), are derived once
 per mode pair with it formal, then specialized to each coupling.  Numerical
-work uses complex matrices on the truncated basis |n, m> ordered by energy,
-diagonalized block by block over the connected components of their nonzero
-entries (for K, the two parity classes of n + m).
+work uses complex matrices on the truncated basis |n, m> ordered by the
+b-number m, then n, diagonalized block by block over the connected components
+of their nonzero entries (for K, the two parity classes of n + m).
 
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
 orthonormal.  Matrix entry [i, j] of an operator is the amplitude of basis
 state j in Op|basis_i> (rows index input states).  Every coupling term of
-the number-like operator K contains b, so K is exactly lower triangular once
-the basis is ordered by the b-number m; in the energy order that holds only
-when |m2| > |m1|.
+the number-like operator K contains b and lowers m, so K's matrix is lower
+triangular in the basis order, zero above the diagonal, at every mode pair.
 """
 
 from __future__ import annotations
@@ -118,10 +117,20 @@ class LadderOp(WeylOp):
 # the coupled number-like operators
 # ---------------------------------------------------------------------------
 
+def _pair(modes) -> tuple:
+    """(m1, m2) from ``modes``, also the key of the per-mode-pair caches; anything
+    that is not a pair raises :class:`UnsupportedShape`."""
+    try:
+        m1, m2 = modes
+    except (TypeError, ValueError):
+        raise UnsupportedShape(f"modes must be a pair (m1, m2), got {modes!r}") from None
+    return m1, m2
+
+
 def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
     g = _gbar_coeff(gbar)
-    m1, m2 = modes
+    m1, m2 = _pair(modes)
     out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): Fraction(1, 2)})
     coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
     return out + coupling
@@ -137,7 +146,7 @@ def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
 def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
     it commutes with K(gbar), and is the total number operator at zero coupling."""
-    return _decoupling(tuple(modes))[1].substitute(gamma=_gamma_arg(gbar))
+    return _decoupling(_pair(modes))[1].substitute(gamma=_gamma_arg(gbar))
 
 
 def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
@@ -146,7 +155,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
     E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
     the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    out, depth = ad_series(-_decoupling(tuple(modes))[0].substitute(gamma=_gamma_arg(gbar)),
+    out, depth = ad_series(-_decoupling(_pair(modes))[0].substitute(gamma=_gamma_arg(gbar)),
                            k_ladder(0, modes), 16)
     return out == k_ladder(gbar, modes), depth
 
@@ -188,7 +197,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     m1 = +-m2).
     """
     g = _gamma_arg(gbar)
-    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(tuple(modes))}
+    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(_pair(modes))}
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +206,28 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
 
 @dataclass
 class FockBasis:
-    """Energy-ordered truncated basis |n, m>, n <= na, m <= nb."""
+    """Truncated basis |n, m>, n <= na, m <= nb, ordered by the b-number m, then n."""
 
     na: int
     nb: int
-    modes: Tuple[int, int] = (1, 3)
 
     def states(self) -> List[Tuple[int, int]]:
-        m1, m2 = self.modes
-        sts = [(n, m) for n in range(self.na + 1) for m in range(self.nb + 1)]
-        sts.sort(key=lambda nm: (m1 * nm[0] + m2 * nm[1], nm[0]))
-        return sts
+        return [(n, m) for m in range(self.nb + 1) for n in range(self.na + 1)]
 
     def index(self) -> Dict[Tuple[int, int], int]:
         return {nm: i for i, nm in enumerate(self.states())}
+
+
+def _cutoffs(na, nb) -> Tuple[int, int]:
+    """(na, nb) as ints: cutoffs that are not integers raise :class:`UnsupportedShape`,
+    one below 1 :class:`CutoffTooSmall`."""
+    try:
+        na, nb = index(na), index(nb)
+    except TypeError:
+        raise UnsupportedShape(f"cutoffs must be integers, got ({na!r}, {nb!r})") from None
+    if na < 1 or nb < 1:
+        raise CutoffTooSmall("cutoffs must be at least 1")
+    return na, nb
 
 
 @cache
@@ -266,7 +283,7 @@ def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ..
     it to the exact amplitude, so the entries round alike: folded into c1 it
     puts 1.8e-12 between the two routes at gbar = 1000 and cutoff 12."""
     rows, cols, c0, c1, factors = [], [], [], [], []
-    for i, j, amp, factor in _entries(k_ladder(None, modes), FockBasis(na, nb, modes)):
+    for i, j, amp, factor in _entries(k_ladder(None, modes), FockBasis(na, nb)):
         weights = {a: complex(Coefficient.of(q)) for (a, _), q in amp.terms}
         rows.append(i)
         cols.append(j)
@@ -281,21 +298,19 @@ def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ..
 
 
 def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
-    """Truncated matrix of K = K0 + gbar K1: exactly lower triangular in the b-number
-    order, and in the basis's energy order only when |m2| > |m1|.
+    """Truncated matrix of K = K0 + gbar K1, exactly lower triangular in the basis order.
 
     The entries of K0 and K1 are built once per cutoff and modes with the
     coupling formal (:func:`_k_entries`); a call substitutes ``gbar`` into them
     and fills a fresh matrix.  A formal ``gbar`` (``None``) raises
     :class:`UnsupportedShape`, and a finite one that takes an entry past the
-    float range :class:`FloatOverflow`.
+    float range :class:`FloatOverflow`.  Cutoffs are read by :func:`_cutoffs`.
     """
-    if na < 1 or nb < 1:
-        raise CutoffTooSmall("cutoffs must be at least 1")
+    na, nb = _cutoffs(na, nb)
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    rows, cols, c0, c1, factors = _k_entries(na, nb, tuple(modes))
+    rows, cols, c0, c1, factors = _k_entries(na, nb, _pair(modes))
     with np.errstate(over="ignore", invalid="ignore"):
         values = (c0 + complex(g) * c1) * factors
     if not np.isfinite(values).all():
@@ -349,11 +364,10 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
 
     M is split into the connected components of its nonzero entries
     (:func:`_components`), and the components of one size are diagonalized
-    in one batched ``np.linalg.eig`` call on their (k, s, s) stack; a single
-    component is passed as M itself.  Each eigenvalue is scattered back to
-    its component's indices.  K's coupling changes n + m by 0 or -2, so its
-    truncated matrix splits into the two parity classes of n + m, and into
-    singletons at zero coupling.
+    in one batched ``np.linalg.eig`` call on their (k, s, s) stack.  Each
+    eigenvalue is scattered back to its component's indices.  K's coupling
+    changes n + m by 0 or -2, so its truncated matrix splits into the two
+    parity classes of n + m, and into singletons at zero coupling.
 
     Residual ||M v - lam v|| <= 1e-9 max(||M||_2, 1) is checked per
     eigenpair, from one product B V - V diag(lam) per stack of blocks B;
@@ -363,15 +377,22 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
     when the worst residual already passes against that bound the SVD
     behind the 2-norm, the largest over the blocks, is skipped; the verdict
     and ``max_residual`` are the same either way.
+
+    A matrix that is not square, or is empty, raises :class:`UnsupportedShape`,
+    and so does one ``np.linalg.eig`` rejects (a NaN or an infinite entry).
     """
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise UnsupportedShape(f"spectrum needs a nonempty square matrix, got shape {matrix.shape}")
     groups = _components(matrix)
-    whole = len(groups) == 1 and groups[0].shape[0] == 1
     vals = np.empty(len(matrix), dtype=complex)
     worst = 0.0
     stacks = []
     for idx in groups:
-        blocks = matrix if whole else matrix[idx[:, :, None], idx[:, None, :]]
-        w, v = np.linalg.eig(blocks)
+        blocks = matrix[idx[:, :, None], idx[:, None, :]]
+        try:
+            w, v = np.linalg.eig(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise UnsupportedShape(f"no eigen decomposition: {exc}") from None
         res = blocks @ v
         v *= w[..., None, :]
         res -= v
@@ -432,7 +453,7 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
         raise UnsupportedShape(f"quantum numbers must be integers, got ({n!r}, {m!r})") from None
     if n < 0 or m < 0:
         raise UnsupportedShape(f"quantum numbers must be >= 0, got ({n}, {m})")
-    if na is not None and n + abs(modes[1]) * m > na:
+    if na is not None and n + abs(_pair(modes)[1]) * m > na:
         raise CutoffTooSmall("state would touch the a-cutoff")
     if nb is not None and m > nb:
         raise CutoffTooSmall("state would touch the b-cutoff")
@@ -465,21 +486,21 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
                       modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
     """Rows = mode eigenstates that fit the cutoffs, in the orthonormal basis.
 
-    Row order is n outer, m inner over the states |n-bar, m-bar> with
-    n + |m2| m <= na and m <= nb, each equal to ``eigenstate(n, m, ...)``:
-    both take their kets from one :func:`_kets` pass.  As in :func:`k_matrix`, a
-    cutoff below 1 raises :class:`CutoffTooSmall` and a formal ``gbar``
-    :class:`UnsupportedShape`.
+    Row order is the basis order (m outer, n inner) over the states
+    |n-bar, m-bar> with n + |m2| m <= na and m <= nb, each equal to
+    ``eigenstate(n, m, ...)``: both take their kets from one :func:`_kets`
+    pass.  As in :func:`k_matrix`, a cutoff below 1 raises
+    :class:`CutoffTooSmall`, and one that is not an integer or a formal
+    ``gbar`` :class:`UnsupportedShape`.
     """
-    if na < 1 or nb < 1:
-        raise CutoffTooSmall("cutoffs must be at least 1")
+    na, nb = _cutoffs(na, nb)
     if not _gbar_coeff(gbar).is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    index = FockBasis(na, nb, modes).index()
-    step = abs(modes[1])
-    rows: Dict[Tuple[int, int], np.ndarray] = {}
-    for nm, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
-        row = rows[nm] = np.zeros(len(index), dtype=complex)
+    index = FockBasis(na, nb).index()
+    step = abs(_pair(modes)[1])
+    rows = []
+    for _, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
+        row = np.zeros(len(index), dtype=complex)
         for nm2, amp in ket.items():
             j = index.get(nm2)
             if j is None:
@@ -488,7 +509,8 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
                 row[j] = complex(amp) * ldexp(*_root_factorial(*nm2))
             except OverflowError:
                 raise FloatOverflow(f"eigenstate amplitude of {nm2} past the float range") from None
-    return np.array([rows[nm] for nm in sorted(rows)])
+        rows.append(row)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

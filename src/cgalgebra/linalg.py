@@ -157,7 +157,8 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Coefficient:
-    """det(m) = (-1)^n c_0, read off the characteristic polynomial; exact over the ring."""
+    """det(m) = (-1)^n c_0, read off the characteristic polynomial; exact over the ring.
+    A ragged or non-square m raises :class:`UnsupportedShape`."""
     c0 = charpoly(m)[0]
     return -c0 if len(m) % 2 else c0
 
@@ -191,8 +192,11 @@ def charpoly(m: Matrix) -> List[Coefficient]:
     Returns coefficients [c_0, ..., c_n] with c_n = 1, exact over the ring
     (the algorithm divides by integers only).  M_k is kept as a list of
     columns, and c_{n-k} is added to the diagonal of m M_{k-1} in place.
+    A ragged or non-square m raises :class:`UnsupportedShape`.
     """
     n = len(m)
+    if _width(m) != n:
+        raise UnsupportedShape(f"need a square matrix, got {n} rows {len(m[0])} wide")
     coeffs = [Coefficient() for _ in range(n + 1)]
     coeffs[n] = ONE
     mk = [[ONE if i == j else Coefficient() for i in range(n)] for j in range(n)]

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
 from math import comb, factorial, perm, prod
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt
@@ -78,8 +78,14 @@ class Monomial(NamedTuple):
 
     @staticmethod
     def make(phase_m=0, phase_n=0, t_pow=0, x_pows=(), d_pows=(), dt_pow=0) -> "Monomial":
-        x_pows = tuple(x_pows)
-        d_pows = tuple(d_pows)
+        """The canonical monomial; an exponent that is not an integer (read by
+        ``operator.index``) raises :class:`UnsupportedShape`."""
+        try:
+            phase_n, t_pow, dt_pow = index(phase_n), index(t_pow), index(dt_pow)
+            x_pows, d_pows = tuple(map(index, x_pows)), tuple(map(index, d_pows))
+        except TypeError:
+            got = (phase_n, t_pow, x_pows, d_pows, dt_pow)
+            raise UnsupportedShape(f"exponents must be integers, got {got!r}") from None
         if len(x_pows) != len(d_pows):
             n = max(len(x_pows), len(d_pows))
             x_pows = x_pows + (0,) * (n - len(x_pows))
@@ -89,7 +95,7 @@ class Monomial(NamedTuple):
         if dt_pow < 0:
             raise UnsupportedShape("Dt power must be >= 0")
         x_pows, d_pows = _trim(x_pows, d_pows)
-        return Monomial(_phase(Fraction(phase_m)), int(phase_n), int(t_pow), x_pows, d_pows, int(dt_pow))
+        return Monomial(_phase(Fraction(phase_m)), phase_n, t_pow, x_pows, d_pows, dt_pow)
 
     @property
     def arity(self) -> int:
@@ -114,6 +120,18 @@ _MONO_ONE = Monomial.make()
 def _phase_theta(m: Fraction, n: int) -> Coefficient:
     """Coefficient i*(m + n*w) from deriving the phase e^{i(m+nw)t}."""
     return Coefficient({(0, 0): (0, m), (0, 1): (0, n)})
+
+
+def _unit(i) -> tuple:
+    """The exponents (0, ..., 0, 1) of coordinate i; an i that is not an integer >= 0
+    raises :class:`UnsupportedShape`."""
+    try:
+        i = index(i)
+    except TypeError:
+        raise UnsupportedShape(f"coordinate index must be an integer, got {i!r}") from None
+    if i < 0:
+        raise UnsupportedShape(f"coordinate index must be >= 0, got {i}")
+    return (0,) * i + (1,)
 
 
 def _op(cls, terms: dict):
@@ -163,15 +181,11 @@ class WeylOp:
 
     @staticmethod
     def coord(i: int) -> "WeylOp":
-        x = [0] * (i + 1)
-        x[i] = 1
-        return WeylOp({Monomial.make(x_pows=x): Coefficient.of(1)})
+        return WeylOp({Monomial.make(x_pows=_unit(i)): Coefficient.of(1)})
 
     @staticmethod
     def deriv(i: int) -> "WeylOp":
-        d = [0] * (i + 1)
-        d[i] = 1
-        return WeylOp({Monomial.make(d_pows=d): Coefficient.of(1)})
+        return WeylOp({Monomial.make(d_pows=_unit(i)): Coefficient.of(1)})
 
     @staticmethod
     def t(power: int = 1) -> "WeylOp":
@@ -245,11 +259,16 @@ class WeylOp:
         return multiply(self, other) if isinstance(other, WeylOp) else NotImplemented
 
     def __pow__(self, k: int) -> "WeylOp":
-        """Repeated product; a k that is not an int >= 0 raises :class:`UnsupportedShape`."""
-        if not isinstance(k, int) or k < 0:
+        """Repeated product; a k that is not an integer >= 0 (read by ``operator.index``)
+        raises :class:`UnsupportedShape`."""
+        try:
+            n = index(k)
+        except TypeError:
+            n = -1
+        if n < 0:
             raise UnsupportedShape(f"operator power must be an integer >= 0, got {k!r}")
         out = _op(type(self), {_MONO_ONE: Coefficient.of(1)})
-        for _ in range(k):
+        for _ in range(n):
             out = multiply(out, self)
         return out
 

@@ -322,10 +322,11 @@ class TestReports:
         # 4 couplings x 25 states
         assert len(lines) == 1 + 4 * 25
 
-    @pytest.mark.parametrize("modes, cutoff", [("1,0", "2"), ("2,-2", "1"), ("0,0", "1")])
+    @pytest.mark.parametrize("modes, cutoff", [("1,0", "2"), ("2,-2", "1"), ("0,0", "1"), ("3,1", "3"),
+                                               ("1,-3", "3")])
     def test_spectrum_triangular_at_any_modes(self, modes, cutoff, capsys):
         """Every coupling term of K lowers the b-number, so K is triangular in
-        that order even where it is not in the energy order (|m2| <= |m1|)."""
+        the basis order at any mode pair, |m2| <= |m1| included."""
         code, out, _ = run(["spectrum", "--modes", modes, "--cutoff-a", cutoff,
                             "--cutoff-b", cutoff], capsys)
         assert code == 0

@@ -59,8 +59,8 @@ def linear(coeffs):
 A, ADAG, B, BDAG = (linear({name: 1}) for name in MODE_WORDS)
 
 
-def oracle_matrices(na, nb, modes=(1, 3)):
-    """First-principles matrices of a, b on the product basis, energy ordered.
+def oracle_matrices(na, nb):
+    """First-principles matrices of a, b on the product basis, in the package's order.
 
     Independent route: single-mode ladder matrices composed by Kronecker
     product, then permuted into the package's basis order and transposed to
@@ -73,8 +73,8 @@ def oracle_matrices(na, nb, modes=(1, 3)):
     b1 = ann(nb + 1)
     a = np.kron(a1, np.eye(nb + 1))
     b = np.kron(np.eye(na + 1), b1)
-    # product-basis index (n, m) -> n*(nb+1) + m; package order by energy
-    states = FockBasis(na, nb, modes).states()
+    # product-basis index (n, m) -> n*(nb+1) + m; package order by m, then n
+    states = FockBasis(na, nb).states()
     perm = [n * (nb + 1) + m for n, m in states]
     p = np.zeros((len(perm), len(perm)))
     for i, j in enumerate(perm):
@@ -463,10 +463,20 @@ class TestMatrices:
             m = k_matrix(g, 12, 12)
             assert np.abs(np.triu(m, 1)).max() == 0.0
 
-    def test_basis_order_at_equal_energy(self):
-        # energy n + 3m, then the first quantum number: (0, 1) before (3, 0)
-        assert FockBasis(3, 1).states() == [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0),
-                                            (1, 1), (2, 1), (3, 1)]
+    def test_basis_order_is_b_number_first(self):
+        # the b-number m, then n: (3, 0) before (0, 1), whatever their energies
+        assert FockBasis(3, 1).states() == [(0, 0), (1, 0), (2, 0), (3, 0),
+                                            (0, 1), (1, 1), (2, 1), (3, 1)]
+        assert list(FockBasis(3, 1).index().values()) == list(range(8))
+
+    @pytest.mark.parametrize("modes", [(1, 3), (1, -3), (3, 1), (2, -2), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("g", [0.7 + 0.2j, 2, 1e300])
+    def test_strictly_lower_triangular_at_any_modes(self, g, modes):
+        """Every coupling term of K lowers the b-number, so nothing lies above the
+        diagonal in the basis order, also where |m2| <= |m1| or a frequency is zero."""
+        m = k_matrix(g, 4, 3, modes)
+        assert np.isfinite(m).all() and np.abs(np.tril(m, -1)).max() > 0
+        assert not np.triu(m, 1).any()
 
     def test_diagonal(self):
         m = k_matrix(0.9, 6, 6)
@@ -487,14 +497,13 @@ class TestMatrices:
     def test_cached_entries_against_exact_route(self, na, nb, modes):
         """K0 + g K1 from the cached formal entries equals K(g) applied ket by ket
         with exact arithmetic; the triangle and the diagonal hold exactly."""
-        basis = FockBasis(na, nb, modes)
+        basis = FockBasis(na, nb)
         states = basis.states()
-        by_b = np.argsort([m for _, m in states], kind="stable")
         diag = np.array([modes[0] * n + modes[1] * m + 0.5 for n, m in states])
         for g in (0, 0.3, 0.7 + 0.2j, 2, 1000, gr(F(2, 3), F(-1, 5))):
             got = k_matrix(g, na, nb, modes)
             assert np.abs(got - ladder_matrix(k_ladder(g, modes), basis)).max() <= 1e-12
-            assert np.abs(np.triu(got[np.ix_(by_b, by_b)], 1)).max() == 0.0
+            assert np.abs(np.triu(got, 1)).max() == 0.0
             assert np.array_equal(np.diag(got), diag)
         off = k_matrix(0, na, nb, modes)
         assert np.array_equal(off, np.diag(diag))
@@ -653,13 +662,13 @@ class TestResidualBound:
     def test_pass_that_needs_the_two_norm(self, monkeypatch):
         norm2_calls = self.patch(monkeypatch, 2e-9)  # 8e-9: > 1e-9 * 4, <= 1e-9 * 16
         assert spectrum(self.ONES).max_residual == pytest.approx(8e-9, rel=1e-6)
-        assert norm2_calls == [(self.N, self.N)]
+        assert norm2_calls == [(1, self.N, self.N)]  # the one component, as a stack
 
     def test_failure(self, monkeypatch):
         norm2_calls = self.patch(monkeypatch, 8e-9)  # 3.2e-8 > 1e-9 * 16
         with pytest.raises(CheckFailed):
             spectrum(self.ONES)
-        assert norm2_calls == [(self.N, self.N)]
+        assert norm2_calls == [(1, self.N, self.N)]  # the one component, as a stack
 
 
 def component_sets(matrix):
@@ -743,7 +752,7 @@ class TestKBlocks:
     @pytest.mark.parametrize("na, nb, modes", [(12, 12, (1, 3)), (12, 12, (1, -3)), (9, 4, (1, 3)),
                                                (4, 7, (1, -3)), (6, 1, (1, 3)), (1, 1, (1, 3))])
     def test_components_are_the_parity_classes(self, na, nb, modes, monkeypatch):
-        states = FockBasis(na, nb, modes).states()
+        states = FockBasis(na, nb).states()
         classes = [[i for i, (n, k) in enumerate(states) if (n + k) % 2 == p] for p in (0, 1)]
         m = k_matrix(0.7 + 0.2j, na, nb, modes)
         assert component_sets(m) == sorted(map(tuple, classes))
@@ -762,10 +771,10 @@ class TestKBlocks:
 
 def per_state_rows(gbar, na, nb, modes):
     """eigenstate_matrix built the slow way: one eigenstate() call per row."""
-    index = FockBasis(na, nb, modes).index()
+    index = FockBasis(na, nb).index()
     rows = []
-    for n in range(na + 1):
-        for m in range(nb + 1):
+    for m in range(nb + 1):
+        for n in range(na + 1):
             if n + abs(modes[1]) * m > na:
                 continue
             row = np.zeros(len(index), dtype=complex)
@@ -868,7 +877,7 @@ class TestStatesAndOverlaps:
         with eigenvalue m1 n + m2 m + 1/2, also where a frequency is negative."""
         na = nb = 9
         m = k_matrix(0.5, na, nb, modes)
-        idx = FockBasis(na, nb, modes).index()
+        idx = FockBasis(na, nb).index()
         for (n, q) in ((0, 0), (1, 0), (1, 1), (0, 1)):
             vec = np.zeros(len(idx), dtype=complex)
             for (n2, m2), amp in eigenstate(n, q, F(1, 2), na, nb, modes).items():

@@ -343,3 +343,28 @@ def test_the_numeral_check_sees_every_form(tmp_path):
                      "class C:\n    PART = r'\\d*/?\\d*'\n"
                      "def g():\n    '''-3/2 is a numeral, \\\\d+ a pattern.'''\n    return re.compile(r'x\\d+/y')\n")
     assert numeral_patterns(probe) == [(2, ""), (4, "f"), (6, "C")]
+
+
+def basis_reads(path: Path) -> list:
+    """(line, scope) of each place ``path`` names ``FockBasis``: an import of it, a
+    bare name, or an attribute such as ``fock.FockBasis``."""
+    return [(node.lineno, scope) for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Name) and node.id == "FockBasis"
+            or isinstance(node, ast.Attribute) and node.attr == "FockBasis"
+            or isinstance(node, ast.alias) and node.name == "FockBasis"]
+
+
+def test_only_fock_names_the_basis():
+    """The basis order is ``fock``'s own: K is lower triangular in it, so a
+    caller reads rows and columns as they come and never rebuilds the states."""
+    found = {(path.name, scope) for path in sorted(PACKAGE.glob("*.py")) if path.name != "fock.py"
+             for _, scope in basis_reads(path)}
+    assert found == set()
+
+
+def test_the_basis_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import fock\nfrom .fock import (spectrum,\n    FockBasis)\n"
+                     "def f(na, nb):\n    return fock.FockBasis(na, nb).states()\n"
+                     "class C:\n    kind = FockBasis\n    basis = 'FockBasis'\n")
+    assert basis_reads(probe) == [(3, ""), (5, "f"), (7, "C")]

@@ -1,0 +1,65 @@
+"""Exponents, indices, cutoffs, mode pairs and matrix shapes outside what a
+routine can take raise a typed error, never a bare Python or numpy one."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cgalgebra import fock
+from cgalgebra.errors import UnsupportedShape
+from cgalgebra.linalg import charpoly, det
+from cgalgebra.ring import Coefficient
+from cgalgebra.weyl import Monomial, WeylOp
+
+NAN, INF = float("nan"), float("inf")
+
+# (id, a call that must raise UnsupportedShape, an AlgebraError)
+EDGES = [
+    ("t-power-1.5", lambda: WeylOp.t(1.5)),
+    ("phase-n-0.5", lambda: WeylOp.phase(1, 0.5)),
+    ("dt-power-0.5", lambda: Monomial.make(dt_pow=0.5)),
+    ("x-power-1.5", lambda: Monomial.make(x_pows=(1.5,))),
+    ("d-power-str", lambda: Monomial.make(d_pows=("1",))),
+    ("g-exponent-1.5", lambda: Coefficient.monomial(1, 1.5, 0)),
+    ("w-exponent-0.5", lambda: Coefficient.monomial(1, 0, 0.5)),
+    ("key-exponent-0.5", lambda: Coefficient({(0.5, 0): 1})),
+    ("coord-minus-1", lambda: WeylOp.coord(-1)),
+    ("deriv-1.5", lambda: WeylOp.deriv(1.5)),
+    ("det-non-square", lambda: det([[1, 2]])),
+    ("det-ragged", lambda: det([[1, 2], [1]])),
+    ("charpoly-non-square", lambda: charpoly([[1, 2]])),
+    ("spectrum-2x3", lambda: fock.spectrum(np.ones((2, 3)))),
+    ("spectrum-1d", lambda: fock.spectrum(np.ones(3))),
+    ("spectrum-0x0", lambda: fock.spectrum(np.zeros((0, 0)))),
+    ("spectrum-nan", lambda: fock.spectrum(np.array([[1, NAN], [0, 1]]))),
+    ("spectrum-inf", lambda: fock.spectrum(np.array([[INF, 0], [1, 1]]))),
+    ("k-matrix-cutoff-2.5", lambda: fock.k_matrix(0.5, 2.5, 2)),
+    ("eigenstate-matrix-cutoff-2.5", lambda: fock.eigenstate_matrix(0.5, 2.5, 2)),
+    ("k-ladder-three-modes", lambda: fock.k_ladder(0.5, (1, 3, 5))),
+    ("mode-solver-three-modes", lambda: fock.mode_solver(0.5, (1, 3, 5))),
+    ("eigenstate-three-modes", lambda: fock.eigenstate(1, 1, 0.5, modes=(1, 3, 5))),
+    ("eigenstate-one-mode", lambda: fock.eigenstate(1, 1, 0.5, 5, 5, (1,))),
+    ("eigenstate-matrix-one-mode", lambda: fock.eigenstate_matrix(0.5, 2, 2, (1,))),
+    ("k-matrix-modes-int", lambda: fock.k_matrix(0.5, 2, 2, 5)),
+    ("mode-solver-modes-int", lambda: fock.mode_solver(0.5, 5)),
+    ("n-ladder-three-modes", lambda: fock.n_ladder(0.5, (1, 2, 3))),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in EDGES])
+def test_edge_raises_its_typed_error(call):
+    with pytest.raises(UnsupportedShape):
+        call()
+
+
+def test_integral_exponents_of_other_types_are_read_as_ints():
+    """``operator.index`` takes a bool or a numpy integer, and the monomial holds a plain int;
+    the powers of a coefficient and of an operator read their exponent alike."""
+    mono = Monomial.make(phase_n=np.int64(2), t_pow=True, x_pows=(np.int8(1),))
+    assert mono == Monomial(0, 2, 1, (1,), (0,), 0)
+    assert all(type(e) is int for e in (mono.phase_n, mono.t_pow, *mono.x_pows, *mono.d_pows, mono.dt_pow))
+    assert Coefficient.monomial(3, np.int64(-1), np.int64(2)) == Coefficient({(-1, 2): 3})
+    assert WeylOp.coord(np.int64(1)) == WeylOp.coord(1)
+    assert Coefficient.of(2) ** np.int64(-1) == Coefficient.of(Fraction(1, 2))
+    assert WeylOp.coord(0) ** np.int64(2) == WeylOp.coord(0) * WeylOp.coord(0)
