@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the argument readers :func:`integer` and :func:`pair`."""
 
 from __future__ import annotations
+
+from operator import index
 
 
 class AlgebraError(Exception):
@@ -112,3 +114,25 @@ class CutoffTooSmall(AlgebraError):
 
 class CheckFailed(AlgebraError):
     """A symbolic identity check failed; carries the residual."""
+
+
+def integer(value, what: str, least=None) -> int:
+    """``value`` as an int, read by ``operator.index``: a value that is not an
+    integer, or is below ``least``, raises :class:`UnsupportedShape` naming ``what``."""
+    try:
+        out = index(value)
+    except TypeError:
+        out = None
+    if out is None or least is not None and out < least:
+        raise UnsupportedShape(f"{what} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return out
+
+
+def pair(value, what: str) -> tuple:
+    """The two items of ``value`` as a tuple: anything that does not unpack into
+    exactly two raises :class:`UnsupportedShape` naming ``what``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise UnsupportedShape(f"{what} must be a pair, got {value!r}") from None
+    return first, second

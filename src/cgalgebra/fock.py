@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, ldexp, perm, sqrt
-from operator import index
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName, UnsupportedShape
+from .errors import (CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName, UnsupportedShape,
+                     integer, pair)
 from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
@@ -117,20 +117,10 @@ class LadderOp(WeylOp):
 # the coupled number-like operators
 # ---------------------------------------------------------------------------
 
-def _pair(modes) -> tuple:
-    """(m1, m2) from ``modes``, also the key of the per-mode-pair caches; anything
-    that is not a pair raises :class:`UnsupportedShape`."""
-    try:
-        m1, m2 = modes
-    except (TypeError, ValueError):
-        raise UnsupportedShape(f"modes must be a pair (m1, m2), got {modes!r}") from None
-    return m1, m2
-
-
 def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
     g = _gbar_coeff(gbar)
-    m1, m2 = _pair(modes)
+    m1, m2 = pair(modes, "modes")
     out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): Fraction(1, 2)})
     coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
     return out + coupling
@@ -146,7 +136,7 @@ def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
 def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
     it commutes with K(gbar), and is the total number operator at zero coupling."""
-    return _decoupling(_pair(modes))[1].substitute(gamma=_gamma_arg(gbar))
+    return _decoupling(pair(modes, "modes"))[1].substitute(gamma=_gamma_arg(gbar))
 
 
 def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
@@ -155,7 +145,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
     E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
     the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    out, depth = ad_series(-_decoupling(_pair(modes))[0].substitute(gamma=_gamma_arg(gbar)),
+    out, depth = ad_series(-_decoupling(pair(modes, "modes"))[0].substitute(gamma=_gamma_arg(gbar)),
                            k_ladder(0, modes), 16)
     return out == k_ladder(gbar, modes), depth
 
@@ -197,7 +187,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     m1 = +-m2).
     """
     g = _gamma_arg(gbar)
-    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(_pair(modes))}
+    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(pair(modes, "modes"))}
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +211,7 @@ class FockBasis:
 def _cutoffs(na, nb) -> Tuple[int, int]:
     """(na, nb) as ints: cutoffs that are not integers raise :class:`UnsupportedShape`,
     one below 1 :class:`CutoffTooSmall`."""
-    try:
-        na, nb = index(na), index(nb)
-    except TypeError:
-        raise UnsupportedShape(f"cutoffs must be integers, got ({na!r}, {nb!r})") from None
+    na, nb = integer(na, "cutoff na"), integer(nb, "cutoff nb")
     if na < 1 or nb < 1:
         raise CutoffTooSmall("cutoffs must be at least 1")
     return na, nb
@@ -310,7 +297,7 @@ def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    rows, cols, c0, c1, factors = _k_entries(na, nb, _pair(modes))
+    rows, cols, c0, c1, factors = _k_entries(na, nb, pair(modes, "modes"))
     with np.errstate(over="ignore", invalid="ignore"):
         values = (c0 + complex(g) * c1) * factors
     if not np.isfinite(values).all():
@@ -378,11 +365,16 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
     behind the 2-norm, the largest over the blocks, is skipped; the verdict
     and ``max_residual`` are the same either way.
 
-    A matrix that is not square, or is empty, raises :class:`UnsupportedShape`,
+    M is read by ``np.asarray``.  Ragged rows, a dtype that is not numeric, and a
+    matrix that is not square, or is empty, raise :class:`UnsupportedShape`,
     and so does one ``np.linalg.eig`` rejects (a NaN or an infinite entry).
     """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
-        raise UnsupportedShape(f"spectrum needs a nonempty square matrix, got shape {matrix.shape}")
+    try:
+        matrix = np.asarray(matrix)
+    except ValueError:
+        raise UnsupportedShape("spectrum needs a matrix, got ragged rows") from None
+    if matrix.dtype.kind not in "biufc" or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise UnsupportedShape(f"spectrum needs a nonempty square numeric matrix, got {matrix.dtype}, {matrix.shape}")
     groups = _components(matrix)
     vals = np.empty(len(matrix), dtype=complex)
     worst = 0.0
@@ -447,13 +439,8 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
     (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised; an
     n or m that is not an integer, or is negative, raises :class:`UnsupportedShape`.
     """
-    try:
-        n, m = index(n), index(m)
-    except TypeError:
-        raise UnsupportedShape(f"quantum numbers must be integers, got ({n!r}, {m!r})") from None
-    if n < 0 or m < 0:
-        raise UnsupportedShape(f"quantum numbers must be >= 0, got ({n}, {m})")
-    if na is not None and n + abs(_pair(modes)[1]) * m > na:
+    n, m = integer(n, "quantum number n", 0), integer(m, "quantum number m", 0)
+    if na is not None and n + abs(pair(modes, "modes")[1]) * m > na:
         raise CutoffTooSmall("state would touch the a-cutoff")
     if nb is not None and m > nb:
         raise CutoffTooSmall("state would touch the b-cutoff")
@@ -497,7 +484,7 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
     if not _gbar_coeff(gbar).is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
     index = FockBasis(na, nb).index()
-    step = abs(_pair(modes)[1])
+    step = abs(pair(modes, "modes")[1])
     rows = []
     for _, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
         row = np.zeros(len(index), dtype=complex)

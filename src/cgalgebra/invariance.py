@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed, NotDivisible, NotInIdeal,
-                     UnsupportedShape, ZeroDivisor)
+                     UnknownName, UnsupportedShape, ZeroDivisor, integer, pair)
 from .linalg import (
     Matrix,
     Row,
@@ -37,9 +37,13 @@ Lambda = Tuple[Fraction, int]  # lam = m + n*w
 
 
 def _as_lambda(v) -> Lambda:
-    if isinstance(v, tuple):
-        return (Fraction(v[0]), int(v[1]))
-    return (Fraction(v), 0)
+    """lam = m + n*w from a number m or a pair (m, n) with an integer n; any other
+    entry raises :class:`UnsupportedShape`."""
+    m, n = pair(v, "a phase (m, n)") if isinstance(v, tuple) else (v, 0)
+    try:
+        return Fraction(m), integer(n, "the multiple n of w in a phase (m, n)")
+    except (TypeError, ValueError, OverflowError):
+        raise UnsupportedShape(f"a phase must be a number m or a pair (m, n), got {v!r}") from None
 
 
 def _lambda_coeff(lam: Lambda) -> Coefficient:
@@ -456,6 +460,8 @@ def close_algebra(gens: Sequence[WeylOp],
     """
     gens = list(gens)
     names = list(names) if names is not None else [f"g{i}" for i in range(len(gens))]
+    if len(names) != len(gens) or len(set(names)) != len(names):
+        raise UnsupportedShape(f"need one distinct name per generator for {len(gens)} generators, got {names!r}")
     pairs = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -487,10 +493,12 @@ def contract(r: Realization) -> Realization:
     and take the g -> 0 limit.
 
     Raises :class:`~cgalgebra.errors.SingularLimit` when any generator keeps
-    a pole after its rescaling.
+    a pole after its rescaling, :class:`UnknownName` for one outside ``CONTRACTION_POWERS``.
     """
     gens = {}
     for name, op in r.gens.items():
+        if name not in CONTRACTION_POWERS:
+            raise UnknownName(f"no contraction power for the generator {name!r}")
         scaled = op.scale(Coefficient.monomial(1, CONTRACTION_POWERS[name], 0))
         gens[name] = scaled.gamma_limit()
     return Realization(f"{r.name}-contracted", gens, gamma=0)

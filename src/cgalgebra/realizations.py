@@ -18,7 +18,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import BadArity, CheckFailed, NotCritical
+from .errors import BadArity, CheckFailed, NotCritical, UnknownName
 from .ring import GAMMA, I, OMEGA, ONE, Coefficient, CoefficientLike, summed
 from .weyl import Monomial, WeylOp, anticommutator, multiply
 
@@ -97,6 +97,8 @@ class Realization:
     gamma: Optional[CoefficientLike] = None  # None = formal
 
     def __getitem__(self, key: str) -> WeylOp:
+        if key not in self.gens:
+            raise UnknownName(f"{self.name} has no generator {key!r}")
         return self.gens[key]
 
     def names(self) -> Tuple[str, ...]:

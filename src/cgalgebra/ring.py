@@ -33,11 +33,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
 from typing import Mapping, Union
 
 from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, NotScalar, ParseError,
-                     SingularLimit, UnsupportedShape, ZeroDivisor, ZeroSubstitution, excerpt)
+                     SingularLimit, ZeroDivisor, ZeroSubstitution, excerpt, integer)
 
 
 # a numeral as str(Fraction) prints it: a signed integer, optionally over a
@@ -128,11 +127,8 @@ class Coefficient:
     def monomial(q, g_exp: int = 0, w_exp: int = 0) -> "Coefficient":
         """q * g^g_exp * w^w_exp for an exact scalar q: an int, a Fraction, an
         ``(re, im)`` pair of those or a scalar Coefficient.  An exponent that is not
-        an integer (read by ``operator.index``) raises :class:`UnsupportedShape`."""
-        try:
-            g_exp, w_exp = index(g_exp), index(w_exp)
-        except TypeError:
-            raise UnsupportedShape(f"exponents of g and w must be integers, got ({g_exp!r}, {w_exp!r})") from None
+        an integer (read by :func:`errors.integer`) raises :class:`UnsupportedShape`."""
+        g_exp, w_exp = integer(g_exp, "exponent of g"), integer(w_exp, "exponent of w")
         if w_exp < 0:
             raise NegativeOmegaPower("negative w exponent is not part of the ring")
         if isinstance(q, Coefficient):
@@ -271,12 +267,9 @@ class Coefficient:
     def __pow__(self, k: int) -> "Coefficient":
         """Power by squaring; a negative k divides 1 exactly by self^-k, which
         raises :class:`NotDivisible` unless self is a unit (a nonzero scalar times a
-        power of g).  A k that is not an integer (read by ``operator.index``) raises
+        power of g).  A k that is not an integer (read by :func:`errors.integer`) raises
         :class:`UnsupportedShape`."""
-        try:
-            k = index(k)
-        except TypeError:
-            raise UnsupportedShape(f"exponent must be an integer, got {k!r}") from None
+        k = integer(k, "exponent")
         if k < 0:
             return ONE.divide_exact(self ** -k)
         out = ONE

@@ -42,12 +42,12 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, perm, prod
-from operator import add, index, mul
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt
+from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt, integer
 from .ring import Coefficient, CoefficientLike, parse_number, summed
 
 
@@ -78,22 +78,16 @@ class Monomial(NamedTuple):
 
     @staticmethod
     def make(phase_m=0, phase_n=0, t_pow=0, x_pows=(), d_pows=(), dt_pow=0) -> "Monomial":
-        """The canonical monomial; an exponent that is not an integer (read by
-        ``operator.index``) raises :class:`UnsupportedShape`."""
+        """The canonical monomial; an exponent that is not an integer (read by :func:`errors.integer`),
+        a negative Dt, coordinate or derivative power, or powers not in a sequence raise :class:`UnsupportedShape`."""
+        phase_n, t_pow = integer(phase_n, "phase multiple of w"), integer(t_pow, "t power")
+        dt_pow = integer(dt_pow, "Dt power", 0)
         try:
-            phase_n, t_pow, dt_pow = index(phase_n), index(t_pow), index(dt_pow)
-            x_pows, d_pows = tuple(map(index, x_pows)), tuple(map(index, d_pows))
+            pows = list(zip_longest(x_pows, d_pows, fillvalue=0))
         except TypeError:
-            got = (phase_n, t_pow, x_pows, d_pows, dt_pow)
-            raise UnsupportedShape(f"exponents must be integers, got {got!r}") from None
-        if len(x_pows) != len(d_pows):
-            n = max(len(x_pows), len(d_pows))
-            x_pows = x_pows + (0,) * (n - len(x_pows))
-            d_pows = d_pows + (0,) * (n - len(d_pows))
-        if any(p < 0 for p in x_pows) or any(p < 0 for p in d_pows):
-            raise UnsupportedShape("coordinate and derivative powers must be >= 0")
-        if dt_pow < 0:
-            raise UnsupportedShape("Dt power must be >= 0")
+            raise UnsupportedShape(f"powers must be sequences, got {x_pows!r} and {d_pows!r}") from None
+        x_pows = tuple(integer(x, "coordinate power", 0) for x, _ in pows)
+        d_pows = tuple(integer(d, "derivative power", 0) for _, d in pows)
         x_pows, d_pows = _trim(x_pows, d_pows)
         return Monomial(_phase(Fraction(phase_m)), phase_n, t_pow, x_pows, d_pows, dt_pow)
 
@@ -125,13 +119,7 @@ def _phase_theta(m: Fraction, n: int) -> Coefficient:
 def _unit(i) -> tuple:
     """The exponents (0, ..., 0, 1) of coordinate i; an i that is not an integer >= 0
     raises :class:`UnsupportedShape`."""
-    try:
-        i = index(i)
-    except TypeError:
-        raise UnsupportedShape(f"coordinate index must be an integer, got {i!r}") from None
-    if i < 0:
-        raise UnsupportedShape(f"coordinate index must be >= 0, got {i}")
-    return (0,) * i + (1,)
+    return (0,) * integer(i, "coordinate index", 0) + (1,)
 
 
 def _op(cls, terms: dict):
@@ -259,14 +247,9 @@ class WeylOp:
         return multiply(self, other) if isinstance(other, WeylOp) else NotImplemented
 
     def __pow__(self, k: int) -> "WeylOp":
-        """Repeated product; a k that is not an integer >= 0 (read by ``operator.index``)
+        """Repeated product; a k that is not an integer >= 0 (read by :func:`errors.integer`)
         raises :class:`UnsupportedShape`."""
-        try:
-            n = index(k)
-        except TypeError:
-            n = -1
-        if n < 0:
-            raise UnsupportedShape(f"operator power must be an integer >= 0, got {k!r}")
+        n = integer(k, "operator power", 0)
         out = _op(type(self), {_MONO_ONE: Coefficient.of(1)})
         for _ in range(n):
             out = multiply(out, self)

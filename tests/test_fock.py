@@ -923,7 +923,7 @@ class TestStatesAndOverlaps:
             raise AssertionError("eigenstate must reject the quantum numbers before solving for modes")
 
         monkeypatch.setattr(fock, "mode_solver", forbidden)
-        with pytest.raises(UnsupportedShape, match="quantum numbers must be >= 0"):
+        with pytest.raises(UnsupportedShape, match="quantum number [nm] must be an integer >= 0, got -1"):
             eigenstate(n, m)
 
     @pytest.mark.parametrize("n, m", [(1.5, 0), (0, F(1, 2))])
@@ -932,7 +932,7 @@ class TestStatesAndOverlaps:
             raise AssertionError("eigenstate must reject the quantum numbers before solving for modes")
 
         monkeypatch.setattr(fock, "mode_solver", forbidden)
-        with pytest.raises(UnsupportedShape, match="quantum numbers must be integers"):
+        with pytest.raises(UnsupportedShape, match="quantum number [nm] must be an integer"):
             eigenstate(n, m)
 
     def test_zero_state_overlap_is_typed(self):

@@ -368,3 +368,32 @@ def test_the_basis_check_sees_every_form(tmp_path):
                      "def f(na, nb):\n    return fock.FockBasis(na, nb).states()\n"
                      "class C:\n    kind = FockBasis\n    basis = 'FockBasis'\n")
     assert basis_reads(probe) == [(3, ""), (5, "f"), (7, "C")]
+
+
+def index_imports(path: Path) -> list:
+    """Line of each import of ``operator.index``: ``from operator import index``,
+    under any alias, or a read of ``index`` off the module after ``import operator``
+    (also ``as`` another name)."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "operator"}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "operator"
+                  and any(alias.name == "index" for alias in node.names)
+                  or isinstance(node, ast.Attribute) and node.attr == "index"
+                  and isinstance(node.value, ast.Name) and node.value.id in modules)
+
+
+def test_only_errors_reads_integers_with_operator_index():
+    """An integer argument is read by ``errors.integer``, which names what it
+    refuses; no other module calls ``operator.index`` on its own."""
+    found = {path.name: index_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("errors.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_index_check_sees_both_import_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import operator\nimport operator as op\nfrom operator import add, index as ix\n"
+                     "def f(k, basis):\n    return operator.index(k), op.index(k), basis.index(), ix(k)\n")
+    assert index_imports(probe) == [3, 5, 5]

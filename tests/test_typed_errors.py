@@ -1,18 +1,22 @@
-"""Exponents, indices, cutoffs, mode pairs and matrix shapes outside what a
-routine can take raise a typed error, never a bare Python or numpy one."""
+"""Exponents, indices, cutoffs, mode pairs, phases, names and matrix shapes
+outside what a routine can take raise a typed error, never a bare Python or
+numpy one."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cgalgebra import fock
-from cgalgebra.errors import UnsupportedShape
+from cgalgebra import fock, invariance, realizations
+from cgalgebra.errors import UnknownName, UnsupportedShape
 from cgalgebra.linalg import charpoly, det
-from cgalgebra.ring import Coefficient
+from cgalgebra.realizations import GeneratorTable, realization_osc
+from cgalgebra.ring import I, Coefficient
 from cgalgebra.weyl import Monomial, WeylOp
 
 NAN, INF = float("nan"), float("inf")
+OMEGA_GENERIC = WeylOp.dt().scale(I) - realizations.theta_family(None, 0, 0)
+X0, X1 = WeylOp.coord(0), WeylOp.coord(1)
 
 # (id, a call that must raise UnsupportedShape, an AlgebraError)
 EDGES = [
@@ -44,6 +48,24 @@ EDGES = [
     ("k-matrix-modes-int", lambda: fock.k_matrix(0.5, 2, 2, 5)),
     ("mode-solver-modes-int", lambda: fock.mode_solver(0.5, 5)),
     ("n-ladder-three-modes", lambda: fock.n_ladder(0.5, (1, 2, 3))),
+    ("x-powers-not-a-sequence", lambda: Monomial.make(x_pows=5)),
+    ("spectrum-object", lambda: fock.spectrum(np.array([[1]], dtype=object))),
+    ("spectrum-str", lambda: fock.spectrum(np.array([["a"]]))),
+    ("spectrum-ragged-list", lambda: fock.spectrum([[1.0], [1.0, 2.0]])),
+    ("phase-n-3/2", lambda: invariance.find_symmetries(OMEGA_GENERIC, [(0, Fraction(3, 2))])),
+    ("phase-n-1.5", lambda: invariance.find_symmetries(OMEGA_GENERIC, [(0, 1.5)])),
+    ("phase-triple", lambda: invariance.find_symmetries(OMEGA_GENERIC, [(0, 1, 99)])),
+    ("phase-str", lambda: invariance.find_symmetries(OMEGA_GENERIC, ["x"])),
+    ("close-algebra-extra-name", lambda: invariance.close_algebra([X0, X1], ["a", "b", "ghost"])),
+    ("close-algebra-missing-name", lambda: invariance.close_algebra([X0, X1], ["a"])),
+    ("close-algebra-repeated-name", lambda: invariance.close_algebra([X0, X1], ["a", "a"])),
+]
+
+# (id, a call that must raise UnknownName, an AlgebraError and a KeyError)
+UNKNOWN_NAMES = [
+    ("contract-without-power", lambda: invariance.contract(realizations.decoupled_generic())),
+    ("verify-table-foreign-name",
+     lambda: invariance.verify_table(realization_osc(), GeneratorTable(("q", "z0"), {("q", "z0"): {}}))),
 ]
 
 
@@ -51,6 +73,18 @@ EDGES = [
 def test_edge_raises_its_typed_error(call):
     with pytest.raises(UnsupportedShape):
         call()
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in UNKNOWN_NAMES])
+def test_name_outside_a_catalog_is_unknown(call):
+    with pytest.raises(UnknownName):
+        call()
+
+
+def test_spectrum_reads_a_list_like_the_array():
+    rows = [[1.0, 0.0], [2.0, 3.0]]
+    got, want = fock.spectrum(rows), fock.spectrum(np.array(rows))
+    assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.max_residual == want.max_residual
 
 
 def test_integral_exponents_of_other_types_are_read_as_ints():
