@@ -1,7 +1,9 @@
-"""Exception taxonomy shared by all modules, and the argument readers :func:`integer` and :func:`pair`."""
+"""Exception taxonomy shared by all modules, and the argument readers :func:`integer`,
+:func:`rational` and :func:`pair`."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import index
 
 
@@ -126,6 +128,16 @@ def integer(value, what: str, least=None) -> int:
     if out is None or least is not None and out < least:
         raise UnsupportedShape(f"{what} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     return out
+
+
+def rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction, read by ``fractions.Fraction`` (an int, a Fraction, a
+    float, a numeral text such as ``'3/2'``): a value it cannot read raises
+    :class:`UnsupportedShape` naming ``what``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UnsupportedShape(f"{what} must be a rational number, got {value!r}") from None
 
 
 def pair(value, what: str) -> tuple:

@@ -11,10 +11,12 @@ on kets, :meth:`LadderOp.apply_state`, is the ladder layer's own.  The
 formal deformation slot of the scalar ring carries the coupling ``gbar``
 when it is kept symbolic; the decoupling map E of K, and with it the modes
 of ad_K (the images e^{-E} w e^{E} of the linear words w), are derived once
-per mode pair with it formal, then specialized to each coupling.  Numerical
-work uses complex matrices on the truncated basis |n, m> ordered by the
-b-number m, then n, diagonalized block by block over the connected components
-of their nonzero entries (for K, the two parity classes of n + m).
+per mode pair with it formal, then specialized to each coupling, and so are
+the truncated matrices (K's entries and the eigenstate rows), built once per
+cutoff and mode pair.  Numerical work uses complex matrices on the truncated
+basis |n, m> ordered by the b-number m, then n, diagonalized block by block
+over the connected components of their nonzero entries (for K, the two parity
+classes of n + m).
 
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
@@ -42,7 +44,7 @@ from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GAMMA, summed
+from .ring import Coefficient, GAMMA, substituted, summed
 from .weyl import Monomial, WeylOp, ad_series, apply, commutator, multiply, similarity
 
 GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
@@ -61,6 +63,15 @@ def _gbar_coeff(gbar: GbarLike) -> Coefficient:
             raise FloatOverflow(f"coupling {gbar!r} is infinite; an exact coupling needs finite parts")
         return Coefficient.of((Fraction(z.real), Fraction(z.imag)))
     return Coefficient.of(gbar)
+
+
+def _mode_pair(modes) -> Tuple[int, int]:
+    """``modes`` as a tuple of two ints or Fractions, read by :func:`errors.pair`: an item of
+    another type raises :class:`UnsupportedShape`, before it reaches a cache key."""
+    out = pair(modes, "modes")
+    if not all(isinstance(m, (int, Fraction)) for m in out):
+        raise UnsupportedShape(f"modes must be ints or Fractions, got {modes!r}")
+    return out
 
 
 def _gamma_arg(gbar: GbarLike) -> Optional[Coefficient]:
@@ -120,7 +131,7 @@ class LadderOp(WeylOp):
 def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
     g = _gbar_coeff(gbar)
-    m1, m2 = pair(modes, "modes")
+    m1, m2 = _mode_pair(modes)
     out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): Fraction(1, 2)})
     coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
     return out + coupling
@@ -136,7 +147,7 @@ def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
 def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
     it commutes with K(gbar), and is the total number operator at zero coupling."""
-    return _decoupling(pair(modes, "modes"))[1].substitute(gamma=_gamma_arg(gbar))
+    return _decoupling(_mode_pair(modes))[1].substitute(gamma=_gamma_arg(gbar))
 
 
 def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
@@ -145,7 +156,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
     E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
     the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    out, depth = ad_series(-_decoupling(pair(modes, "modes"))[0].substitute(gamma=_gamma_arg(gbar)),
+    out, depth = ad_series(-_decoupling(_mode_pair(modes))[0].substitute(gamma=_gamma_arg(gbar)),
                            k_ladder(0, modes), 16)
     return out == k_ladder(gbar, modes), depth
 
@@ -187,7 +198,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     m1 = +-m2).
     """
     g = _gamma_arg(gbar)
-    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(pair(modes, "modes"))}
+    return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(_mode_pair(modes))}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +308,7 @@ def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
     g = _gbar_coeff(gbar)
     if not g.is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    rows, cols, c0, c1, factors = _k_entries(na, nb, pair(modes, "modes"))
+    rows, cols, c0, c1, factors = _k_entries(na, nb, _mode_pair(modes))
     with np.errstate(over="ignore", invalid="ignore"):
         values = (c0 + complex(g) * c1) * factors
     if not np.isfinite(values).all():
@@ -346,6 +357,11 @@ def _components(matrix: np.ndarray) -> List[np.ndarray]:
     return [np.array(by_size[s], dtype=np.intp) for s in sorted(by_size)]
 
 
+# the float and complex dtypes ``np.linalg.eig`` takes; spectrum reads the others (float16,
+# longdouble, clongdouble) as complex128
+_EIG_DTYPES = frozenset(map(np.dtype, (np.float32, np.float64, np.complex64, np.complex128)))
+
+
 def spectrum(matrix: np.ndarray) -> SpectrumResult:
     """Numerical eigenvalues with residual reporting, block by block.
 
@@ -365,9 +381,11 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
     behind the 2-norm, the largest over the blocks, is skipped; the verdict
     and ``max_residual`` are the same either way.
 
-    M is read by ``np.asarray``.  Ragged rows, a dtype that is not numeric, and a
-    matrix that is not square, or is empty, raise :class:`UnsupportedShape`,
-    and so does one ``np.linalg.eig`` rejects (a NaN or an infinite entry).
+    M is read by ``np.asarray``; a float or complex dtype that ``np.linalg.eig``
+    does not take is read as complex128.  Ragged rows, a dtype that is not
+    numeric, and a matrix that is not square, or is empty, raise
+    :class:`UnsupportedShape`, and so does one ``np.linalg.eig`` rejects (a NaN
+    or an infinite entry).
     """
     try:
         matrix = np.asarray(matrix)
@@ -375,6 +393,8 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
         raise UnsupportedShape("spectrum needs a matrix, got ragged rows") from None
     if matrix.dtype.kind not in "biufc" or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise UnsupportedShape(f"spectrum needs a nonempty square numeric matrix, got {matrix.dtype}, {matrix.shape}")
+    if matrix.dtype.kind in "fc" and matrix.dtype not in _EIG_DTYPES:
+        matrix = matrix.astype(complex)
     groups = _components(matrix)
     vals = np.empty(len(matrix), dtype=complex)
     worst = 0.0
@@ -412,9 +432,11 @@ def _kets(gbar: GbarLike, modes: Tuple[int, int],
 
     A_{m1} and A_{m2} are the modes that create K's quanta, so A_{m_i}|vac> != 0
     also at m_i < 0 (where A_{|m_i|} ~ b).  They are specialized to ``gbar`` by
-    one :func:`mode_solver` call per pass, and each ket is built
-    from the one before it: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then
-    A_{m1}^n A_{m2}^m |vac> from A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
+    one :func:`mode_solver` call per pass (:func:`_formal_rows` passes ``None``,
+    which keeps the coupling formal; :func:`eigenstate` its own coupling), and
+    each ket is built from the one before it: A_{m2}^m |vac> from
+    A_{m2}^(m-1) |vac>, then A_{m1}^n A_{m2}^m |vac> from
+    A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
     yields nothing but still advances the column.
     """
     by_lam = mode_solver(gbar, modes)
@@ -440,7 +462,7 @@ def eigenstate(n: int, m: int, gbar: GbarLike = None,
     n or m that is not an integer, or is negative, raises :class:`UnsupportedShape`.
     """
     n, m = integer(n, "quantum number n", 0), integer(m, "quantum number m", 0)
-    if na is not None and n + abs(pair(modes, "modes")[1]) * m > na:
+    if na is not None and n + abs(_mode_pair(modes)[1]) * m > na:
         raise CutoffTooSmall("state would touch the a-cutoff")
     if nb is not None and m > nb:
         raise CutoffTooSmall("state would touch the b-cutoff")
@@ -469,35 +491,58 @@ def overlap_probability(s1: Mapping[Tuple[int, int], Coefficient],
     return n12.abs2() / (n11.re * n22.re)
 
 
+@cache
+def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[int, Tuple[Coefficient, ...], tuple]:
+    """(row count, amplitudes, places) of :func:`eigenstate_matrix` with the coupling formal.
+
+    One :func:`_kets` pass with ``gbar`` formal.  The amplitudes are the distinct
+    nonzero ones, polynomials in g (43 for the 123 entries at cutoff 12); each
+    entry's place is (row, column, index of its amplitude, ``_root_factorial`` of
+    its state, the state (n2, m2)), in row order.  A ket that leaves the cutoffs
+    raises :class:`CutoffTooSmall`.
+    """
+    index = FockBasis(na, nb).index()
+    step = abs(modes[1])
+    amps: Dict[Coefficient, int] = {}
+    places = []
+    i = -1
+    for i, (_, ket) in enumerate(_kets(None, modes, [na - step * m for m in range(nb + 1) if step * m <= na])):
+        for nm2, amp in ket.items():
+            j = index.get(nm2)
+            if j is None:
+                raise CutoffTooSmall("eigenstate leaks outside the cutoff")
+            places.append((i, j, amps.setdefault(amp, len(amps)), _root_factorial(*nm2), nm2))
+    return i + 1, tuple(amps), tuple(places)
+
+
 def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
                       modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
     """Rows = mode eigenstates that fit the cutoffs, in the orthonormal basis.
 
     Row order is the basis order (m outer, n inner) over the states
     |n-bar, m-bar> with n + |m2| m <= na and m <= nb, each equal to
-    ``eigenstate(n, m, ...)``: both take their kets from one :func:`_kets`
-    pass.  As in :func:`k_matrix`, a cutoff below 1 raises
-    :class:`CutoffTooSmall`, and one that is not an integer or a formal
-    ``gbar`` :class:`UnsupportedShape`.
+    ``eigenstate(n, m, ...)``.  The rows are built once per cutoff and mode
+    pair with the coupling formal (:func:`_formal_rows`); a call substitutes
+    ``gbar`` into their amplitudes in one :func:`~cgalgebra.ring.substituted`
+    call, so each entry is the exact amplitude at ``gbar``, rounded once.  As in
+    :func:`k_matrix`, a cutoff below 1 raises :class:`CutoffTooSmall`, and one
+    that is not an integer or a formal ``gbar`` :class:`UnsupportedShape`, both
+    before any build; an entry past the float range raises :class:`FloatOverflow`.
     """
     na, nb = _cutoffs(na, nb)
-    if not _gbar_coeff(gbar).is_scalar():
+    g = _gbar_coeff(gbar)
+    if not g.is_scalar():
         raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    index = FockBasis(na, nb).index()
-    step = abs(pair(modes, "modes")[1])
-    rows = []
-    for _, ket in _kets(gbar, modes, [na - step * m for m in range(nb + 1) if step * m <= na]):
-        row = np.zeros(len(index), dtype=complex)
-        for nm2, amp in ket.items():
-            j = index.get(nm2)
-            if j is None:
-                raise CutoffTooSmall("eigenstate leaks outside the cutoff")
+    count, amps, places = _formal_rows(na, nb, _mode_pair(modes))
+    values = substituted(amps, g)
+    out = np.zeros((count, (na + 1) * (nb + 1)), dtype=complex)
+    for i, j, k, root, nm2 in places:
+        if values[k]:  # an amplitude that vanishes at gbar is not an entry
             try:
-                row[j] = complex(amp) * ldexp(*_root_factorial(*nm2))
+                out[i, j] = complex(values[k]) * ldexp(*root)
             except OverflowError:
                 raise FloatOverflow(f"eigenstate amplitude of {nm2} past the float range") from None
-        rows.append(row)
-    return np.array(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Its ``terms`` view and the parts ``re``/``im`` of a scalar convert to
 Fractions on demand; no other module reads that storage.  One routine,
 :func:`_sum`, adds ``(coefficient, int weight)`` pairs as ints over one
 denominator, keeping no zero value: ``+``, ``-``, the constructor and
-``substitute`` each make one call per result.  :func:`summed` sums a term
+:func:`substituted` (which puts values in for g and w, many coefficients per
+call) each make one call per result.  :func:`summed` sums a term
 map: the caller collects a list of pairs per key (operator constructors,
 sums, ad-series and products, the ladder action on kets, Jacobi sums), and
 ``summed`` makes one ``_sum`` call per key of several pairs; a key of one
@@ -36,7 +37,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import (FloatOverflow, NegativeOmegaPower, NotDivisible, NotExact, NotScalar, ParseError,
-                     SingularLimit, ZeroDivisor, ZeroSubstitution, excerpt, integer)
+                     SingularLimit, ZeroDivisor, ZeroSubstitution, excerpt, integer, pair)
 
 
 # a numeral as str(Fraction) prints it: a signed integer, optionally over a
@@ -110,7 +111,7 @@ class Coefficient:
         """Sum of ``((a, b), q)`` pairs (or a mapping), q an exact scalar:
         an int, a Fraction, an ``(re, im)`` pair or a scalar Coefficient."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        c = _sum((Coefficient.monomial(q, *k), 1) for k, q in items)
+        c = _sum((Coefficient.monomial(q, *pair(k, "exponent key")), 1) for k, q in items)
         self._num, self._den = c._num, c._den
 
     # -- constructors ---------------------------------------------------
@@ -276,9 +277,10 @@ class Coefficient:
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is ONE else out * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conj(self) -> "Coefficient":
@@ -345,26 +347,8 @@ class Coefficient:
 
     # -- evaluation ----------------------------------------------------------
     def substitute(self, gamma=None, omega=None) -> "Coefficient":
-        """Partial substitution of exact scalars; ``None`` leaves a parameter formal.
-
-        A negative power of g becomes an exact division (see ``__pow__``).
-        """
-        if gamma is None and omega is None:
-            return self
-        gq = None if gamma is None else Coefficient.of(gamma)
-        wq = None if omega is None else Coefficient.of(omega)
-        if gq is not None and not gq and any(a < 0 for a, _ in self._num):
-            raise ZeroSubstitution("gamma=0 hits a gamma pole")
-        parts = []
-        for (a, b), v in self._num.items():
-            term = _new({(a if gq is None else 0, b if wq is None else 0): v}, 1)
-            if gq is not None:
-                term = term * gq ** a
-            if wq is not None:
-                term = term * wq ** b
-            parts.append((term, 1))
-        out = _sum(parts)
-        return _reduced(out._num, out._den * self._den)
+        """Partial substitution of exact scalars, as a one-item :func:`substituted` call."""
+        return substituted((self,), gamma, omega)[0]
 
     def gamma_limit(self) -> "Coefficient":
         """Drop every g^a term with a > 0; error on a < 0 (pole at g=0)."""
@@ -477,6 +461,50 @@ def _sum(pairs) -> Coefficient:
     if num is None:
         return ZERO if first is None else first if fw == 1 else first._scaled(fw)
     return _reduced(num, den)
+
+
+def substituted(coeffs, gamma=None, omega=None) -> list:
+    """The coefficients with exact scalars put in for g and w; ``None`` leaves a parameter formal.
+
+    Each power of gamma and of omega that a term needs is made once per call
+    (``__pow__``: a negative power of gamma divides exactly), and so is each
+    product g^a w^b, a parameter left formal keeping its exponent.  A result is
+    one :func:`_sum` of those products weighted by its terms' numerators.
+    gamma = 0 at a negative power of g raises :class:`ZeroSubstitution`.
+    """
+    coeffs = list(coeffs)
+    if not coeffs or gamma is None and omega is None:
+        return coeffs
+    gq = None if gamma is None else Coefficient.of(gamma)
+    wq = None if omega is None else Coefficient.of(omega)
+    g_pows: dict = {}
+    w_pows: dict = {}
+    powers: dict = {}  # (a, b) -> (g^a w^b with the values put in, times i)
+    out = []
+    for c in coeffs:
+        parts = []
+        for (a, b), (re, im) in c._num.items():
+            p = powers.get((a, b))
+            if p is None:
+                if gq is None:
+                    q = _new({(a, 0): (1, 0)}, 1)
+                elif a in g_pows:
+                    q = g_pows[a]
+                elif a < 0 and not gq:
+                    raise ZeroSubstitution("gamma=0 hits a gamma pole")
+                else:
+                    q = g_pows[a] = gq ** a
+                if wq is None:
+                    q = _new({(ka, kb + b): v for (ka, kb), v in q._num.items()}, q._den)
+                else:
+                    if b not in w_pows:
+                        w_pows[b] = wq ** b
+                    q = q * w_pows[b]
+                p = powers[(a, b)] = q, q * I
+            parts += (p[0], re), (p[1], im)
+        s = _sum(parts)
+        out.append(_reduced(s._num, s._den * c._den))
+    return out
 
 
 CoefficientLike = Union[Coefficient, int, Fraction, tuple]

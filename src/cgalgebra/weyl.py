@@ -47,8 +47,8 @@ from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt, integer
-from .ring import Coefficient, CoefficientLike, parse_number, summed
+from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt, integer, rational
+from .ring import Coefficient, CoefficientLike, parse_number, substituted, summed
 
 
 # _key(Monomial, fields): a Monomial from a tuple of its fields, past the NamedTuple's own __new__
@@ -78,8 +78,9 @@ class Monomial(NamedTuple):
 
     @staticmethod
     def make(phase_m=0, phase_n=0, t_pow=0, x_pows=(), d_pows=(), dt_pow=0) -> "Monomial":
-        """The canonical monomial; an exponent that is not an integer (read by :func:`errors.integer`),
-        a negative Dt, coordinate or derivative power, or powers not in a sequence raise :class:`UnsupportedShape`."""
+        """The canonical monomial; a phase ``Fraction`` cannot read (read by :func:`errors.rational`),
+        an exponent that is not an integer (read by :func:`errors.integer`), a negative Dt, coordinate
+        or derivative power, or powers not in a sequence raise :class:`UnsupportedShape`."""
         phase_n, t_pow = integer(phase_n, "phase multiple of w"), integer(t_pow, "t power")
         dt_pow = integer(dt_pow, "Dt power", 0)
         try:
@@ -89,7 +90,7 @@ class Monomial(NamedTuple):
         x_pows = tuple(integer(x, "coordinate power", 0) for x, _ in pows)
         d_pows = tuple(integer(d, "derivative power", 0) for _, d in pows)
         x_pows, d_pows = _trim(x_pows, d_pows)
-        return Monomial(_phase(Fraction(phase_m)), phase_n, t_pow, x_pows, d_pows, dt_pow)
+        return Monomial(_phase(rational(phase_m, "phase")), phase_n, t_pow, x_pows, d_pows, dt_pow)
 
     @property
     def arity(self) -> int:
@@ -185,7 +186,7 @@ class WeylOp:
 
     @staticmethod
     def phase(m, n: int = 0) -> "WeylOp":
-        return WeylOp({Monomial.make(phase_m=Fraction(m), phase_n=n): Coefficient.of(1)})
+        return WeylOp({Monomial.make(phase_m=m, phase_n=n): Coefficient.of(1)})
 
     # -- views ------------------------------------------------------------
     def terms(self) -> Iterable:
@@ -264,17 +265,16 @@ class WeylOp:
         """
         if gamma is None and omega is None:
             return self
-        pairs = []
-        for mono, c in self._terms.items():
-            c2 = c.substitute(gamma=gamma, omega=omega)
-            if omega is not None and mono.phase_n:
-                wq = Coefficient.of(omega)
-                if wq.im:
-                    raise ComplexFrequency("cannot fold a complex frequency into a phase")
-                mono = Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
-                                     mono.x_pows, mono.d_pows, mono.dt_pow)
-            pairs.append((mono, c2))
-        return type(self)(pairs)
+        monos = list(self._terms)
+        values = substituted(self._terms.values(), gamma, omega)
+        if omega is not None and any(mono.phase_n for mono in monos):
+            wq = Coefficient.of(omega)
+            if wq.im:
+                raise ComplexFrequency("cannot fold a complex frequency into a phase")
+            monos = [Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
+                                   mono.x_pows, mono.d_pows, mono.dt_pow) if mono.phase_n else mono
+                     for mono in monos]
+        return type(self)(zip(monos, values))
 
     def gamma_limit(self) -> "WeylOp":
         return type(self)((mono, c.gamma_limit()) for mono, c in self._terms.items())

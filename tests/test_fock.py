@@ -7,7 +7,7 @@ from math import comb, factorial, isqrt, perm, sqrt
 import numpy as np
 import pytest
 
-from cgalgebra import fock
+from cgalgebra import fock, weyl
 from cgalgebra.errors import (AlgebraError, CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName,
                               UnsupportedShape)
 from cgalgebra.linalg import charpoly, gaussian_rational_roots, nullspace
@@ -415,8 +415,8 @@ class TestModeSolverOracle:
         an explicit formal g substitutes, and gives the same operators."""
         formal = mode_solver(None), n_ladder(None), kgamma_decoupling_check(None)  # builds the caches
         calls = []
-        real = Coefficient.substitute
-        monkeypatch.setattr(Coefficient, "substitute", lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        real = weyl.substituted  # the batched substitution behind WeylOp.substitute
+        monkeypatch.setattr(weyl, "substituted", lambda *a, **k: calls.append(1) or real(*a, **k))
         got = mode_solver(None), n_ladder(None), kgamma_decoupling_check(None)
         assert calls == []
         assert got == formal == (mode_solver(GAMMA), n_ladder(GAMMA), kgamma_decoupling_check(GAMMA))
@@ -786,6 +786,12 @@ def per_state_rows(gbar, na, nb, modes):
 
 
 class TestEigenstateMatrix:
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        fock._formal_rows.cache_clear()
+        yield
+        fock._formal_rows.cache_clear()
+
     def test_rows_equal_per_state_eigenstates(self):
         for gbar in (F(1, 2), F(-4, 3), gr(3, F(2, 7)), 0.7 + 0.2j):
             for na, nb, modes in ((6, 6, (1, 3)), (9, 2, (1, 3)), (5, 9, (1, 3)),
@@ -794,12 +800,47 @@ class TestEigenstateMatrix:
                 want = per_state_rows(gbar, na, nb, modes)
                 assert got.shape == want.shape and np.array_equal(got, want), (gbar, na, nb, modes)
 
+    @pytest.mark.parametrize("gbar", [0, 1000])
+    @pytest.mark.parametrize("na, nb, modes", [(7, 3, (1, 3)), (4, 6, (1, 3)), (9, 2, (1, -3)), (3, 5, (1, -3))])
+    def test_rows_equal_per_state_eigenstates_bitwise_at_the_ends(self, gbar, na, nb, modes):
+        """At gbar = 0 the formal amplitudes that vanish are no entries at all; at 1000 the
+        largest powers of g dominate; both round like the per-state route, bit for bit."""
+        got = eigenstate_matrix(gbar, na, nb, modes)
+        want = per_state_rows(gbar, na, nb, modes)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_one_mode_solve_per_call(self, monkeypatch):
+        """One formal build per cutoff and mode pair makes the one mode solve, with the
+        coupling formal; later couplings at that cutoff make none."""
         calls = []
         solve = fock.mode_solver
         monkeypatch.setattr(fock, "mode_solver", lambda *a: calls.append(a) or solve(*a))
         eigenstate_matrix(F(1, 2), 12, 12)
-        assert len(calls) == 1
+        assert calls == [(None, (1, 3))]
+        eigenstate_matrix(gr(3, F(2, 7)), 12, 12)
+        eigenstate_matrix(0.5, 12, 12, [1, 3])
+        assert calls == [(None, (1, 3))]
+
+    def test_a_second_coupling_makes_no_ladder_action(self, monkeypatch):
+        eigenstate_matrix(F(1, 2), 8, 8)
+        calls = []
+        real = LadderOp.apply_state
+        monkeypatch.setattr(LadderOp, "apply_state", lambda self, st: calls.append(1) or real(self, st))
+        monkeypatch.setattr(fock, "mode_solver", lambda *a: calls.append(a))
+        eigenstate_matrix(gr(-4, F(1, 3)), 8, 8)
+        assert calls == []
+        assert fock._formal_rows.cache_info().misses == 1
+
+    def test_formal_rows_hold_no_negative_power_of_g(self):
+        for na, nb, modes in ((12, 12, (1, 3)), (7, 7, (1, -3)), (6, 4, (2, 5))):
+            count, amps, places = fock._formal_rows(na, nb, modes)
+            exps = {k for amp in amps for k, _ in amp.terms}
+            assert min(a for a, _ in exps) == 0 and {b for _, b in exps} == {0}
+            assert len(set(amps)) == len(amps) == 1 + max(k for _, _, k, _, _ in places)
+            assert count == 1 + max(i for i, *_ in places)
+        count, amps, places = fock._formal_rows(12, 12, (1, 3))
+        assert (count, len(places), len(amps)) == (35, 123, 43)
+        assert max(a for amp in amps for (a, _), _ in amp.terms) == 4
 
     def test_zero_frequency_is_degenerate(self):
         with pytest.raises(DegenerateModes):

@@ -305,6 +305,36 @@ def test_product_memos_key_on_exponents_only():
     assert [hit for hit in params if hit[3] not in ("int", "Fraction")] == []
 
 
+def memo_keys_outside(paths, allowed) -> list:
+    """(file, function, parameter, annotation) of each memo parameter in ``paths``
+    whose annotation is not one of ``allowed``."""
+    return [(path.name, *hit[1:]) for path in paths for hit in memo_parameters(path) if hit[3] not in allowed]
+
+
+FOCK_KEYS = ("int", "Tuple[int, int]")
+
+
+def test_fock_memos_key_on_cutoffs_and_modes_only():
+    """A memo in ``fock`` keys on cutoffs, quantum numbers and mode pairs, never on a
+    coupling: every coupling-dependent result is built once with the coupling formal
+    and substituted per call, so no cache there wins only when a coupling repeats."""
+    path = PACKAGE / "fock.py"
+    assert {"_decoupling", "_formal_modes", "_root_factorial", "_k_entries", "_formal_rows"} <= \
+        {hit[1] for hit in memo_parameters(path)}
+    assert memo_keys_outside((path,), FOCK_KEYS) == []
+
+
+def test_the_fock_memo_rule_refuses_a_coupling_key(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from functools import cache\n"
+                     "@cache\ndef _rows(na: int, nb: int, modes: Tuple[int, int]):\n    pass\n"
+                     "@cache\ndef _at(gbar: GbarLike, na: int):\n    pass\n"
+                     "@cache\ndef _amp(c: Coefficient, modes):\n    pass\n")
+    assert memo_keys_outside((probe,), FOCK_KEYS) == [
+        ("probe.py", "_at", "gbar", "GbarLike"), ("probe.py", "_amp", "c", "Coefficient"),
+        ("probe.py", "_amp", "modes", "")]
+
+
 def test_the_memo_check_sees_every_form(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import functools\nfrom functools import cache, lru_cache\n"

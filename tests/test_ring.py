@@ -12,6 +12,7 @@ from cgalgebra.ring import (
     GAMMA_INV,
     OMEGA,
     parse_number,
+    substituted,
     summed,
 )
 
@@ -431,6 +432,45 @@ class TestIntegerStorage:
                                    None if w is None else Coefficient.of(w))
                 assert model_of(got) == m_subst(mx, g, w)
                 check_canonical(got)
+
+
+class TestSubstituted:
+    """The batched substitution behind ``Coefficient.substitute`` and ``WeylOp.substitute``."""
+
+    def test_batch_against_the_fraction_model(self):
+        rng = random.Random(1707)
+        for _ in range(300):
+            models = [rand_model(rng) for _ in range(rng.randint(1, 6))]
+            gamma = (rand_part(rng) or F(1), rand_part(rng))
+            omega = (rand_part(rng), rand_part(rng))
+            for g, w in ((gamma, None), (None, omega), (gamma, omega)):
+                got = substituted([coeff_of(m) for m in models], None if g is None else Coefficient.of(g),
+                                  None if w is None else Coefficient.of(w))
+                assert [model_of(c) for c in got] == [m_subst(m, g, w) for m in models]
+                for c in got:
+                    check_canonical(c)
+
+    def test_each_power_is_made_once_per_call(self, monkeypatch):
+        rng = random.Random(1708)
+        coeffs = [Coefficient({(rng.randint(0, 3), rng.randint(0, 2)): rand_part(rng) or 1}) for _ in range(60)]
+        coeffs.append(Coefficient({(a, b): 1 for a in range(4) for b in range(3)}))
+        calls = []
+        real = Coefficient.__pow__
+        monkeypatch.setattr(Coefficient, "__pow__", lambda self, k: calls.append(k) or real(self, k))
+        got = substituted(coeffs, gr(F(3, 7), F(-2, 5)), gr(F(5, 2)))
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3]
+        monkeypatch.undo()
+        assert got == [c.substitute(gr(F(3, 7), F(-2, 5)), gr(F(5, 2))) for c in coeffs]
+
+    def test_a_pole_anywhere_in_the_batch_at_gamma_zero(self):
+        with pytest.raises(ZeroSubstitution):
+            substituted([GAMMA, Coefficient.of(3), GAMMA_INV + 1], gr(0))
+        assert substituted([GAMMA, Coefficient.of(3), OMEGA], gr(0)) == [Coefficient(), gr(3), OMEGA]
+
+    def test_nothing_to_put_in(self):
+        coeffs = [GAMMA, OMEGA * 2]
+        assert all(a is b for a, b in zip(substituted(coeffs), coeffs))
+        assert substituted([], gamma=gr(0)) == [] and substituted(iter(coeffs), omega=gr(1)) == [GAMMA, gr(2)]
 
 
 def naive_summed(acc):

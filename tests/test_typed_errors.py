@@ -56,6 +56,20 @@ EDGES = [
     ("phase-n-1.5", lambda: invariance.find_symmetries(OMEGA_GENERIC, [(0, 1.5)])),
     ("phase-triple", lambda: invariance.find_symmetries(OMEGA_GENERIC, [(0, 1, 99)])),
     ("phase-str", lambda: invariance.find_symmetries(OMEGA_GENERIC, ["x"])),
+    ("key-one-item", lambda: Coefficient({(1,): 5})),
+    ("key-three-items", lambda: Coefficient({(1, 0, 0): 5})),
+    ("key-not-a-pair", lambda: Coefficient({1: 5})),
+    ("weyl-phase-str", lambda: WeylOp.phase("x")),
+    ("weyl-phase-none", lambda: WeylOp.phase(None)),
+    ("weyl-phase-nan", lambda: WeylOp.phase(NAN)),
+    ("weyl-phase-inf", lambda: WeylOp.phase(INF)),
+    ("weyl-phase-complex", lambda: WeylOp.phase(1j)),
+    ("monomial-phase-str", lambda: Monomial.make(phase_m="x")),
+    ("k-matrix-modes-of-lists", lambda: fock.k_matrix(0.5, 2, 2, ([1], [3]))),
+    ("eigenstate-matrix-modes-of-lists", lambda: fock.eigenstate_matrix(0.5, 2, 2, ([1], [3]))),
+    ("mode-solver-modes-of-str", lambda: fock.mode_solver(0.5, ("1", "3"))),
+    ("eigenstate-modes-of-float", lambda: fock.eigenstate(1, 1, 0.5, modes=(1.0, 3.0))),
+    ("k-ladder-modes-of-complex", lambda: fock.k_ladder(0.5, (1j, 3))),
     ("close-algebra-extra-name", lambda: invariance.close_algebra([X0, X1], ["a", "b", "ghost"])),
     ("close-algebra-missing-name", lambda: invariance.close_algebra([X0, X1], ["a"])),
     ("close-algebra-repeated-name", lambda: invariance.close_algebra([X0, X1], ["a", "a"])),
@@ -85,6 +99,23 @@ def test_spectrum_reads_a_list_like_the_array():
     rows = [[1.0, 0.0], [2.0, 3.0]]
     got, want = fock.spectrum(rows), fock.spectrum(np.array(rows))
     assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.max_residual == want.max_residual
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
+def test_spectrum_reads_the_dtypes_eig_refuses_as_complex(dtype):
+    rows = [[1.0, 0.0], [2.0, 3.0]]
+    got, want = fock.spectrum(np.array(rows, dtype=dtype)), fock.spectrum(np.array(rows, dtype=complex))
+    assert np.array_equal(got.eigenvalues, want.eigenvalues) and got.max_residual == want.max_residual
+
+
+def test_phases_read_what_fraction_reads():
+    """A phase takes every value ``Fraction`` takes: ints, Fractions, floats, decimal text."""
+    assert WeylOp.phase("3/2") == WeylOp.phase(Fraction(3, 2)) == WeylOp.phase(1.5)
+    assert Monomial.make(phase_m=np.int64(2)).phase_m == 2 and type(Monomial.make(phase_m=Fraction(4, 2)).phase_m) is int
+
+
+def test_mode_pairs_of_rationals_are_read_as_today():
+    assert np.array_equal(fock.k_matrix(0.5, 2, 2, [Fraction(1), 3]), fock.k_matrix(0.5, 2, 2))
 
 
 def test_integral_exponents_of_other_types_are_read_as_ints():
