@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, ldexp, perm, sqrt
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,11 +50,12 @@ from .weyl import Monomial, WeylOp, ad_series, apply, commutator, multiply, simi
 GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
 
 
-def _gbar_coeff(gbar: GbarLike) -> Coefficient:
-    """Interpret gbar: None keeps it formal (the ring's g slot).  A float part that is NaN
-    raises :class:`UnsupportedShape`, one that is infinite :class:`FloatOverflow`."""
+def _coupling(gbar: GbarLike) -> Optional[Coefficient]:
+    """gbar as an exact coupling; None stays None, the formal coupling, which a substitution
+    leaves as it is.  A float part that is NaN raises :class:`UnsupportedShape`, one that
+    is infinite :class:`FloatOverflow`."""
     if gbar is None:
-        return GAMMA
+        return None
     if isinstance(gbar, (float, complex)):
         z = complex(gbar)
         if cmath.isnan(z):
@@ -72,12 +73,6 @@ def _mode_pair(modes) -> Tuple[int, int]:
     if not all(isinstance(m, (int, Fraction)) for m in out):
         raise UnsupportedShape(f"modes must be ints or Fractions, got {modes!r}")
     return out
-
-
-def _gamma_arg(gbar: GbarLike) -> Optional[Coefficient]:
-    """The ``gamma`` to substitute for gbar into a formal-coupling operator: None leaves
-    the coupling formal, so the substitution returns the operator as it is."""
-    return None if gbar is None else _gbar_coeff(gbar)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +124,8 @@ class LadderOp(WeylOp):
 # ---------------------------------------------------------------------------
 
 def k_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
-    """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b."""
-    g = _gbar_coeff(gbar)
+    """K = m1 a+a + m2 b+b + 1/2 + gbar (a + a+) b; a formal gbar puts in the ring's g."""
+    g = GAMMA if gbar is None else _coupling(gbar)
     m1, m2 = _mode_pair(modes)
     out = LadderOp({_word(1, 1, 0, 0): m1, _word(0, 0, 1, 1): m2, _word(0, 0, 0, 0): Fraction(1, 2)})
     coupling = LadderOp({_word(0, 1, 0, 1): g, _word(1, 0, 0, 1): g})
@@ -147,7 +142,7 @@ def _decoupling(modes: Tuple[int, int]) -> Tuple[LadderOp, LadderOp]:
 def n_ladder(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> LadderOp:
     """Number-like partner N = e^{-E} (a+a + b+b) e^{E}, E of :func:`kgamma_decoupling_check`:
     it commutes with K(gbar), and is the total number operator at zero coupling."""
-    return _decoupling(_mode_pair(modes))[1].substitute(gamma=_gamma_arg(gbar))
+    return _decoupling(_mode_pair(modes))[1].substitute(gamma=_coupling(gbar))
 
 
 def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Tuple[bool, int]:
@@ -156,7 +151,7 @@ def kgamma_decoupling_check(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 
     E is :func:`invariance.decoupling_map` of K at ``modes``, derived once per mode pair with
     the coupling formal, then specialized; it exists where m2 != 0 and m1 != +-m2.
     """
-    out, depth = ad_series(-_decoupling(_mode_pair(modes))[0].substitute(gamma=_gamma_arg(gbar)),
+    out, depth = ad_series(-_decoupling(_mode_pair(modes))[0].substitute(gamma=_coupling(gbar)),
                            k_ladder(0, modes), 16)
     return out == k_ladder(gbar, modes), depth
 
@@ -197,7 +192,7 @@ def mode_solver(gbar: GbarLike = None, modes: Tuple[int, int] = (1, 3)) -> Dict[
     raises :class:`DegenerateModes` if eigenvalues collide (m1 or m2 zero, or
     m1 = +-m2).
     """
-    g = _gamma_arg(gbar)
+    g = _coupling(gbar)
     return {lam: op.substitute(gamma=g) for lam, op in _formal_modes(_mode_pair(modes))}
 
 
@@ -219,13 +214,17 @@ class FockBasis:
         return {nm: i for i, nm in enumerate(self.states())}
 
 
-def _cutoffs(na, nb) -> Tuple[int, int]:
-    """(na, nb) as ints: cutoffs that are not integers raise :class:`UnsupportedShape`,
-    one below 1 :class:`CutoffTooSmall`."""
+def _float_args(gbar: GbarLike, na, nb, modes) -> Tuple[Coefficient, int, int, Tuple[int, int]]:
+    """(g, na, nb, modes) of a float matrix, checked before any build: cutoffs that are not
+    integers raise :class:`UnsupportedShape`, one below 1 :class:`CutoffTooSmall`; then a
+    formal or non-scalar coupling :class:`UnsupportedShape`; then the mode pair is read."""
     na, nb = integer(na, "cutoff na"), integer(nb, "cutoff nb")
     if na < 1 or nb < 1:
         raise CutoffTooSmall("cutoffs must be at least 1")
-    return na, nb
+    g = _coupling(gbar)
+    if g is None or not g.is_scalar():
+        raise UnsupportedShape("numerical matrix needs a numeric coupling")
+    return g, na, nb, _mode_pair(modes)
 
 
 @cache
@@ -241,33 +240,51 @@ def _root_factorial(n: int, m: int) -> Tuple[float, int]:
         return sqrt(q >> 2 * k), k
 
 
-def _entries(op: LadderOp, basis: FockBasis) -> Iterator[Tuple[int, int, Coefficient, float]]:
-    """(i, j, exact amplitude, sqrt(n2! m2! / (n! m!))) of each state_j = |n2, m2> in
-    op|state_i = |n, m>, both unnormalized kets; the factor converts the amplitude to
-    the orthonormal basis.
+def _entries(op: LadderOp, basis: FockBasis) -> Tuple[np.ndarray, np.ndarray, List[Coefficient], np.ndarray]:
+    """(rows, cols, exact amplitudes, factors) of op's truncated matrix, one slot per entry:
+    the amplitude of state_j = |n2, m2> in op|state_i = |n, m>, both unnormalized kets,
+    and the factor sqrt(n2! m2! / (n! m!)) that converts it to the orthonormal basis.
 
     Amplitudes that would leave the truncation are dropped, exactly as a
     finite truncation demands; triangularity statements are exact because
     every coupling term of K lowers the b-number.
     """
     index = basis.index()
+    rows, cols, amps, factors = [], [], [], []
     for (n, m), i in index.items():
         r, k = _root_factorial(n, m)
         for nm2, amp in op.apply_state({(n, m): Coefficient.of(1)}).items():
             j = index.get(nm2)
             if j is not None:
                 r2, k2 = _root_factorial(*nm2)
-                yield i, j, amp, ldexp(r2 / r, k2 - k)
+                rows.append(i)
+                cols.append(j)
+                amps.append(amp)
+                factors.append(ldexp(r2 / r, k2 - k))
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), amps, np.array(factors)
+
+
+def _filled(shape: Tuple[int, int], rows, cols, values, overflow: Callable[[int], str]) -> np.ndarray:
+    """A fresh complex matrix of ``shape``, zero but for ``values`` at (rows, cols): the one
+    fill of the float matrices.  A value that is not finite raises :class:`FloatOverflow`
+    with the message ``overflow(j)``, j the column of the first such entry."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatOverflow(overflow(int(cols[bad[0]])))
+    out = np.zeros(shape, dtype=complex)
+    out[rows, cols] = values
+    return out
 
 
 def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
     """Dense matrix with row i = expansion of op|state_i> (orthonormal basis),
-    amplitudes outside the truncation dropped."""
+    amplitudes outside the truncation dropped; an entry past the float range raises
+    :class:`FloatOverflow`."""
+    rows, cols, amps, factors = _entries(op, basis)
+    values = np.array([complex(amp) * factor for amp, factor in zip(amps, factors)], dtype=complex)
     dim = len(basis.states())
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, j, amp, factor in _entries(op, basis):
-        out[i, j] = complex(amp) * factor
-    return out
+    return _filled((dim, dim), rows, cols, values,
+                   lambda j: f"ladder amplitude of {basis.states()[j]} past the float range")
 
 
 @cache
@@ -280,16 +297,10 @@ def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ..
     The factor is kept apart and applied last, as :func:`ladder_matrix` applies
     it to the exact amplitude, so the entries round alike: folded into c1 it
     puts 1.8e-12 between the two routes at gbar = 1000 and cutoff 12."""
-    rows, cols, c0, c1, factors = [], [], [], [], []
-    for i, j, amp, factor in _entries(k_ladder(None, modes), FockBasis(na, nb)):
-        weights = {a: complex(Coefficient.of(q)) for (a, _), q in amp.terms}
-        rows.append(i)
-        cols.append(j)
-        c0.append(weights.get(0, 0j))
-        c1.append(weights.get(1, 0j))
-        factors.append(factor)
-    out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-           np.array(c0, dtype=complex), np.array(c1, dtype=complex), np.array(factors))
+    rows, cols, amps, factors = _entries(k_ladder(None, modes), FockBasis(na, nb))
+    weights = [{a: complex(Coefficient.of(q)) for (a, _), q in amp.terms} for amp in amps]
+    out = (rows, cols, np.array([w.get(0, 0j) for w in weights], dtype=complex),
+           np.array([w.get(1, 0j) for w in weights], dtype=complex), factors)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -300,23 +311,17 @@ def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
 
     The entries of K0 and K1 are built once per cutoff and modes with the
     coupling formal (:func:`_k_entries`); a call substitutes ``gbar`` into them
-    and fills a fresh matrix.  A formal ``gbar`` (``None``) raises
-    :class:`UnsupportedShape`, and a finite one that takes an entry past the
-    float range :class:`FloatOverflow`.  Cutoffs are read by :func:`_cutoffs`.
+    and fills a fresh matrix (:func:`_filled`).  The arguments are read by
+    :func:`_float_args`, and a coupling that takes an entry past the float range
+    raises :class:`FloatOverflow`.
     """
-    na, nb = _cutoffs(na, nb)
-    g = _gbar_coeff(gbar)
-    if not g.is_scalar():
-        raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    rows, cols, c0, c1, factors = _k_entries(na, nb, _mode_pair(modes))
+    g, na, nb, modes = _float_args(gbar, na, nb, modes)
+    rows, cols, c0, c1, factors = _k_entries(na, nb, modes)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (c0 + complex(g) * c1) * factors
-    if not np.isfinite(values).all():
-        raise FloatOverflow(f"coupling {complex(g)} takes K's truncated matrix past the float range")
     dim = (na + 1) * (nb + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[rows, cols] = values
-    return out
+    return _filled((dim, dim), rows, cols, values,
+                   lambda j: f"coupling {complex(g)} takes K's truncated matrix past the float range")
 
 
 @dataclass
@@ -453,19 +458,12 @@ def _kets(gbar: GbarLike, modes: Tuple[int, int],
 
 
 def eigenstate(n: int, m: int, gbar: GbarLike = None,
-               na: Optional[int] = None, nb: Optional[int] = None,
                modes: Tuple[int, int] = (1, 3)) -> Dict[Tuple[int, int], Coefficient]:
-    """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> over unnormalized |n, m>.
-
-    When cutoffs are supplied the state must fit inside them with margin
-    (n + |m2| m <= na and m <= nb) or :class:`CutoffTooSmall` is raised; an
-    n or m that is not an integer, or is negative, raises :class:`UnsupportedShape`.
+    """|n-bar, m-bar> = A_{m1}^n A_{m2}^m |vac> over unnormalized |n, m>, untruncated
+    (:func:`eigenstate_matrix` applies the cutoffs); an n or m that is not an integer,
+    or is negative, raises :class:`UnsupportedShape`.
     """
     n, m = integer(n, "quantum number n", 0), integer(m, "quantum number m", 0)
-    if na is not None and n + abs(_mode_pair(modes)[1]) * m > na:
-        raise CutoffTooSmall("state would touch the a-cutoff")
-    if nb is not None and m > nb:
-        raise CutoffTooSmall("state would touch the b-cutoff")
     *_, (_, state) = _kets(gbar, modes, [-1] * m + [n])
     return state
 
@@ -492,57 +490,62 @@ def overlap_probability(s1: Mapping[Tuple[int, int], Coefficient],
 
 
 @cache
-def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[int, Tuple[Coefficient, ...], tuple]:
-    """(row count, amplitudes, places) of :func:`eigenstate_matrix` with the coupling formal.
+def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> tuple:
+    """(row count, amplitudes, rows, cols, amplitude indices, factors) of
+    :func:`eigenstate_matrix` with the coupling formal.
 
-    One :func:`_kets` pass with ``gbar`` formal.  The amplitudes are the distinct
-    nonzero ones, polynomials in g (43 for the 123 entries at cutoff 12); each
-    entry's place is (row, column, index of its amplitude, ``_root_factorial`` of
-    its state, the state (n2, m2)), in row order.  A ket that leaves the cutoffs
-    raises :class:`CutoffTooSmall`.
+    One :func:`_kets` pass with ``gbar`` formal over the states |n-bar, m-bar> with
+    n + |m2| m <= na and m <= nb, the one cutoff rule of the eigenstates.  The
+    amplitudes are the distinct nonzero ones, polynomials in g (43 for the 123
+    entries at cutoff 12).  The rest are read-only arrays with one slot per
+    entry, in row order: its row, its column, the index of its amplitude, and
+    its factor sqrt(n2! m2!) to the orthonormal basis, ``inf`` past the float
+    range.  A ket that leaves the cutoffs raises :class:`CutoffTooSmall`.
     """
     index = FockBasis(na, nb).index()
     step = abs(modes[1])
     amps: Dict[Coefficient, int] = {}
-    places = []
-    i = -1
+    rows, cols, ks, roots = [], [], [], []
     for i, (_, ket) in enumerate(_kets(None, modes, [na - step * m for m in range(nb + 1) if step * m <= na])):
         for nm2, amp in ket.items():
             j = index.get(nm2)
             if j is None:
                 raise CutoffTooSmall("eigenstate leaks outside the cutoff")
-            places.append((i, j, amps.setdefault(amp, len(amps)), _root_factorial(*nm2), nm2))
-    return i + 1, tuple(amps), tuple(places)
+            rows.append(i)
+            cols.append(j)
+            ks.append(amps.setdefault(amp, len(amps)))
+            roots.append(_root_factorial(*nm2))
+    r, k = zip(*roots)
+    with np.errstate(over="ignore"):
+        factors = np.ldexp(r, k)
+    out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(ks, dtype=np.intp), factors)
+    for arr in out:
+        arr.flags.writeable = False
+    return (i + 1, tuple(amps), *out)
 
 
 def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
                       modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
     """Rows = mode eigenstates that fit the cutoffs, in the orthonormal basis.
 
-    Row order is the basis order (m outer, n inner) over the states
-    |n-bar, m-bar> with n + |m2| m <= na and m <= nb, each equal to
-    ``eigenstate(n, m, ...)``.  The rows are built once per cutoff and mode
-    pair with the coupling formal (:func:`_formal_rows`); a call substitutes
-    ``gbar`` into their amplitudes in one :func:`~cgalgebra.ring.substituted`
-    call, so each entry is the exact amplitude at ``gbar``, rounded once.  As in
-    :func:`k_matrix`, a cutoff below 1 raises :class:`CutoffTooSmall`, and one
-    that is not an integer or a formal ``gbar`` :class:`UnsupportedShape`, both
-    before any build; an entry past the float range raises :class:`FloatOverflow`.
+    Row order is the basis order (m outer, n inner) over the states |n-bar, m-bar>
+    of :func:`_formal_rows`, each equal to ``eigenstate(n, m, ...)``.  The rows are
+    built once per cutoff and mode pair with the coupling formal; a call puts
+    ``gbar`` into their amplitudes in one :func:`~cgalgebra.ring.substituted` call,
+    so each entry is the exact amplitude at ``gbar``, rounded once, times its
+    factor; an amplitude that vanishes at ``gbar`` is no entry.  The arguments are
+    read by :func:`_float_args`, and an entry past the float range raises
+    :class:`FloatOverflow` (:func:`_filled`).
     """
-    na, nb = _cutoffs(na, nb)
-    g = _gbar_coeff(gbar)
-    if not g.is_scalar():
-        raise UnsupportedShape("numerical matrix needs a numeric coupling")
-    count, amps, places = _formal_rows(na, nb, _mode_pair(modes))
-    values = substituted(amps, g)
-    out = np.zeros((count, (na + 1) * (nb + 1)), dtype=complex)
-    for i, j, k, root, nm2 in places:
-        if values[k]:  # an amplitude that vanishes at gbar is not an entry
-            try:
-                out[i, j] = complex(values[k]) * ldexp(*root)
-            except OverflowError:
-                raise FloatOverflow(f"eigenstate amplitude of {nm2} past the float range") from None
-    return out
+    g, na, nb, modes = _float_args(gbar, na, nb, modes)
+    count, amps, rows, cols, ks, factors = _formal_rows(na, nb, modes)
+    exact = substituted(amps, g)
+    live = np.array([bool(v) for v in exact], dtype=bool)[ks]  # exactly nonzero, however small
+    at_g = np.array([complex(v) for v in exact], dtype=complex)[ks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = at_g[live] * factors[live]
+    return _filled((count, (na + 1) * (nb + 1)), rows[live], cols[live], values,
+                   lambda j: f"eigenstate amplitude of {FockBasis(na, nb).states()[j]} past the float range")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateModes, NonQuadratic, NonTerminatingSeries, NotClosed, NotDivisible, NotInIdeal,
-                     UnknownName, UnsupportedShape, ZeroDivisor, integer, pair)
+                     UnknownName, UnsupportedShape, ZeroDivisor, integer, pair, rational)
 from .linalg import (
     Matrix,
     Row,
@@ -37,13 +37,10 @@ Lambda = Tuple[Fraction, int]  # lam = m + n*w
 
 
 def _as_lambda(v) -> Lambda:
-    """lam = m + n*w from a number m or a pair (m, n) with an integer n; any other
-    entry raises :class:`UnsupportedShape`."""
+    """lam = m + n*w from a number m or a pair (m, n), m read by :func:`errors.rational`
+    and n by :func:`errors.integer`; any other entry raises :class:`UnsupportedShape`."""
     m, n = pair(v, "a phase (m, n)") if isinstance(v, tuple) else (v, 0)
-    try:
-        return Fraction(m), integer(n, "the multiple n of w in a phase (m, n)")
-    except (TypeError, ValueError, OverflowError):
-        raise UnsupportedShape(f"a phase must be a number m or a pair (m, n), got {v!r}") from None
+    return rational(m, "the number m in a phase (m, n)"), integer(n, "the multiple n of w in a phase (m, n)")
 
 
 def _lambda_coeff(lam: Lambda) -> Coefficient:

@@ -362,20 +362,16 @@ CONTRACTION_POWERS: Dict[str, int] = {
 
 
 def contraction_table() -> GeneratorTable:
-    """The contracted algebra: planar Euclidean piece acting on two ladder pairs."""
-    br: Dict[Tuple[str, str], Dict[str, Coefficient]] = {
-        ("z0", "z+"): {"z+": _c(0, 2)},
-        ("z0", "z-"): {"z-": _c(0, -2)},
-        ("z0", "w+3"): {"w+3": _c(0, 3)},
-        ("z0", "w+1"): {"w+1": _c(0, 1)},
-        ("z0", "w-1"): {"w-1": _c(0, -1)},
-        ("z0", "w-3"): {"w-3": _c(0, -3)},
-        ("z+", "w-1"): {"w+1": _c(0, -4)},
-        ("z-", "w+3"): {"w+1": _c(0, 6)},
-        ("z-", "w-1"): {"w-3": _c(0, 2)},
-        ("w+1", "w-1"): {"c": _c(16)},
-        ("w+3", "w-3"): {"c": _c(-48)},
-    }
+    """The contracted algebra, a planar Euclidean piece acting on two ladder pairs: the g -> 0
+    limit of :func:`cga32_table` with each generator rescaled by g^s, s its entry of
+    ``CONTRACTION_POWERS``, as :func:`invariance.contract` takes it of the operators.  Each
+    c_ab^k g^(s_a + s_b - s_k) is kept or dropped; a pole raises ``SingularLimit``."""
+    s = CONTRACTION_POWERS
+    br: Dict[Tuple[str, str], Dict[str, Coefficient]] = {}
+    for (a, b), combo in cga32_table().brackets.items():
+        limit = {k: (c * _c(1, 0, s[a] + s[b] - s[k])).gamma_limit() for k, c in combo.items()}
+        if any(limit.values()):
+            br[(a, b)] = {k: c for k, c in limit.items() if c}
     return GeneratorTable(CGA_NAMES, br, central=frozenset({"c"}))
 
 

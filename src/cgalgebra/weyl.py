@@ -489,19 +489,18 @@ def apply(op: WeylOp, f: WeylOp) -> WeylOp:
 # canonical text form
 # ---------------------------------------------------------------------------
 
-def _coord_names(arity: int) -> list:
-    return ["x", "y"][:arity] if arity <= 2 else [f"x{i+1}" for i in range(arity)]
-
-
-def _term_text(mono: Monomial, c: Coefficient, names: list) -> str:
-    """One term of :func:`print_op`'s text, the coordinates called ``names``."""
+def _term_text(mono: Monomial, c: Coefficient, wide: bool) -> str:
+    """One term of :func:`print_op`'s text; coordinate i is x, y, or x{i+1} where ``wide``
+    (an operator of arity above 2), and only the coordinates the term has are named."""
+    def name(i: int) -> str:
+        return f"x{i + 1}" if wide else "xy"[i]
     facs = []
     if mono.phase_m or mono.phase_n:
         facs.append(f"e[{mono.phase_m},{mono.phase_n}]")
     if mono.t_pow:
         facs.append(f"t^{mono.t_pow}")
-    facs += [f"{name}^{p}" for name, p in zip(names, mono.x_pows) if p]
-    facs += [f"D{name}^{p}" for name, p in zip(names, mono.d_pows) if p]
+    facs += [f"{name(i)}^{p}" for i, p in enumerate(mono.x_pows) if p]
+    facs += [f"D{name(i)}^{p}" for i, p in enumerate(mono.d_pows) if p]
     if mono.dt_pow:
         facs.append(f"Dt^{mono.dt_pow}")
     body = str(c) if len(c.terms) == 1 else f"({c})"
@@ -513,8 +512,7 @@ def print_op(op: WeylOp) -> str:
     if op.is_zero():
         return "0"
     arity = op.arity
-    names = _coord_names(arity)
-    return " + ".join(_term_text(mono, c, names)
+    return " + ".join(_term_text(mono, c, arity > 2)
                       for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)))
 
 
@@ -565,8 +563,8 @@ def parse_op(text: str) -> WeylOp:
             raise ParseError(f"repeated monomial in {excerpt(m['term'])}")
         terms[mono] = Coefficient.parse(m["one"] or m["sum"]), m["term"]
         pos = m.end()
-    names = _coord_names(max(mono.arity for mono in terms))
+    wide = max(mono.arity for mono in terms) > 2
     for mono, (c, term) in terms.items():
-        if _term_text(mono, c, names) != term:
+        if _term_text(mono, c, wide) != term:
             raise ParseError(f"operator term not in canonical form: {excerpt(term)}")
     return _op(WeylOp, {mono: c for mono, (c, _) in terms.items()})

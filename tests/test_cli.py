@@ -144,6 +144,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: eigenstate amplitude of (301, 0) past the float range\n", err
 
+    def test_modes_at_a_coupling_past_the_float_range_is_one_error_line(self, capsys):
+        # the amplitudes at this coupling, not the factors, leave the float range: an error
+        # line, not a failed float rank of rows holding inf
+        code, out, err = run(["modes", "--gamma-bar", "1e150", "--cutoff-a", "30", "--cutoff-b", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: eigenstate amplitude of (18, 0) past the float range\n", err
+
     def test_exact_suite_takes_a_coupling_beyond_the_float_range(self, capsys):
         code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
         assert code == 0

@@ -341,7 +341,7 @@ ORACLE_COUPLINGS = [None, 0, 1, gr(0, 1), 1000, 0.7 + 0.2j,
 
 def specialized(formal, gbar):
     """A formal ket {(n, m): c} with the coupling substituted, zero amplitudes dropped."""
-    g = fock._gbar_coeff(gbar)
+    g = fock._coupling(gbar)
     return {nm: v for nm, c in formal.items() if not (v := c.substitute(gamma=g)).is_zero()}
 
 
@@ -382,7 +382,7 @@ class TestModeSolverOracle:
         formal_modes = mode_solver(None, modes)
         formal_ket = eigenstate(1, 1, None, modes=modes)
         for gbar in ORACLE_COUPLINGS:
-            g = fock._gbar_coeff(gbar)
+            g = fock._coupling(gbar)
             assert mode_solver(gbar, modes) == {lam: op.substitute(gamma=g) for lam, op in formal_modes.items()}, \
                 (modes, gbar)
             assert eigenstate(1, 1, gbar, modes=modes) == specialized(formal_ket, gbar), (modes, gbar)
@@ -507,6 +507,16 @@ class TestMatrices:
             assert np.array_equal(np.diag(got), diag)
         off = k_matrix(0, na, nb, modes)
         assert np.array_equal(off, np.diag(diag))
+
+    def test_ladder_entry_past_the_float_range_is_typed(self):
+        # 1.5e308 is a float, but its entries at n = 1, 2 carry sqrt(2) and sqrt(3)
+        op = LadderOp({MODE_WORDS["a+"]: 15 * 10**307})
+        with pytest.raises(FloatOverflow, match=r"ladder amplitude of \(2, 0\) past the float range"):
+            ladder_matrix(op, FockBasis(3, 1))
+        assert np.isfinite(ladder_matrix(op, FockBasis(1, 1))).all()
+        # an operator with no entry inside the truncation goes through the same fill
+        zero = ladder_matrix(LadderOp({fock._word(5, 0, 0, 0): 1}), FockBasis(3, 1))
+        assert zero.shape == (8, 8) and zero.dtype == complex and not zero.any()
 
 
 class TestKMatrixCache:
@@ -778,7 +788,7 @@ def per_state_rows(gbar, na, nb, modes):
             if n + abs(modes[1]) * m > na:
                 continue
             row = np.zeros(len(index), dtype=complex)
-            for (n2, m2), amp in eigenstate(n, m, gbar, na, nb, modes).items():
+            for (n2, m2), amp in eigenstate(n, m, gbar, modes=modes).items():
                 row[index[(n2, m2)]] = complex(amp) * sqrt(
                     factorial(n2) * factorial(m2))
             rows.append(row)
@@ -833,13 +843,14 @@ class TestEigenstateMatrix:
 
     def test_formal_rows_hold_no_negative_power_of_g(self):
         for na, nb, modes in ((12, 12, (1, 3)), (7, 7, (1, -3)), (6, 4, (2, 5))):
-            count, amps, places = fock._formal_rows(na, nb, modes)
+            count, amps, rows, cols, ks, factors = fock._formal_rows(na, nb, modes)
             exps = {k for amp in amps for k, _ in amp.terms}
             assert min(a for a, _ in exps) == 0 and {b for _, b in exps} == {0}
-            assert len(set(amps)) == len(amps) == 1 + max(k for _, _, k, _, _ in places)
-            assert count == 1 + max(i for i, *_ in places)
-        count, amps, places = fock._formal_rows(12, 12, (1, 3))
-        assert (count, len(places), len(amps)) == (35, 123, 43)
+            assert len(set(amps)) == len(amps) == 1 + ks.max()
+            assert count == 1 + rows.max()
+            assert len(rows) == len(cols) == len(ks) == len(factors)
+        count, amps, rows, cols, ks, factors = fock._formal_rows(12, 12, (1, 3))
+        assert (count, len(rows), len(amps)) == (35, 123, 43)
         assert max(a for amp in amps for (a, _), _ in amp.terms) == 4
 
     def test_zero_frequency_is_degenerate(self):
@@ -853,6 +864,12 @@ class TestEigenstateMatrix:
         with pytest.raises(CutoffTooSmall):
             eigenstate_matrix(F(1, 2), 6, 6)
 
+
+    def test_coupling_past_the_float_range_is_typed(self):
+        # g^4 at 1e150 is past 1.8e308 where sqrt(301!) is not: the amplitude overflows
+        with pytest.raises(FloatOverflow, match=r"eigenstate amplitude of \(18, 0\) past the float range"):
+            eigenstate_matrix(10**150, 30, 2)
+        assert np.isfinite(eigenstate_matrix(10**50, 30, 2)).all()
 
     def test_amplitude_past_the_float_range_is_typed(self):
         # sqrt(301!) is past 1.8e308; cutoff 300 still builds
@@ -921,7 +938,7 @@ class TestStatesAndOverlaps:
         idx = FockBasis(na, nb).index()
         for (n, q) in ((0, 0), (1, 0), (1, 1), (0, 1)):
             vec = np.zeros(len(idx), dtype=complex)
-            for (n2, m2), amp in eigenstate(n, q, F(1, 2), na, nb, modes).items():
+            for (n2, m2), amp in eigenstate(n, q, F(1, 2), modes=modes).items():
                 vec[idx[(n2, m2)]] = complex(amp) * sqrt(factorial(n2) * factorial(m2))
             assert np.abs(vec).max() > 0.5
             assert np.abs(vec @ m - (modes[0] * n + modes[1] * q + 0.5) * vec).max() < 1e-10
@@ -996,14 +1013,6 @@ class TestStatesAndOverlaps:
     def test_inner_product_metric(self):
         s = {(2, 1): Coefficient.of(1)}
         assert state_inner(s, s) == gr(2)  # 2! * 1!
-
-    def test_cutoff_guard(self):
-        with pytest.raises(CutoffTooSmall):
-            eigenstate(1, 4, F(1, 2), na=12, nb=3)
-        with pytest.raises(CutoffTooSmall):
-            eigenstate(10, 1, F(1, 2), na=12, nb=12)
-        with pytest.raises(CutoffTooSmall, match="b-cutoff"):
-            eigenstate(0, 4, F(1, 2), na=20, nb=3)
 
     def test_eigenstate_family_full_rank(self):
         mat = eigenstate_matrix(1.0, 12, 12)

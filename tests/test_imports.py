@@ -248,6 +248,30 @@ def test_the_elimination_check_sees_every_form(tmp_path):
     assert elimination_reads(probe) == [(3, ""), (6, "C.f"), (8, "g")]
 
 
+def zeros_reads(path: Path) -> list:
+    """(line, scope) of each read of numpy's ``zeros``, called or not, as ``np.zeros``,
+    ``numpy.zeros``, or a bare name taken by ``from numpy import zeros``."""
+    return [(node.lineno, scope) for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr == "zeros"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or isinstance(node, ast.Name) and node.id == "zeros"]
+
+
+def test_one_fill_of_the_float_matrices():
+    """``fock``'s float matrices come from one fill, which scatters the entries and
+    raises ``FloatOverflow`` on the first one that is not finite: no builder makes a
+    matrix of its own."""
+    assert {scope for _, scope in zeros_reads(PACKAGE / "fock.py")} == {"_filled"}
+
+
+def test_the_fill_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nimport numpy\nfrom numpy import zeros\n"
+                     "def f(n):\n    return np.zeros((n, n))\n"
+                     "class C:\n    make = numpy.zeros\n    def g(self):\n        return zeros(3), self.zeros\n")
+    assert zeros_reads(probe) == [(5, "f"), (7, "C"), (9, "C.g")]
+
+
 def accumulator_passes(path: Path) -> list:
     """(line, scope) of each call that passes ``into=``, whatever it calls."""
     return [(node.lineno, scope) for scope, node in scoped_nodes(path)

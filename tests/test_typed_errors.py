@@ -43,7 +43,7 @@ EDGES = [
     ("k-ladder-three-modes", lambda: fock.k_ladder(0.5, (1, 3, 5))),
     ("mode-solver-three-modes", lambda: fock.mode_solver(0.5, (1, 3, 5))),
     ("eigenstate-three-modes", lambda: fock.eigenstate(1, 1, 0.5, modes=(1, 3, 5))),
-    ("eigenstate-one-mode", lambda: fock.eigenstate(1, 1, 0.5, 5, 5, (1,))),
+    ("eigenstate-one-mode", lambda: fock.eigenstate(1, 1, 0.5, (1,))),
     ("eigenstate-matrix-one-mode", lambda: fock.eigenstate_matrix(0.5, 2, 2, (1,))),
     ("k-matrix-modes-int", lambda: fock.k_matrix(0.5, 2, 2, 5)),
     ("mode-solver-modes-int", lambda: fock.mode_solver(0.5, 5)),
