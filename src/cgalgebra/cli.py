@@ -294,12 +294,10 @@ def suite_spectrum(opts) -> Report:
     couplings = [complex(opts.gamma_bar)] if opts.gamma_bar is not None else [0.0, 0.3, 0.7 + 0.2j, 2.0]
     base = None
     csv_rows = []
+    tri = fock.k_lower_triangular(na, nb, modes)  # one exact verdict for every coupling
     for g in couplings:
         m = fock.k_matrix(g, na, nb, modes)
-        rows, cols = np.nonzero(m)
-        above = rows < cols
-        tri = float(np.abs(m[rows[above], cols[above]]).max(initial=0.0))
-        rep.check(f"triangular:g={g}", tri == 0.0, details=f"off-triangle max {tri:.1e}")
+        rep.check(f"triangular:g={g}", tri, details=f"{'' if tri else 'not '}lower triangular at formal gbar")
         res = fock.spectrum(m)
         vals = np.sort(res.eigenvalues.real)
         ok = bool(np.allclose(vals, expect, atol=1e-9)) and float(np.abs(res.eigenvalues.imag).max()) < 1e-9
@@ -344,10 +342,10 @@ def suite_modes(opts) -> Report:
     rep.check("bogoliubov-invertible", not d.is_zero(), details=f"det {d}")
     gbar = opts.gamma_bar if opts.gamma_bar is not None else 1
     emat = fock.eigenstate_matrix(gbar, opts.cutoff_a, opts.cutoff_b, modes)
-    rk = int(np.linalg.matrix_rank(emat))
-    cond = float(np.linalg.cond(emat))
-    rep.check("eigenstates-span", rk == emat.shape[0],
-              details=f"rank {rk}/{emat.shape[0]}, condition number {cond:.3e}")
+    unit = fock.eigenstates_unit_triangular(opts.cutoff_a, opts.cutoff_b, modes)
+    rk, cond = int(np.linalg.matrix_rank(emat)), float(np.linalg.cond(emat))
+    rep.check("eigenstates-span", unit, details=f"{'' if unit else 'not '}unit lower triangular at formal gbar; "
+              f"float rank {rk}/{emat.shape[0]}, condition number {cond:.3e}")
     return rep
 
 

@@ -21,9 +21,9 @@ classes of n + m).
 Conventions: unnormalized states |n, m> = (a+)^n (b+)^m |vac> with
 <n, m | n, m> = n! m! for symbolic expansions; the numerical basis is
 orthonormal.  Matrix entry [i, j] of an operator is the amplitude of basis
-state j in Op|basis_i> (rows index input states).  Every coupling term of
-the number-like operator K contains b and lowers m, so K's matrix is lower
-triangular in the basis order, zero above the diagonal, at every mode pair.
+state j in Op|basis_i> (rows index input states).  Each coupling term of K lowers m, and
+A_{m1}^n A_{m2}^m |vac> is |n, m> plus kets of lower m; the cached builds certify both
+triangles exactly (:func:`k_lower_triangular`, :func:`eigenstates_unit_triangular`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .invariance import decoupling_map
 # nullspace is not called here, but the benchmark's tracer tests read it as fock.nullspace
 from .linalg import nullspace  # noqa: F401
 from .realizations import realization_osc, h0_op
-from .ring import Coefficient, GAMMA, substituted, summed
+from .ring import Coefficient, GAMMA, ONE, substituted, summed
 from .weyl import Monomial, WeylOp, ad_series, apply, commutator, multiply, similarity
 
 GbarLike = Union[Coefficient, int, Fraction, tuple, complex, None]
@@ -246,8 +246,7 @@ def _entries(op: LadderOp, basis: FockBasis) -> Tuple[np.ndarray, np.ndarray, Li
     and the factor sqrt(n2! m2! / (n! m!)) that converts it to the orthonormal basis.
 
     Amplitudes that would leave the truncation are dropped, exactly as a
-    finite truncation demands; triangularity statements are exact because
-    every coupling term of K lowers the b-number.
+    finite truncation demands.
     """
     index = basis.index()
     rows, cols, amps, factors = [], [], [], []
@@ -262,6 +261,14 @@ def _entries(op: LadderOp, basis: FockBasis) -> Tuple[np.ndarray, np.ndarray, Li
                 amps.append(amp)
                 factors.append(ldexp(r2 / r, k2 - k))
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), amps, np.array(factors)
+
+
+def _complex(c: Coefficient) -> complex:
+    """The scalar c as a complex float, ``inf`` past the float range, for :func:`_filled` to name."""
+    try:
+        return complex(c)
+    except FloatOverflow:
+        return complex(np.inf)
 
 
 def _filled(shape: Tuple[int, int], rows, cols, values, overflow: Callable[[int], str]) -> np.ndarray:
@@ -281,18 +288,19 @@ def ladder_matrix(op: LadderOp, basis: FockBasis) -> np.ndarray:
     amplitudes outside the truncation dropped; an entry past the float range raises
     :class:`FloatOverflow`."""
     rows, cols, amps, factors = _entries(op, basis)
-    values = np.array([complex(amp) * factor for amp, factor in zip(amps, factors)], dtype=complex)
+    values = np.array([_complex(amp) * factor for amp, factor in zip(amps, factors)], dtype=complex)
     dim = len(basis.states())
     return _filled((dim, dim), rows, cols, values,
                    lambda j: f"ladder amplitude of {basis.states()[j]} past the float range")
 
 
 @cache
-def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ...]:
-    """(rows, cols, g^0 weights, g^1 weights, factors) of K's truncated matrix with the
-    coupling formal: K is affine in it, so entry [i, j] at gbar is
+def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> tuple:
+    """(rows, cols, g^0 weights, g^1 weights, factors, certificate) of K's truncated matrix
+    with the coupling formal: K is affine in it, so entry [i, j] at gbar is
     (c0 + gbar c1) * factor.  Read-only arrays with one slot per nonzero entry,
-    O(dim) of them (K has at most three terms per ket).
+    O(dim) of them (K has at most three terms per ket).  The certificate, from the exact
+    amplitudes: none above the diagonal and none of g on it, so every spectrum is the diagonal.
 
     The factor is kept apart and applied last, as :func:`ladder_matrix` applies
     it to the exact amplitude, so the entries round alike: folded into c1 it
@@ -303,7 +311,12 @@ def _k_entries(na: int, nb: int, modes: Tuple[int, int]) -> Tuple[np.ndarray, ..
            np.array([w.get(1, 0j) for w in weights], dtype=complex), factors)
     for arr in out:
         arr.flags.writeable = False
-    return out
+    return (*out, bool((cols <= rows).all()) and all(a.is_scalar() for a, i, j in zip(amps, rows, cols) if i == j))
+
+
+def k_lower_triangular(na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> bool:
+    """The exact certificate of :func:`_k_entries`; the arguments are read by :func:`_float_args`."""
+    return _k_entries(*_float_args(0, na, nb, modes)[1:])[-1]
 
 
 def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> np.ndarray:
@@ -316,7 +329,7 @@ def k_matrix(gbar: GbarLike, na: int, nb: int, modes: Tuple[int, int] = (1, 3)) 
     raises :class:`FloatOverflow`.
     """
     g, na, nb, modes = _float_args(gbar, na, nb, modes)
-    rows, cols, c0, c1, factors = _k_entries(na, nb, modes)
+    rows, cols, c0, c1, factors, _ = _k_entries(na, nb, modes)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (c0 + complex(g) * c1) * factors
     dim = (na + 1) * (nb + 1)
@@ -491,7 +504,7 @@ def overlap_probability(s1: Mapping[Tuple[int, int], Coefficient],
 
 @cache
 def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> tuple:
-    """(row count, amplitudes, rows, cols, amplitude indices, factors) of
+    """(row count, amplitudes, rows, cols, amplitude indices, factors, certificate) of
     :func:`eigenstate_matrix` with the coupling formal.
 
     One :func:`_kets` pass with ``gbar`` formal over the states |n-bar, m-bar> with
@@ -500,13 +513,16 @@ def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> tuple:
     entries at cutoff 12).  The rest are read-only arrays with one slot per
     entry, in row order: its row, its column, the index of its amplitude, and
     its factor sqrt(n2! m2!) to the orthonormal basis, ``inf`` past the float
-    range.  A ket that leaves the cutoffs raises :class:`CutoffTooSmall`.
+    range.  A ket that leaves the cutoffs raises :class:`CutoffTooSmall`.  The certificate:
+    each row |n-bar, m-bar> is exactly 1 on its own |n, m> and 0 after it in basis order, so
+    on their own columns the rows are unit lower triangular at every gbar, hence independent.
     """
     index = FockBasis(na, nb).index()
     step = abs(modes[1])
     amps: Dict[Coefficient, int] = {}
     rows, cols, ks, roots = [], [], [], []
-    for i, (_, ket) in enumerate(_kets(None, modes, [na - step * m for m in range(nb + 1) if step * m <= na])):
+    unit = True
+    for i, (nm, ket) in enumerate(_kets(None, modes, [na - step * m for m in range(nb + 1) if step * m <= na])):
         for nm2, amp in ket.items():
             j = index.get(nm2)
             if j is None:
@@ -515,13 +531,19 @@ def _formal_rows(na: int, nb: int, modes: Tuple[int, int]) -> tuple:
             cols.append(j)
             ks.append(amps.setdefault(amp, len(amps)))
             roots.append(_root_factorial(*nm2))
+        unit = unit and ket.get(nm) == ONE and max(cols[-len(ket):]) == index[nm]
     r, k = zip(*roots)
     with np.errstate(over="ignore"):
         factors = np.ldexp(r, k)
     out = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(ks, dtype=np.intp), factors)
     for arr in out:
         arr.flags.writeable = False
-    return (i + 1, tuple(amps), *out)
+    return (i + 1, tuple(amps), *out, unit)
+
+
+def eigenstates_unit_triangular(na: int, nb: int, modes: Tuple[int, int] = (1, 3)) -> bool:
+    """The exact certificate of :func:`_formal_rows`; the arguments are read by :func:`_float_args`."""
+    return _formal_rows(*_float_args(0, na, nb, modes)[1:])[-1]
 
 
 def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
@@ -538,10 +560,10 @@ def eigenstate_matrix(gbar: GbarLike, na: int, nb: int,
     :class:`FloatOverflow` (:func:`_filled`).
     """
     g, na, nb, modes = _float_args(gbar, na, nb, modes)
-    count, amps, rows, cols, ks, factors = _formal_rows(na, nb, modes)
+    count, amps, rows, cols, ks, factors, _ = _formal_rows(na, nb, modes)
     exact = substituted(amps, g)
     live = np.array([bool(v) for v in exact], dtype=bool)[ks]  # exactly nonzero, however small
-    at_g = np.array([complex(v) for v in exact], dtype=complex)[ks]
+    at_g = np.array([_complex(v) for v in exact], dtype=complex)[ks]
     with np.errstate(over="ignore", invalid="ignore"):
         values = at_g[live] * factors[live]
     return _filled((count, (na + 1) * (nb + 1)), rows[live], cols[live], values,

@@ -12,10 +12,11 @@ import pytest
 from cgalgebra import cli
 from cgalgebra.cli import catalog_entries, main
 from cgalgebra.errors import NonTerminatingSeries, NotClosed
+from cgalgebra.fock import MODE_WORDS, LadderOp
 from cgalgebra.invariance import adjoint_matrix, default_phases, lambda_candidates
 from cgalgebra.linalg import charpoly
 from cgalgebra.realizations import theta_family
-from cgalgebra.ring import Coefficient, OMEGA
+from cgalgebra.ring import Coefficient, GAMMA, OMEGA
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # LAPACK-dependent float tokens (residuals, condition numbers)
@@ -135,9 +136,10 @@ class TestExitCodes:
         assert code == 0 and err.endswith("[spectrum] 11 passed, 0 failed, 0 skipped\n"), err
 
     def test_modes_past_cutoff_170_ends_in_its_checks(self, capsys):
-        code, out, _ = run(["modes", "--cutoff-a", "171", "--cutoff-b", "1", "--format", "json"], capsys)
-        failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
-        assert code == 1 and failed == ["eigenstates-span"]  # the float rank, as at cutoff 40
+        # the float ranks of these rows read 35/79 and 22/341; the exact triangle decides
+        for cutoff in ("40", "171"):
+            code, _, err = run(["modes", "--cutoff-a", cutoff, "--cutoff-b", "1"], capsys)
+            assert code == 0 and err.endswith("[modes] 8 passed, 0 failed, 0 skipped\n"), (cutoff, err)
 
     def test_modes_past_the_float_range_is_one_error_line(self, capsys):
         code, out, err = run(["modes", "--cutoff-a", "301", "--cutoff-b", "1"], capsys)
@@ -150,6 +152,12 @@ class TestExitCodes:
         code, out, err = run(["modes", "--gamma-bar", "1e150", "--cutoff-a", "30", "--cutoff-b", "2"], capsys)
         assert code == 2 and out == ""
         assert err == "error: eigenstate amplitude of (18, 0) past the float range\n", err
+
+    def test_modes_at_a_coupling_past_the_float_range_names_the_amplitude(self, capsys):
+        # g^2 at 1e300 leaves the float range: the fill names the entry, not the scalar conversion
+        code, out, err = run(["modes", "--gamma-bar", "1e300"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: eigenstate amplitude of (0, 0) past the float range\n", err
 
     def test_exact_suite_takes_a_coupling_beyond_the_float_range(self, capsys):
         code, _, _ = run(["overlap", "--gamma-bar", "1e400"], capsys)
@@ -340,20 +348,23 @@ class TestReports:
         tri = [c for c in json.loads(out)["checks"] if c["id"].startswith("triangular:")]
         assert len(tri) == 4 and all(c["status"] == "pass" for c in tri)
 
-    def test_spectrum_reports_the_largest_entry_above_the_triangle(self, monkeypatch, capsys):
-        k_matrix = cli.fock.k_matrix
-        index = cli.fock.FockBasis(2, 2).index()
+    def test_spectrum_fails_every_coupling_on_an_exact_entry_above_the_triangle(self, monkeypatch, capsys):
+        """gbar a+ keeps the b-number: K's exact entries then hold one above the diagonal, and
+        every triangular verdict fails, at zero coupling too, where the float matrix shows none."""
+        k_ladder = cli.fock.k_ladder
 
-        def upper(*args):  # entries from a b-number 0 ket to b-number 1 and 2 kets
-            m = k_matrix(*args)
-            m[index[(2, 0)], index[(0, 1)]] = 2.5j
-            m[index[(0, 0)], index[(1, 2)]] = -1.5
-            return m
+        def raising(gbar=None, modes=(1, 3)):  # spectrum builds K with gbar formal only
+            assert gbar is None
+            return k_ladder(None, modes) + LadderOp({MODE_WORDS["a+"]: GAMMA})
 
-        monkeypatch.setattr(cli.fock, "k_matrix", upper)
-        _, out, _ = run(["spectrum", "--cutoff-a", "2", "--cutoff-b", "2", "--gamma-bar", "0.5"], capsys)
+        cli.fock._k_entries.cache_clear()
+        monkeypatch.setattr(cli.fock, "k_ladder", raising)
+        try:
+            _, out, _ = run(["spectrum", "--cutoff-a", "2", "--cutoff-b", "2"], capsys)
+        finally:
+            cli.fock._k_entries.cache_clear()
         tri = [c for c in json.loads(out)["checks"] if c["id"].startswith("triangular:")]
-        assert [(c["status"], c["details"]) for c in tri] == [("fail", "off-triangle max 2.5e+00")]
+        assert [(c["status"], c["details"]) for c in tri] == [("fail", "not lower triangular at formal gbar")] * 4
 
     def test_symmetries_report_carries_generators(self, capsys):
         code, out, _ = run(["symmetries", "--omega", "1"], capsys)

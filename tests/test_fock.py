@@ -544,7 +544,8 @@ class TestKMatrixCache:
         got = k_matrix(0.5, 3, 3)
         got[:] = 7
         assert np.array_equal(k_matrix(0.5, 3, 3), want)
-        assert all(not arr.flags.writeable for arr in fock._k_entries(3, 3, (1, 3)))
+        *arrays, certified = fock._k_entries(3, 3, (1, 3))
+        assert certified is True and all(not arr.flags.writeable for arr in arrays)
 
     def test_guards_run_before_any_build(self):
         with pytest.raises(CutoffTooSmall):
@@ -843,13 +844,14 @@ class TestEigenstateMatrix:
 
     def test_formal_rows_hold_no_negative_power_of_g(self):
         for na, nb, modes in ((12, 12, (1, 3)), (7, 7, (1, -3)), (6, 4, (2, 5))):
-            count, amps, rows, cols, ks, factors = fock._formal_rows(na, nb, modes)
+            count, amps, rows, cols, ks, factors, unit = fock._formal_rows(na, nb, modes)
             exps = {k for amp in amps for k, _ in amp.terms}
             assert min(a for a, _ in exps) == 0 and {b for _, b in exps} == {0}
             assert len(set(amps)) == len(amps) == 1 + ks.max()
             assert count == 1 + rows.max()
             assert len(rows) == len(cols) == len(ks) == len(factors)
-        count, amps, rows, cols, ks, factors = fock._formal_rows(12, 12, (1, 3))
+            assert unit is True
+        count, amps, rows, cols, ks, factors, _ = fock._formal_rows(12, 12, (1, 3))
         assert (count, len(rows), len(amps)) == (35, 123, 43)
         assert max(a for amp in amps for (a, _), _ in amp.terms) == 4
 
@@ -876,6 +878,74 @@ class TestEigenstateMatrix:
         assert eigenstate_matrix(F(1, 2), 300, 1).shape == (300 + 1 + 300 - 3 + 1, 301 * 2)
         with pytest.raises(FloatOverflow, match="past the float range"):
             eigenstate_matrix(F(1, 2), 301, 1)
+
+    def test_exact_amplitude_past_the_float_range_names_its_entry(self):
+        # g^2 at 1e300 is past 1.8e308 before any factor: the fill names it, as it names an
+        # overflowing product, and so does ladder_matrix for a coefficient past the range
+        with pytest.raises(FloatOverflow, match=r"^eigenstate amplitude of \(0, 0\) past the float range$"):
+            eigenstate_matrix(10**300, 6, 2)
+        with pytest.raises(FloatOverflow, match=r"^ladder amplitude of \(1, 0\) past the float range$"):
+            ladder_matrix(LadderOp({MODE_WORDS["a+"]: 10**400}), FockBasis(1, 1))
+
+
+def plus_gbar(make, word):
+    """``make`` (``k_ladder``, or a mode of ``mode_solver``) with gbar times ``word`` added,
+    for callers that build with the coupling formal."""
+    def mutant(gbar=None, modes=(1, 3)):
+        assert gbar is None
+        return make(None, modes) + LadderOp({word: GAMMA})
+    return mutant
+
+
+# the cutoffs and mode pairs where both certificates hold
+CERTIFIED = [((12, 4), modes) for modes in ((1, 3), (1, -3), (2, 5), (-1, 3), (3, 1), (1, 2))] + \
+    [((12, 12), (1, 3)), ((12, 12), (1, -3))]
+
+
+class TestExactCertificates:
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        fock._k_entries.cache_clear()
+        fock._formal_rows.cache_clear()
+        yield
+        fock._k_entries.cache_clear()
+        fock._formal_rows.cache_clear()
+
+    @pytest.mark.parametrize("cutoffs, modes", CERTIFIED)
+    def test_both_triangles_hold(self, cutoffs, modes):
+        assert fock.k_lower_triangular(*cutoffs, modes) is True
+        assert fock.eigenstates_unit_triangular(*cutoffs, modes) is True
+
+    @pytest.mark.parametrize("word", [fock._word(1, 0, 0, 0), fock._word(1, 1, 0, 0)], ids=["a+", "a+a"])
+    def test_k_fails_on_an_entry_above_the_diagonal_or_gbar_on_it(self, word, monkeypatch):
+        monkeypatch.setattr(fock, "k_ladder", plus_gbar(k_ladder, word))
+        assert fock.k_lower_triangular(12, 4) is False
+        # the matrix at gbar = 0 is the true K's, but the verdict holds for every coupling
+        assert np.array_equal(k_matrix(0, 12, 4), np.diag(np.diag(k_matrix(0, 12, 4))))
+
+    def test_rows_fail_on_an_amplitude_after_the_own_state(self, monkeypatch):
+        solve = fock.mode_solver
+
+        def mutant(gbar, modes):  # A_{m1} + gbar b+: A_{m1}|vac> reaches |0, 1> after |1, 0>
+            ops = solve(gbar, modes)
+            return {**ops, F(modes[0]): ops[F(modes[0])] + LadderOp({MODE_WORDS["b+"]: GAMMA})}
+
+        monkeypatch.setattr(fock, "mode_solver", mutant)
+        assert fock.eigenstates_unit_triangular(12, 12) is False  # at (12, 4) the b+ terms leak
+
+    def test_the_arguments_are_read_like_the_matrices(self):
+        for check in (fock.k_lower_triangular, fock.eigenstates_unit_triangular):
+            with pytest.raises(CutoffTooSmall, match="^cutoffs must be at least 1$"):
+                check(0, 4)
+            with pytest.raises(UnsupportedShape):
+                check(2.5, 2)
+            assert check(4, 4, [F(1), 3]) is True
+
+    def test_k_needs_no_mode_solve(self):
+        # equal frequencies have no modes, but K's triangle holds
+        assert fock.k_lower_triangular(4, 4, (1, 1)) is True
+        with pytest.raises(DegenerateModes):
+            fock.eigenstates_unit_triangular(4, 4, (1, 1))
 
 
 class TestRootFactorials:

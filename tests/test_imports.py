@@ -272,6 +272,36 @@ def test_the_fill_check_sees_every_form(tmp_path):
     assert zeros_reads(probe) == [(5, "f"), (7, "C"), (9, "C.g")]
 
 
+# numpy's readers of a matrix's structure: which entries are nonzero, above, below or on the diagonal
+STRUCTURE_READERS = ("nonzero", "triu", "tril", "diag")
+
+
+def structure_reads(path: Path) -> list:
+    """(line, scope, name) of each read of one of ``STRUCTURE_READERS``, called or not, as
+    ``np.nonzero``, ``numpy.triu``, or a bare name taken by ``from numpy import tril``."""
+    return [(node.lineno, scope, node.attr if isinstance(node, ast.Attribute) else node.id)
+            for scope, node in scoped_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr in STRUCTURE_READERS
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            or isinstance(node, ast.Name) and node.id in STRUCTURE_READERS]
+
+
+def test_only_fock_knows_the_matrices_structure():
+    """``fock`` certifies the triangles of K and of the eigenstate rows exactly, from the
+    formal entries it caches; the command line takes its verdicts and reads no float
+    matrix's structure itself."""
+    assert structure_reads(PACKAGE / "cli.py") == []
+
+
+def test_the_structure_check_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nimport numpy\nfrom numpy import tril\n"
+                     "def f(m):\n    return np.nonzero(m)\n"
+                     "class C:\n    upper = numpy.triu\n"
+                     "    def g(self, m):\n        return tril(m), np.diag(m), self.diag, np.diagonal(m)\n")
+    assert structure_reads(probe) == [(5, "f", "nonzero"), (7, "C", "triu"), (9, "C.g", "tril"), (9, "C.g", "diag")]
+
+
 def accumulator_passes(path: Path) -> list:
     """(line, scope) of each call that passes ``into=``, whatever it calls."""
     return [(node.lineno, scope) for scope, node in scoped_nodes(path)
