@@ -888,12 +888,11 @@ class TestEigenstateMatrix:
             ladder_matrix(LadderOp({MODE_WORDS["a+"]: 10**400}), FockBasis(1, 1))
 
 
-def plus_gbar(make, word):
-    """``make`` (``k_ladder``, or a mode of ``mode_solver``) with gbar times ``word`` added,
-    for callers that build with the coupling formal."""
+def k_plus_gbar(word):
+    """``k_ladder`` with gbar times ``word`` added, for callers that build K with the coupling formal."""
     def mutant(gbar=None, modes=(1, 3)):
         assert gbar is None
-        return make(None, modes) + LadderOp({word: GAMMA})
+        return k_ladder(None, modes) + LadderOp({word: GAMMA})
     return mutant
 
 
@@ -918,7 +917,7 @@ class TestExactCertificates:
 
     @pytest.mark.parametrize("word", [fock._word(1, 0, 0, 0), fock._word(1, 1, 0, 0)], ids=["a+", "a+a"])
     def test_k_fails_on_an_entry_above_the_diagonal_or_gbar_on_it(self, word, monkeypatch):
-        monkeypatch.setattr(fock, "k_ladder", plus_gbar(k_ladder, word))
+        monkeypatch.setattr(fock, "k_ladder", k_plus_gbar(word))
         assert fock.k_lower_triangular(12, 4) is False
         # the matrix at gbar = 0 is the true K's, but the verdict holds for every coupling
         assert np.array_equal(k_matrix(0, 12, 4), np.diag(np.diag(k_matrix(0, 12, 4))))
