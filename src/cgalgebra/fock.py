@@ -109,11 +109,10 @@ class LadderOp(WeylOp):
         read as a function, keep the derivative-free terms) costs much more
         per ket.  :func:`~cgalgebra.ring.summed` adds the terms that land on one ket.
         """
-        words = [((mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2], c)
-                 for mono, c in self.terms()]
+        words = [(*mono.powers(0), *mono.powers(1), c) for mono, c in self.terms()]
         acc = defaultdict(list)
         for (n, m), amp in state.items():
-            for (p, r), (q, s), c in words:
+            for p, q, r, s, c in words:
                 if q <= n and s <= m:
                     acc[(n - q + p, m - s + r)].append((amp * c, perm(n, q) * perm(m, s)))
         return summed(acc)

@@ -68,8 +68,7 @@ def _dt_part(op: WeylOp) -> WeylOp:
             continue
         if mono.dt_pow > 1:
             raise NotInIdeal("second-order time derivative present", residual=op)
-        terms[Monomial.make(mono.phase_m, mono.phase_n, mono.t_pow,
-                            mono.x_pows, mono.d_pows, 0)] = c
+        terms[mono._replace(dt_pow=0)] = c
     return WeylOp(terms)
 
 
@@ -92,12 +91,9 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
 
     terms = {}
     for mono, c in _dt_part(cand).terms():
-        xs = list(mono.x_pows) + [0] * (om_mono.arity - mono.arity)
-        for i in range(om_mono.arity):
-            xs[i] -= om_mono.x_pows[i]
-            if xs[i] < 0:
-                raise NotInIdeal("division would need a negative coordinate power",
-                                 residual=cand)
+        xs = [mono.powers(i)[0] - om_mono.powers(i)[0] for i in range(max(mono.arity, om_mono.arity))]
+        if min(xs, default=0) < 0:
+            raise NotInIdeal("division would need a negative coordinate power", residual=cand)
         try:
             cq = c.divide_exact(om_c)
         except (NotDivisible, ZeroDivisor) as exc:
@@ -105,7 +101,7 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
         key = Monomial.make(mono.phase_m - om_mono.phase_m,
                             mono.phase_n - om_mono.phase_n,
                             mono.t_pow - om_mono.t_pow,
-                            tuple(xs), (0,) * len(xs), 0)
+                            xs, (), 0)
         terms[key] = cq
     f = WeylOp(terms)
     residual = cand - multiply(f, omega_op)
@@ -422,10 +418,8 @@ def find_symmetries(omega_op: WeylOp,
     deriv_exps = _monomials_up_to(arity, max(coeff_degree_bound - 1, 0))
     basis: List[Monomial] = []
     for i in range(arity):
-        d = [0] * arity
-        d[i] = 1
-        basis += [Monomial.make(x_pows=mu, d_pows=tuple(d)) for mu in deriv_exps]
-    basis += [Monomial.make(x_pows=mu, d_pows=(0,) * arity) for mu in func_exps]
+        basis += [Monomial.make(x_pows=mu, d_pows={i: 1}) for mu in deriv_exps]
+    basis += [Monomial.make(x_pows=mu) for mu in func_exps]
 
     unknowns = [WeylOp({b: 1}) for b in basis] + [WeylOp.dt()]
     brackets = [commutator(b, h) for b in unknowns[:-1]]  # independent of lam

@@ -23,12 +23,14 @@ one canonical Coefficient, or drops the monomial if they cancel; so do the
 commutator and anticommutator, both orders into one ``summed`` call.  A product
 works out the normal-ordering combinatorics only, taking its integer weights
 from two tables keyed by exponents (spatial contractions and the Dt block).
-Per pair of monomials it grows the spatial terms one contraction at a time,
-each replacing one coordinate's powers (trimmed only where the last coordinate
-drops to zero), and pairs them with the time terms of a Dt block, if any, in
-nested loops.  Its output keys are made by ``tuple.__new__`` from a Monomial's
-fields, past the checks of ``Monomial.make``, which every routine taking
-outside exponents still passes through.
+A monomial holds the sorted (index, x power, D power) entries of the
+coordinates it has, so its cost follows the coordinates present, not their
+indices.  Per pair of monomials the product merges the two entry lists once,
+grows the spatial terms one contraction at a time, each rewriting one entry
+(dropped at x^0 Dx^0), and pairs them with the time terms of a Dt block, if
+any, in nested loops.  Its output keys are made by ``tuple.__new__`` from a
+Monomial's fields, past the checks of ``Monomial.make``, which every routine
+taking outside exponents still passes through.
 
 A function is a derivative-free operator f, read as f * exp(-x1^2/2): its
 phases, t powers and coordinate powers are its monomials.  An operator acts
@@ -42,9 +44,9 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from math import comb, factorial, perm, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape, excerpt, integer, rational
@@ -55,57 +57,66 @@ from .ring import Coefficient, CoefficientLike, parse_number, substituted, summe
 _key = tuple.__new__
 
 
-def _trim(x_pows: tuple, d_pows: tuple) -> tuple:
-    k = len(x_pows)
-    while k and x_pows[k - 1] == 0 and d_pows[k - 1] == 0:
-        k -= 1
-    return x_pows[:k], d_pows[:k]
-
-
 def _phase(m):
     """An exact phase label, as an int when integral: ints hash without
     ``Fraction.__hash__``, and compare, hash and print like the equal Fraction."""
     return m.numerator if m.denominator == 1 else m
 
 
+def _powers(pows, what: str) -> dict:
+    """{index: power} of a dense sequence or of an {index: power} mapping, zero powers left out;
+    an index or power that is not an integer >= 0 (read by :func:`errors.integer`), or powers
+    neither in a list, a tuple nor a mapping, raise :class:`UnsupportedShape`."""
+    if isinstance(pows, Mapping):
+        items = pows.items()
+    elif isinstance(pows, (list, tuple)):
+        items = enumerate(pows)
+    else:
+        raise UnsupportedShape(f"{what}s must be a list, a tuple or an {{index: power}} mapping, got {pows!r}")
+    return {i: p for i, p in ((integer(i, "coordinate index", 0), integer(p, what, 0)) for i, p in items) if p}
+
+
 class Monomial(NamedTuple):
     phase_m: Fraction = 0
     phase_n: int = 0
     t_pow: int = 0
-    x_pows: tuple = ()
-    d_pows: tuple = ()
+    spatial: tuple = ()  # (index, x power, D power) of each coordinate present, ascending index
     dt_pow: int = 0
 
     @staticmethod
     def make(phase_m=0, phase_n=0, t_pow=0, x_pows=(), d_pows=(), dt_pow=0) -> "Monomial":
-        """The canonical monomial; a phase ``Fraction`` cannot read (read by :func:`errors.rational`),
-        an exponent that is not an integer (read by :func:`errors.integer`), a negative Dt, coordinate
-        or derivative power, or powers not in a sequence raise :class:`UnsupportedShape`."""
+        """The canonical monomial, its coordinate and derivative powers each a dense sequence or
+        an {index: power} mapping; a phase ``Fraction`` cannot read (read by :func:`errors.rational`),
+        an exponent or index that is not an integer (read by :func:`errors.integer`), a negative Dt,
+        coordinate or derivative power or index, or powers in another container (a set, a generator)
+        raise :class:`UnsupportedShape`."""
         phase_n, t_pow = integer(phase_n, "phase multiple of w"), integer(t_pow, "t power")
         dt_pow = integer(dt_pow, "Dt power", 0)
-        try:
-            pows = list(zip_longest(x_pows, d_pows, fillvalue=0))
-        except TypeError:
-            raise UnsupportedShape(f"powers must be sequences, got {x_pows!r} and {d_pows!r}") from None
-        x_pows = tuple(integer(x, "coordinate power", 0) for x, _ in pows)
-        d_pows = tuple(integer(d, "derivative power", 0) for _, d in pows)
-        x_pows, d_pows = _trim(x_pows, d_pows)
-        return Monomial(_phase(rational(phase_m, "phase")), phase_n, t_pow, x_pows, d_pows, dt_pow)
+        xs, ds = _powers(x_pows, "coordinate power"), _powers(d_pows, "derivative power")
+        spatial = tuple((i, xs.get(i, 0), ds.get(i, 0)) for i in sorted(xs.keys() | ds.keys()))
+        return Monomial(_phase(rational(phase_m, "phase")), phase_n, t_pow, spatial, dt_pow)
 
     @property
     def arity(self) -> int:
-        return len(self.x_pows)
+        """The highest coordinate index present, plus one."""
+        return self.spatial[-1][0] + 1 if self.spatial else 0
+
+    def powers(self, i: int) -> tuple:
+        """(x power, D power) of coordinate i, (0, 0) where the monomial has none."""
+        return next(((x, d) for j, x, d in self.spatial if j == i), (0, 0))
 
     def is_function(self) -> bool:
-        return self.dt_pow == 0 and all(p == 0 for p in self.d_pows)
+        return self.dt_pow == 0 and not any(d for _, _, d in self.spatial)
 
     def spatial_degree(self) -> int:
-        return sum(self.x_pows) + sum(self.d_pows)
+        return sum(x + d for _, x, d in self.spatial)
 
-    def sort_key(self, arity: int) -> tuple:
-        xp = self.x_pows + (0,) * (arity - len(self.x_pows))
-        dp = self.d_pows + (0,) * (arity - len(self.d_pows))
-        return (self.phase_m, self.phase_n, self.t_pow) + xp + dp + (self.dt_pow,)
+    def sort_key(self) -> tuple:
+        """The order of the dense exponent vectors at any common arity: phase, t power, the x
+        powers, the D powers, Dt; of two x (or D) parts, the first with a power at the lower index
+        where they differ sorts higher, and an entry list sorts after its prefix."""
+        return (self.phase_m, self.phase_n, self.t_pow, tuple((-i, x) for i, x, _ in self.spatial if x),
+                tuple((-i, d) for i, _, d in self.spatial if d), self.dt_pow)
 
 
 _MONO_ONE = Monomial.make()
@@ -115,12 +126,6 @@ _MONO_ONE = Monomial.make()
 def _phase_theta(m: Fraction, n: int) -> Coefficient:
     """Coefficient i*(m + n*w) from deriving the phase e^{i(m+nw)t}."""
     return Coefficient({(0, 0): (0, m), (0, 1): (0, n)})
-
-
-def _unit(i) -> tuple:
-    """The exponents (0, ..., 0, 1) of coordinate i; an i that is not an integer >= 0
-    raises :class:`UnsupportedShape`."""
-    return (0,) * integer(i, "coordinate index", 0) + (1,)
 
 
 def _op(cls, terms: dict):
@@ -170,11 +175,11 @@ class WeylOp:
 
     @staticmethod
     def coord(i: int) -> "WeylOp":
-        return WeylOp({Monomial.make(x_pows=_unit(i)): Coefficient.of(1)})
+        return WeylOp({Monomial.make(x_pows={integer(i, "coordinate index", 0): 1}): Coefficient.of(1)})
 
     @staticmethod
     def deriv(i: int) -> "WeylOp":
-        return WeylOp({Monomial.make(d_pows=_unit(i)): Coefficient.of(1)})
+        return WeylOp({Monomial.make(d_pows={integer(i, "coordinate index", 0): 1}): Coefficient.of(1)})
 
     @staticmethod
     def t(power: int = 1) -> "WeylOp":
@@ -271,9 +276,8 @@ class WeylOp:
             wq = Coefficient.of(omega)
             if wq.im:
                 raise ComplexFrequency("cannot fold a complex frequency into a phase")
-            monos = [Monomial.make(mono.phase_m + mono.phase_n * wq.re, 0, mono.t_pow,
-                                   mono.x_pows, mono.d_pows, mono.dt_pow) if mono.phase_n else mono
-                     for mono in monos]
+            monos = [mono._replace(phase_m=_phase(mono.phase_m + mono.phase_n * wq.re), phase_n=0)
+                     if mono.phase_n else mono for mono in monos]
         return type(self)(zip(monos, values))
 
     def gamma_limit(self) -> "WeylOp":
@@ -283,11 +287,8 @@ class WeylOp:
         """x1 -> -x1, i -> -i: flip sign by (x1+Dx1) parity, conjugate, negate phases."""
         pairs = []
         for mono, c in self._terms.items():
-            x1 = mono.x_pows[0] if mono.x_pows else 0
-            d1 = mono.d_pows[0] if mono.d_pows else 0
-            m2 = Monomial.make(-mono.phase_m, -mono.phase_n, mono.t_pow,
-                               mono.x_pows, mono.d_pows, mono.dt_pow)
-            pairs.append((m2, -c.conj() if (x1 + d1) % 2 else c.conj()))
+            m2 = mono._replace(phase_m=-mono.phase_m, phase_n=-mono.phase_n)
+            pairs.append((m2, -c.conj() if sum(mono.powers(0)) % 2 else c.conj()))
         return type(self)(pairs)
 
     # -- text -------------------------------------------------------------
@@ -329,9 +330,24 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     the uncontracted term, the one that is the same in both orders of the factors, is left out.
     The exponents are canonical already, so the output keys skip ``Monomial.make``'s checks.
     """
-    pm1, pn1, t1, x1, d1, k = m1
-    pm2, pn2, a, x2, d2, dt2 = m2
-    hits = [(i, p, q) for i, (p, q) in enumerate(zip(d1, x2)) if p and q]
+    pm1, pn1, t1, s1, k = m1
+    pm2, pn2, a, s2, dt2 = m2
+    # one merge of the two entry lists; a hit (position in merged, D power of m1, x power of
+    # m2) is a coordinate where the two factors contract
+    merged, hits, j, n2 = [], [], 0, len(s2)
+    for e in s1:
+        i = e[0]
+        while j < n2 and s2[j][0] < i:
+            merged.append(s2[j])
+            j += 1
+        if j < n2 and s2[j][0] == i:
+            _, x2, d2 = s2[j]
+            j += 1
+            if e[2] and x2:
+                hits.append((len(merged), e[2], x2))
+            e = (i, e[1] + x2, e[2] + d2)
+        merged.append(e)
+    merged = (*merged, *s2[j:])
     timed = k and (pm2 or pn2 or a)
     if contracted and not hits and not timed:
         return
@@ -340,33 +356,23 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
     phase_n = pn1 + pn2
     t_pow = t1 + a
 
-    # the shorter factor padded with zeros ((0,) * n is () for n <= 0); the exponents add
-    n = len(x1) - len(x2)
-    x1, d1, x2, d2 = x1 + (0,) * -n, d1 + (0,) * -n, x2 + (0,) * n, d2 + (0,) * n
-    xs, ds = tuple(map(add, x1, x2)), tuple(map(add, d1, d2))
-
-    # (x powers, D powers, weight); a contraction at coordinate i replaces entry i, and only
-    # the last coordinate dropping to x^0 Dx^0 leaves trailing zeros to trim
-    spatial = [(xs, ds, 1)]
-    last = len(xs) - 1
-    for i, p, q in hits:
-        table = _contractions(p, q)[1:]
-        grown = []
-        for entry in spatial:
-            grown.append(entry)
-            xs, ds, w = entry
-            xi, di = xs[i], ds[i]
-            for s, sw in table:
-                xc, dc = xs[:i] + (xi - s,) + xs[i + 1:], ds[:i] + (di - s,) + ds[i + 1:]
-                if i == last and xi == s == di:
-                    xc, dc = _trim(xc, dc)
-                grown.append((xc, dc, w * sw))
+    # (entries, weight), the uncontracted first; a contraction rewrites the entry at its hit,
+    # dropped at x^0 Dx^0.  The hits go from the last to the first, so a dropped entry shifts
+    # no hit still to come, and each hit's choices go outermost, so the terms come in the
+    # order of their contraction counts read from the first hit to the last
+    spatial = [(merged, 1)]
+    for pos, p, q in reversed(hits):
+        i, xi, di = merged[pos]
+        grown = list(spatial)
+        for s, sw in _contractions(p, q)[1:]:
+            mid = ((i, xi - s, di - s),) if xi != s or di != s else ()
+            grown += [(ents[:pos] + mid + ents[pos + 1:], w * sw) for ents, w in spatial]
         spatial = grown
 
     if not timed:  # with contracted, the first spatial entry has no contraction
         dt = k + dt2
-        for xs, ds, w in spatial[1:] if contracted else spatial:
-            acc[_key(Monomial, (phase_m, phase_n, t_pow, xs, ds, dt))].append((base, w))
+        for ents, w in spatial[1:] if contracted else spatial:
+            acc[_key(Monomial, (phase_m, phase_n, t_pow, ents, dt))].append((base, w))
         return
 
     # (t shift r, Dt power out, coefficient, weight); theta is 0 without a phase
@@ -375,9 +381,9 @@ def _mono_mul(m1: Monomial, c1: Coefficient, m2: Monomial, c2: Coefficient, acc:
                     if (tc := theta_pows[power])]
     # with contracted, the first spatial entry skips the first time choice: no contraction
     choices = time_choices[1:] if contracted else time_choices
-    for xs, ds, w in spatial:
+    for ents, w in spatial:
         for r, dt, tc, tw in choices:
-            acc[_key(Monomial, (phase_m, phase_n, t_pow - r, xs, ds, dt))].append((tc, w * tw))
+            acc[_key(Monomial, (phase_m, phase_n, t_pow - r, ents, dt))].append((tc, w * tw))
         choices = time_choices
 
 
@@ -443,18 +449,15 @@ def ad_series(s: WeylOp, a: WeylOp, max_depth: int = 64) -> tuple:
 
 
 def monomial_order(monos: Iterable[Monomial]) -> list:
-    """The monomials sorted by :meth:`Monomial.sort_key` at their largest arity:
-    the row order of :func:`coefficient_matrix`."""
-    monos = list(monos)
-    arity = max((m.arity for m in monos), default=0)
-    return sorted(monos, key=lambda m: m.sort_key(arity))
+    """The monomials sorted by :meth:`Monomial.sort_key`: the row order of :func:`coefficient_matrix`."""
+    return sorted(monos, key=Monomial.sort_key)
 
 
 def coefficient_matrix(ops: Iterable[WeylOp], rows: Optional[list] = None) -> tuple:
     """(rows, matrix) with column j the coefficients of ops[j] on the row monomials.
 
     By default the rows are the union of the operators' monomials, ordered by
-    :meth:`Monomial.sort_key` at the largest arity; given rows, a monomial
+    :meth:`Monomial.sort_key`; given rows, a monomial
     outside them is left out.
     """
     ops = list(ops)
@@ -499,8 +502,8 @@ def _term_text(mono: Monomial, c: Coefficient, wide: bool) -> str:
         facs.append(f"e[{mono.phase_m},{mono.phase_n}]")
     if mono.t_pow:
         facs.append(f"t^{mono.t_pow}")
-    facs += [f"{name(i)}^{p}" for i, p in enumerate(mono.x_pows) if p]
-    facs += [f"D{name(i)}^{p}" for i, p in enumerate(mono.d_pows) if p]
+    facs += [f"{name(i)}^{x}" for i, x, _ in mono.spatial if x]
+    facs += [f"D{name(i)}^{d}" for i, _, d in mono.spatial if d]
     if mono.dt_pow:
         facs.append(f"Dt^{mono.dt_pow}")
     body = str(c) if len(c.terms) == 1 else f"({c})"
@@ -511,9 +514,8 @@ def print_op(op: WeylOp) -> str:
     """Deterministic canonical serialization, e.g. ``e[2,0]*x^1*Dx^1 * (2i)``."""
     if op.is_zero():
         return "0"
-    arity = op.arity
-    return " + ".join(_term_text(mono, c, arity > 2)
-                      for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key(arity)))
+    wide = op.arity > 2
+    return " + ".join(_term_text(mono, c, wide) for mono, c in sorted(op.terms(), key=lambda kv: kv[0].sort_key()))
 
 
 # one term of print_op's text, then " + " or the end: the factors, " * ", and a
@@ -541,8 +543,7 @@ def _monomial(head: str) -> Monomial:
         else:
             i = 1 if m["y"] else parse_number(m["xi"] or "1") - 1
             (ds if m["d"] else xs)[i] = parse_number(m["p"])
-    n = max([*xs, *ds], default=-1) + 1
-    return Monomial.make(pm, pn, tp, [xs.get(i, 0) for i in range(n)], [ds.get(i, 0) for i in range(n)], dt)
+    return Monomial.make(pm, pn, tp, xs, ds, dt)
 
 
 def parse_op(text: str) -> WeylOp:

@@ -29,3 +29,13 @@ def test_each_entry_has_one_ratio_and_past_its_bound_a_mark():
     assert by_metric["sweep_s"].endswith("ratio  1.0400")  # inside its 0.15 bound: no mark
     assert lines[0].split()[:3] == ["src_lines", "3889", "3909"]
     assert lines[-1] == "suite-sweep failed operations 0 -> 1  outside, worse"
+
+
+def test_walls_apart_by_more_than_their_spread_are_resolved():
+    code, lines = compare("walls_a.json", "walls_b.json")  # medians 0.27 and 0.34, IQRs 0.01 and 0.02
+    assert code == 0 and lines[1].endswith("ratio  1.2593")
+
+
+def test_walls_apart_by_less_than_the_larger_spread_are_unresolved():
+    code, lines = compare("walls_a.json", "walls_c.json")  # medians 0.27 and 0.30, IQRs 0.01 and 0.1
+    assert code == 0 and lines[1].endswith("ratio  1.1111  unresolved, inside the interquartile range 0.1")

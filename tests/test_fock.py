@@ -6,6 +6,7 @@ from math import comb, factorial, isqrt, perm, sqrt
 
 import numpy as np
 import pytest
+from monomials import dense
 
 from cgalgebra import fock, weyl
 from cgalgebra.errors import (AlgebraError, CheckFailed, CutoffTooSmall, DegenerateModes, FloatOverflow, UnknownName,
@@ -113,7 +114,7 @@ def words(op):
     """The word map of a LadderOp, read back through the Bargmann map."""
     out = {}
     for mono, c in op.terms():
-        (p, r), (q, s) = (mono.x_pows + (0, 0))[:2], (mono.d_pows + (0, 0))[:2]
+        (p, r), (q, s) = dense(mono, 2)
         out[(p, q, r, s)] = c
     return out
 

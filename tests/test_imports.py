@@ -135,6 +135,44 @@ def test_the_term_map_check_sees_every_read(tmp_path):
     assert sorted(term_map_reads(probe)) == [2, 3]
 
 
+def _called_name(node: ast.AST):
+    """The name of a ``Name`` or the attribute of an ``Attribute``, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def monomial_storage_reads(path: Path) -> list:
+    """(line, form) of each read of a monomial's storage: the attribute ``spatial``, a
+    direct ``Monomial(...)`` call, or ``_key`` or ``tuple.__new__`` called with ``Monomial``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "spatial":
+            found.append((node.lineno, "spatial"))
+        elif isinstance(node, ast.Call) and _called_name(node.func) == "Monomial":
+            found.append((node.lineno, "Monomial"))
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) in ("_key", "tuple.__new__")
+              and any(_called_name(arg) == "Monomial" for arg in node.args)):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return found
+
+
+def test_only_weyl_reads_monomial_storage():
+    """A monomial's entries are ``weyl``'s to lay out: other modules build monomials with
+    ``Monomial.make`` and read a coordinate's powers with ``Monomial.powers``."""
+    found = {path.name: monomial_storage_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    del found["weyl.py"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_monomial_storage_check_sees_every_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import weyl\nfrom .weyl import Monomial, _key\n"
+                     "def f(m, fields):\n    return m.spatial, Monomial(0, 0, 0, (), 0), weyl.Monomial(*fields)\n"
+                     "g = [_key(Monomial, x) for x in ()] + [tuple.__new__(weyl.Monomial, ())]\n"
+                     "h = Monomial.make(x_pows={1: 2}).powers(1), tuple.__new__(tuple, ()), m._replace(dt_pow=0)\n")
+    assert sorted(monomial_storage_reads(probe)) == [
+        (4, "Monomial"), (4, "Monomial"), (4, "spatial"), (5, "_key"), (5, "tuple.__new__")]
+
+
 def unused_imports(path: Path) -> list:
     """(line, name) of each name ``path`` imports and never reads, leaving out
     ``from __future__`` imports, names listed in ``__all__``, and imports whose

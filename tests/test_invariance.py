@@ -420,10 +420,8 @@ class TestFindSymmetries:
         gens = [dg[n].substitute(omega=13) for n in dg.names()]
         sols = [r.generator.substitute(omega=13) for r in res]
         from cgalgebra.linalg import solve_in_span
-        arity = 2
         keys = sorted({m for g in gens for m, _ in g.terms()} |
-                      {m for s in sols for m, _ in s.terms()},
-                      key=lambda m: m.sort_key(arity))
+                      {m for s in sols for m, _ in s.terms()}, key=Monomial.sort_key)
         idx = {m: i for i, m in enumerate(keys)}
         cols = []
         for g in gens:

@@ -49,6 +49,11 @@ EDGES = [
     ("mode-solver-modes-int", lambda: fock.mode_solver(0.5, 5)),
     ("n-ladder-three-modes", lambda: fock.n_ladder(0.5, (1, 2, 3))),
     ("x-powers-not-a-sequence", lambda: Monomial.make(x_pows=5)),
+    ("d-powers-a-set", lambda: Monomial.make(d_pows={0, 1})),
+    ("x-powers-a-generator", lambda: Monomial.make(x_pows=(p for p in (1, 2)))),
+    ("coordinate-index-minus-1", lambda: Monomial.make(x_pows={-1: 1})),
+    ("coordinate-index-str", lambda: Monomial.make(d_pows={"0": 1})),
+    ("coord-a-list", lambda: WeylOp.coord([1])),
     ("spectrum-object", lambda: fock.spectrum(np.array([[1]], dtype=object))),
     ("spectrum-str", lambda: fock.spectrum(np.array([["a"]]))),
     ("spectrum-ragged-list", lambda: fock.spectrum([[1.0], [1.0, 2.0]])),
@@ -122,9 +127,9 @@ def test_integral_exponents_of_other_types_are_read_as_ints():
     """``operator.index`` takes a bool or a numpy integer, and the monomial holds a plain int;
     the powers of a coefficient and of an operator read their exponent alike."""
     mono = Monomial.make(phase_n=np.int64(2), t_pow=True, x_pows=(np.int8(1),))
-    assert mono == Monomial(0, 2, 1, (1,), (0,), 0)
-    assert all(type(e) is int for e in (mono.phase_n, mono.t_pow, *mono.x_pows, *mono.d_pows, mono.dt_pow))
+    assert mono == Monomial(0, 2, 1, ((0, 1, 0),), 0)
+    assert all(type(e) is int for e in (mono.phase_n, mono.t_pow, *mono.spatial[0], mono.dt_pow))
     assert Coefficient.monomial(3, np.int64(-1), np.int64(2)) == Coefficient({(-1, 2): 3})
-    assert WeylOp.coord(np.int64(1)) == WeylOp.coord(1)
+    assert WeylOp.coord(np.int64(1)) == WeylOp.coord(np.array(1)) == WeylOp.coord(1)
     assert Coefficient.of(2) ** np.int64(-1) == Coefficient.of(Fraction(1, 2))
     assert WeylOp.coord(0) ** np.int64(2) == WeylOp.coord(0) * WeylOp.coord(0)

@@ -7,6 +7,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from monomials import dense
 
 from cgalgebra import weyl
 from cgalgebra.errors import AlgebraError, ComplexFrequency, NonTerminatingSeries, ParseError, UnsupportedShape
@@ -61,16 +62,17 @@ def rand_op(rng, max_terms=3):
 
 def symbol_product(a, b):
     """The commutative product: exponents add, nothing contracts."""
+    def added(m1, m2):
+        (x1, d1), (x2, d2) = (dense(m, max(m1.arity, m2.arity)) for m in (m1, m2))
+        return [p + q for p, q in zip(x1, x2)], [p + q for p, q in zip(d1, d2)]
     return WeylOp((Monomial.make(m1.phase_m + m2.phase_m, m1.phase_n + m2.phase_n, m1.t_pow + m2.t_pow,
-                                 [p + q for p, q in zip_longest(m1.x_pows, m2.x_pows, fillvalue=0)],
-                                 [p + q for p, q in zip_longest(m1.d_pows, m2.d_pows, fillvalue=0)],
-                                 m1.dt_pow + m2.dt_pow), c1 * c2)
+                                 *added(m1, m2), m1.dt_pow + m2.dt_pow), c1 * c2)
                   for m1, c1 in a.terms() for m2, c2 in b.terms())
 
 
 def function_op(rng):
     """A random derivative-free operator."""
-    return WeylOp((Monomial.make(m.phase_m, m.phase_n, m.t_pow, m.x_pows), c)
+    return WeylOp((Monomial.make(m.phase_m, m.phase_n, m.t_pow, dense(m)[0]), c)
                   for m, c in rand_op(rng).terms())
 
 
@@ -377,6 +379,15 @@ class TestReader:
             op = parse_op(text)
         assert print_op(op) == text
 
+    def test_a_far_coordinate_costs_its_text_not_its_index(self, deadline):
+        """A monomial holds only the coordinates it has: coordinate 10^8 reads, prints
+        and builds at the cost of its text."""
+        text = "x100000000^1 * (1)"
+        with deadline(1):
+            assert print_op(parse_op(text)) == text
+            assert WeylOp.coord(10 ** 8).arity == 10 ** 8 + 1
+            assert print_op(WeylOp.deriv(10 ** 8)) == "Dx100000001^1 * (1)"
+
     def test_corrupted_catalog_lines_read_back_or_raise(self, deadline):
         rng = random.Random(2015)
         for key, text in sorted(json.loads(CATALOG.read_text()).items()):
@@ -389,6 +400,51 @@ class TestReader:
                             continue
                     # read back: the same terms, in print_op's order
                     assert sorted(print_op(op).split(" + ")) == sorted(bad.split(" + ")), (key, bad)
+
+
+def rand_sparse_monomial(rng, arity):
+    """A monomial of at most ``arity`` coordinates, most powers 0, so entries leave gaps."""
+    def pows():
+        return [rng.choice((0, 0, 0, 1, 2)) for _ in range(arity)]
+    return Monomial.make(rng.choice((0, 1, F(1, 2))), rng.randint(0, 1), rng.randint(-1, 1), pows(), pows(),
+                         rng.randint(0, 1))
+
+
+class TestSparseMonomials:
+    """A monomial holds the sorted (index, x power, D power) entries of the coordinates it has."""
+
+    def test_entries_and_powers(self):
+        mono = Monomial.make(x_pows={3: 1}, d_pows=(0, 2, 0, 0, 0))
+        assert mono.spatial == ((1, 0, 2), (3, 1, 0)) and mono.arity == 4
+        assert [mono.powers(i) for i in range(5)] == [(0, 0), (0, 2), (0, 0), (1, 0), (0, 0)]
+        assert Monomial.make(x_pows=(0, 0), d_pows=[0]) == Monomial.make() and Monomial.make().arity == 0
+
+    def test_a_mapping_is_read_as_index_to_power(self):
+        assert Monomial.make(x_pows={5: 1}) == Monomial.make(x_pows=(0, 0, 0, 0, 0, 1))
+        assert print_op(WeylOp({Monomial.make(x_pows={1: 2}): 1})) == "y^2 * (1)"
+        assert Monomial.make(d_pows={1: 1, 0: 0}) == Monomial.make(d_pows=[0, 1])
+
+    def test_make_from_a_mapping_equals_make_from_the_dense_sequence(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            arity = rng.randint(0, 6)
+            xs, ds = ([rng.choice((0, 0, 1, 3)) for _ in range(arity)] for _ in range(2))
+            dense_mono = Monomial.make(1, 0, 0, xs, ds)
+            assert Monomial.make(1, 0, 0, {i: p for i, p in enumerate(xs) if p or rng.random() < 0.3},
+                                 dict(enumerate(ds))) == dense_mono
+            assert dense(dense_mono, arity) == (tuple(xs), tuple(ds))
+
+    def test_sort_key_orders_as_the_dense_keys_padded_to_a_common_arity(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            monos = {rand_sparse_monomial(rng, rng.randint(0, 6)) for _ in range(rng.randint(1, 12))}
+            arity = max(m.arity for m in monos)
+
+            def dense_key(m):
+                xs, ds = dense(m, arity)
+                return (m.phase_m, m.phase_n, m.t_pow) + xs + ds + (m.dt_pow,)
+            assert sorted(monos, key=Monomial.sort_key) == sorted(monos, key=dense_key)
+            assert weyl.monomial_order(monos) == sorted(monos, key=dense_key)
 
 
 def wavefunction(phase_m, poly, t_pow=0):
@@ -439,7 +495,7 @@ class TestWavefunctions:
 
 def _ref_times(mono, pm=0, pn=0, t=0, xs=()):
     """mono times e^{i(pm + pn w)t} t^t x1^xs[0] x2^xs[1] ..., a power -1 dividing."""
-    x = [a + b for a, b in zip_longest(mono.x_pows, xs, fillvalue=0)]
+    x = [a + b for a, b in zip_longest(dense(mono)[0], xs, fillvalue=0)]
     return Monomial.make(mono.phase_m + pm, mono.phase_n + pn, mono.t_pow + t, x)
 
 
@@ -453,7 +509,7 @@ def _ref_derive(fn, i):
             if mono.t_pow:
                 accumulate(out, _ref_times(mono, t=-1), c * mono.t_pow)
             continue
-        p = (mono.x_pows + (0,) * (i + 1))[i]
+        p = dense(mono, i + 1)[0][i]
         if p:
             accumulate(out, _ref_times(mono, xs=(0,) * i + (-1,)), c * p)
         if i == 0:
@@ -469,11 +525,12 @@ def ref_apply(op, f):
         fn = dict(f.terms())
         for _ in range(mono.dt_pow):
             fn = _ref_derive(fn, None)
-        for i, dp in enumerate(mono.d_pows):
+        xs, ds = dense(mono)
+        for i, dp in enumerate(ds):
             for _ in range(dp):
                 fn = _ref_derive(fn, i)
         for fm, v in fn.items():
-            accumulate(out, _ref_times(fm, mono.phase_m, mono.phase_n, mono.t_pow, mono.x_pows), v * c)
+            accumulate(out, _ref_times(fm, mono.phase_m, mono.phase_n, mono.t_pow, xs), v * c)
     return WeylOp(out)
 
 
@@ -559,14 +616,12 @@ def _ref_trim(xs, ds):
 def _ref_mono_mul(m1, c1, m2, c2, acc, contracted):
     """(c1 m1) * (c2 m2) normal ordered, each output term a Coefficient of its
     own, summed into acc by ``accumulate``; returns the number of terms."""
-    x1, d1, x2, d2 = m1.x_pows, m1.d_pows, m2.x_pows, m2.d_pows
+    n = max(m1.arity, m2.arity)
+    (x1, d1), (x2, d2) = dense(m1, n), dense(m2, n)
     if contracted and not any(p and q for p, q in zip(d1, x2)) and not (
             m1.dt_pow and (m2.phase_m or m2.phase_n or m2.t_pow)):
         return 0
     base = c1 * c2
-    n = max(len(x1), len(x2))
-    x1, d1 = x1 + (0,) * (n - len(x1)), d1 + (0,) * (n - len(d1))
-    x2, d2 = x2 + (0,) * (n - len(x2)), d2 + (0,) * (n - len(d2))
     spatial = [(tuple(p + q for p, q in zip(x1, x2)), tuple(p + q for p, q in zip(d1, d2)), 1)]
     for i, (p, q) in enumerate(zip(d1, x2)):
         if p and q:

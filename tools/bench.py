@@ -4,7 +4,7 @@
     python tools/bench.py --compare A B   # one ratio B/A per entry, each outside its bound marked
 
 A record holds the git sha, Python, numpy and the machine; the line count of
-`src/`; the median wall of `cgalgebra all` as a subprocess; and, for each
+`src/`; the walls of `cgalgebra all` as a subprocess and their median; and, for each
 workload of BENCHMARK.json, the median over seeds 1 and 2 of each end-to-end
 metric of `benchmarks/run.py --trace 0`, each run `run_seconds` long.  `src/`
 is compiled first (`compileall`), so that no run pays for compiling it, and
@@ -14,7 +14,9 @@ root, 1 if there is none.
 `--compare` reads the bounds from this tree's BENCHMARK.json.  A ratio of an
 end-to-end metric is marked `outside` where it moves past its bound, `worse`
 or `better` by the metric's direction; a workload with more failed operations
-is marked too.  The exit status is 1 when anything is worse past its bound.
+is marked too.  Where both records hold the walls of `all`, its median is marked
+`unresolved` when the two medians differ by less than the larger interquartile
+range of the two lists.  The exit status is 1 when anything is worse past its bound.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def _git(*args: str):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _all_wall() -> float:
-    """Median wall seconds of `python -m cgalgebra all` as a subprocess."""
+def _all_walls() -> list:
+    """Wall seconds of each run of `python -m cgalgebra all` as a subprocess."""
     walls = []
     for _ in range(ALL_REPEATS):
         t0 = time.perf_counter()
@@ -56,7 +58,7 @@ def _all_wall() -> float:
         walls.append(time.perf_counter() - t0)
         if proc.returncode != 0:
             raise SystemExit(f"cgalgebra all exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return statistics.median(walls)
+    return walls
 
 
 def _workload(name: str, seconds: float) -> dict:
@@ -82,6 +84,7 @@ def measure() -> Path:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=ROOT, check=True)
     import numpy
 
+    walls = _all_walls()
     record = {
         "sha": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
@@ -90,7 +93,8 @@ def measure() -> Path:
         "machine": {"platform": platform.platform(), "arch": platform.machine(), "cpus": os.cpu_count()},
         "compiled_src_first": True,
         "src_lines": sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "cgalgebra").glob("*.py"))),
-        "all_wall_s": _all_wall(),
+        "all_wall_s": statistics.median(walls),
+        "all_walls_s": walls,
         "run_seconds": spec["run_seconds"],
         "seeds": list(SEEDS),
         "workloads": {w["name"]: _workload(w["name"], spec["run_seconds"]) for w in spec["workloads"]},
@@ -99,6 +103,11 @@ def measure() -> Path:
     path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def _iqr(values: list) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -112,8 +121,13 @@ def compare(a_path: str, b_path: str) -> int:
         print(f"{label:<28} {x:>12.6g} {y:>12.6g}  ratio {ratio:7.4f}  {mark}".rstrip())
 
     print(f"A {a_path}: sha {a.get('sha')}\nB {b_path}: sha {b.get('sha')}")
-    for key in ("src_lines", "all_wall_s"):
-        line(key, a[key], b[key])
+    line("src_lines", a["src_lines"], b["src_lines"])
+    mark = ""
+    if "all_walls_s" in a and "all_walls_s" in b:
+        spread = max(_iqr(a["all_walls_s"]), _iqr(b["all_walls_s"]))
+        if abs(b["all_wall_s"] - a["all_wall_s"]) < spread:
+            mark = f"unresolved, inside the interquartile range {spread:.3g}"
+    line("all_wall_s", a["all_wall_s"], b["all_wall_s"], mark)
     for name, wa in a["workloads"].items():
         wb = b["workloads"][name]
         for metric, x in wa["metrics"].items():
