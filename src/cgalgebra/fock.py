@@ -109,7 +109,8 @@ class LadderOp(WeylOp):
         read as a function, keep the derivative-free terms) costs much more
         per ket.  :func:`~cgalgebra.ring.summed` adds the terms that land on one ket.
         """
-        words = [(*mono.powers(0), *mono.powers(1), c) for mono, c in self.terms()]
+        words = [(*pw.get(0, (0, 0)), *pw.get(1, (0, 0)), c)
+                 for pw, c in ((mono.coordinate_powers(), c) for mono, c in self.terms())]
         acc = defaultdict(list)
         for (n, m), amp in state.items():
             for p, q, r, s, c in words:
@@ -448,16 +449,17 @@ def _kets(gbar: GbarLike, modes: Tuple[int, int],
     """((n, m), A_{m1}^n A_{m2}^m |vac>) for each m < len(tops) and n <= tops[m].
 
     A_{m1} and A_{m2} are the modes that create K's quanta, so A_{m_i}|vac> != 0
-    also at m_i < 0 (where A_{|m_i|} ~ b).  They are specialized to ``gbar`` by
-    one :func:`mode_solver` call per pass (:func:`_formal_rows` passes ``None``,
-    which keeps the coupling formal; :func:`eigenstate` its own coupling), and
-    each ket is built from the one before it: A_{m2}^m |vac> from
-    A_{m2}^(m-1) |vac>, then A_{m1}^n A_{m2}^m |vac> from
-    A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
+    also at m_i < 0 (where A_{|m_i|} ~ b).  They are read from one formal
+    :func:`mode_solver` call per pass, and only these two are specialized to
+    ``gbar`` (:func:`_formal_rows` passes ``None``, which keeps the coupling
+    formal; :func:`eigenstate` its own coupling); each ket is built from the one
+    before it: A_{m2}^m |vac> from A_{m2}^(m-1) |vac>, then A_{m1}^n A_{m2}^m |vac>
+    from A_{m1}^(n-1) A_{m2}^m |vac>.  A negative top
     yields nothing but still advances the column.
     """
-    by_lam = mode_solver(gbar, modes)
-    a1, a2 = by_lam[Fraction(modes[0])], by_lam[Fraction(modes[1])]
+    g = _coupling(gbar)
+    by_lam = mode_solver(None, modes)
+    a1, a2 = (by_lam[Fraction(m)].substitute(gamma=g) for m in modes)
     column = {(0, 0): Coefficient.of(1)}  # A_{m2}^m |vac>
     for m, top in enumerate(tops):
         if m:

@@ -89,10 +89,13 @@ def multiplier_division(cand: WeylOp, omega_op: WeylOp) -> WeylOp:
     if not om_mono.is_function():
         raise NotInIdeal("divisor Dt coefficient is not a function", residual=omega_op)
 
+    om_xs = {i: x for i, (x, _) in om_mono.coordinate_powers().items()}
     terms = {}
     for mono, c in _dt_part(cand).terms():
-        xs = [mono.powers(i)[0] - om_mono.powers(i)[0] for i in range(max(mono.arity, om_mono.arity))]
-        if min(xs, default=0) < 0:
+        xs = {i: x for i, (x, _) in mono.coordinate_powers().items()}
+        for i, x in om_xs.items():
+            xs[i] = xs.get(i, 0) - x
+        if min(xs.values(), default=0) < 0:
             raise NotInIdeal("division would need a negative coordinate power", residual=cand)
         try:
             cq = c.divide_exact(om_c)

@@ -469,7 +469,9 @@ def substituted(coeffs, gamma=None, omega=None) -> list:
     Each power of gamma and of omega that a term needs is made once per call
     (``__pow__``: a negative power of gamma divides exactly), and so is each
     product g^a w^b, a parameter left formal keeping its exponent.  A result is
-    one :func:`_sum` of those products weighted by its terms' numerators.
+    one :func:`_sum` of those products weighted by its terms' numerators, a
+    product taken times i (its numerators rotated) only for a term with an
+    imaginary part.
     gamma = 0 at a negative power of g raises :class:`ZeroSubstitution`.
     """
     coeffs = list(coeffs)
@@ -479,7 +481,7 @@ def substituted(coeffs, gamma=None, omega=None) -> list:
     wq = None if omega is None else Coefficient.of(omega)
     g_pows: dict = {}
     w_pows: dict = {}
-    powers: dict = {}  # (a, b) -> (g^a w^b with the values put in, times i)
+    powers: dict = {}  # (a, b) -> g^a w^b with the values put in
     out = []
     for c in coeffs:
         parts = []
@@ -500,8 +502,11 @@ def substituted(coeffs, gamma=None, omega=None) -> list:
                     if b not in w_pows:
                         w_pows[b] = wq ** b
                     q = q * w_pows[b]
-                p = powers[(a, b)] = q, q * I
-            parts += (p[0], re), (p[1], im)
+                p = powers[(a, b)] = q
+            if re:
+                parts.append((p, re))
+            if im:
+                parts.append((_new({k: (-y, x) for k, (x, y) in p._num.items()}, p._den), im))
         s = _sum(parts)
         out.append(_reduced(s._num, s._den * c._den))
     return out

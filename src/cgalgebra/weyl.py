@@ -101,9 +101,10 @@ class Monomial(NamedTuple):
         """The highest coordinate index present, plus one."""
         return self.spatial[-1][0] + 1 if self.spatial else 0
 
-    def powers(self, i: int) -> tuple:
-        """(x power, D power) of coordinate i, (0, 0) where the monomial has none."""
-        return next(((x, d) for j, x, d in self.spatial if j == i), (0, 0))
+    def coordinate_powers(self) -> dict:
+        """{index: (x power, D power)} of the coordinates the monomial has, ascending index;
+        a coordinate it does not have reads (0, 0) by ``.get(i, (0, 0))``."""
+        return {i: (x, d) for i, x, d in self.spatial}
 
     def is_function(self) -> bool:
         return self.dt_pow == 0 and not any(d for _, _, d in self.spatial)
@@ -278,7 +279,9 @@ class WeylOp:
                 raise ComplexFrequency("cannot fold a complex frequency into a phase")
             monos = [mono._replace(phase_m=_phase(mono.phase_m + mono.phase_n * wq.re), phase_n=0)
                      if mono.phase_n else mono for mono in monos]
-        return type(self)(zip(monos, values))
+            return type(self)(zip(monos, values))  # folded phases can meet: summed
+        # the monomials are still distinct, so only the terms that vanish drop out
+        return _op(type(self), {mono: c for mono, c in zip(monos, values) if c})
 
     def gamma_limit(self) -> "WeylOp":
         return type(self)((mono, c.gamma_limit()) for mono, c in self._terms.items())
@@ -288,7 +291,7 @@ class WeylOp:
         pairs = []
         for mono, c in self._terms.items():
             m2 = mono._replace(phase_m=-mono.phase_m, phase_n=-mono.phase_n)
-            pairs.append((m2, -c.conj() if sum(mono.powers(0)) % 2 else c.conj()))
+            pairs.append((m2, -c.conj() if sum(mono.coordinate_powers().get(0, (0, 0))) % 2 else c.conj()))
         return type(self)(pairs)
 
     # -- text -------------------------------------------------------------

@@ -379,7 +379,8 @@ class TestModeSolverOracle:
 
     @pytest.mark.parametrize("modes", MODE_PAIRS)
     def test_specializes_the_formal_modes_and_kets(self, modes):
-        """mode_solver(g) and eigenstate(1, 1, g) are their formal results substituted at g."""
+        """mode_solver(g), and eigenstate(n, m, g) for every n + |m2| m <= 6, are their formal
+        results substituted at g."""
         formal_modes = mode_solver(None, modes)
         formal_ket = eigenstate(1, 1, None, modes=modes)
         for gbar in ORACLE_COUPLINGS:
@@ -387,6 +388,11 @@ class TestModeSolverOracle:
             assert mode_solver(gbar, modes) == {lam: op.substitute(gamma=g) for lam, op in formal_modes.items()}, \
                 (modes, gbar)
             assert eigenstate(1, 1, gbar, modes=modes) == specialized(formal_ket, gbar), (modes, gbar)
+        step = abs(modes[1])
+        for n, m in ((n, m) for m in range(6 // step + 1) for n in range(6 - step * m + 1)):
+            formal = eigenstate(n, m, None, modes=modes)
+            for gbar in (0, 0.375, 0.7 + 0.2j, gr(3, F(-2, 7))):
+                assert eigenstate(n, m, gbar, modes=modes) == specialized(formal, gbar), (modes, n, m, gbar)
 
     @pytest.mark.parametrize("modes", MODE_PAIRS)
     def test_formal_vectors_survive_every_coupling(self, modes):

@@ -157,7 +157,7 @@ def monomial_storage_reads(path: Path) -> list:
 
 def test_only_weyl_reads_monomial_storage():
     """A monomial's entries are ``weyl``'s to lay out: other modules build monomials with
-    ``Monomial.make`` and read a coordinate's powers with ``Monomial.powers``."""
+    ``Monomial.make`` and read the coordinates' powers with ``Monomial.coordinate_powers``."""
     found = {path.name: monomial_storage_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
     del found["weyl.py"]
     assert {name: hits for name, hits in found.items() if hits} == {}
@@ -168,7 +168,7 @@ def test_the_monomial_storage_check_sees_every_read(tmp_path):
     probe.write_text("from . import weyl\nfrom .weyl import Monomial, _key\n"
                      "def f(m, fields):\n    return m.spatial, Monomial(0, 0, 0, (), 0), weyl.Monomial(*fields)\n"
                      "g = [_key(Monomial, x) for x in ()] + [tuple.__new__(weyl.Monomial, ())]\n"
-                     "h = Monomial.make(x_pows={1: 2}).powers(1), tuple.__new__(tuple, ()), m._replace(dt_pow=0)\n")
+                     "h = Monomial.make(x_pows={1: 2}).coordinate_powers(), tuple.__new__(tuple, ()), m._replace(dt_pow=0)\n")
     assert sorted(monomial_storage_reads(probe)) == [
         (4, "Monomial"), (4, "Monomial"), (4, "spatial"), (5, "_key"), (5, "tuple.__new__")]
 

@@ -134,6 +134,15 @@ class TestMultiplierDivision:
             multiplier_division(multiply(WeylOp.coord(0), WeylOp.dt()), divisor)
         assert multiplier_division(multiply(WeylOp.coord(0), divisor), divisor) == WeylOp.coord(0)
 
+    def test_a_far_coordinate_costs_its_entries_not_its_index(self, deadline):
+        """The quotient follows the coordinates a monomial has: x_{10^8} i Dt / i Dt is
+        x_{10^8}, and i Dt / x_{10^8} i Dt still needs a negative power."""
+        idt, far = WeylOp.dt().scale(I), WeylOp.coord(10 ** 8)
+        with deadline(1):
+            assert multiplier_division(multiply(far, idt), idt) == far
+            with pytest.raises(NotInIdeal, match="negative coordinate power"):
+                multiplier_division(idt, multiply(far, idt))
+
     def test_reports(self):
         r = realization_free()
         op_p, _, _ = omega_ops(r)

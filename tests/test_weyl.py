@@ -416,7 +416,7 @@ class TestSparseMonomials:
     def test_entries_and_powers(self):
         mono = Monomial.make(x_pows={3: 1}, d_pows=(0, 2, 0, 0, 0))
         assert mono.spatial == ((1, 0, 2), (3, 1, 0)) and mono.arity == 4
-        assert [mono.powers(i) for i in range(5)] == [(0, 0), (0, 2), (0, 0), (1, 0), (0, 0)]
+        assert mono.coordinate_powers() == {1: (0, 2), 3: (1, 0)}
         assert Monomial.make(x_pows=(0, 0), d_pows=[0]) == Monomial.make() and Monomial.make().arity == 0
 
     def test_a_mapping_is_read_as_index_to_power(self):
